@@ -4,8 +4,9 @@ Subcommands: decompose, shallowize, verify, shap, bench, plot.  Every
 command writes a single line of JSON to standard output and keeps
 diagnostics on standard error.  Exit codes: 0 success, 1 input error,
 2 pattern-search budget exceeded, 3 verification failure, 64 usage error.
-All randomness flows from --seed flags, so runs are reproducible; the
-RELU_UNWRAP_THREADS environment variable overrides --threads.
+All randomness flows from --seed flags, so runs are reproducible.  The
+pattern search runs in one thread; --threads and the RELU_UNWRAP_THREADS
+environment variable are accepted for compatibility and ignored.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import re
 import sys
 import time
@@ -60,13 +60,18 @@ def _diag(message: str):
     print(message, file=sys.stderr)
 
 
-def _thread_count(flag_value: int | None) -> int:
-    env = os.environ.get("RELU_UNWRAP_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    if flag_value is not None:
-        return max(1, flag_value)
-    return os.cpu_count() or 1
+def _note_fallbacks(enum):
+    """One stderr line when solver failures kept cells unpruned."""
+    if enum.solver_fallbacks:
+        _diag(
+            f"warning: {enum.solver_fallbacks} feasibility solve(s) hit the simplex "
+            "pivot limit; the cells they tested were kept"
+        )
+    return enum
+
+
+def _enumerate(net, budget: int):
+    return _note_fallbacks(enumerate_feasible(net, budget=budget))
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -97,13 +102,12 @@ def _read_points_csv(path):
 
 def cmd_decompose(args) -> int:
     net = load_model(args.model)
-    threads = _thread_count(args.threads)
     partial = False
     try:
-        enum = enumerate_feasible(net, budget=args.budget, threads=threads)
+        enum = _enumerate(net, args.budget)
     except BudgetExceededError as exc:
         _diag(str(exc))
-        enum = exc.partial
+        enum = _note_fallbacks(exc.partial)
         partial = True
     d = build_decomposition(net, enum, partial=partial)
     save_decomposition(d, args.out)
@@ -121,9 +125,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_shallowize(args) -> int:
     net = load_model(args.model)
-    threads = _thread_count(args.threads)
-    enum = enumerate_feasible(net, budget=args.budget, threads=threads)
-    d = build_decomposition(net, enum)
+    d = build_decomposition(net, _enumerate(net, args.budget))
     s = build_shallow(d)
     save_shallow(s, args.out)
     _emit({"widths": list(s.widths), "p": d.num_regions, "k": d.num_halfspaces})
@@ -138,9 +140,7 @@ def cmd_verify(args) -> int:
             f"dimension mismatch: model is {net.input_dim}->{net.output_dim}, "
             f"shallow is {shallow.input_dim}->{shallow.output_dim}"
         )
-    threads = _thread_count(args.threads)
-    enum = enumerate_feasible(net, budget=args.budget, threads=threads)
-    d = build_decomposition(net, enum)
+    d = build_decomposition(net, _enumerate(net, args.budget))
     rng = np.random.default_rng(args.seed)
     X = rng.uniform(-args.range, args.range, size=(args.samples, net.input_dim))
     witnesses = np.array([r.witness for r in d.regions]).reshape(-1, net.input_dim)
@@ -188,11 +188,7 @@ def cmd_bench(args) -> int:
                     net = random_init([2, w1, w2, args.w3], 1, seed)
                     start = time.monotonic()
                     try:
-                        enum = enumerate_feasible(
-                            net,
-                            budget=args.budget,
-                            threads=_thread_count(args.threads),
-                        )
+                        enum = _enumerate(net, args.budget)
                         d = build_decomposition(net, enum)
                         build_shallow(d)
                         wall = time.monotonic() - start
@@ -237,14 +233,14 @@ def _add_common(sub, *, budget=True, threads=True):
             "--budget",
             type=int,
             default=DEFAULT_BUDGET,
-            help=f"pattern-search candidate cap (default {DEFAULT_BUDGET})",
+            help=f"cap on the feasibility LPs of the pattern search (default {DEFAULT_BUDGET})",
         )
     if threads:
         sub.add_argument(
             "--threads",
             type=int,
             default=None,
-            help="worker threads (default: all cores; env RELU_UNWRAP_THREADS wins)",
+            help="accepted for compatibility and ignored: the search runs in one thread",
         )
 
 

@@ -1,20 +1,23 @@
 """Exact linear-region decomposition of a ReLU network.
 
 A network is affine on each set of inputs sharing one activation pattern.
-Realisable patterns are found by a two-stage search: stage 1 tests every
-per-layer pattern against a local feasibility program over that layer's
-input space; stage 2 extends surviving prefixes layer by layer, testing the
-stacked input-space program built from the affine maps
+The affine maps
 
     M(1) = W(1),              o(1) = b(1)
     M(l) = W(l) diag(P(l-1)) M(l-1)
     o(l) = W(l) diag(P(l-1)) o(l-1) + b(l)
 
-which give the layer-l pre-activations of any input realising the prefix.
-Rows with pattern bit 1 are strict (pre-activation > 0), rows with bit 0 are
-closed (<= 0), so every input belongs to exactly one pattern.  Candidates
-whose feasible set has no interior are dropped: they cover no open set and
-their points lie on the closed faces of neighbouring regions.
+give the layer-l pre-activations of any input realising the pattern prefix
+P(1), ..., P(l-1).  Realisable patterns are found by splitting live cells
+one neuron at a time: neuron i of layer l cuts every cell along the
+hyperplane ``M(l)[i] . x + o(l)[i] = 0``.  Bit 1 adds a strict row
+(pre-activation > 0), bit 0 a closed one (<= 0), so every input belongs to
+exactly one pattern.  A child whose rows have no strict interior is dropped:
+it covers no open set, its points lie on the closed faces of neighbouring
+regions, and since added rows never create an interior, no extension of it
+is realisable either.  The parent cell's witness settles one child without
+a solve, so the work grows with the cells found rather than with the 2^width
+patterns of a layer.  A leaf's rows are exactly its :func:`global_lp`.
 
 Each surviving pattern yields a region: its affine model, an interior
 witness, and the minimal set of oriented half-spaces ``h . x > c`` bounding
@@ -25,11 +28,9 @@ within ``TOL_CANON``.
 
 from __future__ import annotations
 
-import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,8 +43,8 @@ from .errors import (
     NonFiniteError,
     UnwrapError,
 )
-from .lp import Feasibility, LinearProgram, check_feasible, is_redundant
-from .network import ActivationPattern, MLPNetwork, _frozen_array
+from .lp import TOL_SLACK, Feasibility, LinearProgram, check_feasible, is_redundant
+from .network import ActivationPattern, Layer, MLPNetwork, _frozen_array
 
 DECOMP_FORMAT = "relu-decomp-v1"
 
@@ -156,9 +157,12 @@ class PatternRecord:
 
 @dataclass(frozen=True)
 class EnumerationResult:
+    """Found patterns and the search's counters (see :func:`enumerate_feasible`)."""
+
     records: tuple[PatternRecord, ...]
     layer_feasible: tuple[int, ...]
     candidates_checked: int
+    solver_fallbacks: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -194,26 +198,29 @@ def _bits_of(prefix) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(v) for v in layer) for layer in prefix)
 
 
+def _next_prefix(prev: GlobalAffinePrefix, gate_bits, layer: Layer) -> GlobalAffinePrefix:
+    """Affine map to the pre-activations of ``layer``, which follows ``prev``."""
+    gate = np.asarray(gate_bits, dtype=np.float64)
+    return GlobalAffinePrefix(
+        layer.weights @ (gate[:, None] * prev.matrix),
+        layer.weights @ (gate * prev.offset) + layer.bias,
+        prev.layer + 1,
+    )
+
+
 def _prefix_chain(layer_bits, net: MLPNetwork) -> list[GlobalAffinePrefix]:
     layer_bits = _bits_of(layer_bits)
     if not 1 <= len(layer_bits) <= net.depth:
         raise DimensionMismatchError(
             f"prefix has {len(layer_bits)} layers, network has {net.depth}"
         )
-    chain: list[GlobalAffinePrefix] = []
-    matrix = net.hidden[0].weights
-    offset = net.hidden[0].bias
-    chain.append(GlobalAffinePrefix(matrix, offset, 1))
+    chain = [GlobalAffinePrefix(net.hidden[0].weights, net.hidden[0].bias, 1)]
     for l in range(2, len(layer_bits) + 1):
-        gate = np.asarray(layer_bits[l - 2], dtype=np.float64)
-        if gate.shape[0] != chain[-1].matrix.shape[0]:
+        if len(layer_bits[l - 2]) != chain[-1].matrix.shape[0]:
             raise DimensionMismatchError(
                 f"prefix layer {l - 1} width does not match the network"
             )
-        W, b = net.hidden[l - 1].weights, net.hidden[l - 1].bias
-        matrix = W @ (gate[:, None] * chain[-1].matrix)
-        offset = W @ (gate * chain[-1].offset) + b
-        chain.append(GlobalAffinePrefix(matrix, offset, l))
+        chain.append(_next_prefix(chain[-1], layer_bits[l - 2], net.hidden[l - 1]))
     last_gate = layer_bits[-1]
     if len(last_gate) != chain[-1].matrix.shape[0]:
         raise DimensionMismatchError("last prefix layer width does not match")
@@ -248,24 +255,21 @@ def global_lp(prefix, net: MLPNetwork) -> LinearProgram:
 
 
 @dataclass(frozen=True)
-class _SearchState:
+class _Cell:
+    """A live cell: the inputs realising a pattern prefix.
+
+    The last layer of ``bits`` may be incomplete.  ``A``, ``b`` and
+    ``strict`` are the prefix's rows, stacked as :func:`global_lp` stacks
+    them.  ``witness`` clears every strict row by more than ``TOL_SLACK`` and
+    meets the closed ones; it is None when a solver failure kept the cell.
+    """
+
     bits: tuple[tuple[int, ...], ...]
     chain: tuple[GlobalAffinePrefix, ...]
-    rows_A: np.ndarray
-    rows_b: np.ndarray
-    rows_strict: np.ndarray
+    A: np.ndarray
+    b: np.ndarray
+    strict: np.ndarray
     witness: np.ndarray | None
-
-
-def _keep_or_prune(lp: LinearProgram):
-    """Returns (keep, witness).  Solver failure keeps the candidate."""
-    try:
-        res = check_feasible(lp)
-    except IterationLimitError:
-        return True, None
-    if res.status is Feasibility.INTERIOR:
-        return True, res.witness
-    return False, None
 
 
 def _interior_witness(lp: LinearProgram) -> np.ndarray | None:
@@ -276,7 +280,8 @@ def _interior_witness(lp: LinearProgram) -> np.ndarray | None:
     region.  Re-solving with every non-degenerate row marked strict yields a
     point in the polytope's topological interior; zero rows (constant
     constraints from gated-off neurons) can never clear a margin and are
-    skipped.  Returns None when no such point is found within tolerance.
+    skipped.  Returns None when no such point is found within tolerance;
+    :class:`IterationLimitError` propagates.
     """
     keep = np.linalg.norm(lp.A, axis=1) > TOL_DEGENERATE
     if not keep.any():
@@ -284,34 +289,52 @@ def _interior_witness(lp: LinearProgram) -> np.ndarray | None:
     pushed = LinearProgram(
         lp.A[keep], lp.b[keep], np.ones(int(keep.sum()), dtype=bool)
     )
-    try:
-        res = check_feasible(pushed)
-    except IterationLimitError:
-        return None
+    res = check_feasible(pushed)
     return res.witness if res.status is Feasibility.INTERIOR else None
 
 
-class _Budget:
-    def __init__(self, cap: int | None):
-        self.cap = cap
-        self.checked = 0
+class _Search:
+    """LP budget, counters and finished cells of one enumeration."""
 
-    def take(self, iterable: Iterable, count: int) -> tuple[list, bool]:
-        """Consume up to the remaining allowance; True means it ran out."""
-        if self.cap is None or self.checked + count <= self.cap:
-            self.checked += count
-            return list(iterable), False
-        allowed = max(self.cap - self.checked, 0)
-        self.checked = self.cap
-        return list(itertools.islice(iterable, allowed)), True
+    def __init__(self, depth: int, budget: int | None):
+        self.budget = budget
+        self.lps = 0
+        self.fallbacks = 0
+        self.layer_cells = [0] * depth
+        self.leaves: list[_Cell] = []
 
+    def interior(self, A, b, strict) -> tuple[bool, np.ndarray | None]:
+        """(keep, witness) of a system; a solver failure keeps it unwitnessed."""
+        if self.budget is not None and self.lps >= self.budget:
+            raise BudgetExceededError(
+                f"pattern search exceeded the budget of {self.budget} feasibility LPs",
+                partial=self.result(),
+            )
+        self.lps += 1
+        try:
+            res = check_feasible(LinearProgram(A, b, strict))
+        except IterationLimitError:
+            self.fallbacks += 1
+            return True, None
+        if res.status is Feasibility.INTERIOR:
+            return True, res.witness
+        return False, None
 
-def _pmap(fn, items: list, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        chunk = max(1, len(items) // (threads * 4))
-        return list(pool.map(fn, items, chunksize=chunk))
+    def result(self) -> EnumerationResult:
+        """Records of the finished cells, with witnesses refined off every face."""
+        records = []
+        for cell in self.leaves:
+            try:
+                refined = _interior_witness(LinearProgram(cell.A, cell.b, cell.strict))
+            except IterationLimitError:
+                self.fallbacks += 1
+                refined = None
+            witness = cell.witness if refined is None else refined
+            records.append(PatternRecord(ActivationPattern(cell.bits), cell.chain, witness))
+        records.sort(key=lambda rec: rec.pattern.bits())
+        return EnumerationResult(
+            tuple(records), tuple(self.layer_cells), self.lps, self.fallbacks
+        )
 
 
 def enumerate_feasible(
@@ -319,138 +342,60 @@ def enumerate_feasible(
 ) -> EnumerationResult:
     """Find every activation pattern realised on a set with interior.
 
-    Stage 1 filters each layer's patterns by their local program; stage 2
-    grows prefixes layer by layer under the stacked input-space program.
-    Output is sorted by concatenated pattern bits.  ``budget`` caps the total
-    number of candidates tested; crossing it raises
-    :class:`BudgetExceededError` whose ``partial`` field carries everything
-    found so far.  Tasks share only immutable inputs, so ``threads`` never
-    changes the result.
+    Live cells are split one neuron at a time, layer by layer.  Neuron ``i``
+    of layer ``l`` cuts a cell along ``M[i] . x + o[i] = 0``, which is affine
+    in the input under the cell's prefix.  The cell's witness ``w`` settles
+    one child without a solve (bit 1 if ``M[i] . w + o[i] > TOL_SLACK``, bit 0
+    if it is ``<= 0``); every other child costs one feasibility LP and is
+    dropped when its rows have no strict interior.  Rows only shrink a cell,
+    so a dropped child has no realisable extension.  A solver failure keeps
+    the child without a witness and is counted in ``solver_fallbacks``.
+
+    ``layer_feasible[l]`` counts the live cells after layer ``l + 1``; the
+    last entry is the number of patterns.  ``candidates_checked`` counts the
+    feasibility LPs solved to split cells; ``budget`` caps it, and the solve
+    that would cross it raises :class:`BudgetExceededError`, whose
+    ``partial`` field carries the patterns completed so far.  Records are
+    sorted by concatenated pattern bits.  The search runs in one thread;
+    ``threads`` is accepted for compatibility and ignored.
     """
-    L = net.depth
-    n = net.input_dim
+    L, n = net.depth, net.input_dim
     if L == 0:
         record = PatternRecord(ActivationPattern(()), (), np.zeros(n))
         return EnumerationResult((record,), (), 0)
 
-    budget_state = _Budget(budget)
-    layer_feasible: list[int] = []
-
-    def bail(states: list[_SearchState], done_layers: int):
-        records = _finish(states) if done_layers == L else ()
-        partial = EnumerationResult(
-            records, tuple(layer_feasible), budget_state.checked
-        )
-        raise BudgetExceededError(
-            f"pattern search exceeded the budget of {budget} candidates",
-            partial=partial,
-        )
-
-    def _finish(states: list[_SearchState]) -> tuple[PatternRecord, ...]:
-        records = []
-        for st in states:
-            refined = _interior_witness(
-                LinearProgram(st.rows_A, st.rows_b, st.rows_strict)
-            )
-            records.append(
-                PatternRecord(
-                    ActivationPattern(st.bits),
-                    st.chain,
-                    st.witness if refined is None else refined,
-                )
-            )
-        records.sort(key=lambda rec: rec.pattern.bits())
-        return tuple(records)
-
-    # stage 1, layer 1: the local program over the network input doubles as
-    # the stacked program of the length-1 prefix, witnesses included
-    W1, b1 = net.hidden[0].weights, net.hidden[0].bias
-    width = net.hidden_widths[0]
-    candidates, exhausted = budget_state.take(
-        itertools.product((0, 1), repeat=width), 2**width
-    )
-
-    def check_first(bits):
-        rows = _pattern_rows(W1, b1, bits)
-        keep, witness = _keep_or_prune(LinearProgram(*rows))
-        return bits, rows, keep, witness
-
-    states: list[_SearchState] = []
-    first = GlobalAffinePrefix(W1, b1, 1)
-    for bits, rows, keep, witness in _pmap(check_first, candidates, threads):
-        if keep:
-            states.append(
-                _SearchState((tuple(bits),), (first,), rows[0], rows[1], rows[2], witness)
-            )
-    layer_feasible.append(len(states))
-    if exhausted:
-        bail(states, 1)
-
-    # stage 1, deeper layers: local programs over nonnegative layer inputs
-    layer_patterns: list[list[tuple[int, ...]]] = []
-    for l in range(2, L + 1):
-        W, b = net.hidden[l - 1].weights, net.hidden[l - 1].bias
-        width = net.hidden_widths[l - 1]
-        candidates, exhausted = budget_state.take(
-            itertools.product((0, 1), repeat=width), 2**width
-        )
-
-        def check_local(bits, W=W, b=b):
-            keep, _ = _keep_or_prune(local_lp(W, b, bits))
-            return bits, keep
-
-        survivors = [
-            tuple(bits)
-            for bits, keep in _pmap(check_local, candidates, threads)
-            if keep
-        ]
-        layer_feasible.append(len(survivors))
-        layer_patterns.append(survivors)
-        if exhausted:
-            bail([], l)
-
-    # stage 2: extend prefixes one layer at a time
-    for l in range(2, L + 1):
-        W, b = net.hidden[l - 1].weights, net.hidden[l - 1].bias
-        extensions = layer_patterns[l - 2]
-        next_states: list[_SearchState] = []
-        for state in states:
-            gate = np.asarray(state.bits[-1], dtype=np.float64)
-            prev = state.chain[-1]
-            matrix = W @ (gate[:, None] * prev.matrix)
-            offset = W @ (gate * prev.offset) + b
-            prefix = GlobalAffinePrefix(matrix, offset, l)
-
-            def check_ext(bits, state=state, matrix=matrix, offset=offset):
-                add_A, add_b, add_strict = _pattern_rows(matrix, offset, bits)
-                lp = LinearProgram(
-                    np.vstack([state.rows_A, add_A]),
-                    np.concatenate([state.rows_b, add_b]),
-                    np.concatenate([state.rows_strict, add_strict]),
-                )
-                keep, witness = _keep_or_prune(lp)
-                return bits, (lp.A, lp.b, lp.strict), keep, witness
-
-            batch, exhausted = budget_state.take(extensions, len(extensions))
-            for bits, rows, keep, witness in _pmap(check_ext, batch, threads):
-                if keep:
-                    next_states.append(
-                        _SearchState(
-                            state.bits + (tuple(bits),),
-                            state.chain + (prefix,),
-                            rows[0],
-                            rows[1],
-                            rows[2],
-                            witness,
-                        )
-                    )
-            if exhausted:
-                bail(next_states if l == L else [], l)
-        states = next_states
-
-    return EnumerationResult(
-        _finish(states), tuple(layer_feasible), budget_state.checked
-    )
+    widths = net.hidden_widths
+    search = _Search(L, budget)
+    first = GlobalAffinePrefix(net.hidden[0].weights, net.hidden[0].bias, 1)
+    stack = [
+        _Cell(((),), (first,), np.zeros((0, n)), np.zeros(0), np.zeros(0, dtype=bool), np.zeros(n))
+    ]
+    while stack:
+        cell = stack.pop()
+        bits, chain = cell.bits, cell.chain
+        if len(bits[-1]) == widths[len(chain) - 1]:
+            # the cell's last layer is complete: open the next one
+            nxt = _next_prefix(chain[-1], bits[-1], net.hidden[len(chain)])
+            bits, chain = bits + ((),), chain + (nxt,)
+        layer, i = len(chain), len(bits[-1])
+        row, shift = chain[-1].matrix[i], chain[-1].offset[i]
+        w = cell.witness
+        z = None if w is None else float(row @ w + shift)
+        for bit in (0, 1):
+            A = np.vstack([cell.A, -row if bit else row])
+            b = np.append(cell.b, shift if bit else -shift)
+            strict = np.append(cell.strict, bit == 1)
+            if z is not None and (z > TOL_SLACK if bit else z <= 0.0):
+                keep, witness = True, w
+            else:
+                keep, witness = search.interior(A, b, strict)
+            if not keep:
+                continue
+            child = _Cell(bits[:-1] + (bits[-1] + (bit,),), chain, A, b, strict, witness)
+            layer_done = i + 1 == widths[layer - 1]
+            search.layer_cells[layer - 1] += layer_done
+            (search.leaves if layer_done and layer == L else stack).append(child)
+    return search.result()
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +506,10 @@ def extract_halfspaces(records: Sequence[PatternRecord], net: MLPNetwork):
 def _certify_witness(rec: PatternRecord, net: MLPNetwork) -> np.ndarray:
     """Recover a witness for a pattern kept under a solver failure."""
     lp = global_lp(rec.pattern, net)
-    refined = _interior_witness(lp)
+    try:
+        refined = _interior_witness(lp)
+    except IterationLimitError:
+        refined = None
     if refined is not None:
         return refined
     res = check_feasible(lp)
@@ -599,13 +547,11 @@ def decompose(
 ) -> Decomposition:
     """Full decomposition of a network into its linear regions.
 
-    Pure and deterministic: the same network gives an identical result, with
-    any thread count.  Regions are ordered by pattern bits and the half-space
-    table by (normal, offset).
+    Pure and deterministic: the same network gives an identical result.
+    Regions are ordered by pattern bits and the half-space table by (normal,
+    offset).  ``threads`` is accepted for compatibility and ignored.
     """
-    return build_decomposition(
-        net, enumerate_feasible(net, budget=budget, threads=threads)
-    )
+    return build_decomposition(net, enumerate_feasible(net, budget=budget))
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,13 @@ class NonFiniteError(UnwrapError):
 class IterationLimitError(UnwrapError):
     """Simplex pivot budget exhausted; signals numerical pathology.
 
-    Pattern-search callers must treat the tested pattern as feasible when
-    this is raised, so an ill-conditioned program can never prune a region.
+    Pattern-search callers must treat the tested cell as feasible when this
+    is raised, so an ill-conditioned program can never prune a region.
     """
 
 
 class BudgetExceededError(UnwrapError):
-    """Pattern-search candidate budget exhausted.
+    """Pattern-search budget of feasibility LPs exhausted.
 
     ``partial`` carries the enumeration state gathered so far.
     """

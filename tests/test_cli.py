@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from relu_unwrap import (
+    IterationLimitError,
     Layer,
     MLPNetwork,
     load_decomposition,
@@ -15,6 +16,7 @@ from relu_unwrap import (
     random_init,
     save_model,
 )
+import relu_unwrap.decomposition as decomposition
 from relu_unwrap.cli import main
 
 
@@ -104,6 +106,27 @@ class TestDecompose:
         payload = json.loads(stdout)
         assert payload["partial"] is True
         assert load_decomposition(out).partial is True
+
+    def test_solver_fallback_reported_on_stderr(self, capsys, tmp_path, demo_m2_file, monkeypatch):
+        out = str(tmp_path / "d.json")
+        _, clean, clean_err = run(capsys, "decompose", "--model", demo_m2_file, "--out", out)
+        assert clean_err == ""
+        real, raised = decomposition.check_feasible, []
+
+        def flaky(lp):
+            if not raised:
+                raised.append(lp)
+                raise IterationLimitError("forced")
+            return real(lp)
+
+        monkeypatch.setattr(decomposition, "check_feasible", flaky)
+        code, stdout, stderr = run(capsys, "decompose", "--model", demo_m2_file, "--out", out)
+        assert code == 0
+        assert len(stderr.splitlines()) == 1 and "1 feasibility solve" in stderr
+        payload, reference = json.loads(stdout), json.loads(clean)
+        assert payload.keys() == reference.keys()
+        for key in ("p", "k", "layer_feasible"):
+            assert payload[key] == reference[key]
 
     def test_env_thread_override(self, capsys, tmp_path, demo_m2_file, monkeypatch):
         monkeypatch.setenv("RELU_UNWRAP_THREADS", "2")

@@ -1,5 +1,6 @@
 """Region enumeration: exactness, pruning soundness, and serialization."""
 
+import itertools
 import json
 
 import numpy as np
@@ -9,11 +10,16 @@ from relu_unwrap import (
     ActivationPattern,
     BudgetExceededError,
     Decomposition,
+    Feasibility,
+    IterationLimitError,
+    Layer,
+    MLPNetwork,
     ModelFormatError,
     OrientedHalfspace,
     Region,
     TOL_SLACK,
     activation_pattern,
+    check_feasible,
     decompose,
     dumps_decomposition,
     enumerate_feasible,
@@ -26,9 +32,35 @@ from relu_unwrap import (
     pattern_matrix,
     random_init,
 )
+import relu_unwrap.decomposition as decomposition
 from relu_unwrap.explain import locate_region, region_contains
 
 from conftest import interior_samples
+
+
+def biased_net(dims, output_dim, seed):
+    """Xavier weights with N(0, 1) biases on every layer."""
+    net = random_init(dims, output_dim, seed)
+    rng = np.random.default_rng(10_000 + seed)
+    layers = [
+        Layer(layer.weights, rng.normal(0.0, 1.0, layer.weights.shape[0]))
+        for layer in net.hidden + (net.output,)
+    ]
+    return MLPNetwork(tuple(layers[:-1]), layers[-1])
+
+
+def brute_force_patterns(net):
+    """Every full pattern whose stacked program has a strict interior."""
+    widths = net.hidden_widths
+    found = set()
+    for flat in itertools.product((0, 1), repeat=sum(widths)):
+        layers, at = [], 0
+        for width in widths:
+            layers.append(flat[at : at + width])
+            at += width
+        if check_feasible(global_lp(layers, net)).status is Feasibility.INTERIOR:
+            found.add(flat)
+    return found
 
 
 def region_by_pattern(d, bits):
@@ -170,6 +202,66 @@ class TestEnumeration:
         full = enumerate_feasible(net)
         again = enumerate_feasible(net, budget=full.candidates_checked)
         assert len(again.records) == len(full.records)
+
+    def test_budget_boundary_is_the_lp_count(self):
+        """The budget counts feasibility LPs: the exact count passes, one less raises."""
+        net = random_init([2, 5, 7, 4], 3, seed=2)
+        full = enumerate_feasible(net)
+        exact = enumerate_feasible(net, budget=full.candidates_checked)
+        assert exact.candidates_checked == full.candidates_checked
+        with pytest.raises(BudgetExceededError) as info:
+            enumerate_feasible(net, budget=full.candidates_checked - 1)
+        partial = info.value.partial
+        assert partial.candidates_checked == full.candidates_checked - 1
+        complete = {rec.pattern.bits() for rec in full.records}
+        assert {rec.pattern.bits() for rec in partial.records} <= complete
+
+    @pytest.mark.parametrize(
+        "net",
+        [
+            random_init([2, 3, 3], 1, seed=0),
+            biased_net([2, 4, 4], 2, seed=0),
+            random_init([3, 3, 2, 2], 1, seed=0),
+        ],
+        ids=["[2,3,3]", "biased[2,4,4]", "[3,3,2,2]"],
+    )
+    def test_matches_brute_force_oracle(self, net):
+        """The split finds exactly the patterns whose full program is feasible."""
+        res = enumerate_feasible(net)
+        assert {rec.pattern.bits() for rec in res.records} == brute_force_patterns(net)
+        assert res.layer_feasible[-1] == len(res.records)
+        assert res.solver_fallbacks == 0
+
+    def test_solver_fallback_keeps_cell_and_is_counted(self, monkeypatch):
+        """A pivot-limit failure keeps the cell; its children are still tested."""
+        net = random_init([2, 5, 7, 4], 3, seed=2)
+        reference = enumerate_feasible(net)
+        real = decomposition.check_feasible
+        calls, raised = [], []
+
+        def flaky(lp):
+            res = real(lp)
+            calls.append(lp)
+            # fail once on a non-final cut that the solver would have pruned
+            if not raised and res.status is not Feasibility.INTERIOR and lp.num_rows < 16:
+                raised.append(lp)
+                raise IterationLimitError("forced")
+            return res
+
+        monkeypatch.setattr(decomposition, "check_feasible", flaky)
+        res = enumerate_feasible(net)
+        assert len(raised) == 1
+        kept = raised[0]
+        at = next(i for i, lp in enumerate(calls) if lp is kept)
+        split = [
+            lp
+            for lp in calls[at + 1 :]
+            if lp.num_rows == kept.num_rows + 1 and np.array_equal(lp.A[:-1], kept.A)
+        ]
+        assert len(split) == 2, "the kept cell was not split on"
+        assert res.solver_fallbacks == 1
+        assert reference.solver_fallbacks == 0
+        assert [rec.pattern for rec in res.records] == [rec.pattern for rec in reference.records]
 
 
 class TestDecomposition:
