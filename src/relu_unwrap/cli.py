@@ -276,7 +276,19 @@ def build_parser() -> _Parser:
     p.add_argument("--background", required=True, help="CSV of background points")
     p.set_defaults(fn=cmd_shap)
 
-    p = subs.add_parser("bench", help="decomposition timing grid to CSV")
+    p = subs.add_parser(
+        "bench",
+        help="decomposition timing grid to CSV",
+        description=(
+            "Decompose and rebuild random [2, w1, w2, w3] networks over a width "
+            "grid and write one CSV row per network: widths, seed, "
+            "wall_time_seconds, pattern_count, region_count.  pattern_count "
+            "holds candidates_checked, the number of feasibility LPs the "
+            "pattern search solved, not a number of patterns; the number of "
+            "patterns found is region_count.  wall_time_seconds is -1 when "
+            "the search budget ran out."
+        ),
+    )
     p.add_argument("--min-w1", type=int, default=2)
     p.add_argument("--max-w1", type=int, default=5)
     p.add_argument("--min-w2", type=int, default=2)

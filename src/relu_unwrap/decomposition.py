@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -117,7 +118,11 @@ class Region:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Half-space table plus all regions of one network."""
+    """Half-space table plus all regions of one network.
+
+    The read-only arrays below are derived once, on first use, and shared
+    by every later query.
+    """
 
     input_dim: int
     output_dim: int
@@ -144,6 +149,38 @@ class Decomposition:
     @property
     def num_regions(self) -> int:
         return len(self.regions)
+
+    @cached_property
+    def halfspace_normals(self) -> np.ndarray:
+        """Unit normals of the half-space table stacked as a (k, n) array."""
+        return _frozen_array(
+            [hs.normal for hs in self.halfspaces] or np.zeros((0, self.input_dim))
+        )
+
+    @cached_property
+    def halfspace_offsets(self) -> np.ndarray:
+        """Offsets of the half-space table as a (k,) array."""
+        return _frozen_array([hs.offset for hs in self.halfspaces])
+
+    @cached_property
+    def region_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every region's conditions as flat arrays ``(ids, owned, starts)``.
+
+        ``ids`` concatenates the regions' ``halfspace_ids`` in region order,
+        ``owned[t]`` tells whether the region listing ``ids[t]`` owns that
+        face, and region ``r`` occupies ``ids[starts[r]:starts[r + 1]]``.
+        """
+        ids, owned = [], []
+        for region in self.regions:
+            own = set(region.nonstrict_ids)
+            ids.extend(region.halfspace_ids)
+            owned.extend(i in own for i in region.halfspace_ids)
+        lengths = [len(region.halfspace_ids) for region in self.regions]
+        return (
+            _frozen_array(ids, dtype=np.intp),
+            _frozen_array(owned, dtype=bool),
+            _frozen_array(np.cumsum([0] + lengths), dtype=np.intp),
+        )
 
 
 @dataclass(frozen=True)
@@ -420,6 +457,7 @@ def local_linear_model(pattern: ActivationPattern, net: MLPNetwork):
 
 
 def _sort_key(normal: np.ndarray, offset: float) -> tuple:
+    """Order key of a half-space, rounded so equal geometry sorts alike."""
     return tuple(np.round(normal, _SORT_DECIMALS)) + (round(offset, _SORT_DECIMALS),)
 
 

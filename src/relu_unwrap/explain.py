@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import Decomposition
+from .decomposition import _SORT_DECIMALS, Decomposition
 from .errors import DimensionMismatchError, PointNotLocatedError, UnwrapError
 from .lp import Extremum, LinearProgram, extremize
 
@@ -57,22 +57,51 @@ class HypercubeSummary:
     unbounded_dims: tuple[int, ...]
 
 
-def _margins(d: Decomposition, x: np.ndarray) -> np.ndarray:
-    """Signed distance of x to every half-space: positive means satisfied."""
-    if d.num_halfspaces == 0:
-        return np.zeros(0)
-    H = np.array([hs.normal for hs in d.halfspaces])
-    c = np.array([hs.offset for hs in d.halfspaces])
-    return H @ x - c
+def _runs(ufunc, values: np.ndarray, starts: np.ndarray, empty) -> np.ndarray:
+    """``ufunc`` reduced over each region's run of columns, shaped (N, p).
+
+    Region ``r`` owns columns ``starts[r]:starts[r + 1]``; a region without
+    conditions gets ``empty``.
+    """
+    out = np.full((values.shape[0], len(starts) - 1), empty, dtype=values.dtype)
+    bounded = np.flatnonzero(np.diff(starts))
+    if bounded.size:
+        out[:, bounded] = ufunc.reduceat(values, starts[bounded], axis=1)
+    return out
 
 
-def _contains(region, margins: np.ndarray, eps: float) -> bool:
-    for i in region.halfspace_ids:
-        if margins[i] < -eps:
-            return False
-        if margins[i] <= eps and i not in region.nonstrict_ids:
-            return False
-    return True
+def _face_ok(margins: np.ndarray, owned: np.ndarray, eps: float) -> np.ndarray:
+    """Per condition: it holds strictly, or the point lies within ``eps`` on
+    a face the region owns.  A margin ``h . x - c`` is positive where the
+    condition holds."""
+    return ~(margins < -eps) & (~(margins <= eps) | owned)
+
+
+def _inside(d: Decomposition, region: int, X: np.ndarray, eps: float) -> np.ndarray:
+    """Whether each row of X lies in one region, face ownership honoured."""
+    ids, owned, starts = d.region_rows
+    r = range(d.num_regions)[region]  # a negative index counts from the end
+    run = slice(starts[r], starts[r + 1])
+    margins = X @ d.halfspace_normals[ids[run]].T - d.halfspace_offsets[ids[run]]
+    return _face_ok(margins, owned[run], eps).all(axis=1)
+
+
+def _hosts(d: Decomposition, X: np.ndarray, eps: float):
+    """(hosts, margins): the host region of each row of X, -1 where none.
+
+    The host is the first region the point lies in strictly (every margin
+    above ``eps``), else the first region containing it through owned faces.
+    ``margins`` holds every region's conditions in ``region_rows`` order.
+    """
+    ids, owned, starts = d.region_rows
+    margins = (X @ d.halfspace_normals.T - d.halfspace_offsets)[:, ids]
+    hosts = np.full(X.shape[0], -1, dtype=np.intp)
+    if d.num_regions:
+        strict = _runs(np.logical_and, margins > eps, starts, True)
+        inside = _runs(np.logical_and, _face_ok(margins, owned, eps), starts, True)
+        hosts = np.where(inside.any(axis=1), inside.argmax(axis=1), hosts)
+        hosts = np.where(strict.any(axis=1), strict.argmax(axis=1), hosts)
+    return hosts, margins
 
 
 def region_contains(
@@ -83,8 +112,37 @@ def region_contains(
     A point belongs to a region when every bounding condition holds
     strictly, or lies (within ``eps``) on faces the region owns.
     """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    return _contains(d.regions[region], _margins(d, x), eps)
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    return bool(_inside(d, region, x, eps)[0])
+
+
+def locate_many(d: Decomposition, X, *, eps: float = _EPS_FACE) -> np.ndarray:
+    """Index of the region containing each row of X, as :func:`locate_region`
+    finds it.
+
+    Raises :class:`PointNotLocatedError` for the first row no region
+    contains.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != d.input_dim:
+        raise DimensionMismatchError(
+            f"expected points shaped (N, {d.input_dim}), got {X.shape}"
+        )
+    hosts, margins = _hosts(d, X, eps)
+    missing = np.flatnonzero(hosts < 0)
+    if missing.size:
+        i = int(missing[0])
+        slack = _runs(np.minimum, margins[i : i + 1], d.region_rows[2], np.inf)[0]
+        # the first region of largest slack; a NaN slack never qualifies
+        valid = slack > -np.inf
+        best = int(np.argmax(np.where(valid, slack, -np.inf))) if valid.any() else None
+        worst = -np.inf if best is None else slack[best]
+        raise PointNotLocatedError(
+            f"point {i} lies on an unowned boundary (worst margin {worst:.3e}); "
+            f"nearest region is {best}",
+            nearest_region=best,
+        )
+    return hosts
 
 
 def locate_region(d: Decomposition, x, *, eps: float = _EPS_FACE) -> int:
@@ -99,26 +157,7 @@ def locate_region(d: Decomposition, x, *, eps: float = _EPS_FACE) -> int:
         raise DimensionMismatchError(
             f"point has {x.shape[0]} coordinates, decomposition has {d.input_dim}"
         )
-    margins = _margins(d, x)
-    best, best_slack = None, -np.inf
-    for r, region in enumerate(d.regions):
-        slack = (
-            float(margins[list(region.halfspace_ids)].min())
-            if region.halfspace_ids
-            else np.inf
-        )
-        if slack > eps:
-            return r
-        if slack > best_slack:
-            best, best_slack = r, slack
-    for r, region in enumerate(d.regions):
-        if _contains(region, margins, eps):
-            return r
-    raise PointNotLocatedError(
-        f"point lies on an unowned boundary (worst margin {best_slack:.3e}); "
-        f"nearest region is {best}",
-        nearest_region=best,
-    )
+    return int(locate_many(d, x[None, :], eps=eps)[0])
 
 
 def exact_shap(
@@ -140,11 +179,10 @@ def exact_shap(
             f"decomposition has {d.input_dim}"
         )
     r = locate_region(d, x, eps=eps)
-    region = d.regions[r]
-    inside = [q for q in bg if _contains(region, _margins(d, q), eps)]
-    approximate = not inside
-    mu = np.mean(inside if inside else bg, axis=0)
-    phi = region.alpha.T * (x - mu)[:, None]
+    inside = bg[_inside(d, r, bg, eps)]
+    approximate = len(inside) == 0
+    mu = np.mean(bg if approximate else inside, axis=0)
+    phi = d.regions[r].alpha.T * (x - mu)[:, None]
     return ShapResult(phi, r, mu, approximate)
 
 
@@ -196,12 +234,11 @@ def hypercube(d: Decomposition, region: int) -> HypercubeSummary:
     reg = d.regions[region]
     n = d.input_dim
     ids = list(reg.halfspace_ids)
-    if ids:
-        A = np.array([-d.halfspaces[i].normal for i in ids])
-        b = np.array([-d.halfspaces[i].offset for i in ids])
-    else:
-        A, b = np.zeros((0, n)), np.zeros(0)
-    lp = LinearProgram(A, b, np.zeros(len(ids), dtype=bool))
+    lp = LinearProgram(
+        -d.halfspace_normals[ids],
+        -d.halfspace_offsets[ids],
+        np.zeros(len(ids), dtype=bool),
+    )
 
     center = np.array(reg.witness, dtype=np.float64)
     extents = []
@@ -312,8 +349,8 @@ def plot_regions_2d(d: Decomposition, points, bounds, out, labels=None):
     # each hyperplane once, whichever orientations reference it
     seen = set()
     for hs in d.halfspaces:
-        h = np.round(hs.normal, 9)
-        c = round(hs.offset, 9)
+        h = np.round(hs.normal, _SORT_DECIMALS)
+        c = round(hs.offset, _SORT_DECIMALS)
         if h[0] < 0 or (h[0] == 0 and h[1] < 0):
             h, c = -h, -c
         key = (h[0], h[1], c)
@@ -338,13 +375,9 @@ def plot_regions_2d(d: Decomposition, points, bounds, out, labels=None):
         )
 
     # red squares for bounded regions hosting points
-    hosts = set()
-    for pt in pts:
-        try:
-            hosts.add(locate_region(d, pt))
-        except PointNotLocatedError:
-            continue
-    for r in sorted(hosts):
+    # points on unowned faces (host -1) get no square
+    hosts = _hosts(d, pts, _EPS_FACE)[0]
+    for r in np.unique(hosts[hosts >= 0]).tolist():
         cube = hypercube(d, r)
         if cube.unbounded_dims or not np.isfinite(cube.side):
             continue

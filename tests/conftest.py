@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from relu_unwrap import Layer, MLPNetwork
+from relu_unwrap import Layer, MLPNetwork, random_init
 
 
 def _demo_hidden():
@@ -30,6 +30,17 @@ def demo_net_m1() -> MLPNetwork:
 def affine_net() -> MLPNetwork:
     """No hidden layers: the network is a single affine map on R^2."""
     return MLPNetwork((), Layer(np.array([[2.0, -1.0], [0.5, 3.0]]), np.array([1.0, -2.0])))
+
+
+def biased_net(dims, output_dim, seed):
+    """Xavier weights with N(0, 1) biases on every layer."""
+    net = random_init(dims, output_dim, seed)
+    rng = np.random.default_rng(10_000 + seed)
+    layers = [
+        Layer(layer.weights, rng.normal(0.0, 1.0, layer.weights.shape[0]))
+        for layer in net.hidden + (net.output,)
+    ]
+    return MLPNetwork(tuple(layers[:-1]), layers[-1])
 
 
 def permute_hidden(net: MLPNetwork, seed: int) -> MLPNetwork:

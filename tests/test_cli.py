@@ -287,6 +287,11 @@ class TestShap:
 
 
 class TestBench:
+    def test_help_names_what_pattern_count_holds(self, capsys):
+        code, stdout, _ = run(capsys, "bench", "--help")
+        assert code == 0
+        assert "pattern_count holds candidates_checked" in " ".join(stdout.split())
+
     def test_grid_row_count_and_round_trip(self, capsys, tmp_path):
         out = tmp_path / "bench.csv"
         code, stdout, _ = run(

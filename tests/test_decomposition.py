@@ -12,8 +12,6 @@ from relu_unwrap import (
     Decomposition,
     Feasibility,
     IterationLimitError,
-    Layer,
-    MLPNetwork,
     ModelFormatError,
     OrientedHalfspace,
     Region,
@@ -35,18 +33,7 @@ from relu_unwrap import (
 import relu_unwrap.decomposition as decomposition
 from relu_unwrap.explain import locate_region, region_contains
 
-from conftest import interior_samples
-
-
-def biased_net(dims, output_dim, seed):
-    """Xavier weights with N(0, 1) biases on every layer."""
-    net = random_init(dims, output_dim, seed)
-    rng = np.random.default_rng(10_000 + seed)
-    layers = [
-        Layer(layer.weights, rng.normal(0.0, 1.0, layer.weights.shape[0]))
-        for layer in net.hidden + (net.output,)
-    ]
-    return MLPNetwork(tuple(layers[:-1]), layers[-1])
+from conftest import biased_net, interior_samples
 
 
 def brute_force_patterns(net):

@@ -17,13 +17,14 @@ from relu_unwrap import (
     exact_shap,
     forward,
     hypercube,
+    locate_many,
     locate_region,
     plot_regions_2d,
     random_init,
     region_contains,
 )
 
-from conftest import interior_samples
+from conftest import biased_net, interior_samples
 
 SQ2 = np.sqrt(2.0)
 
@@ -367,3 +368,191 @@ class TestPlot:
             plot_regions_2d(
                 triangle, np.zeros((0, 2)), (1.0, 0.0, -1.0, 2.0), tmp_path / "x.svg"
             )
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-region loops the array queries replaced
+
+
+def _ref_margins(d, x):
+    if d.num_halfspaces == 0:
+        return np.zeros(0)
+    H = np.array([hs.normal for hs in d.halfspaces])
+    c = np.array([hs.offset for hs in d.halfspaces])
+    return H @ x - c
+
+
+def _ref_contains(region, margins, eps=1e-12):
+    for i in region.halfspace_ids:
+        if margins[i] < -eps:
+            return False
+        if margins[i] <= eps and i not in region.nonstrict_ids:
+            return False
+    return True
+
+
+def _ref_locate(d, x, eps=1e-12):
+    """(region, None) when located, else (None, nearest region)."""
+    margins = _ref_margins(d, x)
+    best, best_slack = None, -np.inf
+    for r, region in enumerate(d.regions):
+        slack = (
+            float(margins[list(region.halfspace_ids)].min())
+            if region.halfspace_ids
+            else np.inf
+        )
+        if slack > eps:
+            return r, None
+        if slack > best_slack:
+            best, best_slack = r, slack
+    for r, region in enumerate(d.regions):
+        if _ref_contains(region, margins, eps):
+            return r, None
+    return None, best
+
+
+def _ref_shap(d, x, bg, eps=1e-12):
+    r, _ = _ref_locate(d, x, eps)
+    region = d.regions[r]
+    inside = [q for q in bg if _ref_contains(region, _ref_margins(d, q), eps)]
+    mu = np.mean(inside if inside else bg, axis=0)
+    return region.alpha.T * (x - mu)[:, None], r, mu, not inside
+
+
+def _face_points(d):
+    """Each witness moved onto each of its region's bounding hyperplanes.
+
+    The margin of the hyperplane it lands on is rounding noise, far inside
+    the face tolerance, so these exercise owned and unowned faces.
+    """
+    pts = []
+    for region in d.regions:
+        for i in region.halfspace_ids:
+            hs = d.halfspaces[i]
+            pts.append(region.witness - (hs.normal @ region.witness - hs.offset) * hs.normal)
+    return np.array(pts).reshape(-1, d.input_dim)
+
+
+def _without_region(d, r):
+    rest = tuple(reg for k, reg in enumerate(d.regions) if k != r)
+    return Decomposition(d.input_dim, d.output_dim, d.halfspaces, rest, partial=True)
+
+
+QUERY_NETS = [
+    ("[2,3,3]", lambda: random_init([2, 3, 3], 1, seed=0)),
+    ("biased[2,4,4]", lambda: biased_net([2, 4, 4], 2, seed=0)),
+    ("biased[3,4,3]", lambda: biased_net([3, 4, 3], 2, seed=1)),
+]
+
+
+class TestQueriesMatchReferenceLoops:
+    @pytest.fixture(params=QUERY_NETS, ids=[label for label, _ in QUERY_NETS])
+    def decomposition(self, request):
+        return decompose(request.param[1]())
+
+    def _query_points(self, d, seed):
+        rng = np.random.default_rng(seed)
+        witnesses = np.array([r.witness for r in d.regions])
+        uniform = rng.uniform(-4.0, 4.0, size=(300, d.input_dim))
+        return np.vstack([uniform, witnesses, _face_points(d)])
+
+    def _check_locate(self, d, X):
+        """locate_region and locate_many agree with the loop, errors included."""
+        want = [_ref_locate(d, x) for x in X]
+        for x, (r, nearest) in zip(X, want):
+            if r is not None:
+                assert locate_region(d, x) == r
+            else:
+                with pytest.raises(PointNotLocatedError) as info:
+                    locate_region(d, x)
+                assert info.value.nearest_region == nearest
+        missing = [i for i, (r, _) in enumerate(want) if r is None]
+        if missing:
+            with pytest.raises(PointNotLocatedError) as info:
+                locate_many(d, X)
+            assert info.value.nearest_region == want[missing[0]][1]
+            assert f"point {missing[0]} " in str(info.value)
+        else:
+            assert locate_many(d, X).tolist() == [r for r, _ in want]
+        return want
+
+    def test_locate_matches_reference(self, decomposition):
+        d = decomposition
+        X = self._query_points(d, seed=3)
+        want = self._check_locate(d, X)
+        assert all(r is not None for r, _ in want)
+        # face points resolve through a face their host owns, not strictly
+        owned_face = [
+            _ref_margins(d, x)[list(d.regions[r].halfspace_ids)].min() <= 1e-12
+            for x, (r, _) in zip(X, want)
+        ]
+        assert sum(owned_face) >= len(_face_points(d)) // 2
+
+    def test_unlocated_points_match_reference(self, decomposition):
+        """Without one region, its points and unowned faces go unlocated."""
+        d = decomposition
+        errors = 0
+        for r in range(min(d.num_regions, 4)):
+            partial = _without_region(d, r)
+            want = self._check_locate(partial, self._query_points(d, seed=r))
+            errors += sum(host is None for host, _ in want)
+        assert errors > 0
+
+    def test_region_contains_matches_reference(self, decomposition):
+        d = decomposition
+        for x in self._query_points(d, seed=5)[::7]:
+            margins = _ref_margins(d, x)
+            for r, region in enumerate(d.regions):
+                assert region_contains(d, r, x) == _ref_contains(region, margins)
+        assert region_contains(d, -1, d.regions[-1].witness)
+
+    def test_exact_shap_bitwise_equal(self, decomposition):
+        d = decomposition
+        rng = np.random.default_rng(11)
+        bg = np.vstack(
+            [rng.uniform(-3.0, 3.0, size=(120, d.input_dim)), _face_points(d)]
+        )
+        for x in np.vstack(
+            [rng.uniform(-3.0, 3.0, size=(40, d.input_dim)), _face_points(d)[:10]]
+        ):
+            phi, r, mu, approx = _ref_shap(d, x, bg)
+            res = exact_shap(d, x, bg)
+            assert res.region == r and res.approximate == approx
+            assert np.array_equal(res.phi, phi) and np.array_equal(res.mu, mu)
+        # a background far outside the witness's region leaves it approximate
+        far = np.full((3, d.input_dim), 1e6)
+        x = d.regions[0].witness
+        phi, r, mu, approx = _ref_shap(d, x, far)
+        res = exact_shap(d, x, far)
+        assert approx and res.approximate
+        assert np.array_equal(res.phi, phi) and np.array_equal(res.mu, mu)
+
+    def test_strict_containment_wins_over_an_earlier_owned_face(self):
+        """Overlapping regions: region 0 is x >= 0 (owning x = 0), region 1
+        is x > -1.  A point on x = 0 is strictly inside region 1 only."""
+        hs = (
+            OrientedHalfspace(np.array([1.0, 0.0]), -1.0),
+            OrientedHalfspace(np.array([1.0, 0.0]), 0.0),
+        )
+        regions = tuple(
+            Region(ActivationPattern(((bit,),)), np.eye(2), np.zeros(2), ids, w, owned)
+            for bit, ids, w, owned in [(0, (1,), (1.0, 0.0), (1,)), (1, (0,), (-0.5, 0.0), ())]
+        )
+        d = Decomposition(2, 2, hs, regions)
+        X = np.array([[0.0, 3.0], [2.0, -1.0], [-0.5, 0.0]])
+        assert [_ref_locate(d, x)[0] for x in X] == [1, 0, 1]
+        self._check_locate(d, X)
+
+    def test_affine_decomposition(self, affine_net):
+        """A region without conditions contains everything."""
+        d = decompose(affine_net)
+        X = np.random.default_rng(2).uniform(-5.0, 5.0, size=(20, 2))
+        assert locate_many(d, X).tolist() == [0] * 20
+        assert region_contains(d, 0, X[0])
+
+    def test_locate_many_checks_shape(self, demo_net_m2):
+        d = decompose(demo_net_m2)
+        with pytest.raises(DimensionMismatchError):
+            locate_many(d, np.zeros((4, 3)))
+        with pytest.raises(DimensionMismatchError):
+            locate_many(d, np.zeros(2))

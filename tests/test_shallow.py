@@ -34,7 +34,7 @@ from relu_unwrap import (
     xr_relu,
 )
 
-from conftest import interior_samples, pad_identity_layer, permute_hidden
+from conftest import biased_net, interior_samples, pad_identity_layer, permute_hidden
 
 INF = np.inf
 
@@ -351,3 +351,146 @@ class TestShallowSerialization:
         doc["widths"][0] += 1
         with pytest.raises(ModelFormatError):
             loads_shallow(json.dumps(doc))
+
+
+# ---------------------------------------------------------------------------
+# Reference: the extended-real chain the gate-first evaluation replaced
+
+
+def _ref_eval(s, x):
+    """Former scalar evaluation: every layer as a full xr_matvec."""
+    a1 = xr_relu(xr_matvec(s.W1, x) + s.b1)
+    a2 = xr_relu(xr_matvec(s.W2, a1) + s.b2)
+    a3 = xr_relu(xr_matvec(s.W3, a2) + s.b3)
+    if (a3 == np.inf).any():
+        raise ArithmeticFault("+inf reached the gated layer")
+    counts = (a3 > 0).reshape(2, s.num_regions, s.output_dim).sum(axis=(0, 1))
+    if (counts > 1).any():
+        raise AmbiguousSelectionError("several regions selected")
+    return xr_matvec(s.W4, a3)
+
+
+def _ref_eval_dense(s, X):
+    """Former batch evaluation: dense layer-3 products, -inf rows overwritten."""
+    A1 = xr_relu(X @ s.W1.T + s.b1)
+    A2 = xr_relu(A1 @ s.W2.T + s.b2)
+    neg_inf = s.W3 == -np.inf
+    Z3 = A2 @ np.where(neg_inf, 0.0, s.W3).T + s.b3
+    Z3[(A2 @ neg_inf.T.astype(np.float64)) > 0] = -np.inf
+    A3 = xr_relu(Z3)
+    counts = (A3 > 0).reshape(-1, 2, s.num_regions, s.output_dim).sum(axis=(1, 2))
+    if (counts > 1).any():
+        raise AmbiguousSelectionError("several regions selected")
+    return A3 @ s.W4.T
+
+
+def _close(got, want):
+    return (np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))).all()
+
+
+def _assert_matches_reference(s, X, ref=_ref_eval):
+    """Per point, ``ref`` and eval_shallow raise alike or agree to 1e-12
+    relative.  Returns the points ``ref`` evaluates and its values there."""
+    kept, want = [], []
+    for x in X:
+        try:
+            y = ref(s, x)
+        except AmbiguousSelectionError:
+            with pytest.raises(AmbiguousSelectionError):
+                eval_shallow(s, x)
+            continue
+        assert _close(eval_shallow(s, x), y)
+        kept.append(x)
+        want.append(y)
+    return np.array(kept).reshape(-1, s.input_dim), np.array(want).reshape(-1, s.output_dim)
+
+
+def _hand_built_net(seed):
+    """Random weights everywhere, with -inf entries in W3: most rows hold two
+    (anywhere, selector columns included), one holds one and one none."""
+    rng = np.random.default_rng(seed)
+    n, k, p, m = 2, 3, 3, 2
+    W3 = rng.normal(size=(2 * p * m, 2 * n + p))
+    for row in range(2, 2 * p * m):
+        W3[row, rng.choice(2 * n + p, size=2, replace=False)] = -INF
+    W3[1, rng.integers(2 * n + p)] = -INF
+    return ShallowNetwork(
+        rng.normal(size=(2 * n + k, n)),
+        rng.normal(size=2 * n + k),
+        rng.normal(size=(2 * n + p, 2 * n + k)),
+        rng.normal(size=2 * n + p),
+        W3,
+        rng.normal(size=2 * p * m),
+        rng.normal(size=(m, 2 * p * m)),
+    )
+
+
+GATE_NETS = [
+    ("[2,3,3]", lambda: random_init([2, 3, 3], 1, seed=0)),
+    ("biased[2,4,4]", lambda: biased_net([2, 4, 4], 2, seed=0)),
+    ("biased[3,4,3]", lambda: biased_net([3, 4, 3], 2, seed=1)),
+]
+
+
+class TestGateFirstMatchesReference:
+    @pytest.mark.parametrize("make", [m for _, m in GATE_NETS], ids=[l for l, _ in GATE_NETS])
+    def test_built_nets(self, make):
+        """Uniform points and witnesses against the xr_matvec chain; points
+        on region faces, whose layer-2 scores are rounding noise, against
+        the former batch path, which computes layers 1 and 2 identically."""
+        d = decompose(make())
+        s = build_shallow(d)
+        rng = np.random.default_rng(4)
+        X = np.vstack(
+            [rng.uniform(-6.0, 6.0, size=(300, d.input_dim))]
+            + [reg.witness for reg in d.regions]
+        )
+        kept, want = _assert_matches_reference(s, X)
+        assert len(kept) == len(X)
+        assert _close(eval_shallow_many(s, X), want)
+        faces = np.array(
+            [
+                reg.witness
+                - (d.halfspaces[i].normal @ reg.witness - d.halfspaces[i].offset)
+                * d.halfspaces[i].normal
+                for reg in d.regions
+                for i in reg.halfspace_ids
+            ]
+        )
+        # one point per call: a batch's products may round these scores
+        # differently, in either path
+        dense = lambda s, x: _ref_eval_dense(s, x[None, :])[0]
+        _assert_matches_reference(s, faces, ref=dense)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hand_built_masks_and_selector_weights(self, seed):
+        s = _hand_built_net(seed)
+        assert s.gates[0].shape == (s.W3.shape[0], 2)
+        assert len(s.gates[1]) == s.W3.shape[1]  # every column has a finite weight
+        X = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(400, s.input_dim))
+        kept, want = _assert_matches_reference(s, X)
+        assert 0 < len(kept) < len(X)  # both outcomes occur
+        assert _close(eval_shallow_many(s, kept), want)
+
+    def test_gates_of_a_built_net(self, demo_net_m1):
+        d = decompose(demo_net_m1)
+        s = build_shallow(d)
+        n, p, m = d.input_dim, d.num_regions, d.output_dim
+        mask_cols, live_cols, live_W3 = s.gates
+        rows = np.arange(2 * p * m)
+        np.testing.assert_array_equal(mask_cols[:, 0], 2 * n + (rows % (p * m)) // m)
+        np.testing.assert_array_equal(live_cols, np.arange(2 * n))
+        np.testing.assert_array_equal(live_W3, s.W3[:, : 2 * n])
+
+    def test_ambiguity_raised_through_batch(self, demo_net_m2):
+        s = build_shallow(decompose(demo_net_m2))
+        X = np.array([[1.0, 1.0], [-2.0, 0.0], [2.0, 0.0], [3.0, 3.0], [5.0, 0.0]])
+        with pytest.raises(AmbiguousSelectionError, match="point 2:"):
+            eval_shallow_many(s, X)
+        np.testing.assert_allclose(
+            eval_shallow_many(s, X[:2]), forward_many(demo_net_m2, X[:2]), atol=1e-12
+        )
+
+    def test_empty_batch(self, demo_net_m2):
+        s = build_shallow(decompose(demo_net_m2))
+        assert eval_shallow_many(s, np.zeros((0, 2))).shape == (0, 2)
