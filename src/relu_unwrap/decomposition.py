@@ -44,7 +44,16 @@ from .errors import (
     NonFiniteError,
     UnwrapError,
 )
-from .lp import TOL_SLACK, Feasibility, LinearProgram, check_feasible, is_redundant
+from .lp import (
+    TOL_SLACK,
+    Feasibility,
+    LinearProgram,
+    check_feasible,
+    check_feasible_many,
+    dominated,
+    extremize,
+    is_redundant,
+)
 from .network import ActivationPattern, Layer, MLPNetwork, _frozen_array
 
 DECOMP_FORMAT = "relu-decomp-v1"
@@ -309,25 +318,28 @@ class _Cell:
     witness: np.ndarray | None
 
 
-def _interior_witness(lp: LinearProgram) -> np.ndarray | None:
-    """A point clearing every non-degenerate row by a positive margin.
+def _interior_witnesses(lps: Sequence[LinearProgram]) -> tuple[list, list[bool]]:
+    """Points clearing every non-degenerate row of each program by a
+    positive margin, found in stacked solves.
 
-    The feasibility witness is only pushed off the strict rows, so it may
-    sit exactly on a closed row, which is a face shared with a neighbouring
+    A feasibility witness is only pushed off the strict rows, so it may sit
+    exactly on a closed row, which is a face shared with a neighbouring
     region.  Re-solving with every non-degenerate row marked strict yields a
     point in the polytope's topological interior; zero rows (constant
     constraints from gated-off neurons) can never clear a margin and are
-    skipped.  Returns None when no such point is found within tolerance;
-    :class:`IterationLimitError` propagates.
+    skipped.  Returns ``(points, failed)``: a point, or None when none is
+    found within tolerance, and whether the program ran out of pivots.
     """
-    keep = np.linalg.norm(lp.A, axis=1) > TOL_DEGENERATE
-    if not keep.any():
-        return np.zeros(lp.dim)
-    pushed = LinearProgram(
-        lp.A[keep], lp.b[keep], np.ones(int(keep.sum()), dtype=bool)
-    )
-    res = check_feasible(pushed)
-    return res.witness if res.status is Feasibility.INTERIOR else None
+    pushed = []
+    for lp in lps:
+        keep = np.linalg.norm(lp.A, axis=1) > TOL_DEGENERATE
+        pushed.append(LinearProgram(lp.A[keep], lp.b[keep], np.ones(int(keep.sum()), dtype=bool)))
+    results = check_feasible_many(pushed)
+    points = [
+        res.witness if res is not None and res.status is Feasibility.INTERIOR else None
+        for res in results
+    ]
+    return points, [res is None for res in results]
 
 
 class _Search:
@@ -340,34 +352,49 @@ class _Search:
         self.layer_cells = [0] * depth
         self.leaves: list[_Cell] = []
 
-    def interior(self, A, b, strict) -> tuple[bool, np.ndarray | None]:
-        """(keep, witness) of a system; a solver failure keeps it unwitnessed."""
+    def interior(self, A, b, strict, start) -> tuple[bool, np.ndarray | None]:
+        """(keep, witness) of a system; a solver failure keeps it unwitnessed.
+
+        ``start``, the parent cell's witness, meets every row but the new
+        one.  The program is solved shifted to it, unless the origin violates
+        fewer rows (a cell of a network without biases is a cone at the
+        origin), so the simplex starts from a basis feasible but for at most
+        that row.
+        """
         if self.budget is not None and self.lps >= self.budget:
             raise BudgetExceededError(
                 f"pattern search exceeded the budget of {self.budget} feasibility LPs",
                 partial=self.result(),
             )
         self.lps += 1
+        lp = LinearProgram(A, b, strict)
+        if start is not None:
+            moved = lp.shifted(start)
+            if np.count_nonzero(moved.b < 0) > np.count_nonzero(b < 0):
+                start = None
+            else:
+                lp = moved
         try:
-            res = check_feasible(LinearProgram(A, b, strict))
+            res = check_feasible(lp)
         except IterationLimitError:
             self.fallbacks += 1
             return True, None
         if res.status is Feasibility.INTERIOR:
-            return True, res.witness
+            return True, res.witness if start is None else start + res.witness
         return False, None
 
     def result(self) -> EnumerationResult:
         """Records of the finished cells, with witnesses refined off every face."""
-        records = []
-        for cell in self.leaves:
-            try:
-                refined = _interior_witness(LinearProgram(cell.A, cell.b, cell.strict))
-            except IterationLimitError:
-                self.fallbacks += 1
-                refined = None
-            witness = cell.witness if refined is None else refined
-            records.append(PatternRecord(ActivationPattern(cell.bits), cell.chain, witness))
+        refined, failed = _interior_witnesses(
+            [LinearProgram(cell.A, cell.b, cell.strict) for cell in self.leaves]
+        )
+        self.fallbacks += sum(failed)
+        records = [
+            PatternRecord(
+                ActivationPattern(cell.bits), cell.chain, cell.witness if w is None else w
+            )
+            for cell, w in zip(self.leaves, refined)
+        ]
         records.sort(key=lambda rec: rec.pattern.bits())
         return EnumerationResult(
             tuple(records), tuple(self.layer_cells), self.lps, self.fallbacks
@@ -425,7 +452,7 @@ def enumerate_feasible(
             if z is not None and (z > TOL_SLACK if bit else z <= 0.0):
                 keep, witness = True, w
             else:
-                keep, witness = search.interior(A, b, strict)
+                keep, witness = search.interior(A, b, strict, w)
             if not keep:
                 continue
             child = _Cell(bits[:-1] + (bits[-1] + (bit,),), chain, A, b, strict, witness)
@@ -461,11 +488,136 @@ def _sort_key(normal: np.ndarray, offset: float) -> tuple:
     return tuple(np.round(normal, _SORT_DECIMALS)) + (round(offset, _SORT_DECIMALS),)
 
 
-def _match(reps: list, normal: np.ndarray, offset: float) -> int | None:
-    for idx, (rep_n, rep_c) in enumerate(reps):
-        if abs(rep_c - offset) <= TOL_CANON and np.abs(rep_n - normal).max() <= TOL_CANON:
-            return idx
-    return None
+class _Table:
+    """Half-spaces merged within ``TOL_CANON``, kept in insertion order.
+
+    ``items`` holds each entry's ``(normal, offset)``; their stacked copies
+    let one array comparison find a match.
+    """
+
+    def __init__(self, dim: int):
+        self.items: list[tuple[np.ndarray, float]] = []
+        self._normals = np.empty((16, dim))
+        self._offsets = np.empty(16)
+
+    @property
+    def normals(self) -> np.ndarray:
+        return self._normals[: len(self.items)]
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return self._offsets[: len(self.items)]
+
+    def find(self, normal: np.ndarray, offset: float) -> int | None:
+        """Index of the first entry within ``TOL_CANON`` of (normal, offset)."""
+        hit = (
+            (np.abs(self.offsets - offset) <= TOL_CANON)
+            & (np.abs(self.normals - normal).max(axis=1, initial=0.0) <= TOL_CANON)
+        ).nonzero()[0]
+        return int(hit[0]) if hit.size else None
+
+    def add(self, normal: np.ndarray, offset: float) -> int:
+        """Append an entry and return its index."""
+        k = len(self.items)
+        if k == len(self._offsets):
+            self._normals = np.vstack([self._normals, np.empty_like(self._normals)])
+            self._offsets = np.concatenate([self._offsets, np.empty_like(self._offsets)])
+        self._normals[k], self._offsets[k] = normal, offset
+        self.items.append((normal, offset))
+        return k
+
+
+def _candidates(rec: PatternRecord, dim: int) -> tuple[np.ndarray, list[float], list[bool]]:
+    """A region's candidate conditions ``(normals, offsets, any_strict)``.
+
+    Rows within ``TOL_CANON`` of an earlier candidate merge into it, in row
+    order; ``any_strict`` tells whether a strict (bit 1) row produced the
+    candidate.
+    """
+    M = np.vstack([np.zeros((0, dim))] + [prefix.matrix for prefix in rec.prefixes])
+    shifts = np.concatenate([np.zeros(0)] + [prefix.offset for prefix in rec.prefixes])
+    bits = np.array([bit for layer in rec.pattern.layers for bit in layer], dtype=bool)
+    lengths = np.array([float(np.linalg.norm(row)) for row in M])
+    live = lengths > TOL_DEGENERATE
+    for i in np.flatnonzero(~live):
+        shift, bit = float(shifts[i]), int(bits[i])
+        if not (shift > -TOL_CANON if bit else shift <= TOL_CANON):
+            layer, neuron = [(p.layer, j) for p in rec.prefixes for j in range(len(p.offset))][i]
+            raise InconsistentConstantRowError(
+                f"layer {layer} neuron {neuron}: zero row with "
+                f"offset {shift} contradicts bit {bit}"
+            )
+    # bit 1 rows give (M[i], -o[i]), bit 0 rows the opposite orientation
+    sign = np.where(bits[live], 1.0, -1.0)
+    normals = sign[:, None] * M[live] / lengths[live, None]
+    offsets = -sign * shifts[live] / lengths[live]
+    strict = bits[live].tolist()
+    close = (np.abs(offsets[:, None] - offsets) <= TOL_CANON) & (
+        np.abs(normals[:, None] - normals).max(axis=2, initial=0.0) <= TOL_CANON
+    )
+    if not np.triu(close, 1).any():
+        return normals, offsets.tolist(), strict
+    keep, any_strict = [], []
+    for i in range(len(offsets)):
+        hit = next((t for t, j in enumerate(keep) if close[i, j]), None)
+        if hit is None:
+            keep.append(i)
+            any_strict.append(strict[i])
+        else:
+            any_strict[hit] = any_strict[hit] or strict[i]
+    return normals[keep], offsets[keep].tolist(), any_strict
+
+
+def _prune_sequential(lp: LinearProgram) -> list[int]:
+    """Drop redundant rows one at a time, each tested against the rows still
+    kept, in row order."""
+    active = list(range(lp.num_rows))
+    for j in range(lp.num_rows):
+        if len(active) < 2:
+            break
+        rest = LinearProgram(lp.A[active], lp.b[active], lp.strict[active])
+        if is_redundant(active.index(j), rest):
+            active.remove(j)
+    return active
+
+
+def _facets(lp: LinearProgram) -> list[int]:
+    """Rows of a closed region program that bound it, as the sequential
+    loop finds them.
+
+    ``lp`` is shifted to a point of the region, so a feasible start is at
+    hand when that point clears every row.  Then two stacked solves
+    suffice: every row tested against all the others gives the facets F,
+    and when every other row is redundant against F alone, F is what the
+    sequential loop keeps (a facet stays one against any subset of the
+    rows, and every other row is implied by the facets it keeps).  The loop
+    runs instead when the point sits on a row, F is empty, or a row is not
+    implied by F.
+    """
+    if lp.num_rows < 2 or not (lp.b > 0.0).all():
+        return _prune_sequential(lp)
+    try:
+        facet = ~is_redundant(np.arange(lp.num_rows), lp)
+        kept, rest = np.flatnonzero(facet), np.flatnonzero(~facet)
+        if kept.size and rest.size:
+            bounds = LinearProgram(lp.A[kept], lp.b[kept], lp.strict[kept])
+            tops = extremize(lp.A[rest], bounds)
+            implied = all(dominated(top, lp.b[j]) for top, j in zip(tops, rest))
+        else:
+            implied = kept.size > 0
+    except IterationLimitError:
+        implied = False
+    return kept.tolist() if implied else _prune_sequential(lp)
+
+
+def closed_lp(normals, offsets) -> LinearProgram:
+    """Closed program ``-h . x <= -c`` of the conditions ``h . x > c``.
+
+    Its feasible set is the closure of the region the conditions bound.
+    """
+    normals = np.asarray(normals, dtype=np.float64)
+    offsets = np.asarray(offsets, dtype=np.float64).reshape(-1)
+    return LinearProgram(-normals, -offsets, np.zeros(offsets.shape[0], dtype=bool))
 
 
 def extract_halfspaces(records: Sequence[PatternRecord], net: MLPNetwork):
@@ -475,67 +627,36 @@ def extract_halfspaces(records: Sequence[PatternRecord], net: MLPNetwork):
     condition that holds strictly on the region's interior: bit 1 rows give
     ``(M[i], -o[i])``, bit 0 rows the opposite orientation.  Zero-normal rows
     are constant constraints: they are checked for consistency and dropped.
-    Per region, duplicates are merged and redundant conditions removed by LP;
-    survivors are pooled into one deduplicated table, sorted by (normal,
-    offset).  Returns ``(table, region_ids, region_nonstrict_ids)``.
+    Per region, duplicates are merged and redundant conditions removed by LP
+    (:func:`_facets`, shifted to the region's witness); survivors are pooled
+    into one deduplicated table, sorted by (normal, offset).  Returns
+    ``(table, region_ids, region_nonstrict_ids)``.
     """
-    reps: list[tuple[np.ndarray, float]] = []
+    n = net.input_dim
+    reps = _Table(n)
     raw_ids: list[list[int]] = []
     raw_nonstrict: list[list[int]] = []
 
     for rec in records:
-        cands: list[list] = []  # [normal, offset, any_strict_origin]
-        for prefix, bits in zip(rec.prefixes, rec.pattern.layers):
-            for i, bit in enumerate(bits):
-                row = prefix.matrix[i]
-                shift = float(prefix.offset[i])
-                length = float(np.linalg.norm(row))
-                if length <= TOL_DEGENERATE:
-                    ok = shift > -TOL_CANON if bit else shift <= TOL_CANON
-                    if not ok:
-                        raise InconsistentConstantRowError(
-                            f"layer {prefix.layer} neuron {i}: zero row with "
-                            f"offset {shift} contradicts bit {bit}"
-                        )
-                    continue
-                if bit:
-                    normal, offset = row / length, -shift / length
-                else:
-                    normal, offset = -row / length, shift / length
-                hit = _match([(c[0], c[1]) for c in cands], normal, offset)
-                if hit is None:
-                    cands.append([normal, offset, bool(bit)])
-                else:
-                    cands[hit][2] = cands[hit][2] or bool(bit)
-
-        active = list(range(len(cands)))
-        for j in range(len(cands)):
-            if j not in active or len(active) < 2:
-                continue
-            closed = LinearProgram(
-                np.array([-cands[i][0] for i in active]),
-                np.array([-cands[i][1] for i in active]),
-                np.zeros(len(active), dtype=bool),
-            )
-            if is_redundant(active.index(j), closed):
-                active.remove(j)
+        normals, offsets, any_strict = _candidates(rec, n)
+        active = _facets(closed_lp(normals, offsets).shifted(rec.witness))
 
         ids, owned = [], []
         for j in active:
-            normal, offset, any_strict = cands[j]
-            hit = _match(reps, normal, offset)
+            normal, offset = normals[j], offsets[j]
+            hit = reps.find(normal, offset)
             if hit is None:
-                reps.append((normal, offset))
-                hit = len(reps) - 1
+                hit = reps.add(normal, offset)
             ids.append(hit)
-            if not any_strict:
+            if not any_strict[j]:
                 owned.append(hit)
         raw_ids.append(ids)
         raw_nonstrict.append(owned)
 
-    order = sorted(range(len(reps)), key=lambda i: _sort_key(*reps[i]))
+    items = reps.items
+    order = sorted(range(len(items)), key=lambda i: _sort_key(*items[i]))
     remap = {old: new for new, old in enumerate(order)}
-    table = tuple(OrientedHalfspace(reps[i][0], reps[i][1]) for i in order)
+    table = tuple(OrientedHalfspace(*items[i]) for i in order)
     region_ids = [tuple(sorted(remap[i] for i in ids)) for ids in raw_ids]
     region_nonstrict = [tuple(sorted(remap[i] for i in ids)) for ids in raw_nonstrict]
     return table, region_ids, region_nonstrict
@@ -544,10 +665,7 @@ def extract_halfspaces(records: Sequence[PatternRecord], net: MLPNetwork):
 def _certify_witness(rec: PatternRecord, net: MLPNetwork) -> np.ndarray:
     """Recover a witness for a pattern kept under a solver failure."""
     lp = global_lp(rec.pattern, net)
-    try:
-        refined = _interior_witness(lp)
-    except IterationLimitError:
-        refined = None
+    refined = _interior_witnesses([lp])[0][0]
     if refined is not None:
         return refined
     res = check_feasible(lp)

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import _SORT_DECIMALS, Decomposition
+from .decomposition import _SORT_DECIMALS, Decomposition, closed_lp
 from .errors import DimensionMismatchError, PointNotLocatedError, UnwrapError
-from .lp import Extremum, LinearProgram, extremize
+from .lp import Extremum, extremize
 
 _EPS_FACE = 1e-12  # margin below which a point counts as on a face
 
@@ -226,7 +226,8 @@ def hypercube(d: Decomposition, region: int) -> HypercubeSummary:
     """Smallest enclosing hypercube of a region's closed polytope.
 
     Each coordinate is pushed to both extremes by LP over the region's
-    bounding conditions; directions without a finite extreme are reported in
+    bounding conditions, all 2n extremes in one stacked solve shifted to the
+    region's witness; directions without a finite extreme are reported in
     ``unbounded_dims`` instead of clipped.
     """
     if not 0 <= region < d.num_regions:
@@ -234,26 +235,21 @@ def hypercube(d: Decomposition, region: int) -> HypercubeSummary:
     reg = d.regions[region]
     n = d.input_dim
     ids = list(reg.halfspace_ids)
-    lp = LinearProgram(
-        -d.halfspace_normals[ids],
-        -d.halfspace_offsets[ids],
-        np.zeros(len(ids), dtype=bool),
-    )
+    witness = reg.witness
+    lp = closed_lp(d.halfspace_normals[ids], d.halfspace_offsets[ids]).shifted(witness)
+    extremes = extremize(np.vstack([np.eye(n), -np.eye(n)]), lp)
+    if any(res.status is Extremum.INFEASIBLE for res in extremes):
+        raise UnwrapError(f"region {region} solved as empty while boxed")
 
-    center = np.array(reg.witness, dtype=np.float64)
+    center = np.array(witness, dtype=np.float64)
     extents = []
     unbounded = []
     for i in range(n):
-        direction = np.zeros(n)
-        direction[i] = 1.0
-        hi = extremize(direction, lp)
-        lo = extremize(-direction, lp)
-        if Extremum.INFEASIBLE in (hi.status, lo.status):
-            raise UnwrapError(f"region {region} solved as empty while boxed")
+        hi, lo = extremes[i], extremes[n + i]
         if hi.status is Extremum.UNBOUNDED or lo.status is Extremum.UNBOUNDED:
             unbounded.append(i)
             continue
-        top, bottom = float(hi.value), -float(lo.value)
+        top, bottom = witness[i] + hi.value, witness[i] - lo.value
         center[i] = (top + bottom) / 2.0
         extents.append(top - bottom)
     side = max(extents) if extents else np.inf

@@ -8,16 +8,30 @@ some point satisfies every strict row with real margin.
 
 All programs are solved by a dense two-phase simplex with Bland's rule
 (smallest eligible index enters; smallest basis index among minimum ratios
-leaves), which cannot cycle.  A pivot budget of ``ITERATION_FACTOR * (rows +
-dim)`` guards against numerical pathology; exceeding it raises
-:class:`IterationLimitError` and callers in the pattern search must then keep
-the candidate rather than prune it.
+leaves), which cannot cycle.  Rows with a negative right-hand side start
+infeasible and cost a phase 1.  A caller that knows a point ``w`` meeting
+the closed rows solves the program shifted to it
+(:meth:`LinearProgram.shifted`: right-hand side ``b - A w``, solution
+``w + y``): every right-hand side is then nonnegative, the slack basis is a
+feasible start and phase 1 is skipped.
+
+The simplex takes a stack of same-shaped programs and pivots them in
+lockstep; each program follows exactly the pivots it would follow alone, so
+a stacked solve returns bitwise what one-at-a-time solves return, and a
+scalar call is a stack of one.  :func:`extremize` stacks directions over
+one system, :func:`is_redundant` stacks rows of one system, and
+:func:`check_feasible_many` stacks whole systems, padding shorter ones with
+rows ``0 . x <= 1`` that no pivot touches.  Every program has its own pivot
+budget of ``ITERATION_FACTOR * (rows + dim)``, a guard against numerical
+pathology; exceeding it raises :class:`IterationLimitError` and callers in
+the pattern search must then keep the candidate rather than prune it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +40,7 @@ from .errors import DimensionMismatchError, IterationLimitError, NonFiniteError
 TOL_SLACK = 1e-9        # minimum margin for interior feasibility
 TOL_REDUNDANT = 1e-7    # slack under which a row is declared redundant
 ITERATION_FACTOR = 50   # pivot budget multiplier
+STACK_SIZE = 256        # programs per stacked feasibility solve
 
 _PIVOT_EPS = 1e-10
 _RATIO_TIE = 1e-12
@@ -65,6 +80,16 @@ class LinearProgram:
     def dim(self) -> int:
         return self.A.shape[1]
 
+    def shifted(self, point) -> "LinearProgram":
+        """The same rows in coordinates centred on ``point``: ``A y <= b - A point``.
+
+        A point ``y`` of the shifted program is ``point + y`` here.  When
+        ``point`` meets every row, the shifted right-hand side is
+        nonnegative and the simplex starts feasible.
+        """
+        point = np.asarray(point, dtype=np.float64).reshape(-1)
+        return LinearProgram(self.A, self.b - self.A @ point, self.strict)
+
 
 class Feasibility(enum.Enum):
     INTERIOR = "feasible-interior"
@@ -97,103 +122,178 @@ def iteration_limit(rows: int, dim: int) -> int:
     return ITERATION_FACTOR * (rows + dim)
 
 
-def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int):
-    T[row] /= T[row, col]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    T -= np.outer(factors, T[row])
-    basis[row] = col
+# per-program outcome of _simplex
+_OPTIMAL, _INFEASIBLE, _UNBOUNDED, _LIMIT = range(4)
+_NO_ROW = np.iinfo(np.intp).max  # basis index that never wins a ratio tie
 
 
-def _simplex(G: np.ndarray, h: np.ndarray, c: np.ndarray, limit: int):
-    """Maximise ``c . y`` over ``G y <= h`` with ``y`` free.
-
-    Returns ``(status, y, value)`` with status one of "optimal",
-    "infeasible", "unbounded".  Free variables are split into positive and
-    negative parts; rows with negative right-hand side get artificial
-    variables eliminated in phase 1.
+def _pivot(T, basis, k, rows, cols, column):
+    """Pivot tableau ``k[j]`` at ``(rows[j], cols[j])``; ``k`` is
+    ``arange(len(T))`` and ``column[j]`` is tableau ``j``'s column ``cols[j]``.
     """
-    m, dim = G.shape
+    prow = T[k, rows]
+    prow /= column[k, rows][:, None]
+    T -= column[:, :, None] * prow[:, None, :]
+    # the pivot row is the scaled row, as ``row - 0 * row`` leaves it
+    T[k, rows] = prow + 0.0
+    basis[k, rows] = cols
+
+
+def _price_out(T: np.ndarray, basis: np.ndarray):
+    """Make the objective row of every tableau zero on its basic columns."""
+    k = np.arange(T.shape[0])
+    coef = T[k[:, None], -1, basis]
+    # a basic column is a unit vector, so pricing out one row leaves the
+    # coefficients of the other basic columns as they were
+    nonzero = coef != 0.0
+    for r in nonzero.any(axis=0).nonzero()[0]:
+        sel = k[nonzero[:, r]]
+        T[sel, -1] -= coef[sel, r][:, None] * T[sel, r]
+
+
+def _run(T, basis, status, pivots, limits, idx, width):
+    """Pivot programs ``idx`` in lockstep until each is optimal, unbounded, or
+    past its pivot budget ``limits``.
+
+    Columns below ``width`` may enter; column ``width - 1`` is a sentinel:
+    zero in every row and always eligible, so a program that selects it has
+    no eligible column left and is optimal.  When some programs stop and
+    others go on, the running ones are copied out, so every pivot works on
+    one whole stack; the copies are written back as they stop.
+    """
+    if not idx.size:
+        return
+    m = T.shape[1] - 1
+    inplace = idx.size == T.shape[0]
+    if inplace:
+        Tw, bw, pw, lw = T, basis, pivots, limits
+    else:
+        Tw, bw, pw, lw = T[idx], basis[idx], pivots[idx], limits[idx]
+    k = np.arange(idx.size)
+    steps, headroom = 0, int((lw - pw).min())  # pivots until a budget runs out
+    while True:
+        enter = (Tw[:, -1, :width] < -_PIVOT_EPS).argmax(axis=1)
+        column = Tw[k, :, enter]
+        pos = column[:, :m] > _PIVOT_EPS
+        ratios = np.where(pos, Tw[:, :m, -1], np.inf) / np.where(pos, column[:, :m], 1.0)
+        best = np.minimum.reduce(ratios, axis=1, initial=np.inf)
+        if steps > headroom or np.maximum.reduce(best) == np.inf:
+            pw, steps = pw + steps, 0
+            over = pw > lw
+            go = (best < np.inf) & ~over
+            outcome = np.where(over, _LIMIT, np.where(enter == width - 1, _OPTIMAL, _UNBOUNDED))
+            if not go.any():
+                status[idx], pivots[idx] = outcome, pw
+                if not inplace:
+                    T[idx], basis[idx] = Tw, bw
+                return
+            stop = ~go
+            status[idx[stop]], pivots[idx[stop]] = outcome[stop], pw[stop]
+            if not inplace:
+                T[idx[stop]], basis[idx[stop]] = Tw[stop], bw[stop]
+            idx, Tw, bw, pw, lw = idx[go], Tw[go], bw[go], pw[go], lw[go]
+            enter, column, ratios, best = enter[go], column[go], ratios[go], best[go]
+            k = k[: idx.size]
+            inplace, headroom = False, int((lw - pw).min())
+        tied = ratios <= best[:, None] + _RATIO_TIE
+        leave = np.where(tied, bw, _NO_ROW).argmin(axis=1)
+        _pivot(Tw, bw, k, leave, enter, column)
+        steps += 1
+
+
+def _simplex(G: np.ndarray, h: np.ndarray, c: np.ndarray, limit):
+    """Maximise ``c[k] . y`` over ``G[k] y <= h[k]`` with ``y`` free, for
+    every program ``k`` of a stack.
+
+    ``G`` is (B, m, d), ``h`` (B, m) and ``c`` (B, d); ``limit`` is one
+    pivot budget or one per program.  Returns ``(status, y)``: per program
+    one of ``_OPTIMAL``, ``_INFEASIBLE``, ``_UNBOUNDED`` or ``_LIMIT`` (more
+    pivots than its budget, or a phase 1 reported unbounded), and the
+    optimum (NaN unless optimal).  Free variables are split into positive
+    and negative parts; rows with negative right-hand side get artificial
+    variables eliminated in phase 1.  Each program pivots exactly as it
+    would alone.
+
+    Columns: the 2d split variables and m slacks, the phase-2 sentinel, the
+    artificials, the phase-1 sentinel, the right-hand side.
+    """
+    B, m, dim = G.shape
     ncore = 2 * dim + m
-    body = np.hstack([G, -G, np.eye(m)])
-    rhs = np.array(h, dtype=np.float64)
-    neg = rhs < 0
-    if neg.any():
-        body[neg] *= -1.0
-        rhs[neg] *= -1.0
-    art_rows = np.flatnonzero(neg)
-    nart = art_rows.size
-    ncols = ncore + nart
-    T = np.zeros((m + 1, ncols + 1))
-    T[:m, :ncore] = body
-    if nart:
-        T[art_rows, ncore + np.arange(nart)] = 1.0
-    T[:m, -1] = rhs
-    basis = 2 * dim + np.arange(m)
-    basis[art_rows] = ncore + np.arange(nart)
-    pivots = 0
-
-    def run(active: int) -> str:
-        nonlocal pivots
-        while True:
-            eligible = np.flatnonzero(T[-1, :active] < -_PIVOT_EPS)
-            if eligible.size == 0:
-                return "optimal"
-            enter = int(eligible[0])
-            col = T[:m, enter]
-            pos = col > _PIVOT_EPS
-            if not pos.any():
-                return "unbounded"
-            ratios = np.full(m, np.inf)
-            ratios[pos] = T[:m, -1][pos] / col[pos]
-            best = ratios.min()
-            tied = np.flatnonzero(ratios <= best + _RATIO_TIE)
-            leave = int(tied[np.argmin(basis[tied])])
-            _pivot(T, basis, leave, enter)
-            pivots += 1
-            if pivots > limit:
-                raise IterationLimitError(
-                    f"simplex exceeded {limit} pivots on a {m}x{dim} program"
-                )
-
-    def set_objective(obj: np.ndarray):
-        T[-1] = obj
-        for r in range(m):
-            coef = T[-1, basis[r]]
-            if coef != 0.0:
-                T[-1] -= coef * T[r]
+    neg = h < 0
+    nart = int(neg.sum(axis=1).max()) if neg.any() else 0
+    ncols = ncore + nart + 2
+    T = np.zeros((B, m + 1, ncols + 1))
+    T[:, :m, :dim] = G
+    T[:, :m, dim : 2 * dim] = -G
+    T[:, :m, 2 * dim : ncore] = np.eye(m)
+    T[:, :m, -1] = h
+    basis = np.repeat(2 * dim + np.arange(m)[None], B, axis=0)
+    status = np.zeros(B, dtype=np.intp)  # _OPTIMAL
+    pivots = np.zeros(B, dtype=np.intp)
+    limits = pivots + limit
 
     if nart:
-        obj = np.zeros(ncols + 1)
-        obj[ncore:ncols] = 1.0
-        set_objective(obj)
-        status = run(ncols)
-        if status == "unbounded":
-            # a sum of nonnegative variables cannot be unbounded below
-            raise IterationLimitError("phase 1 reported unbounded")
-        if -T[-1, -1] > _PHASE1_TOL:
-            return "infeasible", None, None
-        for r in np.flatnonzero(basis >= ncore):
-            nonzero = np.flatnonzero(np.abs(T[r, :ncore]) > _PIVOT_EPS)
-            if nonzero.size:
-                _pivot(T, basis, int(r), int(nonzero[0]))
-                pivots += 1
-                if pivots > limit:
-                    raise IterationLimitError("pivot budget exhausted")
-            # else the row is redundant; its artificial stays basic at zero
+        rows = T[:, :m]
+        flipped = rows[neg]
+        flipped[:, :ncore] *= -1.0
+        flipped[:, -1] *= -1.0
+        rows[neg] = flipped
+        # program k's j-th violated row gets artificial column ncore + 1 + j
+        prog, row = np.nonzero(neg)
+        art = ncore + np.cumsum(neg, axis=1)[prog, row]
+        T[prog, row, art] = 1.0
+        basis[prog, row] = art
+        T[prog, -1, art] = 1.0
+        T[:, -1, ncols - 1] = -1.0
+        _price_out(T, basis)
+        phase1 = neg.any(axis=1)
+        _run(T, basis, status, pivots, limits, phase1.nonzero()[0], ncols)
+        # a sum of nonnegative variables cannot be unbounded below
+        status[status == _UNBOUNDED] = _LIMIT
+        status[phase1 & (status == _OPTIMAL) & (-T[:, -1, -1] > _PHASE1_TOL)] = _INFEASIBLE
+        # drive artificials still basic (at zero) out of the basis, row by row
+        left = (status == _OPTIMAL)[:, None] & (basis > ncore)
+        for r in left.any(axis=0).nonzero()[0]:
+            idx = (left[:, r] & (status == _OPTIMAL)).nonzero()[0]
+            nonzero = np.abs(T[idx, r, :ncore]) > _PIVOT_EPS
+            # without a nonzero the row is redundant; its artificial stays basic at zero
+            found = nonzero.any(axis=1)
+            idx = idx[found]
+            if idx.size:
+                sub, sub_basis, k = T[idx], basis[idx], np.arange(idx.size)
+                cols = nonzero[found].argmax(axis=1)
+                _pivot(sub, sub_basis, k, np.full(idx.size, r), cols, sub[k, :, cols])
+                T[idx], basis[idx] = sub, sub_basis
+                pivots[idx] += 1
+                status[idx[pivots[idx] > limits[idx]]] = _LIMIT
 
-    c = np.asarray(c, dtype=np.float64)
-    obj = np.zeros(ncols + 1)
-    obj[:dim] = -c
-    obj[dim : 2 * dim] = c
-    set_objective(obj)
-    if run(ncore) == "unbounded":
-        return "unbounded", None, None
-    values = np.zeros(ncols)
-    in_range = basis < ncols
-    values[basis[in_range]] = T[:m, -1][in_range]
-    y = values[:dim] - values[dim : 2 * dim]
-    return "optimal", y, float(c @ y)
+    if nart:
+        T[:, -1] = 0.0
+    T[:, -1, :dim] = -c
+    T[:, -1, dim : 2 * dim] = c
+    T[:, -1, ncore] = -1.0
+    if nart:
+        # phase 1 may have made split variables basic; the slack basis of a
+        # program that skipped it costs nothing
+        _price_out(T, basis)
+    _run(T, basis, status, pivots, limits, (status == _OPTIMAL).nonzero()[0], ncore + 1)
+    values = np.zeros((B, ncols))
+    values[np.arange(B)[:, None], basis] = T[:, :m, -1]
+    y = values[:, :dim] - values[:, dim : 2 * dim]
+    y[status != _OPTIMAL] = np.nan
+    return status, y
+
+
+def _solve(G, h, c, limit):
+    """:func:`_simplex`, raising :class:`IterationLimitError` if any program
+    of the stack ran out of pivots."""
+    status, y = _simplex(G, h, c, limit)
+    if (status == _LIMIT).any():
+        m, dim = G.shape[1:]
+        raise IterationLimitError(
+            f"simplex exceeded {limit} pivots on a {m}x{dim} program"
+        )
+    return status, y
 
 
 def check_feasible(lp: LinearProgram) -> FeasibilityResult:
@@ -205,64 +305,145 @@ def check_feasible(lp: LinearProgram) -> FeasibilityResult:
     clears the strict rows by more than ``TOL_SLACK``.  INFEASIBLE: even the
     closed system is empty.
     """
-    r, d = lp.num_rows, lp.dim
-    G = np.zeros((r + 1, d + 1))
-    G[:r, :d] = lp.A
-    G[:r, d] = lp.strict.astype(np.float64)
-    G[r, d] = 1.0
-    h = np.append(lp.b, 1.0)
-    c = np.zeros(d + 1)
-    c[d] = 1.0
-    status, y, t = _simplex(G, h, c, iteration_limit(r + 1, d + 1))
-    if status == "infeasible":
-        return FeasibilityResult(Feasibility.INFEASIBLE)
-    if status == "unbounded":
-        # impossible: t <= 1 bounds the objective; treat as pathology
-        raise IterationLimitError("slack program reported unbounded")
-    x = y[:d]
-    if lp.strict.any():
-        slack = float((lp.b[lp.strict] - lp.A[lp.strict] @ x).min())
-    else:
-        slack = float(t)
-    if slack > TOL_SLACK:
-        return FeasibilityResult(Feasibility.INTERIOR, x, slack)
-    if t >= -TOL_SLACK:
-        return FeasibilityResult(Feasibility.BOUNDARY_ONLY, x, max(slack, 0.0))
-    return FeasibilityResult(Feasibility.INFEASIBLE)
-
-
-def extremize(direction, lp: LinearProgram) -> ExtremizeResult:
-    """Maximise ``direction . x`` over the closed system (strictness ignored)."""
-    direction = np.asarray(direction, dtype=np.float64).reshape(-1)
-    if direction.shape != (lp.dim,):
-        raise DimensionMismatchError(
-            f"direction has length {direction.shape[0]}, program dim is {lp.dim}"
+    res = _feasibility([lp])[0]
+    if res is None:
+        raise IterationLimitError(
+            f"slack program of a {lp.num_rows}x{lp.dim} system exceeded "
+            f"{iteration_limit(lp.num_rows + 1, lp.dim + 1)} pivots"
         )
-    status, y, value = _simplex(
-        lp.A, lp.b, direction, iteration_limit(lp.num_rows, lp.dim)
-    )
-    if status == "infeasible":
-        return ExtremizeResult(Extremum.INFEASIBLE)
-    if status == "unbounded":
-        return ExtremizeResult(Extremum.UNBOUNDED)
-    return ExtremizeResult(Extremum.BOUNDED, value, y)
+    return res
 
 
-def is_redundant(row: int, lp: LinearProgram) -> bool:
-    """True iff dropping ``row`` cannot enlarge the closed feasible set.
+def check_feasible_many(lps: Sequence[LinearProgram]) -> list[FeasibilityResult | None]:
+    """:func:`check_feasible` of every program, in stacked solves.
 
-    Decided by maximising the row over the remaining closed rows: a bounded
-    optimum at most ``b[row] + TOL_REDUNDANT`` means redundant; an unbounded
-    one means the row genuinely cuts; an infeasible remainder keeps the set
-    empty either way.
+    The programs share one dimension; shorter ones are padded with rows
+    ``0 . x <= 1``, which no pivot touches, so each result is bitwise what
+    :func:`check_feasible` returns alone.  Each program keeps its own pivot
+    budget; None marks a program :func:`check_feasible` would raise
+    :class:`IterationLimitError` on.  Stacks hold at most ``STACK_SIZE``
+    programs.
     """
-    if not 0 <= row < lp.num_rows:
-        raise IndexError(f"row {row} out of range")
-    keep = np.arange(lp.num_rows) != row
-    rest = LinearProgram(lp.A[keep], lp.b[keep], np.zeros(keep.sum(), dtype=bool))
-    res = extremize(lp.A[row], rest)
+    results: list[FeasibilityResult | None] = []
+    for start in range(0, len(lps), STACK_SIZE):
+        results.extend(_feasibility(lps[start : start + STACK_SIZE]))
+    return results
+
+
+def _feasibility(lps: Sequence[LinearProgram]) -> list[FeasibilityResult | None]:
+    """The slack programs of ``lps`` (see the module docstring), stacked."""
+    B, d = len(lps), lps[0].dim
+    rows = [lp.num_rows for lp in lps]
+    r = max(rows)
+    G = np.zeros((B, r + 1, d + 1))
+    h = np.ones((B, r + 1))
+    for j, lp in enumerate(lps):
+        if lp.dim != d:
+            raise DimensionMismatchError("stacked programs must share one dimension")
+        G[j, : rows[j], :d] = lp.A
+        G[j, : rows[j], d] = lp.strict
+        h[j, : rows[j]] = lp.b
+    G[:, r, d] = 1.0
+    c = np.zeros((B, d + 1))
+    c[:, d] = 1.0
+    status, y = _simplex(G, h, c, iteration_limit(np.array(rows) + 1, d + 1))
+    results: list[FeasibilityResult | None] = []
+    for lp, s, x in zip(lps, status.tolist(), y):
+        # an unbounded slack program is impossible (t <= 1): pathology
+        if s == _LIMIT or s == _UNBOUNDED:
+            results.append(None)
+            continue
+        if s == _INFEASIBLE:
+            results.append(FeasibilityResult(Feasibility.INFEASIBLE))
+            continue
+        x, t = x[:d], float(x[d])
+        if lp.strict.any():
+            slack = float((lp.b[lp.strict] - lp.A[lp.strict] @ x).min())
+        else:
+            slack = t
+        if slack > TOL_SLACK:
+            results.append(FeasibilityResult(Feasibility.INTERIOR, x, slack))
+        elif t >= -TOL_SLACK:
+            results.append(FeasibilityResult(Feasibility.BOUNDARY_ONLY, x, max(slack, 0.0)))
+        else:
+            results.append(FeasibilityResult(Feasibility.INFEASIBLE))
+    return results
+
+
+def _extremum(status: int, direction: np.ndarray, y: np.ndarray) -> ExtremizeResult:
+    if status == _INFEASIBLE:
+        return ExtremizeResult(Extremum.INFEASIBLE)
+    if status == _UNBOUNDED:
+        return ExtremizeResult(Extremum.UNBOUNDED)
+    return ExtremizeResult(Extremum.BOUNDED, float(direction @ y), y)
+
+
+def extremize(direction, lp: LinearProgram):
+    """Maximise ``direction . x`` over the closed system (strictness ignored).
+
+    ``direction`` is one vector, giving one :class:`ExtremizeResult`, or a
+    (B, dim) stack of directions, giving a tuple of B results from one
+    stacked solve.
+    """
+    D = np.asarray(direction, dtype=np.float64)
+    if D.ndim not in (1, 2) or D.shape[-1] != lp.dim:
+        raise DimensionMismatchError(
+            f"direction has length {D.shape[-1] if D.ndim else 1}, "
+            f"program dim is {lp.dim}"
+        )
+    stack = np.atleast_2d(D)
+    B = stack.shape[0]
+    status, y = _solve(
+        np.broadcast_to(lp.A, (B,) + lp.A.shape),
+        np.broadcast_to(lp.b, (B, lp.num_rows)),
+        stack,
+        iteration_limit(lp.num_rows, lp.dim),
+    )
+    results = tuple(map(_extremum, status, stack, y))
+    return results[0] if D.ndim == 1 else results
+
+
+def dominated(res: ExtremizeResult, bound: float) -> bool:
+    """Whether a row ``a . x <= bound`` is implied by a system, given the
+    maximum ``res`` of ``a . x`` over it.
+
+    A bounded maximum at most ``bound + TOL_REDUNDANT`` implies it; an
+    unbounded one means the row genuinely cuts; an empty system implies
+    every row.
+    """
     if res.status is Extremum.INFEASIBLE:
         return True
     if res.status is Extremum.UNBOUNDED:
         return False
-    return res.value <= lp.b[row] + TOL_REDUNDANT
+    return res.value <= bound + TOL_REDUNDANT
+
+
+def is_redundant(row, lp: LinearProgram):
+    """True iff dropping ``row`` cannot enlarge the closed feasible set.
+
+    Decided by maximising the row over the remaining closed rows (see
+    :func:`dominated`).  ``row`` is one index, giving a bool, or an array of
+    indices, giving a bool array from one stacked solve.  Each program
+    keeps the system's shape: the tested row is replaced by ``0 . x <= 1``,
+    which every point meets.
+    """
+    rows = np.asarray(row)
+    flat = rows.reshape(-1)
+    bad = (flat < 0) | (flat >= lp.num_rows)
+    if bad.any():
+        raise IndexError(f"row {flat[bad][0]} out of range")
+    B = flat.size
+    k = np.arange(B)
+    G = np.repeat(lp.A[None], B, axis=0)
+    h = np.repeat(lp.b[None], B, axis=0)
+    G[k, flat] = 0.0
+    h[k, flat] = 1.0
+    status, y = _solve(G, h, lp.A[flat], iteration_limit(lp.num_rows - 1, lp.dim))
+    verdicts = np.array(
+        [
+            dominated(_extremum(s, lp.A[i], x), lp.b[i])
+            for s, x, i in zip(status, y, flat)
+        ],
+        dtype=bool,
+    )
+    return bool(verdicts[0]) if rows.ndim == 0 else verdicts

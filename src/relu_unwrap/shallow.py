@@ -40,22 +40,25 @@ from .decomposition import (
     Decomposition,
     OrientedHalfspace,
     Region,
-    _interior_witness,
+    _interior_witnesses,
     _sort_key,
+    closed_lp,
     decompose,
 )
 from .errors import (
     AmbiguousSelectionError,
     ArithmeticFault,
     DimensionMismatchError,
+    IterationLimitError,
     ModelFormatError,
     NonFiniteError,
     UnwrapError,
 )
-from .lp import Feasibility, LinearProgram, check_feasible
+from .lp import Feasibility, check_feasible
 from .network import ActivationPattern, MLPNetwork, _frozen_array, forward_many
 
 SHALLOW_FORMAT = "relu-shallow-v1"
+EVAL_BLOCK = 1024  # points per block of eval_shallow_many
 
 _NEG_INF_TOKEN = "-Infinity"
 
@@ -80,9 +83,9 @@ def xr_add(a: float, b: float) -> float:
     return float(a + b)
 
 
-def xr_relu(values):
+def xr_relu(values, out=None):
     """ReLU over the extended reals: relu(-inf) = 0, relu(inf) = inf."""
-    return np.maximum(values, 0.0)
+    return np.maximum(values, 0.0, out=out)
 
 
 def xr_matvec(W: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -271,9 +274,11 @@ def eval_shallow_many(s: ShallowNetwork, points) -> np.ndarray:
     into zero, while a zero activation contributes nothing (infinity times
     zero is zero).  So layer 3 is computed gate-first: only the (point, row)
     pairs whose -inf columns all meet zero activations are evaluated, with
-    their finite weights, and everything else is known to be zero.  Raises
-    :class:`AmbiguousSelectionError` if two rows feed one output coordinate
-    of a point (a shared face with a nonzero output).
+    their finite weights, and everything else is known to be zero.  Points
+    are evaluated in blocks of ``EVAL_BLOCK`` rows, which bounds the
+    intermediate arrays.  Raises :class:`AmbiguousSelectionError` if two
+    rows feed one output coordinate of a point (a shared face with a nonzero
+    output).
     """
     X = np.asarray(points, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != s.input_dim:
@@ -282,13 +287,28 @@ def eval_shallow_many(s: ShallowNetwork, points) -> np.ndarray:
         )
     if not np.isfinite(X).all():
         raise NonFiniteError("input points must be finite")
+    out = np.empty((X.shape[0], s.output_dim))
+    for start in range(0, X.shape[0], EVAL_BLOCK):
+        out[start : start + EVAL_BLOCK] = _eval_block(s, X[start : start + EVAL_BLOCK], start)
+    return out
+
+
+def _eval_block(s: ShallowNetwork, X: np.ndarray, first: int) -> np.ndarray:
+    """:func:`eval_shallow_many` on one block whose first row is point ``first``."""
     N, m = X.shape[0], s.output_dim
-    A1 = xr_relu(X @ s.W1.T + s.b1)
-    A2 = xr_relu(A1 @ s.W2.T + s.b2)
+    # layers 1 and 2 in place: fewer and smaller temporaries per block
+    A1 = X @ s.W1.T
+    A1 += s.b1
+    A2 = xr_relu(A1, out=A1) @ s.W2.T
+    del A1
+    A2 += s.b2
+    xr_relu(A2, out=A2)
     mask_cols, live_cols, live_W3 = s.gates
     # the padding column past the end of A2 is never positive
-    positive = np.hstack([A2 > 0, np.zeros((N, 1), dtype=bool)])
-    alive = ~positive[:, mask_cols].any(axis=2)
+    positive = np.zeros((N, A2.shape[1] + 1), dtype=bool)
+    np.greater(A2, 0, out=positive[:, :-1])
+    alive = positive[:, mask_cols].any(axis=2)
+    np.logical_not(alive, out=alive)
     pts, rows = np.divmod(np.flatnonzero(alive), alive.shape[1])
     z = np.einsum("ij,ij->i", A2[:, live_cols][pts], live_W3[rows]) + s.b3[rows]
     a3 = xr_relu(z)
@@ -300,7 +320,7 @@ def eval_shallow_many(s: ShallowNetwork, points) -> np.ndarray:
     if (counts > 1).any():
         row, j = np.argwhere(counts > 1)[0]
         raise AmbiguousSelectionError(
-            f"point {int(row)}: {int(counts[row, j])} regions selected for "
+            f"point {first + int(row)}: {int(counts[row, j])} regions selected for "
             f"output coordinate {int(j)}"
         )
     out = np.empty((N, m))
@@ -321,28 +341,25 @@ def shallow_to_decomposition(s: ShallowNetwork) -> Decomposition:
     """
     n, m = s.input_dim, s.output_dim
     p, k = s.num_regions, s.num_halfspaces
-    halfspaces = tuple(
-        OrientedHalfspace(-s.W1[2 * n + i], s.b1[2 * n + i]) for i in range(k)
-    )
+    normals, offsets = -s.W1[2 * n :], s.b1[2 * n :]
+    halfspaces = tuple(OrientedHalfspace(normals[i], offsets[i]) for i in range(k))
     selector = s.W2[2 * n :, 2 * n :]
+    region_ids = [np.flatnonzero(selector[r] > 0.5) for r in range(p)]
+    closed = [closed_lp(normals[ids], offsets[ids]) for ids in region_ids]
+    witnesses, failed = _interior_witnesses(closed)
     regions = []
-    for r in range(p):
-        ids = tuple(int(i) for i in np.flatnonzero(selector[r] > 0.5))
-        alpha = s.W3[r * m : (r + 1) * m, :n]
-        beta = s.b3[r * m : (r + 1) * m]
-        if ids:
-            A = np.array([hs.normal for hs in halfspaces])[list(ids)] * -1.0
-            b = np.array([-halfspaces[i].offset for i in ids])
-        else:
-            A, b = np.zeros((0, n)), np.zeros(0)
-        closed = LinearProgram(A, b, np.zeros(len(ids), dtype=bool))
-        witness = _interior_witness(closed)
+    for r, ids in enumerate(region_ids):
+        if failed[r]:
+            raise IterationLimitError(f"region {r}: the interior solve ran out of pivots")
+        witness = witnesses[r]
         if witness is None:
             # a pointlike region (every face owned) still has a closed witness
-            res = check_feasible(closed)
+            res = check_feasible(closed[r])
             if res.status is Feasibility.INFEASIBLE:
                 raise UnwrapError(f"region {r} of the shallow network is empty")
             witness = res.witness
+        alpha = s.W3[r * m : (r + 1) * m, :n]
+        beta = s.b3[r * m : (r + 1) * m]
         pattern = ActivationPattern((tuple(int(i == r) for i in range(p)),))
         regions.append(Region(pattern, alpha, beta, ids, witness))
     return Decomposition(n, m, halfspaces, tuple(regions))

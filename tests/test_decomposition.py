@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,20 +12,29 @@ from relu_unwrap import (
     BudgetExceededError,
     Decomposition,
     Feasibility,
+    InconsistentConstantRowError,
     IterationLimitError,
+    Layer,
+    LinearProgram,
+    MLPNetwork,
     ModelFormatError,
     OrientedHalfspace,
+    PatternRecord,
     Region,
     TOL_SLACK,
     activation_pattern,
+    build_shallow,
     check_feasible,
+    closed_lp,
     decompose,
     dumps_decomposition,
     enumerate_feasible,
+    eval_shallow_many,
     forward,
     forward_many,
     global_lp,
     global_prefix,
+    is_redundant,
     loads_decomposition,
     local_lp,
     pattern_matrix,
@@ -424,3 +434,141 @@ class TestRegionValidation:
         )
         with pytest.raises(ValueError):
             Decomposition(2, 1, (hs,), (reg, reg))
+
+
+# ---------------------------------------------------------------------------
+# Half-space pruning, golden outputs and the biased [3,6,6,3] regression
+
+DATA = Path(__file__).parent / "data"
+
+
+def sequential_facets(normals, offsets):
+    """The pruning loop the two-pass form replaces, kept as the reference:
+    drop redundant rows one at a time, each tested against the rows still
+    kept, on the region's closed program (not shifted)."""
+    active = list(range(len(offsets)))
+    for j in range(len(offsets)):
+        if len(active) < 2:
+            break
+        rest = LinearProgram(
+            -np.asarray(normals)[active],
+            -np.asarray(offsets)[active],
+            np.zeros(len(active), dtype=bool),
+        )
+        if is_redundant(active.index(j), rest):
+            active.remove(j)
+    return active
+
+
+PRUNING_NETS = [
+    ("[2,3,3]", lambda: random_init([2, 3, 3], 1, seed=0)),
+    ("[3,4,3]", lambda: random_init([3, 4, 3], 2, seed=1)),
+    ("[2,5,7,4]", lambda: random_init([2, 5, 7, 4], 3, seed=2)),
+    ("[3,3,2,2]", lambda: random_init([3, 3, 2, 2], 1, seed=0)),
+    ("biased[2,4,4]", lambda: biased_net([2, 4, 4], 2, seed=0)),
+    ("biased[3,4,3]", lambda: biased_net([3, 4, 3], 2, seed=1)),
+]
+
+
+class TestFacetPruning:
+    @pytest.mark.parametrize("label,make", PRUNING_NETS, ids=[n for n, _ in PRUNING_NETS])
+    def test_two_pass_equals_sequential_loop(self, label, make):
+        """Every region keeps exactly the rows the sequential loop keeps."""
+        net = make()
+        for rec in enumerate_feasible(net).records:
+            normals, offsets, _ = decomposition._candidates(rec, net.input_dim)
+            lp = closed_lp(normals, offsets).shifted(rec.witness)
+            assert decomposition._facets(lp) == sequential_facets(normals, offsets)
+
+    def test_fallbacks_give_the_same_rows(self, monkeypatch):
+        """A witness on a row, a failed pass and a pass-2 disagreement all run
+        the sequential loop, which keeps the same rows."""
+        net = biased_net([2, 4, 4], 2, seed=0)
+        cases = []
+        for rec in enumerate_feasible(net).records:
+            normals, offsets, _ = decomposition._candidates(rec, net.input_dim)
+            cases.append((closed_lp(normals, offsets), rec.witness, sequential_facets(normals, offsets)))
+        calls = []
+        real_loop = decomposition._prune_sequential
+
+        def loop(lp):
+            calls.append(lp)
+            return real_loop(lp)
+
+        monkeypatch.setattr(decomposition, "_prune_sequential", loop)
+        for closed, witness, want in cases:
+            # the witness mirrored across the first row: no feasible start
+            step = (closed.b[0] - closed.A[0] @ witness) / (closed.A[0] @ closed.A[0])
+            mirrored = witness + 2.0 * step * closed.A[0]
+            assert decomposition._facets(closed.shifted(mirrored)) == want
+        assert len(calls) == len(cases)
+
+        monkeypatch.setattr(decomposition, "dominated", lambda res, bound: False)
+        calls.clear()
+        for closed, witness, want in cases:
+            assert decomposition._facets(closed.shifted(witness)) == want
+        assert calls  # every region with a non-facet row fell back
+
+        def no_pivots(*args, **kwargs):
+            raise IterationLimitError("forced")
+
+        monkeypatch.setattr(decomposition, "extremize", no_pivots)
+        calls.clear()
+        for closed, witness, want in cases:
+            assert decomposition._facets(closed.shifted(witness)) == want
+        assert calls
+
+    def test_duplicate_rows_fall_back(self):
+        """Two copies of a row are each redundant against the other, so pass 1
+        finds no facet among them; the loop keeps one."""
+        A = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        lp = LinearProgram(A, np.ones(3), np.zeros(3, dtype=bool)).shifted(np.zeros(2))
+        assert decomposition._facets(lp) == [1, 2]
+        assert decomposition._facets(LinearProgram(A[:2], np.ones(2), np.zeros(2, dtype=bool))) == [1]
+
+
+GOLDEN = [
+    ("demo_net.json", lambda: MLPNetwork(
+        (Layer(np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros(2)),), Layer(np.eye(2), np.zeros(2))
+    )),
+    ("biased_2_4_4_seed0.json", lambda: biased_net([2, 4, 4], 2, seed=0)),
+    ("biased_2_4_4_seed1.json", lambda: biased_net([2, 4, 4], 2, seed=1)),
+    ("biased_3_4_3_seed1.json", lambda: biased_net([3, 4, 3], 2, seed=1)),
+    ("random_2_5_7_4_m3_seed2.json", lambda: random_init([2, 5, 7, 4], 3, seed=2)),
+]
+
+
+class TestGoldenOutputs:
+    """Decompositions are byte-identical to files written by the sequential
+    pruning loop and the unshifted solver."""
+
+    @pytest.mark.parametrize("name,make", GOLDEN, ids=[n for n, _ in GOLDEN])
+    def test_dumps_byte_identical(self, name, make):
+        assert dumps_decomposition(decompose(make())) == (DATA / name).read_text(encoding="utf-8")
+
+
+class TestBiased3663Regression:
+    """Biased [3,6,6,3] net 2 ran out of pivots while its half-spaces were
+    pruned one LP at a time; from the witness it completes."""
+
+    def test_decomposes_and_rebuilds(self):
+        net = biased_net([3, 6, 6, 3], 2, seed=2)
+        res = enumerate_feasible(net)
+        assert res.solver_fallbacks == 0
+        d = decomposition.build_decomposition(net, res)
+        assert (d.num_regions, d.num_halfspaces) == (500, 666)
+        s = build_shallow(d)
+        witnesses = np.array([r.witness for r in d.regions])
+        samples = np.random.default_rng(3).uniform(-10.0, 10.0, size=(10_000, 3))
+        for X in (witnesses, samples):
+            assert np.abs(eval_shallow_many(s, X) - forward_many(net, X)).max() <= 1e-6
+
+
+def test_contradicting_constant_row_is_reported():
+    """A zero row whose offset contradicts its bit names its layer and neuron."""
+    first = global_prefix(((1, 0),), MLPNetwork((Layer(np.eye(2), np.zeros(2)),), Layer(np.eye(2), np.zeros(2))))
+    dead = decomposition.GlobalAffinePrefix(np.zeros((2, 2)), np.array([0.5, -0.5]), 2)
+    for bits, neuron in ((((1, 0), (1, 1)), 1), (((1, 0), (0, 0)), 0)):
+        rec = PatternRecord(ActivationPattern(bits), (first, dead), np.array([1.0, -1.0]))
+        with pytest.raises(InconsistentConstantRowError, match=f"layer 2 neuron {neuron}:"):
+            decomposition.extract_halfspaces([rec], random_init([2, 2, 2], 1, seed=0))

@@ -34,6 +34,7 @@ from relu_unwrap import (
     xr_relu,
 )
 
+import relu_unwrap.shallow as shallow_module
 from conftest import biased_net, interior_samples, pad_identity_layer, permute_hidden
 
 INF = np.inf
@@ -494,3 +495,31 @@ class TestGateFirstMatchesReference:
     def test_empty_batch(self, demo_net_m2):
         s = build_shallow(decompose(demo_net_m2))
         assert eval_shallow_many(s, np.zeros((0, 2))).shape == (0, 2)
+
+
+class TestEvaluationBlocks:
+    """eval_shallow_many works through its points in blocks of EVAL_BLOCK rows."""
+
+    def test_block_size(self):
+        assert shallow_module.EVAL_BLOCK == 1024
+
+    @pytest.mark.parametrize("rows", [1023, 1024, 1025, 2049])
+    def test_rows_around_block_boundaries(self, rows):
+        net = biased_net([2, 4, 4], 2, seed=0)
+        s = build_shallow(decompose(net))
+        X = np.random.default_rng(rows).uniform(-8.0, 8.0, size=(rows, 2))
+        got = eval_shallow_many(s, X)
+        assert got.shape == (rows, 2)
+        np.testing.assert_allclose(got, forward_many(net, X), rtol=1e-12, atol=1e-12)
+        # each row is evaluated as it would be alone in its block
+        np.testing.assert_array_equal(got[1024:], eval_shallow_many(s, X[1024:]))
+
+    @pytest.mark.parametrize("at", [1023, 1024, 1030, 2048])
+    def test_ambiguity_names_the_global_row(self, demo_net_m2, at):
+        s = build_shallow(decompose(demo_net_m2))
+        X = np.random.default_rng(at).uniform(1.0, 4.0, size=(2049, 2))  # inside one region
+        X[at] = [2.0, 0.0]  # on a shared face with a nonzero output
+        with pytest.raises(AmbiguousSelectionError, match=f"point {at}:"):
+            eval_shallow_many(s, X)
+        X[at] = [3.0, 3.0]
+        np.testing.assert_allclose(eval_shallow_many(s, X), forward_many(demo_net_m2, X), atol=1e-12)
