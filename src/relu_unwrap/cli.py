@@ -5,8 +5,8 @@ command writes a single line of JSON to standard output and keeps
 diagnostics on standard error.  Exit codes: 0 success, 1 input error,
 2 pattern-search budget exceeded, 3 verification failure, 64 usage error.
 All randomness flows from --seed flags, so runs are reproducible.  The
-pattern search runs in one thread; --threads and the RELU_UNWRAP_THREADS
-environment variable are accepted for compatibility and ignored.
+pattern search runs in one thread: --threads is accepted for compatibility
+and ignored, and the RELU_UNWRAP_THREADS environment variable is never read.
 """
 
 from __future__ import annotations
@@ -140,10 +140,10 @@ def cmd_verify(args) -> int:
             f"dimension mismatch: model is {net.input_dim}->{net.output_dim}, "
             f"shallow is {shallow.input_dim}->{shallow.output_dim}"
         )
-    d = build_decomposition(net, _enumerate(net, args.budget))
+    enum = _enumerate(net, args.budget)
     rng = np.random.default_rng(args.seed)
     X = rng.uniform(-args.range, args.range, size=(args.samples, net.input_dim))
-    witnesses = np.array([r.witness for r in d.regions]).reshape(-1, net.input_dim)
+    witnesses = np.array([rec.witness for rec in enum.records]).reshape(-1, net.input_dim)
     points = np.vstack([X, witnesses])
     try:
         diff = np.abs(eval_shallow_many(shallow, points) - forward_many(net, points))
@@ -227,21 +227,19 @@ def cmd_plot(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub, *, budget=True, threads=True):
-    if budget:
-        sub.add_argument(
-            "--budget",
-            type=int,
-            default=DEFAULT_BUDGET,
-            help=f"cap on the feasibility LPs of the pattern search (default {DEFAULT_BUDGET})",
-        )
-    if threads:
-        sub.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="accepted for compatibility and ignored: the search runs in one thread",
-        )
+def _add_common(sub):
+    sub.add_argument(
+        "--budget",
+        type=int,
+        default=DEFAULT_BUDGET,
+        help=f"cap on the feasibility LPs of the pattern search (default {DEFAULT_BUDGET})",
+    )
+    sub.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="accepted for compatibility and ignored: the search runs in one thread",
+    )
 
 
 def build_parser() -> _Parser:

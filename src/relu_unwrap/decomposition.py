@@ -17,13 +17,15 @@ it covers no open set, its points lie on the closed faces of neighbouring
 regions, and since added rows never create an interior, no extension of it
 is realisable either.  The parent cell's witness settles one child without
 a solve, so the work grows with the cells found rather than with the 2^width
-patterns of a layer.  A leaf's rows are exactly its :func:`global_lp`.
+patterns of a layer.  Every pattern program comes from one helper,
+:func:`_rows`, so a leaf's rows are exactly its :func:`global_lp`, and the
+search settles every pattern's witness once (:func:`_witnesses`).
 
-Each surviving pattern yields a region: its affine model, an interior
-witness, and the minimal set of oriented half-spaces ``h . x > c`` bounding
-it.  Half-spaces keep their orientation (both sides of one hyperplane are
-separate table entries) and are unit-normalised; duplicates are merged
-within ``TOL_CANON``.
+Each surviving pattern yields a region: its affine model, read off its last
+prefix, that witness, and the minimal set of oriented half-spaces
+``h . x > c`` bounding it.  Half-spaces keep their orientation (both sides
+of one hyperplane are separate table entries) and are unit-normalised;
+duplicates are merged within ``TOL_CANON``.
 """
 
 from __future__ import annotations
@@ -142,14 +144,24 @@ class Decomposition:
     def __post_init__(self):
         object.__setattr__(self, "halfspaces", tuple(self.halfspaces))
         object.__setattr__(self, "regions", tuple(self.regions))
-        k = len(self.halfspaces)
+        k, n = len(self.halfspaces), self.input_dim
+        if any(hs.normal.shape != (n,) for hs in self.halfspaces):
+            raise DimensionMismatchError(f"a half-space normal does not have {n} entries")
         seen = set()
-        for region in self.regions:
+        for r, region in enumerate(self.regions):
             if region.pattern.layers in seen:
                 raise ValueError("region patterns must be pairwise distinct")
             seen.add(region.pattern.layers)
             if any(not 0 <= i < k for i in region.halfspace_ids):
                 raise ValueError("region references a missing half-space")
+            if region.alpha.shape != (self.output_dim, n):
+                raise DimensionMismatchError(
+                    f"region {r}: alpha is {region.alpha.shape}, expected {(self.output_dim, n)}"
+                )
+            if region.witness.shape != (n,):
+                raise DimensionMismatchError(
+                    f"region {r}: witness is {region.witness.shape}, expected {(n,)}"
+                )
 
     @property
     def num_halfspaces(self) -> int:
@@ -198,7 +210,7 @@ class PatternRecord:
 
     pattern: ActivationPattern
     prefixes: tuple[GlobalAffinePrefix, ...]
-    witness: np.ndarray | None
+    witness: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -224,13 +236,10 @@ def local_lp(weights, bias, bits, *, nonneg_inputs: bool = True) -> LinearProgra
     """
     W = np.atleast_2d(np.asarray(weights, dtype=np.float64))
     b = np.asarray(bias, dtype=np.float64).reshape(-1)
-    e = np.asarray([int(v) for v in bits])
-    if W.shape[0] != b.shape[0] or W.shape[0] != e.shape[0]:
+    bits = tuple(int(v) for v in bits)
+    if W.shape[0] != b.shape[0] or W.shape[0] != len(bits):
         raise DimensionMismatchError("weights, bias, and bits disagree")
-    sign = np.where(e == 1, -1.0, 1.0)
-    A = sign[:, None] * W
-    rhs = np.where(e == 1, b, -b)
-    strict = e == 1
+    A, rhs, strict = _rows((GlobalAffinePrefix(W, b, 1),), (bits,))
     if nonneg_inputs:
         A = np.vstack([A, -np.eye(W.shape[1])])
         rhs = np.concatenate([rhs, np.zeros(W.shape[1])])
@@ -278,22 +287,55 @@ def global_prefix(prefix, net: MLPNetwork) -> GlobalAffinePrefix:
     return _prefix_chain(prefix, net)[-1]
 
 
-def _pattern_rows(matrix: np.ndarray, offset: np.ndarray, bits) -> tuple:
-    e = np.asarray([int(v) for v in bits])
-    sign = np.where(e == 1, -1.0, 1.0)
-    return sign[:, None] * matrix, np.where(e == 1, offset, -offset), e == 1
+def _rows(chain, bits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows ``(A, b, strict)`` of a pattern prefix's program ``A x <= b``.
+
+    ``chain[l]`` maps the input to the pre-activations of the prefix's layer
+    ``l + 1`` and ``bits[l]`` holds that layer's bits, which may cover only
+    its first neurons.  Bit 1 gives the strict row ``-M[i] . x < o[i]``
+    (pre-activation > 0), bit 0 the closed row ``M[i] . x <= -o[i]``.
+    """
+    M = np.concatenate([p.matrix[: len(e)] for p, e in zip(chain, bits)])
+    o = np.concatenate([p.offset[: len(e)] for p, e in zip(chain, bits)])
+    strict = np.array(sum(bits, ())) == 1
+    return np.where(strict[:, None], -M, M), np.where(strict, o, -o), strict
 
 
 def global_lp(prefix, net: MLPNetwork) -> LinearProgram:
     """Stacked input-space program of a pattern prefix (all layers so far)."""
     layer_bits = _bits_of(prefix)
-    chain = _prefix_chain(layer_bits, net)
-    blocks = [_pattern_rows(p.matrix, p.offset, bits) for p, bits in zip(chain, layer_bits)]
-    return LinearProgram(
-        np.vstack([blk[0] for blk in blocks]),
-        np.concatenate([blk[1] for blk in blocks]),
-        np.concatenate([blk[2] for blk in blocks]),
-    )
+    return LinearProgram(*_rows(_prefix_chain(layer_bits, net), layer_bits))
+
+
+def _witnesses(lps: Sequence[LinearProgram], known=None) -> tuple[list, list[bool]]:
+    """A point of each program, settled in stacked solves.
+
+    A feasibility witness is only pushed off the strict rows, so it may sit
+    exactly on a closed row, which is a face shared with a neighbouring
+    region.  Re-solving with every non-degenerate row marked strict yields a
+    point in the polytope's topological interior; zero rows (constant
+    constraints from gated-off neurons) can never clear a margin and are
+    skipped.  Where that finds nothing, ``known[i]`` is taken, else the
+    program's own witness (a region with only closed faces may be a point).
+    Returns ``(points, failed)``: a point, or None when none is found, and
+    whether a solve of the program ran out of pivots.
+    """
+    pushed = []
+    for lp in lps:
+        keep = np.linalg.norm(lp.A, axis=1) > TOL_DEGENERATE
+        pushed.append(LinearProgram(lp.A[keep], lp.b[keep], np.ones(int(keep.sum()), dtype=bool)))
+    first = check_feasible_many(pushed)
+    points = [
+        res.witness if res is not None and res.status is Feasibility.INTERIOR else w
+        for res, w in zip(first, known or [None] * len(lps))
+    ]
+    failed = [res is None for res in first]
+    rest = [i for i, w in enumerate(points) if w is None]
+    for i, res in zip(rest, check_feasible_many([lps[i] for i in rest])):
+        failed[i] |= res is None
+        if res is not None and res.status is Feasibility.INTERIOR:
+            points[i] = res.witness
+    return points, failed
 
 
 # ---------------------------------------------------------------------------
@@ -304,42 +346,15 @@ def global_lp(prefix, net: MLPNetwork) -> LinearProgram:
 class _Cell:
     """A live cell: the inputs realising a pattern prefix.
 
-    The last layer of ``bits`` may be incomplete.  ``A``, ``b`` and
-    ``strict`` are the prefix's rows, stacked as :func:`global_lp` stacks
-    them.  ``witness`` clears every strict row by more than ``TOL_SLACK`` and
-    meets the closed ones; it is None when a solver failure kept the cell.
+    The last layer of ``bits`` may be incomplete; ``chain`` holds the
+    prefix's affine maps.  ``witness`` clears every strict row of the
+    prefix's program by more than ``TOL_SLACK`` and meets the closed ones;
+    it is None when a solver failure kept the cell.
     """
 
     bits: tuple[tuple[int, ...], ...]
     chain: tuple[GlobalAffinePrefix, ...]
-    A: np.ndarray
-    b: np.ndarray
-    strict: np.ndarray
     witness: np.ndarray | None
-
-
-def _interior_witnesses(lps: Sequence[LinearProgram]) -> tuple[list, list[bool]]:
-    """Points clearing every non-degenerate row of each program by a
-    positive margin, found in stacked solves.
-
-    A feasibility witness is only pushed off the strict rows, so it may sit
-    exactly on a closed row, which is a face shared with a neighbouring
-    region.  Re-solving with every non-degenerate row marked strict yields a
-    point in the polytope's topological interior; zero rows (constant
-    constraints from gated-off neurons) can never clear a margin and are
-    skipped.  Returns ``(points, failed)``: a point, or None when none is
-    found within tolerance, and whether the program ran out of pivots.
-    """
-    pushed = []
-    for lp in lps:
-        keep = np.linalg.norm(lp.A, axis=1) > TOL_DEGENERATE
-        pushed.append(LinearProgram(lp.A[keep], lp.b[keep], np.ones(int(keep.sum()), dtype=bool)))
-    results = check_feasible_many(pushed)
-    points = [
-        res.witness if res is not None and res.status is Feasibility.INTERIOR else None
-        for res in results
-    ]
-    return points, [res is None for res in results]
 
 
 class _Search:
@@ -352,7 +367,7 @@ class _Search:
         self.layer_cells = [0] * depth
         self.leaves: list[_Cell] = []
 
-    def interior(self, A, b, strict, start) -> tuple[bool, np.ndarray | None]:
+    def interior(self, lp: LinearProgram, start) -> tuple[bool, np.ndarray | None]:
         """(keep, witness) of a system; a solver failure keeps it unwitnessed.
 
         ``start``, the parent cell's witness, meets every row but the new
@@ -364,13 +379,12 @@ class _Search:
         if self.budget is not None and self.lps >= self.budget:
             raise BudgetExceededError(
                 f"pattern search exceeded the budget of {self.budget} feasibility LPs",
-                partial=self.result(),
+                partial=self.result(partial=True),
             )
         self.lps += 1
-        lp = LinearProgram(A, b, strict)
         if start is not None:
             moved = lp.shifted(start)
-            if np.count_nonzero(moved.b < 0) > np.count_nonzero(b < 0):
+            if np.count_nonzero(moved.b < 0) > np.count_nonzero(lp.b < 0):
                 start = None
             else:
                 lp = moved
@@ -383,17 +397,27 @@ class _Search:
             return True, res.witness if start is None else start + res.witness
         return False, None
 
-    def result(self) -> EnumerationResult:
-        """Records of the finished cells, with witnesses refined off every face."""
-        refined, failed = _interior_witnesses(
-            [LinearProgram(cell.A, cell.b, cell.strict) for cell in self.leaves]
+    def result(self, *, partial: bool = False) -> EnumerationResult:
+        """Records of the finished cells, with witnesses from :func:`_witnesses`.
+
+        A cell a solver failure kept and no point certifies raises
+        :class:`UnwrapError`; a ``partial`` result, built when the budget
+        runs out, leaves such cells out instead (``layer_feasible`` still
+        counts them).
+        """
+        points, failed = _witnesses(
+            [LinearProgram(*_rows(cell.chain, cell.bits)) for cell in self.leaves],
+            [cell.witness for cell in self.leaves],
         )
         self.fallbacks += sum(failed)
-        records = [
-            PatternRecord(
-                ActivationPattern(cell.bits), cell.chain, cell.witness if w is None else w
+        if not partial and any(w is None for w in points):
+            raise UnwrapError(
+                "pattern kept after an iteration-limit failure could not be certified"
             )
-            for cell, w in zip(self.leaves, refined)
+        records = [
+            PatternRecord(ActivationPattern(cell.bits), cell.chain, w)
+            for cell, w in zip(self.leaves, points)
+            if w is not None
         ]
         records.sort(key=lambda rec: rec.pattern.bits())
         return EnumerationResult(
@@ -401,9 +425,7 @@ class _Search:
         )
 
 
-def enumerate_feasible(
-    net: MLPNetwork, *, budget: int | None = None, threads: int = 1
-) -> EnumerationResult:
+def enumerate_feasible(net: MLPNetwork, *, budget: int | None = None) -> EnumerationResult:
     """Find every activation pattern realised on a set with interior.
 
     Live cells are split one neuron at a time, layer by layer.  Neuron ``i``
@@ -414,14 +436,16 @@ def enumerate_feasible(
     dropped when its rows have no strict interior.  Rows only shrink a cell,
     so a dropped child has no realisable extension.  A solver failure keeps
     the child without a witness and is counted in ``solver_fallbacks``.
+    Every record carries a witness (see :func:`_witnesses`); a kept pattern
+    that no point certifies raises :class:`UnwrapError`.
 
     ``layer_feasible[l]`` counts the live cells after layer ``l + 1``; the
     last entry is the number of patterns.  ``candidates_checked`` counts the
     feasibility LPs solved to split cells; ``budget`` caps it, and the solve
     that would cross it raises :class:`BudgetExceededError`, whose
-    ``partial`` field carries the patterns completed so far.  Records are
-    sorted by concatenated pattern bits.  The search runs in one thread;
-    ``threads`` is accepted for compatibility and ignored.
+    ``partial`` field carries the patterns completed so far, less any kept
+    pattern that no point certifies.  Records are sorted by concatenated
+    pattern bits.
     """
     L, n = net.depth, net.input_dim
     if L == 0:
@@ -431,9 +455,7 @@ def enumerate_feasible(
     widths = net.hidden_widths
     search = _Search(L, budget)
     first = GlobalAffinePrefix(net.hidden[0].weights, net.hidden[0].bias, 1)
-    stack = [
-        _Cell(((),), (first,), np.zeros((0, n)), np.zeros(0), np.zeros(0, dtype=bool), np.zeros(n))
-    ]
+    stack = [_Cell(((),), (first,), np.zeros(n))]
     while stack:
         cell = stack.pop()
         bits, chain = cell.bits, cell.chain
@@ -446,19 +468,18 @@ def enumerate_feasible(
         w = cell.witness
         z = None if w is None else float(row @ w + shift)
         for bit in (0, 1):
-            A = np.vstack([cell.A, -row if bit else row])
-            b = np.append(cell.b, shift if bit else -shift)
-            strict = np.append(cell.strict, bit == 1)
+            child = bits[:-1] + (bits[-1] + (bit,),)
             if z is not None and (z > TOL_SLACK if bit else z <= 0.0):
-                keep, witness = True, w
+                witness = w
             else:
-                keep, witness = search.interior(A, b, strict, w)
-            if not keep:
-                continue
-            child = _Cell(bits[:-1] + (bits[-1] + (bit,),), chain, A, b, strict, witness)
+                keep, witness = search.interior(LinearProgram(*_rows(chain, child)), w)
+                if not keep:
+                    continue
             layer_done = i + 1 == widths[layer - 1]
             search.layer_cells[layer - 1] += layer_done
-            (search.leaves if layer_done and layer == L else stack).append(child)
+            (search.leaves if layer_done and layer == L else stack).append(
+                _Cell(child, chain, witness)
+            )
     return search.result()
 
 
@@ -466,21 +487,24 @@ def enumerate_feasible(
 # Region models and half-spaces
 
 
+def _model(chain, bits, net: MLPNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """Affine model ``(alpha, beta)`` of a full pattern from its prefix chain."""
+    if not chain:
+        return np.array(net.output.weights), np.array(net.output.bias)
+    out = _next_prefix(chain[-1], bits[-1], net.output)
+    return out.matrix, out.offset
+
+
 def local_linear_model(pattern: ActivationPattern, net: MLPNetwork):
     """Affine model ``x -> alpha @ x + beta`` of the pattern's region."""
-    Wout, bout = net.output.weights, net.output.bias
     if net.depth == 0:
-        return np.array(Wout), np.array(bout)
+        return _model((), (), net)
     layers = _bits_of(pattern)
     if len(layers) != net.depth:
         raise DimensionMismatchError(
             f"pattern has {len(layers)} layers, network has {net.depth}"
         )
-    last = _prefix_chain(layers, net)[-1]
-    gate = np.asarray(layers[-1], dtype=np.float64)
-    alpha = Wout @ (gate[:, None] * last.matrix)
-    beta = Wout @ (gate * last.offset) + bout
-    return alpha, beta
+    return _model(_prefix_chain(layers, net), layers, net)
 
 
 def _sort_key(normal: np.ndarray, offset: float) -> tuple:
@@ -530,28 +554,29 @@ class _Table:
 def _candidates(rec: PatternRecord, dim: int) -> tuple[np.ndarray, list[float], list[bool]]:
     """A region's candidate conditions ``(normals, offsets, any_strict)``.
 
-    Rows within ``TOL_CANON`` of an earlier candidate merge into it, in row
-    order; ``any_strict`` tells whether a strict (bit 1) row produced the
+    Each row ``A[i] . x <= b[i]`` of the pattern's program gives the
+    condition ``-A[i] . x > -b[i]``, unit-normalised.  Rows within
+    ``TOL_CANON`` of an earlier candidate merge into it, in row order;
+    ``any_strict`` tells whether a strict (bit 1) row produced the
     candidate.
     """
-    M = np.vstack([np.zeros((0, dim))] + [prefix.matrix for prefix in rec.prefixes])
-    shifts = np.concatenate([np.zeros(0)] + [prefix.offset for prefix in rec.prefixes])
-    bits = np.array([bit for layer in rec.pattern.layers for bit in layer], dtype=bool)
-    lengths = np.array([float(np.linalg.norm(row)) for row in M])
+    if not rec.prefixes:
+        return np.zeros((0, dim)), [], []
+    A, b, strict = _rows(rec.prefixes, rec.pattern.layers)
+    lengths = np.array([float(np.linalg.norm(row)) for row in A])
     live = lengths > TOL_DEGENERATE
     for i in np.flatnonzero(~live):
-        shift, bit = float(shifts[i]), int(bits[i])
+        bit = int(strict[i])
+        shift = float(b[i] if bit else -b[i])
         if not (shift > -TOL_CANON if bit else shift <= TOL_CANON):
             layer, neuron = [(p.layer, j) for p in rec.prefixes for j in range(len(p.offset))][i]
             raise InconsistentConstantRowError(
                 f"layer {layer} neuron {neuron}: zero row with "
                 f"offset {shift} contradicts bit {bit}"
             )
-    # bit 1 rows give (M[i], -o[i]), bit 0 rows the opposite orientation
-    sign = np.where(bits[live], 1.0, -1.0)
-    normals = sign[:, None] * M[live] / lengths[live, None]
-    offsets = -sign * shifts[live] / lengths[live]
-    strict = bits[live].tolist()
+    normals = -A[live] / lengths[live, None]
+    offsets = -b[live] / lengths[live]
+    strict = strict[live].tolist()
     close = (np.abs(offsets[:, None] - offsets) <= TOL_CANON) & (
         np.abs(normals[:, None] - normals).max(axis=2, initial=0.0) <= TOL_CANON
     )
@@ -662,37 +687,16 @@ def extract_halfspaces(records: Sequence[PatternRecord], net: MLPNetwork):
     return table, region_ids, region_nonstrict
 
 
-def _certify_witness(rec: PatternRecord, net: MLPNetwork) -> np.ndarray:
-    """Recover a witness for a pattern kept under a solver failure."""
-    lp = global_lp(rec.pattern, net)
-    refined = _interior_witnesses([lp])[0][0]
-    if refined is not None:
-        return refined
-    res = check_feasible(lp)
-    if res.status is Feasibility.INTERIOR:
-        return res.witness
-    raise UnwrapError(
-        "pattern kept after an iteration-limit failure could not be certified"
-    )
-
-
 def build_decomposition(
     net: MLPNetwork, enumeration: EnumerationResult, *, partial: bool = False
 ) -> Decomposition:
     """Assemble regions (models, witnesses, half-spaces) from found patterns."""
-    records = [
-        rec
-        if rec.witness is not None or net.depth == 0
-        else PatternRecord(rec.pattern, rec.prefixes, _certify_witness(rec, net))
-        for rec in enumeration.records
-    ]
+    records = enumeration.records
     table, region_ids, region_nonstrict = extract_halfspaces(records, net)
-    regions = []
-    for rec, ids, owned in zip(records, region_ids, region_nonstrict):
-        alpha, beta = local_linear_model(rec.pattern, net)
-        regions.append(
-            Region(rec.pattern, alpha, beta, ids, rec.witness, owned)
-        )
+    regions = [
+        Region(rec.pattern, *_model(rec.prefixes, rec.pattern.layers, net), ids, rec.witness, owned)
+        for rec, ids, owned in zip(records, region_ids, region_nonstrict)
+    ]
     return Decomposition(
         net.input_dim, net.output_dim, table, tuple(regions), partial=partial
     )
@@ -769,7 +773,7 @@ def loads_decomposition(text: str) -> Decomposition:
             regions,
             partial=bool(doc.get("partial", False)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, DimensionMismatchError, NonFiniteError) as exc:
         raise ModelFormatError(f"malformed decomposition: {exc}") from exc
 
 

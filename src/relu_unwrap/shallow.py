@@ -40,8 +40,8 @@ from .decomposition import (
     Decomposition,
     OrientedHalfspace,
     Region,
-    _interior_witnesses,
     _sort_key,
+    _witnesses,
     closed_lp,
     decompose,
 )
@@ -54,7 +54,6 @@ from .errors import (
     NonFiniteError,
     UnwrapError,
 )
-from .lp import Feasibility, check_feasible
 from .network import ActivationPattern, MLPNetwork, _frozen_array, forward_many
 
 SHALLOW_FORMAT = "relu-shallow-v1"
@@ -336,8 +335,11 @@ def shallow_to_decomposition(s: ShallowNetwork) -> Decomposition:
     layer, region id sets from the selector block of the second, and the
     affine models from the positive half of the third.  The original
     activation patterns are gone, so each region gets a synthetic one-hot
-    pattern; witnesses are re-solved from the region's conditions.  The
-    result canonicalizes like the decomposition the network was built from.
+    pattern; witnesses are re-solved from the region's conditions, as the
+    pattern search settles them (a point off every face where one exists,
+    else a point of the region's closure, which may be a single point).
+    The result canonicalizes like the decomposition the network was built
+    from.
     """
     n, m = s.input_dim, s.output_dim
     p, k = s.num_regions, s.num_halfspaces
@@ -345,19 +347,15 @@ def shallow_to_decomposition(s: ShallowNetwork) -> Decomposition:
     halfspaces = tuple(OrientedHalfspace(normals[i], offsets[i]) for i in range(k))
     selector = s.W2[2 * n :, 2 * n :]
     region_ids = [np.flatnonzero(selector[r] > 0.5) for r in range(p)]
-    closed = [closed_lp(normals[ids], offsets[ids]) for ids in region_ids]
-    witnesses, failed = _interior_witnesses(closed)
+    witnesses, failed = _witnesses(
+        [closed_lp(normals[ids], offsets[ids]) for ids in region_ids]
+    )
     regions = []
-    for r, ids in enumerate(region_ids):
+    for r, (ids, witness) in enumerate(zip(region_ids, witnesses)):
         if failed[r]:
             raise IterationLimitError(f"region {r}: the interior solve ran out of pivots")
-        witness = witnesses[r]
         if witness is None:
-            # a pointlike region (every face owned) still has a closed witness
-            res = check_feasible(closed[r])
-            if res.status is Feasibility.INFEASIBLE:
-                raise UnwrapError(f"region {r} of the shallow network is empty")
-            witness = res.witness
+            raise UnwrapError(f"region {r} of the shallow network is empty")
         alpha = s.W3[r * m : (r + 1) * m, :n]
         beta = s.b3[r * m : (r + 1) * m]
         pattern = ActivationPattern((tuple(int(i == r) for i in range(p)),))

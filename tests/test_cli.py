@@ -11,13 +11,20 @@ from relu_unwrap import (
     IterationLimitError,
     Layer,
     MLPNetwork,
+    decompose,
+    dumps_decomposition,
+    eval_shallow_many,
+    forward_many,
     load_decomposition,
     load_shallow,
     random_init,
     save_model,
 )
+import relu_unwrap.cli as cli
 import relu_unwrap.decomposition as decomposition
 from relu_unwrap.cli import main
+
+from conftest import biased_net
 
 
 @pytest.fixture
@@ -210,6 +217,27 @@ class TestVerify:
         assert code == 1
         assert "mismatch" in stderr
 
+    def test_witnesses_come_from_the_search(self, capsys, tmp_path, monkeypatch):
+        """verify builds no half-space table: it checks the samples and the
+        witnesses the pattern search settled."""
+        net = biased_net([2, 4, 4], 2, seed=0)
+        model, s = tmp_path / "m.json", str(tmp_path / "s.json")
+        save_model(net, model)
+        assert run(capsys, "shallowize", "--model", str(model), "--out", s)[0] == 0
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("verify built a decomposition")
+
+        monkeypatch.setattr(cli, "build_decomposition", no_table)
+        code, stdout, _ = run(
+            capsys, "verify", "--model", str(model), "--shallow", s, "--samples", "500", "--seed", "4"
+        )
+        assert code == 0
+        X = np.random.default_rng(4).uniform(-10.0, 10.0, size=(500, 2))
+        points = np.vstack([X, [region.witness for region in decompose(net).regions]])
+        gap = np.abs(eval_shallow_many(load_shallow(s), points) - forward_many(net, points))
+        assert json.loads(stdout) == {"max_abs_diff": float(gap.max(axis=1).max()), "pass": True}
+
 
 class TestShap:
     @pytest.fixture
@@ -284,6 +312,20 @@ class TestShap:
         first = run(capsys, *args)
         second = run(capsys, *args)
         assert first == second
+
+    def test_region_of_the_wrong_shape_exit_1(self, capsys, tmp_path):
+        """A 3-row model in a 2-output decomposition is refused, not explained."""
+        doc = json.loads(dumps_decomposition(decompose(biased_net([2, 4, 4], 2, seed=0))))
+        doc["regions"][0]["alpha"] = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        doc["regions"][0]["beta"] = [0.0, 0.0, 0.0]
+        bad, bg = tmp_path / "bad.json", tmp_path / "bg.csv"
+        bad.write_text(json.dumps(doc))
+        bg.write_text("0.0,0.0\n")
+        code, stdout, stderr = run(
+            capsys, "shap", "--decomp", str(bad), "--point", "0.1,0.2", "--background", str(bg)
+        )
+        assert code == 1 and stdout == ""
+        assert "alpha" in stderr
 
 
 class TestBench:

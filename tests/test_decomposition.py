@@ -11,6 +11,7 @@ from relu_unwrap import (
     ActivationPattern,
     BudgetExceededError,
     Decomposition,
+    DimensionMismatchError,
     Feasibility,
     InconsistentConstantRowError,
     IterationLimitError,
@@ -22,6 +23,7 @@ from relu_unwrap import (
     PatternRecord,
     Region,
     TOL_SLACK,
+    UnwrapError,
     activation_pattern,
     build_shallow,
     check_feasible,
@@ -572,3 +574,111 @@ def test_contradicting_constant_row_is_reported():
         rec = PatternRecord(ActivationPattern(bits), (first, dead), np.array([1.0, -1.0]))
         with pytest.raises(InconsistentConstantRowError, match=f"layer 2 neuron {neuron}:"):
             decomposition.extract_halfspaces([rec], random_init([2, 2, 2], 1, seed=0))
+
+
+class TestWitnessPaths:
+    """Every record leaves the search with a witness: the interior re-solve,
+    else the split's witness, else a point of the pattern's own program."""
+
+    def _keep_one_final_cut(self, monkeypatch, net, interior):
+        """Raise on the first full-pattern split LP whose real status is
+        (or, with ``interior`` False, is not) INTERIOR; returns its bits."""
+        real, raised = decomposition.check_feasible, []
+        full = sum(net.hidden_widths)
+
+        def flaky(lp):
+            res = real(lp)
+            if not raised and lp.num_rows == full and (res.status is Feasibility.INTERIOR) == interior:
+                raised.append(tuple(int(v) for v in lp.strict))
+                raise IterationLimitError("forced")
+            return res
+
+        monkeypatch.setattr(decomposition, "check_feasible", flaky)
+        return raised
+
+    def test_failed_refinement_takes_the_program_witness(self, monkeypatch):
+        net = biased_net([2, 4, 4], 2, seed=0)
+        reference = enumerate_feasible(net)
+        raised = self._keep_one_final_cut(monkeypatch, net, interior=True)
+        real_many, calls = decomposition.check_feasible_many, []
+
+        def refinement_fails(lps):
+            calls.append(len(lps))
+            # the first stacked call is the interior re-solve of every leaf
+            return [None] * len(lps) if len(calls) == 1 else real_many(lps)
+
+        monkeypatch.setattr(decomposition, "check_feasible_many", refinement_fails)
+        res = enumerate_feasible(net)
+        assert len(raised) == 1 and calls == [len(res.records), 1]
+        assert res.solver_fallbacks == 1 + len(res.records)
+        assert [rec.pattern for rec in res.records] == [rec.pattern for rec in reference.records]
+        kept = next(rec for rec in res.records if rec.pattern.bits() == raised[0])
+        own = check_feasible(global_lp(kept.pattern, net))
+        assert own.status is Feasibility.INTERIOR
+        np.testing.assert_array_equal(kept.witness, own.witness)
+
+    def test_kept_empty_leaf_is_not_certified(self, monkeypatch):
+        net = biased_net([2, 4, 4], 2, seed=0)
+        raised = self._keep_one_final_cut(monkeypatch, net, interior=False)
+        with pytest.raises(UnwrapError, match="could not be certified"):
+            enumerate_feasible(net)
+        assert len(raised) == 1
+
+    def test_budget_cut_leaves_out_a_kept_empty_leaf(self, monkeypatch):
+        """A budget cut still raises BudgetExceededError; its partial result
+        holds only certified patterns."""
+        net = biased_net([2, 4, 4], 2, seed=0)
+        reference = enumerate_feasible(net)
+        raised = self._keep_one_final_cut(monkeypatch, net, interior=False)
+        with pytest.raises(BudgetExceededError) as info:
+            enumerate_feasible(net, budget=reference.candidates_checked - 1)
+        assert len(raised) == 1
+        partial = info.value.partial
+        found = [rec.pattern.bits() for rec in partial.records]
+        assert raised[0] not in found
+        assert set(found) < {rec.pattern.bits() for rec in reference.records}
+        assert all(rec.witness is not None for rec in partial.records)
+        assert partial.layer_feasible[-1] == len(found) + 1
+
+
+class TestShapeChecks:
+    """A decomposition rejects regions and half-spaces of the wrong shape."""
+
+    @pytest.fixture
+    def d(self):
+        return decompose(biased_net([2, 4, 4], 2, seed=0))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"alpha": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], "beta": [0.0, 0.0, 0.0]},
+            {"alpha": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+            {"witness": [0.0, 0.0, 0.0]},
+        ],
+        ids=["alpha-rows", "alpha-columns", "witness"],
+    )
+    def test_bad_region_shape(self, d, fields):
+        doc = json.loads(dumps_decomposition(d))
+        doc["regions"][0].update(fields)
+        with pytest.raises(ModelFormatError):
+            loads_decomposition(json.dumps(doc))
+        region = d.regions[0]
+        bad = Region(
+            region.pattern,
+            np.array(fields.get("alpha", region.alpha)),
+            np.array(fields.get("beta", region.beta)),
+            region.halfspace_ids,
+            np.array(fields.get("witness", region.witness)),
+            region.nonstrict_ids,
+        )
+        with pytest.raises(DimensionMismatchError):
+            Decomposition(d.input_dim, d.output_dim, d.halfspaces, (bad,) + d.regions[1:])
+
+    def test_bad_normal_length(self, d):
+        doc = json.loads(dumps_decomposition(d))
+        doc["halfspaces"][0]["h"] = [1.0, 0.0, 0.0]
+        with pytest.raises(ModelFormatError):
+            loads_decomposition(json.dumps(doc))
+        halfspaces = (OrientedHalfspace(np.array([1.0, 0.0, 0.0]), 0.0),) + d.halfspaces[1:]
+        with pytest.raises(DimensionMismatchError):
+            Decomposition(d.input_dim, d.output_dim, halfspaces, d.regions)

@@ -7,17 +7,25 @@ import numpy as np
 import pytest
 
 from relu_unwrap import (
+    ActivationPattern,
     AmbiguousSelectionError,
     ArithmeticFault,
     Decomposition,
+    Feasibility,
+    IterationLimitError,
     Layer,
+    LinearProgram,
     MLPNetwork,
     ModelFormatError,
     NonFiniteError,
+    OrientedHalfspace,
+    Region,
     ShallowNetwork,
+    UnwrapError,
     build_shallow,
     canonical_equal,
     canonicalize,
+    check_feasible,
     decompose,
     dumps_shallow,
     equivalence_report,
@@ -34,6 +42,7 @@ from relu_unwrap import (
     xr_relu,
 )
 
+import relu_unwrap.decomposition as decomposition_module
 import relu_unwrap.shallow as shallow_module
 from conftest import biased_net, interior_samples, pad_identity_layer, permute_hidden
 
@@ -307,6 +316,73 @@ class TestShallowRoundTrip:
         np.testing.assert_allclose(
             eval_shallow_many(s2, pts), forward_many(demo_net_m1, pts), atol=1e-9
         )
+
+    def test_contradictory_region_is_empty(self):
+        """A region bounded by x > 1 and x < -1 has no point."""
+        halfspaces = (OrientedHalfspace([1.0], 1.0), OrientedHalfspace([-1.0], 1.0))
+        region = Region(ActivationPattern(((1,),)), [[1.0]], [0.0], (0, 1), [0.0])
+        s = build_shallow(Decomposition(1, 1, halfspaces, (region,)))
+        with pytest.raises(UnwrapError, match="region 0 of the shallow network is empty"):
+            shallow_to_decomposition(s)
+
+    def test_refinement_out_of_pivots(self, monkeypatch, demo_net_m1):
+        s = build_shallow(decompose(demo_net_m1))
+        monkeypatch.setattr(
+            decomposition_module, "check_feasible_many", lambda lps: [None] * len(lps)
+        )
+        with pytest.raises(IterationLimitError, match="ran out of pivots"):
+            shallow_to_decomposition(s)
+
+    def test_pointlike_region_gets_a_closure_witness(self):
+        """The all-off region of this net is the origin alone, so no point
+        clears its faces; the witness comes from its closed program."""
+        d = decompose(random_init([2, 3, 3], 1, seed=0))
+        r = next(i for i, reg in enumerate(d.regions) if not any(reg.pattern.bits()))
+        ids = list(d.regions[r].halfspace_ids)
+        H, c = d.halfspace_normals[ids], d.halfspace_offsets[ids]
+        pushed = LinearProgram(-H, -c, np.ones(len(ids), dtype=bool))
+        assert check_feasible(pushed).status is not Feasibility.INTERIOR
+        back = shallow_to_decomposition(build_shallow(d))
+        assert back.regions[r].halfspace_ids == tuple(ids)
+        assert (H @ back.regions[r].witness - c).min() >= -1e-9
+
+
+def _scaled_first_layer(seed, scale):
+    net = biased_net([2, 5, 5, 3], 1, seed)
+    first = Layer(net.hidden[0].weights * scale, net.hidden[0].bias)
+    return MLPNetwork((first,) + net.hidden[1:], net.output)
+
+
+@functools.lru_cache(maxsize=None)
+def _unscaled_counts(seed):
+    d = decompose(_scaled_first_layer(seed, 1.0))
+    return d.num_regions, d.num_halfspaces
+
+
+SCALE_CASES = [(seed, scale) for seed in range(3) for scale in (1e-3, 1e-2, 1e2, 1e4, 3e4)] + [
+    pytest.param(
+        seed,
+        1e5,
+        marks=pytest.mark.xfail(
+            strict=True,
+            raises=AmbiguousSelectionError,
+            reason="absolute tolerances break the rebuilt net on small regions",
+        ),
+    )
+    for seed in (0, 2)
+]
+
+
+@pytest.mark.parametrize("seed,scale", SCALE_CASES)
+def test_first_layer_scale(seed, scale):
+    """Scaling the first-layer weights keeps p and k, and the rebuilt net
+    agrees with the deep one at every witness."""
+    net = _scaled_first_layer(seed, scale)
+    d = decompose(net)
+    assert (d.num_regions, d.num_halfspaces) == _unscaled_counts(seed)
+    W = np.array([region.witness for region in d.regions])
+    y = forward_many(net, W)
+    assert (np.abs(eval_shallow_many(build_shallow(d), W) - y) <= 1e-9 * np.maximum(1.0, np.abs(y))).all()
 
 
 class TestEquivalenceReport:
