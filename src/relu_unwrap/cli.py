@@ -53,7 +53,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(payload: dict):
-    print(json.dumps(payload))
+    # a NaN or infinity raises ValueError (exit 1) before anything is printed
+    print(json.dumps(payload, allow_nan=False))
 
 
 def _diag(message: str):

@@ -24,15 +24,18 @@ search settles every pattern's witness once (:func:`_witnesses`).
 Each surviving pattern yields a region: its affine model, read off its last
 prefix, that witness, and the minimal set of oriented half-spaces
 ``h . x > c`` bounding it.  Half-spaces keep their orientation (both sides
-of one hyperplane are separate table entries) and are unit-normalised;
-duplicates are merged within ``TOL_CANON``.
+of one hyperplane are separate table entries) and are unit-normalised.
+A region's duplicate rows are merged within ``TOL_CANON``; the regions'
+conditions share one table entry when their floats are equal.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -56,11 +59,19 @@ from .lp import (
     extremize,
     is_redundant,
 )
-from .network import ActivationPattern, Layer, MLPNetwork, _frozen_array
+from .network import (
+    ActivationPattern,
+    Layer,
+    MLPNetwork,
+    _frozen_array,
+    _read_array,
+    _read_ints,
+    _read_json,
+)
 
 DECOMP_FORMAT = "relu-decomp-v1"
 
-TOL_CANON = 1e-8        # half-space dedup tolerance on (normal, offset)
+TOL_CANON = 1e-8        # merge tolerance on (normal, offset) within a region
 TOL_DEGENERATE = 1e-12  # rows with a smaller normal are constant constraints
 _SORT_DECIMALS = 9      # rounding for order keys, keeps runs comparable
 
@@ -119,10 +130,14 @@ class Region:
         object.__setattr__(self, "alpha", _frozen_array(self.alpha))
         object.__setattr__(self, "beta", _frozen_array(self.beta).reshape(-1))
         object.__setattr__(self, "witness", _frozen_array(self.witness).reshape(-1))
-        object.__setattr__(self, "halfspace_ids", tuple(int(i) for i in self.halfspace_ids))
-        object.__setattr__(self, "nonstrict_ids", tuple(int(i) for i in self.nonstrict_ids))
+        object.__setattr__(self, "halfspace_ids", tuple(map(int, self.halfspace_ids)))
+        object.__setattr__(self, "nonstrict_ids", tuple(map(int, self.nonstrict_ids)))
         if self.alpha.ndim != 2 or self.alpha.shape[0] != self.beta.shape[0]:
             raise DimensionMismatchError("region model shapes disagree")
+        # Python floats: faster than numpy checks on arrays this small
+        entries = chain(self.alpha.ravel().tolist(), self.beta.tolist(), self.witness.tolist())
+        if not all(map(math.isfinite, entries)):
+            raise NonFiniteError("region model and witness must be finite")
         if not set(self.nonstrict_ids) <= set(self.halfspace_ids):
             raise ValueError("nonstrict_ids must be a subset of halfspace_ids")
 
@@ -512,45 +527,6 @@ def _sort_key(normal: np.ndarray, offset: float) -> tuple:
     return tuple(np.round(normal, _SORT_DECIMALS)) + (round(offset, _SORT_DECIMALS),)
 
 
-class _Table:
-    """Half-spaces merged within ``TOL_CANON``, kept in insertion order.
-
-    ``items`` holds each entry's ``(normal, offset)``; their stacked copies
-    let one array comparison find a match.
-    """
-
-    def __init__(self, dim: int):
-        self.items: list[tuple[np.ndarray, float]] = []
-        self._normals = np.empty((16, dim))
-        self._offsets = np.empty(16)
-
-    @property
-    def normals(self) -> np.ndarray:
-        return self._normals[: len(self.items)]
-
-    @property
-    def offsets(self) -> np.ndarray:
-        return self._offsets[: len(self.items)]
-
-    def find(self, normal: np.ndarray, offset: float) -> int | None:
-        """Index of the first entry within ``TOL_CANON`` of (normal, offset)."""
-        hit = (
-            (np.abs(self.offsets - offset) <= TOL_CANON)
-            & (np.abs(self.normals - normal).max(axis=1, initial=0.0) <= TOL_CANON)
-        ).nonzero()[0]
-        return int(hit[0]) if hit.size else None
-
-    def add(self, normal: np.ndarray, offset: float) -> int:
-        """Append an entry and return its index."""
-        k = len(self.items)
-        if k == len(self._offsets):
-            self._normals = np.vstack([self._normals, np.empty_like(self._normals)])
-            self._offsets = np.concatenate([self._offsets, np.empty_like(self._offsets)])
-        self._normals[k], self._offsets[k] = normal, offset
-        self.items.append((normal, offset))
-        return k
-
-
 def _candidates(rec: PatternRecord, dim: int) -> tuple[np.ndarray, list[float], list[bool]]:
     """A region's candidate conditions ``(normals, offsets, any_strict)``.
 
@@ -654,11 +630,13 @@ def extract_halfspaces(records: Sequence[PatternRecord], net: MLPNetwork):
     are constant constraints: they are checked for consistency and dropped.
     Per region, duplicates are merged and redundant conditions removed by LP
     (:func:`_facets`, shifted to the region's witness); survivors are pooled
-    into one deduplicated table, sorted by (normal, offset).  Returns
+    into one table, where conditions with equal floats share an entry, sorted
+    by (normal, offset).  Returns
     ``(table, region_ids, region_nonstrict_ids)``.
     """
     n = net.input_dim
-    reps = _Table(n)
+    index: dict[tuple[bytes, float], int] = {}
+    items: list[tuple[np.ndarray, float]] = []
     raw_ids: list[list[int]] = []
     raw_nonstrict: list[list[int]] = []
 
@@ -669,16 +647,16 @@ def extract_halfspaces(records: Sequence[PatternRecord], net: MLPNetwork):
         ids, owned = [], []
         for j in active:
             normal, offset = normals[j], offsets[j]
-            hit = reps.find(normal, offset)
-            if hit is None:
-                hit = reps.add(normal, offset)
+            # the first occurrence of the exact floats; + 0.0 folds -0.0 into 0.0
+            hit = index.setdefault(((normal + 0.0).tobytes(), offset + 0.0), len(items))
+            if hit == len(items):
+                items.append((normal, offset))
             ids.append(hit)
             if not any_strict[j]:
                 owned.append(hit)
         raw_ids.append(ids)
         raw_nonstrict.append(owned)
 
-    items = reps.items
     order = sorted(range(len(items)), key=lambda i: _sort_key(*items[i]))
     remap = {old: new for new, old in enumerate(order)}
     table = tuple(OrientedHalfspace(*items[i]) for i in order)
@@ -745,33 +723,29 @@ def dumps_decomposition(d: Decomposition) -> str:
 
 def loads_decomposition(text: str) -> Decomposition:
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != DECOMP_FORMAT:
-        raise ModelFormatError(f"expected format {DECOMP_FORMAT!r}")
-    try:
-        halfspaces = tuple(
-            OrientedHalfspace(np.array(item["h"], dtype=np.float64), item["c"])
-            for item in doc["halfspaces"]
+        doc = _read_json(text, DECOMP_FORMAT)
+        halfspaces, regions = doc["halfspaces"], doc["regions"]
+        normals = _read_array([item["h"] for item in halfspaces], "half-space normals", 2)
+        offsets = _read_array([item["c"] for item in halfspaces], "half-space offsets", 1)
+        alphas = _read_array([item["alpha"] for item in regions], "alpha", 3)
+        betas = _read_array([item["beta"] for item in regions], "beta", 2)
+        witnesses = _read_array([item["witness"] for item in regions], "witness", 2)
+        patterns = _read_ints([item["pattern"] for item in regions], "pattern", 3)
+        ids = _read_ints([item["halfspace_ids"] for item in regions], "halfspace_ids", 2)
+        owned = _read_ints(
+            [item.get("nonstrict_ids", []) for item in regions], "nonstrict_ids", 2
         )
-        regions = tuple(
-            Region(
-                ActivationPattern(tuple(tuple(layer) for layer in item["pattern"])),
-                np.array(item["alpha"], dtype=np.float64),
-                np.array(item["beta"], dtype=np.float64),
-                tuple(item["halfspace_ids"]),
-                np.array(item["witness"], dtype=np.float64),
-                tuple(item.get("nonstrict_ids", ())),
-            )
-            for item in doc["regions"]
-        )
+        partial = doc.get("partial", False)
+        if type(partial) is not bool:
+            raise ModelFormatError(f"partial must be true or false, got {partial!r}")
         return Decomposition(
-            int(doc["input_dim"]),
-            int(doc["output_dim"]),
-            halfspaces,
-            regions,
-            partial=bool(doc.get("partial", False)),
+            _read_ints(doc["input_dim"], "input_dim"),
+            _read_ints(doc["output_dim"], "output_dim"),
+            tuple(map(OrientedHalfspace, normals, offsets)),
+            tuple(
+                map(Region, map(ActivationPattern, patterns), alphas, betas, ids, witnesses, owned)
+            ),
+            partial=partial,
         )
     except (KeyError, TypeError, ValueError, DimensionMismatchError, NonFiniteError) as exc:
         raise ModelFormatError(f"malformed decomposition: {exc}") from exc

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import _SORT_DECIMALS, Decomposition, closed_lp
-from .errors import DimensionMismatchError, PointNotLocatedError, UnwrapError
+from .errors import DimensionMismatchError, NonFiniteError, PointNotLocatedError, UnwrapError
 from .lp import Extremum, extremize
 
 _EPS_FACE = 1e-12  # margin below which a point counts as on a face
@@ -70,65 +70,70 @@ def _runs(ufunc, values: np.ndarray, starts: np.ndarray, empty) -> np.ndarray:
     return out
 
 
-def _face_ok(margins: np.ndarray, owned: np.ndarray, eps: float) -> np.ndarray:
-    """Per condition: it holds strictly, or the point lies within ``eps`` on
-    a face the region owns.  A margin ``h . x - c`` is positive where the
-    condition holds."""
-    return ~(margins < -eps) & (~(margins <= eps) | owned)
+def _face_ok(margins: np.ndarray, owned: np.ndarray) -> np.ndarray:
+    """Per condition: it holds strictly, or the point lies within
+    ``_EPS_FACE`` on a face the region owns.  A margin ``h . x - c`` is
+    positive where the condition holds."""
+    return ~(margins < -_EPS_FACE) & (~(margins <= _EPS_FACE) | owned)
 
 
-def _inside(d: Decomposition, region: int, X: np.ndarray, eps: float) -> np.ndarray:
+def _inside(d: Decomposition, region: int, X: np.ndarray) -> np.ndarray:
     """Whether each row of X lies in one region, face ownership honoured."""
+    if not np.isfinite(X).all():
+        raise NonFiniteError("query points must be finite")
     ids, owned, starts = d.region_rows
     r = range(d.num_regions)[region]  # a negative index counts from the end
     run = slice(starts[r], starts[r + 1])
     margins = X @ d.halfspace_normals[ids[run]].T - d.halfspace_offsets[ids[run]]
-    return _face_ok(margins, owned[run], eps).all(axis=1)
+    return _face_ok(margins, owned[run]).all(axis=1)
 
 
-def _hosts(d: Decomposition, X: np.ndarray, eps: float):
+def _hosts(d: Decomposition, X: np.ndarray):
     """(hosts, margins): the host region of each row of X, -1 where none.
 
     The host is the first region the point lies in strictly (every margin
-    above ``eps``), else the first region containing it through owned faces.
-    ``margins`` holds every region's conditions in ``region_rows`` order.
+    above ``_EPS_FACE``), else the first region containing it through owned
+    faces.  ``margins`` holds every region's conditions in ``region_rows``
+    order.
     """
+    if not np.isfinite(X).all():
+        raise NonFiniteError("query points must be finite")
     ids, owned, starts = d.region_rows
     margins = (X @ d.halfspace_normals.T - d.halfspace_offsets)[:, ids]
     hosts = np.full(X.shape[0], -1, dtype=np.intp)
     if d.num_regions:
-        strict = _runs(np.logical_and, margins > eps, starts, True)
-        inside = _runs(np.logical_and, _face_ok(margins, owned, eps), starts, True)
+        strict = _runs(np.logical_and, margins > _EPS_FACE, starts, True)
+        inside = _runs(np.logical_and, _face_ok(margins, owned), starts, True)
         hosts = np.where(inside.any(axis=1), inside.argmax(axis=1), hosts)
         hosts = np.where(strict.any(axis=1), strict.argmax(axis=1), hosts)
     return hosts, margins
 
 
-def region_contains(
-    d: Decomposition, region: int, x, *, eps: float = _EPS_FACE
-) -> bool:
+def region_contains(d: Decomposition, region: int, x) -> bool:
     """Membership test honouring face ownership.
 
     A point belongs to a region when every bounding condition holds
-    strictly, or lies (within ``eps``) on faces the region owns.
+    strictly, or lies (within ``_EPS_FACE``) on faces the region owns.
+    Raises :class:`NonFiniteError` for a NaN or infinite coordinate.
     """
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    return bool(_inside(d, region, x, eps)[0])
+    return bool(_inside(d, region, x)[0])
 
 
-def locate_many(d: Decomposition, X, *, eps: float = _EPS_FACE) -> np.ndarray:
+def locate_many(d: Decomposition, X) -> np.ndarray:
     """Index of the region containing each row of X, as :func:`locate_region`
     finds it.
 
     Raises :class:`PointNotLocatedError` for the first row no region
-    contains.
+    contains, and :class:`NonFiniteError` if any coordinate is NaN or
+    infinite.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != d.input_dim:
         raise DimensionMismatchError(
             f"expected points shaped (N, {d.input_dim}), got {X.shape}"
         )
-    hosts, margins = _hosts(d, X, eps)
+    hosts, margins = _hosts(d, X)
     missing = np.flatnonzero(hosts < 0)
     if missing.size:
         i = int(missing[0])
@@ -145,29 +150,30 @@ def locate_many(d: Decomposition, X, *, eps: float = _EPS_FACE) -> np.ndarray:
     return hosts
 
 
-def locate_region(d: Decomposition, x, *, eps: float = _EPS_FACE) -> int:
+def locate_region(d: Decomposition, x) -> int:
     """Index of the region containing x.
 
     Strict containment wins; points on a face resolve to the region owning
     it.  If nothing matches (a numerically ambiguous boundary point), raises
     :class:`PointNotLocatedError` carrying the nearest region by violation.
+    A NaN or infinite coordinate raises :class:`NonFiniteError`.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if x.shape[0] != d.input_dim:
         raise DimensionMismatchError(
             f"point has {x.shape[0]} coordinates, decomposition has {d.input_dim}"
         )
-    return int(locate_many(d, x[None, :], eps=eps)[0])
+    return int(locate_many(d, x[None, :])[0])
 
 
-def exact_shap(
-    d: Decomposition, x, background, *, eps: float = _EPS_FACE
-) -> ShapResult:
+def exact_shap(d: Decomposition, x, background) -> ShapResult:
     """Closed-form SHAP values of the model hosting x.
 
     The background mean is taken over the background points lying in the
     same region; if none do, the full-background mean is used and the result
     is flagged approximate.  phi[i, j] = alpha[j, i] * (x[i] - mu[i]).
+    A NaN or infinite coordinate of x or of a background point raises
+    :class:`NonFiniteError`.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     bg = np.atleast_2d(np.asarray(background, dtype=np.float64))
@@ -178,8 +184,8 @@ def exact_shap(
             f"background points have {bg.shape[1]} coordinates, "
             f"decomposition has {d.input_dim}"
         )
-    r = locate_region(d, x, eps=eps)
-    inside = bg[_inside(d, r, bg, eps)]
+    r = locate_region(d, x)
+    inside = bg[_inside(d, r, bg)]
     approximate = len(inside) == 0
     mu = np.mean(bg if approximate else inside, axis=0)
     phi = d.regions[r].alpha.T * (x - mu)[:, None]
@@ -372,7 +378,7 @@ def plot_regions_2d(d: Decomposition, points, bounds, out, labels=None):
 
     # red squares for bounded regions hosting points
     # points on unowned faces (host -1) get no square
-    hosts = _hosts(d, pts, _EPS_FACE)[0]
+    hosts = _hosts(d, pts)[0]
     for r in np.unique(hosts[hosts >= 0]).tolist():
         cube = hypercube(d, r)
         if cube.unbounded_dims or not np.isfinite(cube.side):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,6 +34,83 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     out = np.array(values, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+# ---------------------------------------------------------------------------
+# The strict reader shared by the model, decomposition and shallow formats
+
+# entry types of a numeric block (bool is not int here); str only as a token
+_BLOCK_TYPES = frozenset((float, int, str))
+
+
+def _reject_constant(token: str):
+    raise NonFiniteError(f"non-finite literal {token!r} is not allowed")
+
+
+def _read_json(text: str, fmt: str) -> dict:
+    """The JSON object of a ``fmt`` document.
+
+    A bare ``NaN``, ``Infinity`` or ``-Infinity`` literal raises
+    :class:`NonFiniteError`; invalid JSON, a non-object and a wrong format
+    tag raise :class:`ModelFormatError`.
+    """
+    try:
+        doc = json.loads(text, parse_constant=_reject_constant)
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise ModelFormatError(f"expected a JSON object with format {fmt!r}")
+    return doc
+
+
+def _entries(value, what: str, ndim: int, shape: list | None = None) -> list:
+    """The entries of ``value``, lists nested ``ndim`` deep, in row-major order.
+
+    Given ``shape``, sibling lists must have equal lengths, which are
+    appended to it level by level.
+    """
+    level = [value]
+    for _ in range(ndim):
+        if not set(map(type, level)) <= {list}:
+            raise ModelFormatError(f"{what} must be lists nested {ndim} deep")
+        if shape is not None:
+            sizes = set(map(len, level))
+            if len(sizes) > 1:
+                raise DimensionMismatchError(f"{what} has rows of unequal lengths")
+            shape.append(sizes.pop() if sizes else 0)
+        level = list(chain.from_iterable(level))
+    return level
+
+
+def _read_ints(value, what: str, ndim: int = 0):
+    """``value``, checked to hold only integers (rows may differ in length)."""
+    if not set(map(type, _entries(value, what, ndim))) <= {int}:
+        raise ModelFormatError(f"{what} must hold integers")
+    return value
+
+
+def _read_array(value, what: str, ndim: int, token: str | None = None) -> np.ndarray:
+    """A block of JSON numbers in lists nested ``ndim`` deep, as float64.
+
+    A string or a boolean entry raises :class:`ModelFormatError`, except
+    that the string ``token``, where given, reads as -inf.  Rows of unequal
+    lengths raise :class:`DimensionMismatchError`, and a number beyond the
+    float range, such as ``1e400``, raises :class:`NonFiniteError`.
+    """
+    shape: list[int] = []
+    entries = _entries(value, what, ndim, shape)
+    types = list(map(type, entries))
+    tokens = 0 if token is None else entries.count(token)
+    if not set(types) <= _BLOCK_TYPES or types.count(str) != tokens:
+        allowed = "numbers" if token is None else f"numbers or {token!r}"
+        raise ModelFormatError(f"{what} entries must be {allowed}")
+    try:
+        block = np.array(entries, dtype=np.float64).reshape(shape)
+    except OverflowError:  # an integer beyond the float range counts as infinite
+        block = np.full(shape, np.inf)
+    if np.count_nonzero(np.isinf(block)) != tokens:
+        raise NonFiniteError(f"{what} holds a number beyond the float range")
+    return block
 
 
 @dataclass(frozen=True)
@@ -233,46 +311,17 @@ def _layer_to_jsonable(layer: Layer) -> dict:
 
 
 def _layer_from_jsonable(obj, what: str) -> Layer:
-    if not isinstance(obj, dict) or "weights" not in obj or "bias" not in obj:
-        raise ModelFormatError(f"{what} must be an object with weights and bias")
-    weights, bias = obj["weights"], obj["bias"]
-    if (
-        not isinstance(weights, list)
-        or not weights
-        or not all(isinstance(row, list) for row in weights)
-    ):
-        raise ModelFormatError(f"{what} weights must be a non-empty list of rows")
-    width = len(weights[0])
-    if width < 1 or any(len(row) != width for row in weights):
-        raise DimensionMismatchError(f"{what} weight rows have unequal lengths")
-    if not isinstance(bias, list):
-        raise ModelFormatError(f"{what} bias must be a list")
-    for row in weights:
-        for v in row:
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ModelFormatError(f"{what} weights must be numbers")
-    for v in bias:
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ModelFormatError(f"{what} bias must be numbers")
-    return Layer(np.array(weights, dtype=np.float64), np.array(bias, dtype=np.float64))
-
-
-def _reject_constant(token: str):
-    raise NonFiniteError(f"non-finite literal {token!r} is not allowed")
+    if not isinstance(obj, dict) or not obj.get("weights") or "bias" not in obj:
+        raise ModelFormatError(f"{what} must be an object with non-empty weights and a bias")
+    return Layer(
+        _read_array(obj["weights"], f"{what} weights", 2),
+        _read_array(obj["bias"], f"{what} bias", 1),
+    )
 
 
 def loads_model(text: str) -> MLPNetwork:
     """Parse a ``relu-mlp-v1`` JSON document."""
-    try:
-        doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ModelFormatError("model document must be a JSON object")
-    if doc.get("format") != MODEL_FORMAT:
-        raise ModelFormatError(
-            f"expected format {MODEL_FORMAT!r}, got {doc.get('format')!r}"
-        )
+    doc = _read_json(text, MODEL_FORMAT)
     raw_hidden = doc.get("hidden_layers")
     if not isinstance(raw_hidden, list):
         raise ModelFormatError("hidden_layers must be a list")

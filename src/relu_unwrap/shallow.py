@@ -54,7 +54,15 @@ from .errors import (
     NonFiniteError,
     UnwrapError,
 )
-from .network import ActivationPattern, MLPNetwork, _frozen_array, forward_many
+from .network import (
+    ActivationPattern,
+    MLPNetwork,
+    _frozen_array,
+    _read_array,
+    _read_ints,
+    _read_json,
+    forward_many,
+)
 
 SHALLOW_FORMAT = "relu-shallow-v1"
 EVAL_BLOCK = 1024  # points per block of eval_shallow_many
@@ -503,38 +511,6 @@ def _encode_matrix(W: np.ndarray):
     ]
 
 
-def _decode_matrix(obj, name: str) -> np.ndarray:
-    if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
-        raise ModelFormatError(f"{name} must be a list of rows")
-    out = []
-    for row in obj:
-        vals = []
-        for v in row:
-            if isinstance(v, str):
-                if v != _NEG_INF_TOKEN:
-                    raise ModelFormatError(
-                        f"{name}: unknown token {v!r}, only {_NEG_INF_TOKEN!r} is valid"
-                    )
-                vals.append(-np.inf)
-            elif isinstance(v, (int, float)) and not isinstance(v, bool):
-                vals.append(float(v))
-            else:
-                raise ModelFormatError(f"{name} entries must be numbers")
-        out.append(vals)
-    if len({len(row) for row in out}) > 1:
-        raise ModelFormatError(f"{name} rows have unequal lengths")
-    return np.array(out, dtype=np.float64)
-
-
-def _decode_vector(obj, name: str) -> np.ndarray:
-    if not isinstance(obj, list):
-        raise ModelFormatError(f"{name} must be a list")
-    for v in obj:
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ModelFormatError(f"{name} entries must be finite numbers")
-    return np.array(obj, dtype=np.float64)
-
-
 def dumps_shallow(s: ShallowNetwork) -> str:
     doc = {
         "format": SHALLOW_FORMAT,
@@ -551,35 +527,23 @@ def dumps_shallow(s: ShallowNetwork) -> str:
 
 
 def loads_shallow(text: str) -> ShallowNetwork:
-    def reject(token):
-        raise ModelFormatError(
-            f"bare {token} is not valid here; use the {_NEG_INF_TOKEN!r} string token"
-        )
-
     try:
-        doc = json.loads(text, parse_constant=reject)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != SHALLOW_FORMAT:
-        raise ModelFormatError(f"expected format {SHALLOW_FORMAT!r}")
-    try:
+        doc = _read_json(text, SHALLOW_FORMAT)
         net = ShallowNetwork(
-            _decode_matrix(doc["W1"], "W1"),
-            _decode_vector(doc["b1"], "b1"),
-            _decode_matrix(doc["W2"], "W2"),
-            _decode_vector(doc["b2"], "b2"),
-            _decode_matrix(doc["W3"], "W3"),
-            _decode_vector(doc["b3"], "b3"),
-            _decode_matrix(doc["W4"], "W4"),
+            _read_array(doc["W1"], "W1", 2),
+            _read_array(doc["b1"], "b1", 1),
+            _read_array(doc["W2"], "W2", 2),
+            _read_array(doc["b2"], "b2", 1),
+            _read_array(doc["W3"], "W3", 2, token=_NEG_INF_TOKEN),
+            _read_array(doc["b3"], "b3", 1),
+            _read_array(doc["W4"], "W4", 2),
         )
-    except KeyError as exc:
-        raise ModelFormatError(f"missing field {exc}") from exc
-    except (NonFiniteError, DimensionMismatchError) as exc:
-        raise ModelFormatError(str(exc)) from exc
-    if "widths" in doc and list(doc["widths"]) != list(net.widths):
-        raise ModelFormatError(
-            f"declared widths {doc['widths']} do not match weights {list(net.widths)}"
-        )
+        if "widths" in doc and _read_ints(doc["widths"], "widths", 1) != list(net.widths):
+            raise ModelFormatError(
+                f"declared widths {doc['widths']} do not match weights {list(net.widths)}"
+            )
+    except (KeyError, NonFiniteError, DimensionMismatchError) as exc:
+        raise ModelFormatError(f"malformed shallow network: {exc}") from exc
     return net
 
 

@@ -11,6 +11,7 @@ from relu_unwrap import (
     IterationLimitError,
     Layer,
     MLPNetwork,
+    ShapResult,
     decompose,
     dumps_decomposition,
     eval_shallow_many,
@@ -326,6 +327,33 @@ class TestShap:
         )
         assert code == 1 and stdout == ""
         assert "alpha" in stderr
+
+    @pytest.mark.parametrize(
+        "nan_alpha,point", [(True, "0.1,0.2"), (False, "nan,0")], ids=["nan-alpha", "nan-point"]
+    )
+    def test_non_finite_input_exit_1(self, capsys, tmp_path, nan_alpha, point):
+        """A NaN in the region table or in the point gives no attributions."""
+        doc = json.loads(dumps_decomposition(decompose(biased_net([2, 4, 4], 2, seed=0))))
+        if nan_alpha:
+            doc["regions"][0]["alpha"][0][0] = float("nan")  # written as a bare NaN
+        path, bg = tmp_path / "d.json", tmp_path / "bg.csv"
+        path.write_text(json.dumps(doc))
+        bg.write_text("0.0,0.0\n")
+        code, stdout, _ = run(
+            capsys, "shap", "--decomp", str(path), "--point", point, "--background", str(bg)
+        )
+        assert code == 1 and stdout == ""
+
+    def test_nan_payload_not_printed(self, capsys, tmp_path, linear_decomp_file, monkeypatch):
+        """stdout is strict JSON: a payload holding NaN is exit 1 with nothing printed."""
+        nan_result = ShapResult(np.full((2, 1), np.nan), 0, np.zeros(2), False)
+        monkeypatch.setattr(cli, "exact_shap", lambda d, x, background: nan_result)
+        bg = tmp_path / "bg.csv"
+        bg.write_text("0.0,0.0\n")
+        code, stdout, _ = run(
+            capsys, "shap", "--decomp", linear_decomp_file, "--point", "1,1", "--background", str(bg)
+        )
+        assert code == 1 and stdout == ""
 
 
 class TestBench:

@@ -19,6 +19,7 @@ from relu_unwrap import (
     LinearProgram,
     MLPNetwork,
     ModelFormatError,
+    NonFiniteError,
     OrientedHalfspace,
     PatternRecord,
     Region,
@@ -436,6 +437,14 @@ class TestRegionValidation:
         )
         with pytest.raises(ValueError):
             Decomposition(2, 1, (hs,), (reg, reg))
+
+    @pytest.mark.parametrize("field", ["alpha", "beta", "witness"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_model_or_witness_rejected(self, field, bad):
+        parts = {"alpha": np.zeros((1, 2)), "beta": np.zeros(1), "witness": np.zeros(2)}
+        parts[field].flat[0] = bad
+        with pytest.raises(NonFiniteError):
+            Region(ActivationPattern(((1,),)), parts["alpha"], parts["beta"], (), parts["witness"])
 
 
 # ---------------------------------------------------------------------------

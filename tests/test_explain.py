@@ -9,6 +9,7 @@ from relu_unwrap import (
     ActivationPattern,
     Decomposition,
     DimensionMismatchError,
+    NonFiniteError,
     OrientedHalfspace,
     PointNotLocatedError,
     Region,
@@ -200,6 +201,23 @@ class TestExactShap:
         assert isinstance(doc["phi"], list)
         assert doc["region"] == 0
         assert doc["approximate"] is False
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_rejected(demo_net_m2, tmp_path, bad):
+    """A NaN or infinite coordinate is refused wherever points meet the table."""
+    d = decompose(demo_net_m2)
+    point = [bad, 1.0]
+    for query in (
+        lambda: locate_region(d, point),
+        lambda: locate_many(d, [[1.0, 1.0], point]),
+        lambda: region_contains(d, 0, point),
+        lambda: exact_shap(d, point, [[1.0, 1.0]]),
+        lambda: exact_shap(d, [1.0, 1.0], [[1.0, 1.0], point]),
+        lambda: plot_regions_2d(d, [point], (-2, -2, 2, 2), str(tmp_path / "p.svg")),
+    ):
+        with pytest.raises(NonFiniteError):
+            query()
 
 
 class TestBruteForceShap:
