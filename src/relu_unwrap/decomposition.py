@@ -102,9 +102,11 @@ class OrientedHalfspace:
         normal = _frozen_array(self.normal).reshape(-1)
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "offset", float(self.offset))
-        length = float(np.linalg.norm(normal))
-        if not np.isfinite(self.offset) or not np.isfinite(normal).all():
+        # Python floats: faster than numpy checks on arrays this small
+        entries = normal.tolist()
+        if not math.isfinite(self.offset) or not all(map(math.isfinite, entries)):
             raise NonFiniteError("half-space entries must be finite")
+        length = math.hypot(*entries)
         if abs(length - 1.0) > 1e-6:
             raise ValueError(f"half-space normal has length {length}, expected 1")
 
@@ -582,33 +584,40 @@ def _prune_sequential(lp: LinearProgram) -> list[int]:
     return active
 
 
-def _facets(lp: LinearProgram) -> list[int]:
-    """Rows of a closed region program that bound it, as the sequential
+def _facets(lps: Sequence[LinearProgram]) -> list[list[int]]:
+    """Rows of each closed region program that bound it, as the sequential
     loop finds them.
 
-    ``lp`` is shifted to a point of the region, so a feasible start is at
-    hand when that point clears every row.  Then two stacked solves
-    suffice: every row tested against all the others gives the facets F,
-    and when every other row is redundant against F alone, F is what the
-    sequential loop keeps (a facet stays one against any subset of the
-    rows, and every other row is implied by the facets it keeps).  The loop
-    runs instead when the point sits on a row, F is empty, or a row is not
-    implied by F.
+    Each program is shifted to a point of its region, so a feasible start
+    is at hand when that point clears every row.  Then two passes, each a
+    stacked call over all regions, suffice: every row tested against all
+    the others gives a region's facets F, and when every other row is
+    redundant against F alone, F is what the sequential loop keeps (a facet
+    stays one against any subset of the rows, and every other row is
+    implied by the facets it keeps).  A region runs the loop instead when it
+    has fewer than two rows, its point sits on a row, F is empty, a row is
+    not implied by F, or one of its own programs ran out of pivots.
     """
-    if lp.num_rows < 2 or not (lp.b > 0.0).all():
-        return _prune_sequential(lp)
-    try:
-        facet = ~is_redundant(np.arange(lp.num_rows), lp)
-        kept, rest = np.flatnonzero(facet), np.flatnonzero(~facet)
-        if kept.size and rest.size:
-            bounds = LinearProgram(lp.A[kept], lp.b[kept], lp.strict[kept])
-            tops = extremize(lp.A[rest], bounds)
-            implied = all(dominated(top, lp.b[j]) for top, j in zip(tops, rest))
+    quick = [j for j, lp in enumerate(lps) if lp.num_rows >= 2 and (lp.b > 0.0).all()]
+    first = is_redundant([np.arange(lps[j].num_rows) for j in quick], [lps[j] for j in quick])
+    facets: list[list[int] | None] = [None] * len(lps)
+    checks = []  # (region, facets F, rows to test against F)
+    for j, redundant in zip(quick, first):
+        if redundant is None or redundant.all():
+            continue
+        kept, rest = np.flatnonzero(~redundant), np.flatnonzero(redundant)
+        if rest.size:
+            checks.append((j, kept, rest))
         else:
-            implied = kept.size > 0
-    except IterationLimitError:
-        implied = False
-    return kept.tolist() if implied else _prune_sequential(lp)
+            facets[j] = kept.tolist()
+    tops = extremize(
+        [lps[j].A[rest] for j, _, rest in checks],
+        [LinearProgram(lps[j].A[kept], lps[j].b[kept], lps[j].strict[kept]) for j, kept, _ in checks],
+    )
+    for (j, kept, rest), top in zip(checks, tops):
+        if top is not None and all(map(dominated, top, lps[j].b[rest].tolist())):
+            facets[j] = kept.tolist()
+    return [_prune_sequential(lp) if f is None else f for lp, f in zip(lps, facets)]
 
 
 def closed_lp(normals, offsets) -> LinearProgram:
@@ -628,10 +637,11 @@ def extract_halfspaces(records: Sequence[PatternRecord], net: MLPNetwork):
     condition that holds strictly on the region's interior: bit 1 rows give
     ``(M[i], -o[i])``, bit 0 rows the opposite orientation.  Zero-normal rows
     are constant constraints: they are checked for consistency and dropped.
-    Per region, duplicates are merged and redundant conditions removed by LP
-    (:func:`_facets`, shifted to the region's witness); survivors are pooled
-    into one table, where conditions with equal floats share an entry, sorted
-    by (normal, offset).  Returns
+    Duplicates are merged per region, and redundant conditions are removed
+    by LP in two stacked passes over all regions (:func:`_facets`, each
+    region's program shifted to its witness); survivors are pooled into one
+    table, where conditions with equal floats share an entry, sorted by
+    (normal, offset).  Returns
     ``(table, region_ids, region_nonstrict_ids)``.
     """
     n = net.input_dim
@@ -640,10 +650,9 @@ def extract_halfspaces(records: Sequence[PatternRecord], net: MLPNetwork):
     raw_ids: list[list[int]] = []
     raw_nonstrict: list[list[int]] = []
 
-    for rec in records:
-        normals, offsets, any_strict = _candidates(rec, n)
-        active = _facets(closed_lp(normals, offsets).shifted(rec.witness))
-
+    candidates = [_candidates(rec, n) for rec in records]
+    lps = [closed_lp(c[0], c[1]).shifted(rec.witness) for c, rec in zip(candidates, records)]
+    for (normals, offsets, any_strict), active in zip(candidates, _facets(lps)):
         ids, owned = [], []
         for j in active:
             normal, offset = normals[j], offsets[j]

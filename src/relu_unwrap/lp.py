@@ -18,13 +18,18 @@ feasible start and phase 1 is skipped.
 The simplex takes a stack of same-shaped programs and pivots them in
 lockstep; each program follows exactly the pivots it would follow alone, so
 a stacked solve returns bitwise what one-at-a-time solves return, and a
-scalar call is a stack of one.  :func:`extremize` stacks directions over
-one system, :func:`is_redundant` stacks rows of one system, and
-:func:`check_feasible_many` stacks whole systems, padding shorter ones with
-rows ``0 . x <= 1`` that no pivot touches.  Every program has its own pivot
-budget of ``ITERATION_FACTOR * (rows + dim)``, a guard against numerical
-pathology; exceeding it raises :class:`IterationLimitError` and callers in
-the pattern search must then keep the candidate rather than prune it.
+scalar call is a stack of one.  One helper builds every stack, padding
+shorter programs with rows ``0 . x <= 1`` that no pivot touches, and a
+stack holds at most ``STACK_SIZE`` programs.  :func:`check_feasible_many`
+stacks whole systems.  :func:`extremize` stacks directions and
+:func:`is_redundant` tested rows: over one system, or, given a sequence of
+systems, over all of them at once, taken in order of row count so padding
+stays short.  Every program has its own pivot budget of
+``ITERATION_FACTOR * (rows + dim)``, counted on its unpadded rows, a guard
+against numerical pathology.  A call on one program raises
+:class:`IterationLimitError` when a budget runs out; a call on a sequence
+gives None for that program's system alone, and callers in the pattern
+search must then keep the candidate rather than prune it.
 """
 
 from __future__ import annotations
@@ -284,18 +289,6 @@ def _simplex(G: np.ndarray, h: np.ndarray, c: np.ndarray, limit):
     return status, y
 
 
-def _solve(G, h, c, limit):
-    """:func:`_simplex`, raising :class:`IterationLimitError` if any program
-    of the stack ran out of pivots."""
-    status, y = _simplex(G, h, c, limit)
-    if (status == _LIMIT).any():
-        m, dim = G.shape[1:]
-        raise IterationLimitError(
-            f"simplex exceeded {limit} pivots on a {m}x{dim} program"
-        )
-    return status, y
-
-
 def check_feasible(lp: LinearProgram) -> FeasibilityResult:
     """Classify a system with strict rows.
 
@@ -330,21 +323,43 @@ def check_feasible_many(lps: Sequence[LinearProgram]) -> list[FeasibilityResult 
     return results
 
 
+def _stack(blocks, rows: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Programs stacked as ``G`` (B, rows, width) and ``h`` (B, rows).
+
+    ``blocks`` holds ``(A, b, copies)``: ``copies`` programs whose first
+    rows are ``A x <= b``.  Every other entry of ``G`` is zero and of ``h``
+    one, so a program's rows past its own are ``0 . x <= 1``, which no pivot
+    touches: it pivots as it would alone.
+    """
+    G = np.zeros((sum(copies for _, _, copies in blocks), rows, width))
+    h = np.ones(G.shape[:2])
+    at = 0
+    for A, b, copies in blocks:
+        m, d = A.shape
+        G[at : at + copies, :m, :d] = A
+        h[at : at + copies, :m] = b
+        at += copies
+    return G, h
+
+
+def _one_dimension(lps: Sequence[LinearProgram]) -> int:
+    dims = {lp.dim for lp in lps}
+    if len(dims) > 1:
+        raise DimensionMismatchError("stacked programs must share one dimension")
+    return dims.pop() if dims else 0
+
+
 def _feasibility(lps: Sequence[LinearProgram]) -> list[FeasibilityResult | None]:
     """The slack programs of ``lps`` (see the module docstring), stacked."""
-    B, d = len(lps), lps[0].dim
+    d = _one_dimension(lps)
     rows = [lp.num_rows for lp in lps]
     r = max(rows)
-    G = np.zeros((B, r + 1, d + 1))
-    h = np.ones((B, r + 1))
+    # column d is the slack t, on the strict rows and in the last row t <= 1
+    G, h = _stack([(lp.A, lp.b, 1) for lp in lps], r + 1, d + 1)
     for j, lp in enumerate(lps):
-        if lp.dim != d:
-            raise DimensionMismatchError("stacked programs must share one dimension")
-        G[j, : rows[j], :d] = lp.A
         G[j, : rows[j], d] = lp.strict
-        h[j, : rows[j]] = lp.b
     G[:, r, d] = 1.0
-    c = np.zeros((B, d + 1))
+    c = np.zeros((len(lps), d + 1))
     c[:, d] = 1.0
     status, y = _simplex(G, h, c, iteration_limit(np.array(rows) + 1, d + 1))
     results: list[FeasibilityResult | None] = []
@@ -378,29 +393,110 @@ def _extremum(status: int, direction: np.ndarray, y: np.ndarray) -> ExtremizeRes
     return ExtremizeResult(Extremum.BOUNDED, float(direction @ y), y)
 
 
-def extremize(direction, lp: LinearProgram):
+def _stacks(sizes: Sequence[int], order: Sequence[int]):
+    """Stacks of at most ``STACK_SIZE`` programs, as ``(system, lo, hi)``
+    slices: programs ``lo`` to ``hi`` of each system, systems in ``order``."""
+    stack, room = [], STACK_SIZE
+    for j in order:
+        lo = 0
+        while lo < sizes[j]:
+            hi = min(sizes[j], lo + room)
+            stack.append((j, lo, hi))
+            room -= hi - lo
+            lo = hi
+            if not room:
+                yield stack
+                stack, room = [], STACK_SIZE
+    if stack:
+        yield stack
+
+
+def _maximise(lps, objectives, dropped=None, bounds=None) -> list[list | None]:
+    """Maximise every row of ``objectives[j]`` over the closed rows of
+    ``lps[j]``, for every system ``j``, in stacked solves.
+
+    With ``dropped``, the program of ``objectives[j][t]`` has row
+    ``dropped[j][t]`` replaced by ``0 . x <= 1``, and the pivot budget of a
+    system one row shorter.  Systems are taken in order of row count, so
+    padding stays short; every program keeps the budget of its unpadded
+    self.  Returns per system its :class:`ExtremizeResult` list, or with
+    ``bounds`` whether each maximum is :func:`dominated` by
+    ``bounds[j][t]``; None marks a system one of whose programs ran out of
+    pivots.
+    """
+    d = _one_dimension(lps)
+    spare = 0 if dropped is None else 1
+    results: list[list] = [[] for _ in lps]
+    failed = [False] * len(lps)
+    order = sorted(range(len(lps)), key=lambda j: lps[j].num_rows)
+    for stack in _stacks([len(c) for c in objectives], order):
+        G, h = _stack(
+            [(lps[j].A, lps[j].b, hi - lo) for j, lo, hi in stack],
+            max(lps[j].num_rows for j, _, _ in stack),
+            d,
+        )
+        c = np.concatenate([objectives[j][lo:hi] for j, lo, hi in stack])
+        limits = []
+        for j, lo, hi in stack:
+            limits += [iteration_limit(lps[j].num_rows - spare, d)] * (hi - lo)
+        if dropped is not None:
+            k = np.arange(len(c))
+            rows = np.concatenate([dropped[j][lo:hi] for j, lo, hi in stack])
+            G[k, rows] = 0.0
+            h[k, rows] = 1.0
+        status, y = _simplex(G, h, c, limits)
+        status = status.tolist()
+        at = 0
+        for j, lo, hi in stack:
+            span = slice(at, at + hi - lo)
+            failed[j] |= _LIMIT in status[span]
+            tops = map(_extremum, status[span], c[span], y[span])
+            results[j].extend(tops if bounds is None else map(dominated, tops, bounds[j][lo:hi]))
+            at = span.stop
+    return [None if fail else res for fail, res in zip(failed, results)]
+
+
+def _alone(result, lp: LinearProgram):
+    """The result of a call on one program; None means it ran out of pivots."""
+    if result is None:
+        raise IterationLimitError(f"simplex ran out of pivots on a {lp.num_rows}x{lp.dim} program")
+    return result
+
+
+def extremize(direction, lp):
     """Maximise ``direction . x`` over the closed system (strictness ignored).
 
     ``direction`` is one vector, giving one :class:`ExtremizeResult`, or a
-    (B, dim) stack of directions, giving a tuple of B results from one
-    stacked solve.
+    (B, dim) stack of directions, giving a tuple of B results.  ``lp`` may
+    also be a sequence of programs sharing one dimension, with ``direction``
+    a matching sequence: the result is then a list holding, per program,
+    bitwise what the call on that program alone returns, or None where that
+    call would raise :class:`IterationLimitError`.  Every program of a call
+    goes to stacked solves.
     """
-    D = np.asarray(direction, dtype=np.float64)
-    if D.ndim not in (1, 2) or D.shape[-1] != lp.dim:
-        raise DimensionMismatchError(
-            f"direction has length {D.shape[-1] if D.ndim else 1}, "
-            f"program dim is {lp.dim}"
-        )
-    stack = np.atleast_2d(D)
-    B = stack.shape[0]
-    status, y = _solve(
-        np.broadcast_to(lp.A, (B,) + lp.A.shape),
-        np.broadcast_to(lp.b, (B, lp.num_rows)),
-        stack,
-        iteration_limit(lp.num_rows, lp.dim),
-    )
-    results = tuple(map(_extremum, status, stack, y))
-    return results[0] if D.ndim == 1 else results
+    # the public names never call each other, so a traced call is one span
+    if isinstance(lp, LinearProgram):
+        return _alone(_extrema([direction], [lp])[0], lp)
+    return _extrema(direction, lp)
+
+
+def _extrema(directions, lps) -> list:
+    """:func:`extremize` on a sequence of programs."""
+    lps = list(lps)
+    stacks = [np.asarray(D, dtype=np.float64) for D in directions]
+    if len(stacks) != len(lps):
+        raise DimensionMismatchError(f"{len(stacks)} directions for {len(lps)} programs")
+    for D, lp in zip(stacks, lps):
+        if D.ndim not in (1, 2) or D.shape[-1] != lp.dim:
+            raise DimensionMismatchError(
+                f"direction has length {D.shape[-1] if D.ndim else 1}, "
+                f"program dim is {lp.dim}"
+            )
+    tops = _maximise(lps, [np.atleast_2d(D) for D in stacks])
+    return [
+        top if top is None else tuple(top) if D.ndim == 2 else top[0]
+        for D, top in zip(stacks, tops)
+    ]
 
 
 def dominated(res: ExtremizeResult, bound: float) -> bool:
@@ -418,32 +514,39 @@ def dominated(res: ExtremizeResult, bound: float) -> bool:
     return res.value <= bound + TOL_REDUNDANT
 
 
-def is_redundant(row, lp: LinearProgram):
+def is_redundant(row, lp):
     """True iff dropping ``row`` cannot enlarge the closed feasible set.
 
     Decided by maximising the row over the remaining closed rows (see
     :func:`dominated`).  ``row`` is one index, giving a bool, or an array of
-    indices, giving a bool array from one stacked solve.  Each program
-    keeps the system's shape: the tested row is replaced by ``0 . x <= 1``,
-    which every point meets.
+    indices, giving a bool array.  Each program keeps the system's shape:
+    the tested row is replaced by ``0 . x <= 1``, which every point meets.
+    ``lp`` may also be a sequence of programs sharing one dimension, with
+    ``row`` a matching sequence: the result is then a list holding, per
+    program, what the call on that program alone returns, or None where
+    that call would raise :class:`IterationLimitError`.  Every program of a
+    call goes to stacked solves.
     """
-    rows = np.asarray(row)
-    flat = rows.reshape(-1)
-    bad = (flat < 0) | (flat >= lp.num_rows)
-    if bad.any():
-        raise IndexError(f"row {flat[bad][0]} out of range")
-    B = flat.size
-    k = np.arange(B)
-    G = np.repeat(lp.A[None], B, axis=0)
-    h = np.repeat(lp.b[None], B, axis=0)
-    G[k, flat] = 0.0
-    h[k, flat] = 1.0
-    status, y = _solve(G, h, lp.A[flat], iteration_limit(lp.num_rows - 1, lp.dim))
-    verdicts = np.array(
-        [
-            dominated(_extremum(s, lp.A[i], x), lp.b[i])
-            for s, x, i in zip(status, y, flat)
-        ],
-        dtype=bool,
+    if isinstance(lp, LinearProgram):
+        return _alone(_redundant([row], [lp])[0], lp)
+    return _redundant(row, lp)
+
+
+def _redundant(rows, lps) -> list:
+    """:func:`is_redundant` on a sequence of programs."""
+    lps = list(lps)
+    indices = [np.asarray(r) for r in rows]
+    if len(indices) != len(lps):
+        raise DimensionMismatchError(f"{len(indices)} row sets for {len(lps)} programs")
+    flat = [r.reshape(-1) for r in indices]
+    for f, lp in zip(flat, lps):
+        bad = (f < 0) | (f >= lp.num_rows)
+        if bad.any():
+            raise IndexError(f"row {f[bad][0]} out of range")
+    tops = _maximise(
+        lps, [lp.A[f] for f, lp in zip(flat, lps)], flat, [lp.b[f].tolist() for f, lp in zip(flat, lps)]
     )
-    return bool(verdicts[0]) if rows.ndim == 0 else verdicts
+    return [
+        top if top is None else top[0] if r.ndim == 0 else np.array(top, dtype=bool)
+        for r, top in zip(indices, tops)
+    ]

@@ -194,10 +194,9 @@ class ActivationPattern:
     layers: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        layers = tuple(tuple(int(v) for v in layer) for layer in self.layers)
-        for layer in layers:
-            if any(v not in (0, 1) for v in layer):
-                raise ValueError("pattern entries must be 0 or 1")
+        layers = tuple([tuple(map(int, layer)) for layer in self.layers])
+        if not {0, 1}.issuperset(chain.from_iterable(layers)):
+            raise ValueError("pattern entries must be 0 or 1")
         object.__setattr__(self, "layers", layers)
 
     def bits(self) -> tuple[int, ...]:

@@ -44,6 +44,7 @@ from relu_unwrap import (
     random_init,
 )
 import relu_unwrap.decomposition as decomposition
+import relu_unwrap.lp as lp_module
 from relu_unwrap.explain import locate_region, region_contains
 
 from conftest import biased_net, interior_samples
@@ -481,15 +482,23 @@ PRUNING_NETS = [
 ]
 
 
+def region_programs(net):
+    """Each region's closed program shifted to its witness, and the rows the
+    sequential loop keeps."""
+    lps, wants = [], []
+    for rec in enumerate_feasible(net).records:
+        normals, offsets, _ = decomposition._candidates(rec, net.input_dim)
+        lps.append(closed_lp(normals, offsets).shifted(rec.witness))
+        wants.append(sequential_facets(normals, offsets))
+    return lps, wants
+
+
 class TestFacetPruning:
     @pytest.mark.parametrize("label,make", PRUNING_NETS, ids=[n for n, _ in PRUNING_NETS])
     def test_two_pass_equals_sequential_loop(self, label, make):
         """Every region keeps exactly the rows the sequential loop keeps."""
-        net = make()
-        for rec in enumerate_feasible(net).records:
-            normals, offsets, _ = decomposition._candidates(rec, net.input_dim)
-            lp = closed_lp(normals, offsets).shifted(rec.witness)
-            assert decomposition._facets(lp) == sequential_facets(normals, offsets)
+        lps, wants = region_programs(make())
+        assert decomposition._facets(lps) == wants
 
     def test_fallbacks_give_the_same_rows(self, monkeypatch):
         """A witness on a row, a failed pass and a pass-2 disagreement all run
@@ -499,6 +508,7 @@ class TestFacetPruning:
         for rec in enumerate_feasible(net).records:
             normals, offsets, _ = decomposition._candidates(rec, net.input_dim)
             cases.append((closed_lp(normals, offsets), rec.witness, sequential_facets(normals, offsets)))
+        wants = [want for _, _, want in cases]
         calls = []
         real_loop = decomposition._prune_sequential
 
@@ -507,26 +517,23 @@ class TestFacetPruning:
             return real_loop(lp)
 
         monkeypatch.setattr(decomposition, "_prune_sequential", loop)
-        for closed, witness, want in cases:
+        mirrored = []
+        for closed, witness, _ in cases:
             # the witness mirrored across the first row: no feasible start
             step = (closed.b[0] - closed.A[0] @ witness) / (closed.A[0] @ closed.A[0])
-            mirrored = witness + 2.0 * step * closed.A[0]
-            assert decomposition._facets(closed.shifted(mirrored)) == want
+            mirrored.append(closed.shifted(witness + 2.0 * step * closed.A[0]))
+        assert decomposition._facets(mirrored) == wants
         assert len(calls) == len(cases)
 
+        shifted = [closed.shifted(witness) for closed, witness, _ in cases]
         monkeypatch.setattr(decomposition, "dominated", lambda res, bound: False)
         calls.clear()
-        for closed, witness, want in cases:
-            assert decomposition._facets(closed.shifted(witness)) == want
+        assert decomposition._facets(shifted) == wants
         assert calls  # every region with a non-facet row fell back
 
-        def no_pivots(*args, **kwargs):
-            raise IterationLimitError("forced")
-
-        monkeypatch.setattr(decomposition, "extremize", no_pivots)
+        monkeypatch.setattr(decomposition, "extremize", lambda directions, lps: [None] * len(lps))
         calls.clear()
-        for closed, witness, want in cases:
-            assert decomposition._facets(closed.shifted(witness)) == want
+        assert decomposition._facets(shifted) == wants
         assert calls
 
     def test_duplicate_rows_fall_back(self):
@@ -534,8 +541,56 @@ class TestFacetPruning:
         finds no facet among them; the loop keeps one."""
         A = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         lp = LinearProgram(A, np.ones(3), np.zeros(3, dtype=bool)).shifted(np.zeros(2))
-        assert decomposition._facets(lp) == [1, 2]
-        assert decomposition._facets(LinearProgram(A[:2], np.ones(2), np.zeros(2, dtype=bool))) == [1]
+        pair = LinearProgram(A[:2], np.ones(2), np.zeros(2, dtype=bool))
+        assert decomposition._facets([lp]) == [[1, 2]]
+        assert decomposition._facets([pair]) == [[1]]
+        assert decomposition._facets([lp, pair]) == [[1, 2], [1]]
+
+    def test_one_region_out_of_pivots_falls_back_alone(self, monkeypatch):
+        """A region one of whose stacked programs runs out of pivots runs the
+        sequential loop; every other region keeps its stacked answer."""
+        lps, wants = region_programs(biased_net([2, 4, 4], 2, seed=0))
+        calls = []
+        real_loop = decomposition._prune_sequential
+
+        def loop(lp):
+            calls.append(lp)
+            return real_loop(lp)
+
+        monkeypatch.setattr(decomposition, "_prune_sequential", loop)
+        assert decomposition._facets(lps) == wants
+        assert not calls  # every region is settled by the two passes
+
+        target = lps[len(lps) // 2]
+        real_simplex = lp_module._simplex
+
+        def simplex(G, h, c, limit):
+            # the target's programs are the only ones holding its right-hand sides
+            limit = np.broadcast_to(limit, len(c)).copy()
+            if not calls:
+                limit[np.isin(h, target.b).any(axis=1)] = -1
+            return real_simplex(G, h, c, limit)
+
+        monkeypatch.setattr(lp_module, "_simplex", simplex)
+        assert decomposition._facets(lps) == wants
+        assert len(calls) == 1 and calls[0] is target
+
+    def test_stacks_hold_at_most_stack_size_programs(self, monkeypatch):
+        """Pruning builds one stack at a time, so no solve is given more than
+        ``STACK_SIZE`` programs however many regions there are."""
+        sizes = []
+        real_simplex = lp_module._simplex
+
+        def simplex(G, h, c, limit):
+            sizes.append(G.shape[0])
+            return real_simplex(G, h, c, limit)
+
+        monkeypatch.setattr(lp_module, "_simplex", simplex)
+        net = biased_net([3, 4, 3], 2, seed=1)
+        records = enumerate_feasible(net).records
+        sizes.clear()
+        decomposition.extract_halfspaces(records, net)
+        assert max(sizes) == lp_module.STACK_SIZE  # the passes filled a stack
 
 
 GOLDEN = [

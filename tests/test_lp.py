@@ -377,6 +377,74 @@ class TestStackedSolves:
         finally:
             lp_module.ITERATION_FACTOR = original
 
+    def test_sequences_match_single_calls(self, monkeypatch):
+        """A call over many programs of different row counts returns, per
+        program, bitwise what one-at-a-time calls return; small stacks make
+        programs of one system straddle stacks."""
+        monkeypatch.setattr(lp_module, "STACK_SIZE", 7)
+        rng = np.random.default_rng(607)
+        lps = _programs(rng, 120)
+        for d in (1, 2, 3):
+            group = [lp for lp in lps if lp.dim == d]
+            rows = [rng.permutation(lp.num_rows) for lp in group]
+            rows[0] = 0  # an index, as in a call on one program
+            verdicts = is_redundant(rows, group)
+            assert len(verdicts) == len(group)
+            for r, lp, got in zip(rows, group, verdicts):
+                assert np.ndim(got) == np.ndim(r)
+                assert np.reshape(got, -1).tolist() == [is_redundant(int(i), lp) for i in np.reshape(r, -1)]
+            directions = [rng.normal(size=(int(rng.integers(0, 5)), d)) for _ in group]
+            directions[0] = rng.normal(size=d)  # one direction, as in a call on one program
+            tops = extremize(directions, group)
+            assert _same_extremum(tops[0], extremize(directions[0], group[0]))
+            for D, lp, got in zip(directions[1:], group[1:], tops[1:]):
+                assert isinstance(got, tuple) and len(got) == len(D)
+                assert all(_same_extremum(extremize(c, lp), res) for c, res in zip(D, got))
+        assert is_redundant([], []) == [] and extremize([], []) == []
+
+    def test_sequences_keep_each_program_budget(self, monkeypatch):
+        """Each program of a call keeps the pivot budget of its own system,
+        however its stack is padded; a program past its budget gives None for
+        its system alone."""
+        rng = np.random.default_rng(608)
+        group = [lp for lp in _programs(rng, 160) if lp.dim == 2]
+        rows = [np.arange(lp.num_rows) for lp in group]
+        directions = [rng.normal(size=(3, 2)) for _ in group]
+        budgets = [lambda rows, dim, f=f: f * (rows + dim) for f in (0, 1, 2)]
+        # no pivots for short systems, which share stacks padded to longer ones
+        budgets.append(lambda rows, dim: np.where(np.asarray(rows) < 5, 0, 1000))
+        mixed = 0
+        for budget in budgets:
+            monkeypatch.setattr(lp_module, "iteration_limit", budget)
+            for call, args in ((is_redundant, rows), (extremize, directions)):
+                results = call(args, group)
+                for arg, lp, got in zip(args, group, results):
+                    try:
+                        alone = call(arg, lp)
+                    except IterationLimitError:
+                        assert got is None
+                        continue
+                    assert got is not None
+                    if call is is_redundant:
+                        assert got.tolist() == alone.tolist()
+                    else:
+                        assert all(map(_same_extremum, got, alone))
+                failed = [r is None for r in results]
+                mixed += any(failed) and not all(failed)
+        assert mixed  # some call had programs both past and within their budgets
+
+    def test_sequences_reject_mismatched_arguments(self):
+        lp = LinearProgram(np.eye(2), np.ones(2), np.zeros(2, dtype=bool))
+        other = LinearProgram(np.eye(3), np.ones(3), np.zeros(3, dtype=bool))
+        with pytest.raises(DimensionMismatchError):
+            is_redundant([0, 0], [lp, other])
+        with pytest.raises(DimensionMismatchError):
+            extremize([np.ones(2)], [lp, lp])
+        with pytest.raises(IndexError):
+            is_redundant([0, 2], [lp, lp])
+        with pytest.raises(DimensionMismatchError):
+            extremize([np.ones(2), np.ones(2)], [lp, other])
+
     def test_shifted_program_has_the_same_answers(self):
         """Solving in coordinates centred on a point of the system and moving
         back gives the same optimum value, and the same verdicts."""
@@ -462,32 +530,37 @@ class TestHighsOracle:
             r = int(rng.integers(d + 1, 9))
             yield rng.normal(size=(r, d)), rng.normal(size=r)
 
+    def _check_extremum(self, c, A, b, res):
+        status, value = self._max(c, A, b)
+        assert res.status is status
+        if status is Extremum.BOUNDED:
+            assert abs(res.value - value) <= 1e-6 * max(1.0, abs(value))
+
     def _check_extremize(self, rng, systems):
         for A, b in systems:
             c = rng.normal(size=A.shape[1])
-            status, value = self._max(c, A, b)
-            res = extremize(c, LinearProgram(A, b, np.zeros(len(b), dtype=bool)))
-            assert res.status is status
-            if status is Extremum.BOUNDED:
-                assert abs(res.value - value) <= 1e-6 * max(1.0, abs(value))
+            self._check_extremum(c, A, b, extremize(c, LinearProgram(A, b, np.zeros(len(b), dtype=bool))))
 
     def _check_is_redundant(self, systems):
         for A, b in systems:
             verdicts = is_redundant(np.arange(len(b)), LinearProgram(A, b, np.zeros(len(b), dtype=bool)))
-            for i in range(len(b)):
-                keep = np.arange(len(b)) != i
-                status, value = self._max(A[i], A[keep], b[keep])
-                if status is Extremum.INFEASIBLE:
-                    assert verdicts[i]
-                elif status is Extremum.UNBOUNDED:
+            self._check_verdicts(A, b, verdicts)
+
+    def _check_verdicts(self, A, b, verdicts):
+        for i in range(len(b)):
+            keep = np.arange(len(b)) != i
+            status, value = self._max(A[i], A[keep], b[keep])
+            if status is Extremum.INFEASIBLE:
+                assert verdicts[i]
+            elif status is Extremum.UNBOUNDED:
+                assert not verdicts[i]
+            else:
+                gap = value - b[i]
+                scale = max(1.0, abs(value), abs(b[i]))
+                if gap > TOL_REDUNDANT + 1e-6 * scale:
                     assert not verdicts[i]
-                else:
-                    gap = value - b[i]
-                    scale = max(1.0, abs(value), abs(b[i]))
-                    if gap > TOL_REDUNDANT + 1e-6 * scale:
-                        assert not verdicts[i]
-                    elif gap < TOL_REDUNDANT - 1e-6 * scale:
-                        assert verdicts[i]
+                elif gap < TOL_REDUNDANT - 1e-6 * scale:
+                    assert verdicts[i]
 
     def test_extremize(self):
         rng = np.random.default_rng(700)
@@ -496,6 +569,21 @@ class TestHighsOracle:
     def test_is_redundant(self):
         rng = np.random.default_rng(702)
         self._check_is_redundant(self._random(rng))
+
+    def test_sequence_form(self):
+        """One call over the programs of each dimension agrees with HiGHS."""
+        rng = np.random.default_rng(705)
+        systems = list(self._random(rng))
+        for d in (1, 2, 3):
+            group = [(A, b) for A, b in systems if A.shape[1] == d]
+            lps = [LinearProgram(A, b, np.zeros(len(b), dtype=bool)) for A, b in group]
+            directions = [rng.normal(size=(2, d)) for _ in group]
+            for (A, b), D, tops in zip(group, directions, extremize(directions, lps)):
+                for c, res in zip(D, tops):
+                    self._check_extremum(c, A, b, res)
+            verdicts = is_redundant([np.arange(len(b)) for _, b in group], lps)
+            for (A, b), v in zip(group, verdicts):
+                self._check_verdicts(A, b, v)
 
     def test_check_feasible(self):
         """The verdict follows HiGHS's optimum of the slack program."""
