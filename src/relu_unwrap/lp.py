@@ -18,15 +18,17 @@ feasible start and phase 1 is skipped.
 The simplex takes a stack of same-shaped programs and pivots them in
 lockstep; each program follows exactly the pivots it would follow alone, so
 a stacked solve returns bitwise what one-at-a-time solves return, and a
-scalar call is a stack of one.  One helper builds every stack, padding
-shorter programs with rows ``0 . x <= 1`` that no pivot touches, and a
-stack holds at most ``STACK_SIZE`` programs.  :func:`check_feasible_many`
-stacks whole systems.  :func:`extremize` stacks directions and
-:func:`is_redundant` tested rows: over one system, or, given a sequence of
-systems, over all of them at once, taken in order of row count so padding
-stays short.  Every program has its own pivot budget of
-``ITERATION_FACTOR * (rows + dim)``, counted on its unpadded rows, a guard
-against numerical pathology.  A call on one program raises
+scalar call is a stack of one.  One routine, ``_maximise``, answers all
+three questions, each a maximisation over plain ``(A, b)`` systems:
+feasibility maximises ``t`` over the slack system
+``[A | strict; 0 | 1] (x, t) <= [b; 1]``, :func:`extremize` each direction
+and :func:`is_redundant` each tested row over the closed rows; the callers
+read their answers off the optima.  It takes one system or a sequence of
+them, in order of row count so padding stays short, pads shorter programs
+with rows ``0 . x <= 1`` that no pivot touches, and puts at most
+``STACK_SIZE`` programs in a stack.  Every program has its own pivot budget
+of ``ITERATION_FACTOR * (rows + dim)``, counted on its unpadded rows, a
+guard against numerical pathology.  A call on one program raises
 :class:`IterationLimitError` when a budget runs out; a call on a sequence
 gives None for that program's system alone, and callers in the pattern
 search must then keep the candidate rather than prune it.
@@ -45,7 +47,7 @@ from .errors import DimensionMismatchError, IterationLimitError, NonFiniteError
 TOL_SLACK = 1e-9        # minimum margin for interior feasibility
 TOL_REDUNDANT = 1e-7    # slack under which a row is declared redundant
 ITERATION_FACTOR = 50   # pivot budget multiplier
-STACK_SIZE = 256        # programs per stacked feasibility solve
+STACK_SIZE = 256        # programs per stacked solve
 
 _PIVOT_EPS = 1e-10
 _RATIO_TIE = 1e-12
@@ -310,82 +312,52 @@ def check_feasible(lp: LinearProgram) -> FeasibilityResult:
 def check_feasible_many(lps: Sequence[LinearProgram]) -> list[FeasibilityResult | None]:
     """:func:`check_feasible` of every program, in stacked solves.
 
-    The programs share one dimension; shorter ones are padded with rows
-    ``0 . x <= 1``, which no pivot touches, so each result is bitwise what
-    :func:`check_feasible` returns alone.  Each program keeps its own pivot
-    budget; None marks a program :func:`check_feasible` would raise
-    :class:`IterationLimitError` on.  Stacks hold at most ``STACK_SIZE``
-    programs.
+    The programs share one dimension.  Each result is bitwise what
+    :func:`check_feasible` returns alone; None marks a program
+    :func:`check_feasible` would raise :class:`IterationLimitError` on.
     """
-    results: list[FeasibilityResult | None] = []
-    for start in range(0, len(lps), STACK_SIZE):
-        results.extend(_feasibility(lps[start : start + STACK_SIZE]))
-    return results
-
-
-def _stack(blocks, rows: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Programs stacked as ``G`` (B, rows, width) and ``h`` (B, rows).
-
-    ``blocks`` holds ``(A, b, copies)``: ``copies`` programs whose first
-    rows are ``A x <= b``.  Every other entry of ``G`` is zero and of ``h``
-    one, so a program's rows past its own are ``0 . x <= 1``, which no pivot
-    touches: it pivots as it would alone.
-    """
-    G = np.zeros((sum(copies for _, _, copies in blocks), rows, width))
-    h = np.ones(G.shape[:2])
-    at = 0
-    for A, b, copies in blocks:
-        m, d = A.shape
-        G[at : at + copies, :m, :d] = A
-        h[at : at + copies, :m] = b
-        at += copies
-    return G, h
-
-
-def _one_dimension(lps: Sequence[LinearProgram]) -> int:
-    dims = {lp.dim for lp in lps}
-    if len(dims) > 1:
-        raise DimensionMismatchError("stacked programs must share one dimension")
-    return dims.pop() if dims else 0
+    return _feasibility(lps)
 
 
 def _feasibility(lps: Sequence[LinearProgram]) -> list[FeasibilityResult | None]:
-    """The slack programs of ``lps`` (see the module docstring), stacked."""
-    d = _one_dimension(lps)
-    rows = [lp.num_rows for lp in lps]
-    r = max(rows)
-    # column d is the slack t, on the strict rows and in the last row t <= 1
-    G, h = _stack([(lp.A, lp.b, 1) for lp in lps], r + 1, d + 1)
-    for j, lp in enumerate(lps):
-        G[j, : rows[j], d] = lp.strict
-    G[:, r, d] = 1.0
-    c = np.zeros((len(lps), d + 1))
-    c[:, d] = 1.0
-    status, y = _simplex(G, h, c, iteration_limit(np.array(rows) + 1, d + 1))
-    results: list[FeasibilityResult | None] = []
-    for lp, s, x in zip(lps, status.tolist(), y):
-        # an unbounded slack program is impossible (t <= 1): pathology
-        if s == _LIMIT or s == _UNBOUNDED:
-            results.append(None)
-            continue
-        if s == _INFEASIBLE:
-            results.append(FeasibilityResult(Feasibility.INFEASIBLE))
-            continue
-        x, t = x[:d], float(x[d])
-        if lp.strict.any():
-            slack = float((lp.b[lp.strict] - lp.A[lp.strict] @ x).min())
-        else:
-            slack = t
-        if slack > TOL_SLACK:
-            results.append(FeasibilityResult(Feasibility.INTERIOR, x, slack))
-        elif t >= -TOL_SLACK:
-            results.append(FeasibilityResult(Feasibility.BOUNDARY_ONLY, x, max(slack, 0.0)))
-        else:
-            results.append(FeasibilityResult(Feasibility.INFEASIBLE))
-    return results
+    """The slack programs of ``lps`` (see the module docstring), maximised."""
+    systems, objectives = [], []
+    for lp in lps:
+        m, d = lp.A.shape
+        # column d is the slack t, on the strict rows and in the last row t <= 1
+        A = np.zeros((m + 1, d + 1))
+        A[:m, :d] = lp.A
+        A[:m, d] = lp.strict
+        A[m, d] = 1.0
+        systems.append((A, np.concatenate((lp.b, [1.0]))))
+        objectives.append(A[m:])  # maximise t
+    return list(map(_feasible, lps, _maximise(systems, objectives)))
 
 
-def _extremum(status: int, direction: np.ndarray, y: np.ndarray) -> ExtremizeResult:
+def _feasible(lp: LinearProgram, top) -> FeasibilityResult | None:
+    """Classify ``lp`` by its slack program's ``[(status, (x, t))]``; None
+    where that program ran out of pivots."""
+    # an unbounded slack program is impossible (t <= 1): pathology
+    if top is None or top[0][0] == _UNBOUNDED:
+        return None
+    status, y = top[0]
+    if status == _INFEASIBLE:
+        return FeasibilityResult(Feasibility.INFEASIBLE)
+    x, t = y[:-1], float(y[-1])
+    if lp.strict.any():
+        slack = float((lp.b[lp.strict] - lp.A[lp.strict] @ x).min())
+    else:
+        slack = t
+    if slack > TOL_SLACK:
+        return FeasibilityResult(Feasibility.INTERIOR, x, slack)
+    if t >= -TOL_SLACK:
+        return FeasibilityResult(Feasibility.BOUNDARY_ONLY, x, max(slack, 0.0))
+    return FeasibilityResult(Feasibility.INFEASIBLE)
+
+
+def _extremum(direction: np.ndarray, top) -> ExtremizeResult:
+    """The maximum of ``direction . x`` from its program's ``(status, y)``."""
+    status, y = top
     if status == _INFEASIBLE:
         return ExtremizeResult(Extremum.INFEASIBLE)
     if status == _UNBOUNDED:
@@ -411,48 +383,51 @@ def _stacks(sizes: Sequence[int], order: Sequence[int]):
         yield stack
 
 
-def _maximise(lps, objectives, dropped=None, bounds=None) -> list[list | None]:
-    """Maximise every row of ``objectives[j]`` over the closed rows of
-    ``lps[j]``, for every system ``j``, in stacked solves.
+def _maximise(systems, objectives, dropped=None) -> list[list | None]:
+    """Maximise every row of ``objectives[j]`` over ``A x <= b``, the pair
+    ``systems[j]``, for every system ``j``, in stacked solves.
 
+    Systems are taken in order of row count, so padding stays short, and
+    their programs cut into stacks of at most ``STACK_SIZE``.  A program's
+    rows past its system's are ``0 . x <= 1``, which no pivot touches, so
+    it pivots as it would alone, on the budget of its unpadded system.
     With ``dropped``, the program of ``objectives[j][t]`` has row
-    ``dropped[j][t]`` replaced by ``0 . x <= 1``, and the pivot budget of a
-    system one row shorter.  Systems are taken in order of row count, so
-    padding stays short; every program keeps the budget of its unpadded
-    self.  Returns per system its :class:`ExtremizeResult` list, or with
-    ``bounds`` whether each maximum is :func:`dominated` by
-    ``bounds[j][t]``; None marks a system one of whose programs ran out of
+    ``dropped[j][t]`` replaced by ``0 . x <= 1``, and the budget of a
+    system one row shorter.  Returns per system its programs' ``(status,
+    y)`` (see :func:`_simplex`), or None where one of them ran out of
     pivots.
     """
-    d = _one_dimension(lps)
+    dims = {A.shape[1] for A, _ in systems}
+    if len(dims) > 1:
+        raise DimensionMismatchError("stacked programs must share one dimension")
+    d = dims.pop() if dims else 0
     spare = 0 if dropped is None else 1
-    results: list[list] = [[] for _ in lps]
-    failed = [False] * len(lps)
-    order = sorted(range(len(lps)), key=lambda j: lps[j].num_rows)
+    results: list[list] = [[] for _ in systems]
+    failed = [False] * len(systems)
+    rows = [len(b) for _, b in systems]
+    order = sorted(range(len(systems)), key=rows.__getitem__)
     for stack in _stacks([len(c) for c in objectives], order):
-        G, h = _stack(
-            [(lps[j].A, lps[j].b, hi - lo) for j, lo, hi in stack],
-            max(lps[j].num_rows for j, _, _ in stack),
-            d,
-        )
         c = np.concatenate([objectives[j][lo:hi] for j, lo, hi in stack])
-        limits = []
+        G = np.zeros((len(c), max(rows[j] for j, _, _ in stack), d))
+        h = np.ones(G.shape[:2])
+        spans, limits = [], []
         for j, lo, hi in stack:
-            limits += [iteration_limit(lps[j].num_rows - spare, d)] * (hi - lo)
+            A, b = systems[j]
+            span = slice(len(limits), len(limits) + hi - lo)
+            G[span, : rows[j]] = A
+            h[span, : rows[j]] = b
+            spans.append(span)
+            limits += [iteration_limit(rows[j] - spare, d)] * (hi - lo)
         if dropped is not None:
             k = np.arange(len(c))
-            rows = np.concatenate([dropped[j][lo:hi] for j, lo, hi in stack])
-            G[k, rows] = 0.0
-            h[k, rows] = 1.0
+            cut = np.concatenate([dropped[j][lo:hi] for j, lo, hi in stack])
+            G[k, cut] = 0.0
+            h[k, cut] = 1.0
         status, y = _simplex(G, h, c, limits)
         status = status.tolist()
-        at = 0
-        for j, lo, hi in stack:
-            span = slice(at, at + hi - lo)
+        for (j, _, _), span in zip(stack, spans):
             failed[j] |= _LIMIT in status[span]
-            tops = map(_extremum, status[span], c[span], y[span])
-            results[j].extend(tops if bounds is None else map(dominated, tops, bounds[j][lo:hi]))
-            at = span.stop
+            results[j].extend(zip(status[span], y[span]))
     return [None if fail else res for fail, res in zip(failed, results)]
 
 
@@ -492,11 +467,15 @@ def _extrema(directions, lps) -> list:
                 f"direction has length {D.shape[-1] if D.ndim else 1}, "
                 f"program dim is {lp.dim}"
             )
-    tops = _maximise(lps, [np.atleast_2d(D) for D in stacks])
-    return [
-        top if top is None else tuple(top) if D.ndim == 2 else top[0]
-        for D, top in zip(stacks, tops)
-    ]
+    # contiguous rows, so each value is one dot product whatever the caller's strides
+    objectives = [np.ascontiguousarray(np.atleast_2d(D)) for D in stacks]
+    tops = _maximise([(lp.A, lp.b) for lp in lps], objectives)
+    results = []
+    for D, c, top in zip(stacks, objectives, tops):
+        if top is not None:
+            top = tuple(map(_extremum, c, top)) if D.ndim == 2 else _extremum(c[0], top[0])
+        results.append(top)
+    return results
 
 
 def dominated(res: ExtremizeResult, bound: float) -> bool:
@@ -543,10 +522,12 @@ def _redundant(rows, lps) -> list:
         bad = (f < 0) | (f >= lp.num_rows)
         if bad.any():
             raise IndexError(f"row {f[bad][0]} out of range")
-    tops = _maximise(
-        lps, [lp.A[f] for f, lp in zip(flat, lps)], flat, [lp.b[f].tolist() for f, lp in zip(flat, lps)]
-    )
-    return [
-        top if top is None else top[0] if r.ndim == 0 else np.array(top, dtype=bool)
-        for r, top in zip(indices, tops)
-    ]
+    objectives = [lp.A[f] for f, lp in zip(flat, lps)]
+    tops = _maximise([(lp.A, lp.b) for lp in lps], objectives, flat)
+    verdicts = []
+    for r, f, c, lp, top in zip(indices, flat, objectives, lps, tops):
+        if top is not None:
+            top = list(map(dominated, map(_extremum, c, top), lp.b[f].tolist()))
+            top = top[0] if r.ndim == 0 else np.array(top, dtype=bool)
+        verdicts.append(top)
+    return verdicts

@@ -224,59 +224,53 @@ def _check_input(net: MLPNetwork, x) -> np.ndarray:
     return x
 
 
-def forward(net: MLPNetwork, x) -> Trace:
-    """Evaluate the network at ``x`` and keep every hidden activation."""
-    a = _check_input(net, x)
+def _check_batch(net: MLPNetwork, points) -> np.ndarray:
+    a = np.asarray(points, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] != net.input_dim:
+        raise DimensionMismatchError(
+            f"expected (N, {net.input_dim}) points, got shape {a.shape}"
+        )
+    return a
+
+
+def _layers(net: MLPNetwork, a: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each hidden layer's post-ReLU activations and the output of the (N, n)
+    batch ``a``; a one-point caller passes ``x[None]``."""
     activations = []
     for layer in net.hidden:
-        a = np.maximum(layer.weights @ a + layer.bias, 0.0)
+        a = np.maximum(a @ layer.weights.T + layer.bias, 0.0)
         activations.append(a)
-    out = net.output.weights @ a + net.output.bias
-    return Trace(tuple(activations), out)
+    return activations, a @ net.output.weights.T + net.output.bias
+
+
+def forward(net: MLPNetwork, x) -> Trace:
+    """Evaluate the network at ``x`` and keep every hidden activation."""
+    activations, out = _layers(net, _check_input(net, x)[None])
+    return Trace(tuple(a[0] for a in activations), out[0])
 
 
 def activation_pattern(net: MLPNetwork, x) -> ActivationPattern:
     """Pattern of ``x``: bit 1 iff the pre-activation is strictly positive.
 
     Zero pre-activations get bit 0, so points on a neuron's boundary
-    belong to the closed side of that neuron's region.
+    belong to the closed side of that neuron's region.  A pre-activation is
+    positive exactly when its ReLU is, so the bits are read off the
+    activations.
     """
-    a = _check_input(net, x)
-    layers = []
-    for layer in net.hidden:
-        z = layer.weights @ a + layer.bias
-        layers.append(tuple(int(v) for v in (z > 0.0)))
-        a = np.maximum(z, 0.0)
-    return ActivationPattern(tuple(layers))
+    activations, _ = _layers(net, _check_input(net, x)[None])
+    return ActivationPattern(tuple(a[0] > 0.0 for a in activations))
 
 
 def forward_many(net: MLPNetwork, points) -> np.ndarray:
     """Vectorised forward pass: ``points`` is (N, n), result is (N, m)."""
-    a = np.asarray(points, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != net.input_dim:
-        raise DimensionMismatchError(
-            f"expected (N, {net.input_dim}) points, got shape {a.shape}"
-        )
-    for layer in net.hidden:
-        a = np.maximum(a @ layer.weights.T + layer.bias, 0.0)
-    return a @ net.output.weights.T + net.output.bias
+    return _layers(net, _check_batch(net, points))[1]
 
 
 def pattern_matrix(net: MLPNetwork, points) -> np.ndarray:
     """Concatenated pattern bits of many points as a (N, total_neurons) uint8."""
-    a = np.asarray(points, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != net.input_dim:
-        raise DimensionMismatchError(
-            f"expected (N, {net.input_dim}) points, got shape {a.shape}"
-        )
-    blocks = []
-    for layer in net.hidden:
-        z = a @ layer.weights.T + layer.bias
-        blocks.append((z > 0.0).astype(np.uint8))
-        a = np.maximum(z, 0.0)
-    if not blocks:
-        return np.zeros((a.shape[0], 0), dtype=np.uint8)
-    return np.hstack(blocks)
+    a = _check_batch(net, points)
+    activations, _ = _layers(net, a)
+    return (np.hstack([a[:, :0], *activations]) > 0.0).astype(np.uint8)
 
 
 def random_init(dims: Sequence[int], output_dim: int, seed: int) -> MLPNetwork:

@@ -489,14 +489,14 @@ def equivalence_report(
     equal = canonical_equal(da, db, tol=tol)
     rng = np.random.default_rng(seed)
     X = rng.uniform(-10.0, 10.0, size=(samples, net_a.input_dim))
-    diff = float(np.abs(forward_many(net_a, X) - forward_many(net_b, X)).max())
+    gaps = np.abs(forward_many(net_a, X) - forward_many(net_b, X)).max(axis=1)
+    diff = float(gaps.max())
     witness = None
     if not equal:
         witness = _first_unmatched_witness(da, db, tol)
         if witness is None:
             witness = _first_unmatched_witness(db, da, tol)
         if witness is None and diff > 0:
-            gaps = np.abs(forward_many(net_a, X) - forward_many(net_b, X)).max(axis=1)
             witness = X[int(np.argmax(gaps))]
     return EquivalenceReport(diff, equal, witness)
 

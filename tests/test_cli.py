@@ -1,6 +1,7 @@
 """Command-line surface: payloads, exit codes, and determinism."""
 
 import csv
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 
@@ -8,10 +9,12 @@ import numpy as np
 import pytest
 
 from relu_unwrap import (
+    ActivationPattern,
     IterationLimitError,
     Layer,
     MLPNetwork,
     ShapResult,
+    build_shallow,
     decompose,
     dumps_decomposition,
     eval_shallow_many,
@@ -20,6 +23,7 @@ from relu_unwrap import (
     load_shallow,
     random_init,
     save_model,
+    save_shallow,
 )
 import relu_unwrap.cli as cli
 import relu_unwrap.decomposition as decomposition
@@ -160,6 +164,18 @@ class TestShallowize:
         assert code == 0
         assert json.loads(stdout)["widths"] == [4, 5, 2]
 
+    def test_budget_exceeded_exit_2(self, capsys, tmp_path, demo_m1_file):
+        """A search cut by ``--budget`` prints nothing on stdout and writes no
+        file."""
+        out = tmp_path / "s.json"
+        code, stdout, stderr = run(
+            capsys, "shallowize", "--model", demo_m1_file, "--out", str(out), "--budget", "1"
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "budget exceeded" in stderr
+        assert not out.exists()
+
     def test_missing_out_usage_error(self, capsys, demo_m1_file):
         code, _, _ = run(capsys, "shallowize", "--model", demo_m1_file)
         assert code == 64
@@ -206,6 +222,19 @@ class TestVerify:
         assert abs(payload["max_abs_diff"] - 1.0) < 1e-9
         assert "worst_x" in payload
         assert stderr.strip()
+
+    def test_ambiguous_selection_exit_3(self, capsys, tmp_path, demo_net_m1, demo_m1_file):
+        """A shallow file holding one region twice, the copy under a new
+        pattern, selects two regions at that region's witness: verify fails
+        without a gap."""
+        d = decompose(demo_net_m1)
+        twin = dataclasses.replace(d.regions[-1], pattern=ActivationPattern(((1, 1, 1),)))
+        s = tmp_path / "s.json"
+        save_shallow(build_shallow(dataclasses.replace(d, regions=d.regions + (twin,))), s)
+        code, stdout, stderr = run(capsys, "verify", "--model", demo_m1_file, "--shallow", str(s))
+        assert code == 3
+        assert stdout == '{"max_abs_diff": null, "pass": false}\n'
+        assert "verification failed" in stderr
 
     def test_dimension_mismatch_exit_1(self, capsys, tmp_path, demo_m2_file):
         other = tmp_path / "other.json"

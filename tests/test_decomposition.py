@@ -39,6 +39,7 @@ from relu_unwrap import (
     global_prefix,
     is_redundant,
     loads_decomposition,
+    local_linear_model,
     local_lp,
     pattern_matrix,
     random_init,
@@ -611,6 +612,26 @@ class TestGoldenOutputs:
     @pytest.mark.parametrize("name,make", GOLDEN, ids=[n for n, _ in GOLDEN])
     def test_dumps_byte_identical(self, name, make):
         assert dumps_decomposition(decompose(make())) == (DATA / name).read_text(encoding="utf-8")
+
+
+class TestLocalLinearModel:
+    @pytest.mark.parametrize("name,make", GOLDEN, ids=[n for n, _ in GOLDEN])
+    def test_matches_every_golden_region(self, name, make):
+        """The model of each stored region's pattern is bitwise its stored
+        ``(alpha, beta)``."""
+        net = make()
+        d = loads_decomposition((DATA / name).read_text(encoding="utf-8"))
+        for region in d.regions:
+            alpha, beta = local_linear_model(region.pattern, net)
+            assert alpha.shape == region.alpha.shape and beta.shape == region.beta.shape
+            assert alpha.tobytes() == region.alpha.tobytes()
+            assert beta.tobytes() == region.beta.tobytes()
+
+    def test_prefix_one_layer_short_raises(self):
+        net = biased_net([3, 4, 3], 2, seed=1)
+        pattern = decompose(net).regions[0].pattern
+        with pytest.raises(DimensionMismatchError):
+            local_linear_model(ActivationPattern(pattern.layers[:-1]), net)
 
 
 class TestBiased3663Regression:

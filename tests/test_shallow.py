@@ -404,6 +404,41 @@ class TestEquivalenceReport:
         assert abs(rep.max_abs_diff - 0.5) < 1e-9
         assert rep.witness_of_difference is not None
 
+    def test_unequal_networks_give_a_witness_where_outputs_differ(self):
+        """The witness is the first region of the first network that nothing
+        in the second matches, and the two outputs differ there."""
+        a, b = biased_net([2, 4, 4], 2, seed=0), biased_net([2, 4, 4], 2, seed=1)
+        rep = equivalence_report(a, b, samples=2000, seed=1)
+        assert not rep.canonical_equal
+        w = rep.witness_of_difference
+        assert w.tobytes() == canonicalize(decompose(a)).regions[0].witness.tobytes()
+        assert np.abs(forward_many(a, w[None]) - forward_many(b, w[None])).max() > 1e-3
+
+    def test_witness_from_the_second_network_then_from_samples(self, monkeypatch):
+        """With every region of the first network matched, the witness is an
+        unmatched region of the second; with none unmatched either, it is the
+        sample with the largest output gap."""
+        a, b = biased_net([2, 4, 4], 2, seed=0), biased_net([2, 4, 4], 2, seed=1)
+        real = shallow_module._first_unmatched_witness
+        searched = []
+
+        def first_matched(da, db, tol):
+            searched.append(da)
+            return None if len(searched) == 1 else real(da, db, tol)
+
+        monkeypatch.setattr(shallow_module, "_first_unmatched_witness", first_matched)
+        w = equivalence_report(a, b, samples=2000, seed=1).witness_of_difference
+        assert len(searched) == 2
+        assert any(w.tobytes() == r.witness.tobytes() for r in searched[1].regions)
+        assert np.abs(forward_many(a, w[None]) - forward_many(b, w[None])).max() > 1e-3
+
+        monkeypatch.setattr(shallow_module, "_first_unmatched_witness", lambda da, db, tol: None)
+        rep = equivalence_report(a, b, samples=2000, seed=1)
+        X = np.random.default_rng(1).uniform(-10.0, 10.0, size=(2000, 2))
+        gaps = np.abs(forward_many(a, X) - forward_many(b, X)).max(axis=1)
+        (at,) = np.flatnonzero((X == rep.witness_of_difference).all(axis=1))
+        assert gaps[at] == rep.max_abs_diff == gaps.max()
+
 
 class TestShallowSerialization:
     def test_round_trip_bit_exact(self, demo_net_m1):
