@@ -19,12 +19,18 @@ tiny.  Evaluation therefore runs under extended-real arithmetic with the
 convention that infinity times zero is zero (the native float product is
 NaN, so products are wrapped).
 
-Cost of evaluating N points: layers 1 and 2 are dense products of about
-N(2n+k)n and N(2n+k)(2n+p) multiply-adds.  Layer 3 is gated first: the
--inf weights leave only the 2m rows of the hosting region alive at an
-interior point (a few more on shared faces), so it is computed for those
-rows alone, at 2n multiply-adds each, instead of as a dense
-N(2n+p)(2pm) product.  The ambiguity check and the output then cost O(Nm).
+Cost of evaluating N points: layer 1 is a dense product of about N(2n+k)n
+multiply-adds.  Layer 3 reads a region's layer-2 score only through its
+sign, and the score is positive exactly when one of the region's half-spaces
+is violated, so the region scores are never computed: one float32 product of
+the 0/1 violation matrix with the 0/1 half-space x region incidence, about
+N(2n+k)p multiply-adds, counts each region's violated half-spaces; a count
+is zero exactly when none is violated.
+Only the 2n pass-through units of layer 2 are computed in float64.  The -inf
+weights then leave only the 2m rows of the zero-count regions alive (the
+hosting region at an interior point, a few more on shared faces), so layer 3
+is computed for those rows alone, at 2n multiply-adds each, instead of as a
+dense N(2n+p)(2pm) product.  The ambiguity check and the output cost O(Nm).
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,6 +137,17 @@ def _check_weight(name: str, W: np.ndarray, allow_neg_inf: bool):
         raise NonFiniteError(f"{name} must be finite")
 
 
+class _Gates(NamedTuple):
+    """:attr:`ShallowNetwork.gates`; the fields are described there."""
+
+    units: np.ndarray
+    live: np.ndarray
+    live_W3: np.ndarray
+    inputs: np.ndarray
+    rows: np.ndarray
+    starts: np.ndarray
+
+
 @dataclass(frozen=True)
 class ShallowNetwork:
     """Immutable three-hidden-layer network; only W3 may hold -inf entries.
@@ -197,28 +215,61 @@ class ShallowNetwork:
         return (self.W1.shape[0], self.W2.shape[0], self.W3.shape[0])
 
     @cached_property
-    def gates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """W3 split for gate-first evaluation: ``(mask_cols, live_cols, live_W3)``.
+    def gates(self) -> _Gates:
+        """Layers 2 and 3 split for count-gated evaluation.
 
-        Row ``r`` of ``mask_cols`` lists the columns where W3 row ``r`` is
-        -inf, padded with the out-of-range column ``W3.shape[1]``.
-        ``live_cols`` are the columns holding a finite nonzero weight and
-        ``live_W3`` is W3 on those columns, with -inf read as zero.
+        Layer 3 reads a layer-2 unit through finite weights or through -inf
+        weights, and a -inf weight only asks whether the unit is positive.  A
+        unit read only through -inf weights, with a 0/1 W2 row and a zero
+        bias, is *counted*: it is positive exactly when one of its ReLU'd
+        layer-1 inputs is, because ``1 * a == a`` and a float sum of
+        nonnegative terms is zero only when every term is.  The other units,
+        ``units``, are computed in float64; in a built net these are the 2n
+        pass-through units.  ``live`` are the positions in ``units`` that W3
+        reads through finite nonzero weights, and ``live_W3`` is W3 on them,
+        with -inf read as zero.
+
+        W3 rows that share one set of -inf columns form a group, and groups
+        are ordered by their first row: a built net has one group of 2m rows
+        per region.  Group ``g`` owns rows ``rows[starts[g]:starts[g + 1]]``.
+        ``inputs`` is the float32 0/1 (layer-1 units + ``units``) x groups
+        matrix of what each group reads: a layer-1 unit through a counted
+        unit, or a float64 unit directly.  Its product with the 0/1 matrix
+        of positive activations counts each group's positive inputs.  A sum
+        of 0/1 terms is zero only when every term is, so a group is alive
+        exactly where its count is zero.
         """
+        width, n_in = self.W2.shape
         neg = self.W3 == -np.inf
-        rows, cols = np.nonzero(neg)
-        mask_cols = np.full(
-            (self.W3.shape[0], int(neg.sum(axis=1).max(initial=0))),
-            self.W3.shape[1],
-            dtype=np.intp,
-        )
-        mask_cols[rows, np.arange(rows.size) - np.searchsorted(rows, rows)] = cols
         finite = np.where(neg, 0.0, self.W3)
-        live_cols = np.flatnonzero((finite != 0.0).any(axis=0))
-        return (
-            _frozen_array(mask_cols, dtype=np.intp),
-            _frozen_array(live_cols, dtype=np.intp),
-            _frozen_array(finite[:, live_cols]),
+        read = (finite != 0.0).any(axis=0)
+        counted = ~read & (self.b2 == 0.0) & ((self.W2 == 0.0) | (self.W2 == 1.0)).all(axis=1)
+        units = np.flatnonzero(~counted)
+        live = np.flatnonzero(read[units])
+        # each row's -inf columns, padded with the out-of-range unit `width`
+        rows, cols = np.nonzero(neg)
+        lists = np.full(
+            (self.W3.shape[0], max(1, int(neg.sum(axis=1).max(initial=0)))), width, dtype=np.intp
+        )
+        lists[rows, np.arange(rows.size) - np.searchsorted(rows, rows)] = cols
+        _, first, label = np.unique(lists, axis=0, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        label = np.argsort(order)[label.reshape(-1)]
+        # what each layer-2 unit feeds into the counts; the padding unit nothing
+        feeds = np.zeros((width + 1, n_in + units.size), dtype=bool)
+        feeds[:width, :n_in] = (self.W2 != 0.0) & counted[:, None]
+        feeds[units, n_in + np.arange(units.size)] = True
+        inputs = feeds[lists[first[order]]].any(axis=1)
+        return _Gates(
+            _frozen_array(units, dtype=np.intp),
+            _frozen_array(live, dtype=np.intp),
+            _frozen_array(finite[:, units[live]]),
+            _frozen_array(np.ascontiguousarray(inputs.T), dtype=np.float32),
+            _frozen_array(np.argsort(label, kind="stable"), dtype=np.intp),
+            _frozen_array(
+                np.concatenate([[0], np.cumsum(np.bincount(label, minlength=order.size))]),
+                dtype=np.intp,
+            ),
         )
 
 
@@ -227,12 +278,16 @@ def build_shallow(d: Decomposition) -> ShallowNetwork:
 
     Model rows are stacked region-major: layer-3 row ``r*m + j`` carries
     output coordinate ``j`` of region ``r``, and its twin ``p*m + r*m + j``
-    the negated copy.
+    the negated copy.  The decomposition must be complete: a net built from
+    a partial one would read 0 outside the regions found, so it is refused
+    like an empty one.
     """
     n, m = d.input_dim, d.output_dim
     p, k = d.num_regions, d.num_halfspaces
     if p == 0:
         raise ValueError("decomposition has no regions")
+    if d.partial:
+        raise ValueError("decomposition is partial: the regions found do not cover the input space")
 
     W1 = np.vstack([np.eye(n), -np.eye(n), -d.halfspace_normals])
     b1 = np.concatenate([np.zeros(2 * n), d.halfspace_offsets])
@@ -281,7 +336,8 @@ def eval_shallow_many(s: ShallowNetwork, points) -> np.ndarray:
     into zero, while a zero activation contributes nothing (infinity times
     zero is zero).  So layer 3 is computed gate-first: only the (point, row)
     pairs whose -inf columns all meet zero activations are evaluated, with
-    their finite weights, and everything else is known to be zero.  Points
+    their finite weights, and everything else is known to be zero; which
+    activations are zero is counted as :attr:`ShallowNetwork.gates` says.  Points
     are evaluated in blocks of ``EVAL_BLOCK`` rows, which bounds the
     intermediate arrays.  Raises :class:`AmbiguousSelectionError` if two
     rows feed one output coordinate of a point (a shared face with a nonzero
@@ -303,21 +359,27 @@ def eval_shallow_many(s: ShallowNetwork, points) -> np.ndarray:
 def _eval_block(s: ShallowNetwork, X: np.ndarray, first: int) -> np.ndarray:
     """:func:`eval_shallow_many` on one block whose first row is point ``first``."""
     N, m = X.shape[0], s.output_dim
-    # layers 1 and 2 in place: fewer and smaller temporaries per block
+    g = s.gates
+    n_in = s.W1.shape[0]
     A1 = X @ s.W1.T
     A1 += s.b1
-    A2 = xr_relu(A1, out=A1) @ s.W2.T
-    del A1
-    A2 += s.b2
+    xr_relu(A1, out=A1)
+    A2 = A1 @ s.W2[g.units].T
+    A2 += s.b2[g.units]
     xr_relu(A2, out=A2)
-    mask_cols, live_cols, live_W3 = s.gates
-    # the padding column past the end of A2 is never positive
-    positive = np.zeros((N, A2.shape[1] + 1), dtype=bool)
-    np.greater(A2, 0, out=positive[:, :-1])
-    alive = positive[:, mask_cols].any(axis=2)
-    np.logical_not(alive, out=alive)
-    pts, rows = np.divmod(np.flatnonzero(alive), alive.shape[1])
-    z = np.einsum("ij,ij->i", A2[:, live_cols][pts], live_W3[rows]) + s.b3[rows]
+    positive = np.empty((N, n_in + g.units.size), dtype=np.float32)
+    np.greater(A1, 0.0, out=positive[:, :n_in])
+    np.greater(A2, 0.0, out=positive[:, n_in:])
+    del A1
+    # a group is alive at a point where none of the inputs it reads is positive
+    pts, groups = np.divmod(np.flatnonzero(positive @ g.inputs == 0.0), g.inputs.shape[1])
+    # expand each alive (point, group) pair to the group's W3 rows
+    sizes = g.starts[groups + 1] - g.starts[groups]
+    pts = np.repeat(pts, sizes)
+    rows = g.rows[
+        np.arange(pts.size) + np.repeat(g.starts[groups] - np.cumsum(sizes) + sizes, sizes)
+    ]
+    z = np.einsum("ij,ij->i", A2[:, g.live][pts], g.live_W3[rows]) + s.b3[rows]
     a3 = xr_relu(z)
     selected = a3 > 0
     # layer-3 row r*m + j (and its twin) carries output coordinate j

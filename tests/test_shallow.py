@@ -10,6 +10,7 @@ from relu_unwrap import (
     ActivationPattern,
     AmbiguousSelectionError,
     ArithmeticFault,
+    BudgetExceededError,
     Decomposition,
     Feasibility,
     IterationLimitError,
@@ -22,6 +23,7 @@ from relu_unwrap import (
     Region,
     ShallowNetwork,
     UnwrapError,
+    build_decomposition,
     build_shallow,
     canonical_equal,
     canonicalize,
@@ -203,6 +205,17 @@ class TestConstruction:
     def test_empty_decomposition_rejected(self):
         with pytest.raises(ValueError):
             build_shallow(Decomposition(2, 1, (), ()))
+
+    def test_partial_decomposition_rejected(self):
+        """A budget cut leaves 9 regions of 41; a net built from them would
+        read 0 everywhere else, so it is refused."""
+        net = biased_net([2, 4, 4], 2, seed=0)
+        with pytest.raises(BudgetExceededError) as info:
+            decompose(net, budget=20)
+        d = build_decomposition(net, info.value.partial, partial=True)
+        assert d.num_regions == 9
+        with pytest.raises(ValueError, match="partial"):
+            build_shallow(d)
 
 
 class TestFunctionalIdentity:
@@ -537,6 +550,48 @@ def _hand_built_net(seed):
     )
 
 
+def _mixed_net():
+    """The built net of biased [2,4,4] seed 0 with three region units that
+    must stay float64 beside counted ones: region 0's has bias 0.5; region
+    1's also reads, with weight 0.5, a new layer-1 unit that is always the
+    smallest subnormal (so the product rounds to zero and the unit is zero
+    in region 1, as the float64 layer computes it); and W3 reads region 2's
+    through finite weights in region 3's first row pair."""
+    d = decompose(biased_net([2, 4, 4], 2, seed=0))
+    s = build_shallow(d)
+    n, p, m = d.input_dim, d.num_regions, d.output_dim
+    W2 = np.hstack([s.W2, np.zeros((s.W2.shape[0], 1))])
+    W2[2 * n + 1, -1] = 0.5
+    b2 = s.b2.copy()
+    b2[2 * n] = 0.5
+    W3 = s.W3.copy()
+    W3[3 * m, 2 * n + 2] = 0.25
+    W3[(p + 3) * m, 2 * n + 2] = -0.25
+    mixed = ShallowNetwork(
+        np.vstack([s.W1, np.zeros((1, n))]),
+        np.append(s.b1, 5e-324),
+        W2,
+        b2,
+        W3,
+        s.b3,
+        s.W4,
+    )
+    return d, mixed
+
+
+def _face_points(d):
+    """Each region's witness projected onto each of its half-spaces."""
+    return np.array(
+        [
+            reg.witness
+            - (d.halfspaces[i].normal @ reg.witness - d.halfspaces[i].offset)
+            * d.halfspaces[i].normal
+            for reg in d.regions
+            for i in reg.halfspace_ids
+        ]
+    )
+
+
 GATE_NETS = [
     ("[2,3,3]", lambda: random_init([2, 3, 3], 1, seed=0)),
     ("biased[2,4,4]", lambda: biased_net([2, 4, 4], 2, seed=0)),
@@ -560,39 +615,100 @@ class TestGateFirstMatchesReference:
         kept, want = _assert_matches_reference(s, X)
         assert len(kept) == len(X)
         assert _close(eval_shallow_many(s, X), want)
-        faces = np.array(
-            [
-                reg.witness
-                - (d.halfspaces[i].normal @ reg.witness - d.halfspaces[i].offset)
-                * d.halfspaces[i].normal
-                for reg in d.regions
-                for i in reg.halfspace_ids
-            ]
-        )
-        # one point per call: a batch's products may round these scores
-        # differently, in either path
+        # one point per call: a batch's layer-1 product may round these
+        # scores differently (see test_face_points_alone_and_in_one_batch)
         dense = lambda s, x: _ref_eval_dense(s, x[None, :])[0]
-        _assert_matches_reference(s, faces, ref=dense)
+        _assert_matches_reference(s, _face_points(d), ref=dense)
+
+    @pytest.mark.parametrize("make", [m for _, m in GATE_NETS], ids=[l for l, _ in GATE_NETS])
+    def test_face_point_batches_match_dense_layers(self, make):
+        """The count gate and the dense float64 layer 2 read the same
+        layer-1 product, so on any batch of face points they raise alike or
+        agree."""
+        d = decompose(make())
+        s = build_shallow(d)
+        faces = _face_points(d)
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            X = faces[rng.choice(len(faces), size=rng.integers(2, len(faces) + 1), replace=False)]
+            try:
+                want = _ref_eval_dense(s, X)
+            except AmbiguousSelectionError:
+                with pytest.raises(AmbiguousSelectionError):
+                    eval_shallow_many(s, X)
+                continue
+            assert _close(eval_shallow_many(s, X), want)
+
+    @pytest.mark.parametrize("make", [m for _, m in GATE_NETS], ids=[l for l, _ in GATE_NETS])
+    def test_built_nets_count_every_region_unit(self, make):
+        """Only the 2n pass-through units are computed in float64; each
+        region's group counts that region's half-space units."""
+        d = decompose(make())
+        s = build_shallow(d)
+        n, k, p = d.input_dim, d.num_halfspaces, d.num_regions
+        g = s.gates
+        np.testing.assert_array_equal(g.units, np.arange(2 * n))
+        ids, _, starts = d.region_rows
+        reads = np.zeros((2 * n + k + 2 * n, p), dtype=np.float32)
+        reads[2 * n + ids, np.repeat(np.arange(p), np.diff(starts))] = 1.0
+        np.testing.assert_array_equal(g.inputs, reads)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_hand_built_masks_and_selector_weights(self, seed):
+        """No W2 row is 0/1, so every layer-2 unit is computed in float64 and
+        each group reads its rows' -inf columns directly."""
         s = _hand_built_net(seed)
-        assert s.gates[0].shape == (s.W3.shape[0], 2)
-        assert len(s.gates[1]) == s.W3.shape[1]  # every column has a finite weight
+        g = s.gates
+        n_in, width = s.W1.shape[0], s.W2.shape[0]
+        np.testing.assert_array_equal(g.units, np.arange(width))
+        np.testing.assert_array_equal(g.live, np.arange(width))  # every column has a finite weight
+        assert not g.inputs[:n_in].any()
+        firsts = g.rows[g.starts[:-1]]
+        assert (np.diff(firsts) > 0).all()  # groups in order of their first row
+        assert firsts[0] == 0 and firsts[1] == 1  # rows with no and one -inf entry
+        for group in range(len(firsts)):
+            cols = g.inputs[n_in:, group] == 1.0
+            for row in g.rows[g.starts[group] : g.starts[group + 1]]:
+                np.testing.assert_array_equal(s.W3[row] == -INF, cols)
         X = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(400, s.input_dim))
         kept, want = _assert_matches_reference(s, X)
         assert 0 < len(kept) < len(X)  # both outcomes occur
         assert _close(eval_shallow_many(s, kept), want)
 
     def test_gates_of_a_built_net(self, demo_net_m1):
+        """One group of 2m rows per region, in region order, reading the
+        region's half-space units; layer 3 reads the pass-through units."""
         d = decompose(demo_net_m1)
         s = build_shallow(d)
         n, p, m = d.input_dim, d.num_regions, d.output_dim
-        mask_cols, live_cols, live_W3 = s.gates
-        rows = np.arange(2 * p * m)
-        np.testing.assert_array_equal(mask_cols[:, 0], 2 * n + (rows % (p * m)) // m)
-        np.testing.assert_array_equal(live_cols, np.arange(2 * n))
-        np.testing.assert_array_equal(live_W3, s.W3[:, : 2 * n])
+        g = s.gates
+        np.testing.assert_array_equal(g.units, np.arange(2 * n))
+        np.testing.assert_array_equal(g.live, np.arange(2 * n))
+        np.testing.assert_array_equal(g.live_W3, s.W3[:, : 2 * n])
+        np.testing.assert_array_equal(g.starts, 2 * m * np.arange(p + 1))
+        r, j = np.arange(p)[:, None], np.arange(m)
+        np.testing.assert_array_equal(g.rows.reshape(p, 2 * m), np.hstack([r * m + j, (p + r) * m + j]))
+        np.testing.assert_array_equal(g.inputs[: s.W1.shape[0]], (s.W2[2 * n :] != 0).T)
+        assert not g.inputs[s.W1.shape[0] :].any()
+
+    def test_counted_and_float64_units_mixed(self):
+        """Units that break one condition of the count gate stay float64 and
+        are still evaluated as the xr_matvec chain does."""
+        d, s = _mixed_net()
+        n, m = d.input_dim, d.output_dim
+        np.testing.assert_array_equal(s.gates.units, np.arange(2 * n + 3))
+        X = np.vstack(
+            [np.random.default_rng(6).uniform(-6.0, 6.0, size=(300, n))]
+            + [reg.witness for reg in d.regions]
+        )
+        kept, want = _assert_matches_reference(s, X)
+        assert len(kept) == len(X)
+        assert _close(eval_shallow_many(s, X), want)
+        w0, w1 = d.regions[0].witness, d.regions[1].witness
+        # region 0's bias kills it; the subnormal input leaves region 1 alive
+        np.testing.assert_array_equal(eval_shallow(s, w0), np.zeros(m))
+        assert (eval_shallow(s, w0) != forward(biased_net([2, 4, 4], 2, seed=0), w0).output).all()
+        assert _close(eval_shallow(s, w1), d.regions[1].alpha @ w1 + d.regions[1].beta)
 
     def test_ambiguity_raised_through_batch(self, demo_net_m2):
         s = build_shallow(decompose(demo_net_m2))
@@ -606,6 +722,30 @@ class TestGateFirstMatchesReference:
     def test_empty_batch(self, demo_net_m2):
         s = build_shallow(decompose(demo_net_m2))
         assert eval_shallow_many(s, np.zeros((0, 2))).shape == (0, 2)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AmbiguousSelectionError,
+    reason="layer 1's batched product X @ W1.T rounds face points differently from "
+    "one-row products; layer 2's signs follow from layer 1 alike in any batch",
+)
+def test_face_points_alone_and_in_one_batch():
+    """The 114 of 144 face points of biased [2,4,4] seed 0 that evaluate
+    alone give the same outputs as one batch."""
+    d = decompose(biased_net([2, 4, 4], 2, seed=0))
+    s = build_shallow(d)
+    faces = _face_points(d)
+    one_row = np.vstack([x[None, :] @ s.W1.T for x in faces])
+    assert (one_row != faces @ s.W1.T).any(axis=1).all()  # the cause, on every point
+    alone = {}
+    for i, x in enumerate(faces):
+        try:
+            alone[i] = eval_shallow(s, x)
+        except AmbiguousSelectionError:
+            pass
+    assert len(alone) == 114
+    np.testing.assert_array_equal(eval_shallow_many(s, faces[list(alone)]), list(alone.values()))
 
 
 class TestEvaluationBlocks:
