@@ -332,25 +332,32 @@ def _witnesses(lps: Sequence[LinearProgram], known=None) -> tuple[list, list[boo
     region.  Re-solving with every non-degenerate row marked strict yields a
     point in the polytope's topological interior; zero rows (constant
     constraints from gated-off neurons) can never clear a margin and are
-    skipped.  Where that finds nothing, ``known[i]`` is taken, else the
-    program's own witness (a region with only closed faces may be a point).
-    Returns ``(points, failed)``: a point, or None when none is found, and
-    whether a solve of the program ran out of pivots.
+    skipped.  Where that finds nothing, the programs themselves are solved
+    in one stacked call: ``known[i]`` is taken if given, but only if program
+    ``i`` is found to have an interior (else :class:`UnwrapError`), and
+    otherwise the program's own witness (a region with only closed faces
+    may be a point).  Returns ``(points, failed)``: a point, or None when
+    none is found, and whether a solve of the program ran out of pivots.
     """
     pushed = []
     for lp in lps:
         keep = np.linalg.norm(lp.A, axis=1) > TOL_DEGENERATE
         pushed.append(LinearProgram(lp.A[keep], lp.b[keep], np.ones(int(keep.sum()), dtype=bool)))
-    first = check_feasible_many(pushed)
-    points = [
-        res.witness if res is not None and res.status is Feasibility.INTERIOR else w
-        for res, w in zip(first, known or [None] * len(lps))
-    ]
-    failed = [res is None for res in first]
+    known = known or [None] * len(lps)
+    points, failed = [], []
+    for res in check_feasible_many(pushed):
+        points.append(res.witness if res is not None and res.status is Feasibility.INTERIOR else None)
+        failed.append(res is None)
     rest = [i for i, w in enumerate(points) if w is None]
     for i, res in zip(rest, check_feasible_many([lps[i] for i in rest])):
         failed[i] |= res is None
-        if res is not None and res.status is Feasibility.INTERIOR:
+        if known[i] is not None:
+            if res is not None and res.status is not Feasibility.INTERIOR:
+                raise UnwrapError(
+                    f"program {i} has no interior point, yet the search kept a witness for it"
+                )
+            points[i] = known[i]
+        elif res is not None and res.status is Feasibility.INTERIOR:
             points[i] = res.witness
     return points, failed
 

@@ -47,8 +47,8 @@ def _reject_constant(token: str):
     raise NonFiniteError(f"non-finite literal {token!r} is not allowed")
 
 
-def _read_json(text: str, fmt: str) -> dict:
-    """The JSON object of a ``fmt`` document.
+def _read_json(text: str, *formats: str) -> dict:
+    """The JSON object of a document tagged with one of ``formats``.
 
     A bare ``NaN``, ``Infinity`` or ``-Infinity`` literal raises
     :class:`NonFiniteError`; invalid JSON, a non-object and a wrong format
@@ -58,8 +58,9 @@ def _read_json(text: str, fmt: str) -> dict:
         doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != fmt:
-        raise ModelFormatError(f"expected a JSON object with format {fmt!r}")
+    if not isinstance(doc, dict) or doc.get("format") not in formats:
+        tags = " or ".join(map(repr, formats))
+        raise ModelFormatError(f"expected a JSON object with format {tags}")
     return doc
 
 
@@ -111,6 +112,28 @@ def _read_array(value, what: str, ndim: int, token: str | None = None) -> np.nda
     if np.count_nonzero(np.isinf(block)) != tokens:
         raise NonFiniteError(f"{what} holds a number beyond the float range")
     return block
+
+
+def _read_entries(value, what: str, token: str | None = None):
+    """A matrix block ``{"shape", "rows", "cols", "values"}`` of row-major entries.
+
+    Returns ``(shape, rows, cols, values)`` with integer index arrays and
+    ``values`` read as :func:`_read_array` reads a flat list.  Index lists
+    must hold integers inside ``shape``; whether the lists agree in length
+    and order is left to the matrix they build.
+    """
+    if not isinstance(value, dict) or set(value) != {"shape", "rows", "cols", "values"}:
+        raise ModelFormatError(f"{what} must be an object of shape, rows, cols and values")
+    shape = _read_ints(value["shape"], f"{what} shape", 1)
+    if len(shape) != 2 or min(shape) < 0:
+        raise ModelFormatError(f"{what} shape must be two sizes")
+    index = []
+    for key, size in zip(("rows", "cols"), shape):
+        ids = _read_ints(value[key], f"{what} {key}", 1)
+        if min(ids, default=0) < 0 or max(ids, default=-1) >= size:
+            raise ModelFormatError(f"{what} {key} holds an index outside the shape {shape}")
+        index.append(np.array(ids, dtype=np.intp))
+    return tuple(shape), *index, _read_array(value["values"], f"{what} values", 1, token)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,13 @@ weights then leave only the 2m rows of the zero-count regions alive (the
 hosting region at an interior point, a few more on shared faces), so layer 3
 is computed for those rows alone, at 2n multiply-adds each, instead of as a
 dense N(2n+p)(2pm) product.  The ambiguity check and the output cost O(Nm).
+
+Memory: dense, W2 would hold (2n+p)(2n+k) floats and W3 2pm(2n+p), both
+growing with p^2, yet only 2n + (sum of the regions' half-space counts) and
+2pm(2n+1) of their entries are not structural zeros.  So W2 and W3 are
+stored, built, gated and written to ``relu-shallow-v2`` files as those
+entries alone, and every other weight is linear in p.  The largest array
+evaluation keeps is the float32 incidence of the count gate, (2n+k+2n) x p.
 """
 
 from __future__ import annotations
@@ -66,12 +73,14 @@ from .network import (
     MLPNetwork,
     _frozen_array,
     _read_array,
+    _read_entries,
     _read_ints,
     _read_json,
     forward_many,
 )
 
-SHALLOW_FORMAT = "relu-shallow-v1"
+SHALLOW_FORMAT = "relu-shallow-v2"
+_SHALLOW_FORMAT_V1 = "relu-shallow-v1"  # dense W2 and W3; read, no longer written
 EVAL_BLOCK = 1024  # points per block of eval_shallow_many
 
 _NEG_INF_TOKEN = "-Infinity"
@@ -137,10 +146,65 @@ def _check_weight(name: str, W: np.ndarray, allow_neg_inf: bool):
         raise NonFiniteError(f"{name} must be finite")
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class Entries(NamedTuple):
+    """A matrix as its ``(row, col, value)`` entries in row-major order.
+
+    Every cell without an entry is +0.0, and no cell has two entries.
+    """
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def of_dense(cls, W) -> Entries:
+        """The entries of a dense matrix that are nonzero or -0.0."""
+        W = np.asarray(W, dtype=np.float64)
+        if W.ndim != 2:
+            raise DimensionMismatchError(f"expected a matrix, got shape {W.shape}")
+        rows, cols = np.nonzero((W != 0.0) | np.signbit(W))
+        return cls(W.shape, rows, cols, W[rows, cols])
+
+    def dense(self) -> np.ndarray:
+        """The matrix as a new read-only float64 array."""
+        out = np.zeros(self.shape)
+        out[self.rows, self.cols] = self.values
+        return _readonly(out)
+
+
+def _checked_entries(name: str, W, allow_neg_inf: bool) -> Entries:
+    """``W`` (dense or :class:`Entries`) as read-only entries, checked."""
+    if not isinstance(W, Entries):
+        W = Entries.of_dense(W)
+    shape = tuple(map(int, W.shape))
+    rows, cols = (np.asarray(a) for a in (W.rows, W.cols))
+    if any(a.size and a.dtype.kind not in "iu" for a in (rows, cols)):
+        raise ValueError(f"{name} entry indices must be integers")
+    rows, cols = (_frozen_array(a, dtype=np.intp) for a in (rows, cols))
+    values = _frozen_array(W.values)
+    if not rows.shape == cols.shape == values.shape == (values.size,):
+        raise DimensionMismatchError(f"{name} rows, cols and values differ in length")
+    if rows.size and not (
+        0 <= rows.min() <= rows.max() < shape[0] and 0 <= cols.min() <= cols.max() < shape[1]
+    ):
+        raise DimensionMismatchError(f"{name} has an entry outside its shape {shape}")
+    if (np.diff(rows * shape[1] + cols) <= 0).any():
+        raise ValueError(f"{name} entries must be in row-major order, one per cell")
+    _check_weight(name, values, allow_neg_inf)
+    return Entries(shape, rows, cols, values)
+
+
 class _Gates(NamedTuple):
     """:attr:`ShallowNetwork.gates`; the fields are described there."""
 
     units: np.ndarray
+    units_W2: np.ndarray
     live: np.ndarray
     live_W3: np.ndarray
     inputs: np.ndarray
@@ -148,50 +212,60 @@ class _Gates(NamedTuple):
     starts: np.ndarray
 
 
-@dataclass(frozen=True)
 class ShallowNetwork:
     """Immutable three-hidden-layer network; only W3 may hold -inf entries.
 
-    :attr:`gates` is derived from W3 once, on first evaluation.
+    W1, W4 and the biases are stored dense; their sizes grow linearly with
+    the region count p.  W2 and W3, dense sizes (2n+p)(2n+k) and 2pm(2n+p),
+    are stored only as their :class:`Entries`, ``W2_entries`` and
+    ``W3_entries``: a built net keeps every entry :func:`build_shallow`
+    writes (2n + sum of region half-space counts, and 2pm(2n+1)), a dense
+    matrix passed in keeps its entries that are nonzero or -0.0.  ``W2``
+    and ``W3`` are read-only dense views built on each access, for tests
+    and dense readers; evaluation never builds them.  :attr:`gates` is
+    derived from the entries once, on first evaluation.
     """
 
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
-    W3: np.ndarray
-    b3: np.ndarray
-    W4: np.ndarray
-
-    def __post_init__(self):
-        for name in ("W1", "W2", "W3", "W4"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
+    def __init__(self, W1, b1, W2, b2, W3, b3, W4):
+        values = {"W1": _frozen_array(W1), "W4": _frozen_array(W4)}
+        for name, b in (("b1", b1), ("b2", b2), ("b3", b3)):
+            values[name] = _frozen_array(b).reshape(-1)
+        values["W2_entries"] = _checked_entries("W2", W2, False)
+        values["W3_entries"] = _checked_entries("W3", W3, True)
+        _check_weight("W1", values["W1"], False)
+        _check_weight("W4", values["W4"], False)
         for name in ("b1", "b2", "b3"):
-            object.__setattr__(
-                self, name, _frozen_array(getattr(self, name)).reshape(-1)
-            )
-        _check_weight("W1", self.W1, False)
-        _check_weight("W2", self.W2, False)
-        _check_weight("W3", self.W3, True)
-        _check_weight("W4", self.W4, False)
-        for name in ("b1", "b2", "b3"):
-            if not np.isfinite(getattr(self, name)).all():
+            if not np.isfinite(values[name]).all():
                 raise NonFiniteError(f"{name} must be finite")
+        self.__dict__.update(values)
         n, k, p, m = self.input_dim, self.num_halfspaces, self.num_regions, self.output_dim
         if k < 0 or p < 1:
             raise DimensionMismatchError("layer widths do not fit 2n+k / 2n+p")
         expected = [
             (self.W1.shape, (2 * n + k, n)),
             (self.b1.shape, (2 * n + k,)),
-            (self.W2.shape, (2 * n + p, 2 * n + k)),
+            (self.W2_entries.shape, (2 * n + p, 2 * n + k)),
             (self.b2.shape, (2 * n + p,)),
-            (self.W3.shape, (2 * p * m, 2 * n + p)),
+            (self.W3_entries.shape, (2 * p * m, 2 * n + p)),
             (self.b3.shape, (2 * p * m,)),
             (self.W4.shape, (m, 2 * p * m)),
         ]
         for got, want in expected:
             if got != want:
                 raise DimensionMismatchError(f"weight shape {got}, expected {want}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ShallowNetwork is immutable: cannot set {name!r}")
+
+    @property
+    def W2(self) -> np.ndarray:
+        """Dense read-only W2, built from ``W2_entries`` on each access."""
+        return self.W2_entries.dense()
+
+    @property
+    def W3(self) -> np.ndarray:
+        """Dense read-only W3, built from ``W3_entries`` on each access."""
+        return self.W3_entries.dense()
 
     @property
     def input_dim(self) -> int:
@@ -207,16 +281,16 @@ class ShallowNetwork:
 
     @property
     def num_regions(self) -> int:
-        return self.W2.shape[0] - 2 * self.input_dim
+        return self.W2_entries.shape[0] - 2 * self.input_dim
 
     @property
     def widths(self) -> tuple[int, int, int]:
         """Hidden-layer widths, always (2n+k, 2n+p, 2pm)."""
-        return (self.W1.shape[0], self.W2.shape[0], self.W3.shape[0])
+        return (self.W1.shape[0], self.W2_entries.shape[0], self.W3_entries.shape[0])
 
     @cached_property
     def gates(self) -> _Gates:
-        """Layers 2 and 3 split for count-gated evaluation.
+        """Layers 2 and 3 split for count-gated evaluation, read off the entries.
 
         Layer 3 reads a layer-2 unit through finite weights or through -inf
         weights, and a -inf weight only asks whether the unit is positive.  A
@@ -224,10 +298,11 @@ class ShallowNetwork:
         bias, is *counted*: it is positive exactly when one of its ReLU'd
         layer-1 inputs is, because ``1 * a == a`` and a float sum of
         nonnegative terms is zero only when every term is.  The other units,
-        ``units``, are computed in float64; in a built net these are the 2n
-        pass-through units.  ``live`` are the positions in ``units`` that W3
-        reads through finite nonzero weights, and ``live_W3`` is W3 on them,
-        with -inf read as zero.
+        ``units``, are computed in float64 through ``units_W2``, their dense
+        W2 rows; in a built net these are the 2n pass-through units.
+        ``live`` are the positions in ``units`` that W3 reads through finite
+        nonzero weights, and ``live_W3`` is dense W3 on them, with -inf read
+        as zero.
 
         W3 rows that share one set of -inf columns form a group, and groups
         are ordered by their first row: a built net has one group of 2m rows
@@ -239,37 +314,57 @@ class ShallowNetwork:
         of 0/1 terms is zero only when every term is, so a group is alive
         exactly where its count is zero.
         """
-        width, n_in = self.W2.shape
-        neg = self.W3 == -np.inf
-        finite = np.where(neg, 0.0, self.W3)
-        read = (finite != 0.0).any(axis=0)
-        counted = ~read & (self.b2 == 0.0) & ((self.W2 == 0.0) | (self.W2 == 1.0)).all(axis=1)
+        W2, W3 = self.W2_entries, self.W3_entries
+        width, n_in = W2.shape
+        neg = W3.values == -np.inf
+        finite = ~neg & (W3.values != 0.0)
+        read = np.zeros(width, dtype=bool)
+        read[W3.cols[finite]] = True
+        not_01 = np.zeros(width, dtype=bool)
+        not_01[W2.rows[(W2.values != 0.0) & (W2.values != 1.0)]] = True
+        counted = ~read & (self.b2 == 0.0) & ~not_01
         units = np.flatnonzero(~counted)
         live = np.flatnonzero(read[units])
+        slot = np.full(width, -1)  # each unit's position in `units`
+        slot[units] = np.arange(units.size)
+        mine = slot[W2.rows] >= 0
+        units_W2 = np.zeros((units.size, n_in))
+        units_W2[slot[W2.rows[mine]], W2.cols[mine]] = W2.values[mine]
+        slot_live = np.full(width, -1)  # each unit's position in `units[live]`
+        slot_live[units[live]] = np.arange(live.size)
+        mine = ~neg & (slot_live[W3.cols] >= 0)
+        live_W3 = np.zeros((W3.shape[0], live.size))
+        live_W3[W3.rows[mine], slot_live[W3.cols[mine]]] = W3.values[mine]
         # each row's -inf columns, padded with the out-of-range unit `width`
-        rows, cols = np.nonzero(neg)
-        lists = np.full(
-            (self.W3.shape[0], max(1, int(neg.sum(axis=1).max(initial=0)))), width, dtype=np.intp
-        )
+        rows, cols = W3.rows[neg], W3.cols[neg]
+        longest = np.bincount(rows, minlength=W3.shape[0]).max(initial=0)
+        lists = np.full((W3.shape[0], max(1, int(longest))), width, dtype=np.intp)
         lists[rows, np.arange(rows.size) - np.searchsorted(rows, rows)] = cols
         _, first, label = np.unique(lists, axis=0, return_index=True, return_inverse=True)
         order = np.argsort(first)
         label = np.argsort(order)[label.reshape(-1)]
-        # what each layer-2 unit feeds into the counts; the padding unit nothing
-        feeds = np.zeros((width + 1, n_in + units.size), dtype=bool)
-        feeds[:width, :n_in] = (self.W2 != 0.0) & counted[:, None]
-        feeds[units, n_in + np.arange(units.size)] = True
-        inputs = feeds[lists[first[order]]].any(axis=1)
+        # what each group reads: a float64 unit directly, a counted unit
+        # through the layer-1 units of its W2 row
+        heads = lists[first[order]]
+        group, col = np.nonzero(heads < width)
+        unit = heads[group, col]
+        inputs = np.zeros((n_in + units.size, order.size), dtype=np.float32)
+        direct = ~counted[unit]
+        inputs[n_in + slot[unit[direct]], group[direct]] = 1.0
+        nonzero = W2.values != 0.0
+        row_starts = np.searchsorted(W2.rows[nonzero], np.arange(width + 1))
+        unit, group = unit[~direct], group[~direct]
+        sizes = row_starts[unit + 1] - row_starts[unit]
+        at = np.arange(sizes.sum()) + np.repeat(row_starts[unit] - np.cumsum(sizes) + sizes, sizes)
+        inputs[W2.cols[nonzero][at], np.repeat(group, sizes)] = 1.0
         return _Gates(
-            _frozen_array(units, dtype=np.intp),
-            _frozen_array(live, dtype=np.intp),
-            _frozen_array(finite[:, units[live]]),
-            _frozen_array(np.ascontiguousarray(inputs.T), dtype=np.float32),
-            _frozen_array(np.argsort(label, kind="stable"), dtype=np.intp),
-            _frozen_array(
-                np.concatenate([[0], np.cumsum(np.bincount(label, minlength=order.size))]),
-                dtype=np.intp,
-            ),
+            _readonly(units),
+            _readonly(units_W2),
+            _readonly(live),
+            _readonly(live_W3),
+            _readonly(inputs),
+            _readonly(np.argsort(label, kind="stable")),
+            _readonly(np.concatenate([[0], np.cumsum(np.bincount(label, minlength=order.size))])),
         )
 
 
@@ -278,9 +373,10 @@ def build_shallow(d: Decomposition) -> ShallowNetwork:
 
     Model rows are stacked region-major: layer-3 row ``r*m + j`` carries
     output coordinate ``j`` of region ``r``, and its twin ``p*m + r*m + j``
-    the negated copy.  The decomposition must be complete: a net built from
-    a partial one would read 0 outside the regions found, so it is refused
-    like an empty one.
+    the negated copy.  W2 and W3 are written as their entries, so the
+    build takes memory linear in p.  The decomposition must be complete: a
+    net built from a partial one would read 0 outside the regions found, so
+    it is refused like an empty one.
     """
     n, m = d.input_dim, d.output_dim
     p, k = d.num_regions, d.num_halfspaces
@@ -292,23 +388,36 @@ def build_shallow(d: Decomposition) -> ShallowNetwork:
     W1 = np.vstack([np.eye(n), -np.eye(n), -d.halfspace_normals])
     b1 = np.concatenate([np.zeros(2 * n), d.halfspace_offsets])
 
+    # W2: the identity on the split input, then one selector row per region;
+    # each region's ids sorted, once each (np.unique would import numpy.ma,
+    # about 20 ms, on a process's first build)
     ids, _, starts = d.region_rows
-    R = np.zeros((p, k))
-    R[np.repeat(np.arange(p), np.diff(starts)), ids] = 1.0
-    W2 = np.zeros((2 * n + p, 2 * n + k))
-    W2[: 2 * n, : 2 * n] = np.eye(2 * n)
-    W2[2 * n :, 2 * n :] = R
+    keys = np.sort(np.repeat(np.arange(p), np.diff(starts)) * k + ids)
+    region_rows, region_cols = np.divmod(keys[np.diff(keys, prepend=-1) != 0], max(k, 1))
+    W2 = Entries(
+        (2 * n + p, 2 * n + k),
+        np.concatenate([np.arange(2 * n), 2 * n + region_rows]),
+        np.concatenate([np.arange(2 * n), 2 * n + region_cols]),
+        np.ones(2 * n + region_rows.size),
+    )
     b2 = np.zeros(2 * n + p)
 
+    # W3 row r*m + j reads (alpha, -alpha) off the split input, its twin
+    # (-alpha, alpha), and both read region r's unit through -inf
     alpha = np.vstack([region.alpha for region in d.regions])
     beta = np.concatenate([region.beta for region in d.regions])
-    penalty = np.zeros((p * m, p))
-    penalty[np.arange(p * m), np.arange(p * m) // m] = -np.inf
-    W3 = np.vstack(
-        [
-            np.hstack([alpha, -alpha, penalty]),
-            np.hstack([-alpha, alpha, penalty]),
-        ]
+    values = np.empty((2, p * m, 2 * n + 1))
+    values[0, :, :n] = values[1, :, n : 2 * n] = alpha
+    values[0, :, n : 2 * n] = values[1, :, :n] = -alpha
+    values[:, :, 2 * n] = -np.inf
+    cols = np.empty((2, p * m, 2 * n + 1), dtype=np.intp)
+    cols[:, :, : 2 * n] = np.arange(2 * n)
+    cols[:, :, 2 * n] = 2 * n + np.arange(p * m) // m
+    W3 = Entries(
+        (2 * p * m, 2 * n + p),
+        np.repeat(np.arange(2 * p * m), 2 * n + 1),
+        cols.reshape(-1),
+        values.reshape(-1),
     )
     b3 = np.concatenate([beta, -beta])
 
@@ -364,7 +473,7 @@ def _eval_block(s: ShallowNetwork, X: np.ndarray, first: int) -> np.ndarray:
     A1 = X @ s.W1.T
     A1 += s.b1
     xr_relu(A1, out=A1)
-    A2 = A1 @ s.W2[g.units].T
+    A2 = A1 @ g.units_W2.T
     A2 += s.b2[g.units]
     xr_relu(A2, out=A2)
     positive = np.empty((N, n_in + g.units.size), dtype=np.float32)
@@ -413,10 +522,16 @@ def shallow_to_decomposition(s: ShallowNetwork) -> Decomposition:
     """
     n, m = s.input_dim, s.output_dim
     p, k = s.num_regions, s.num_halfspaces
+    W2, W3 = s.W2_entries, s.W3_entries
     normals, offsets = -s.W1[2 * n :], s.b1[2 * n :]
     halfspaces = tuple(OrientedHalfspace(normals[i], offsets[i]) for i in range(k))
-    selector = s.W2[2 * n :, 2 * n :]
-    region_ids = [np.flatnonzero(selector[r] > 0.5) for r in range(p)]
+    selector = (W2.rows >= 2 * n) & (W2.cols >= 2 * n) & (W2.values > 0.5)
+    region_cols = W2.cols[selector] - 2 * n
+    bounds = np.searchsorted(W2.rows[selector], 2 * n + np.arange(p + 1))
+    region_ids = [region_cols[bounds[r] : bounds[r + 1]] for r in range(p)]
+    models = (W3.rows < p * m) & (W3.cols < n)
+    alphas = np.zeros((p * m, n))
+    alphas[W3.rows[models], W3.cols[models]] = W3.values[models]
     witnesses, failed = _witnesses(
         [closed_lp(normals[ids], offsets[ids]) for ids in region_ids]
     )
@@ -426,7 +541,7 @@ def shallow_to_decomposition(s: ShallowNetwork) -> Decomposition:
             raise IterationLimitError(f"region {r}: the interior solve ran out of pivots")
         if witness is None:
             raise UnwrapError(f"region {r} of the shallow network is empty")
-        alpha = s.W3[r * m : (r + 1) * m, :n]
+        alpha = alphas[r * m : (r + 1) * m]
         beta = s.b3[r * m : (r + 1) * m]
         pattern = ActivationPattern((tuple(int(i == r) for i in range(p)),))
         regions.append(Region(pattern, alpha, beta, ids, witness))
@@ -567,36 +682,47 @@ def equivalence_report(
 # File I/O
 
 
-def _encode_matrix(W: np.ndarray):
-    return [
-        [_NEG_INF_TOKEN if v == -np.inf else float(v) for v in row] for row in W
-    ]
+def _encode_entries(W: Entries) -> dict:
+    return {
+        "shape": list(W.shape),
+        "rows": W.rows.tolist(),
+        "cols": W.cols.tolist(),
+        "values": [_NEG_INF_TOKEN if v == -np.inf else v for v in W.values.tolist()],
+    }
 
 
 def dumps_shallow(s: ShallowNetwork) -> str:
+    """A ``relu-shallow-v2`` document: W2 and W3 as their entries, the rest dense."""
     doc = {
         "format": SHALLOW_FORMAT,
         "widths": list(s.widths),
-        "W1": _encode_matrix(s.W1),
+        "W1": s.W1.tolist(),
         "b1": s.b1.tolist(),
-        "W2": _encode_matrix(s.W2),
+        "W2": _encode_entries(s.W2_entries),
         "b2": s.b2.tolist(),
-        "W3": _encode_matrix(s.W3),
+        "W3": _encode_entries(s.W3_entries),
         "b3": s.b3.tolist(),
-        "W4": _encode_matrix(s.W4),
+        "W4": s.W4.tolist(),
     }
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def loads_shallow(text: str) -> ShallowNetwork:
+    """Read a ``relu-shallow-v2`` document, or a dense ``relu-shallow-v1`` one."""
     try:
-        doc = _read_json(text, SHALLOW_FORMAT)
+        doc = _read_json(text, SHALLOW_FORMAT, _SHALLOW_FORMAT_V1)
+        if doc["format"] == SHALLOW_FORMAT:
+            W2 = Entries(*_read_entries(doc["W2"], "W2"))
+            W3 = Entries(*_read_entries(doc["W3"], "W3", token=_NEG_INF_TOKEN))
+        else:
+            W2 = _read_array(doc["W2"], "W2", 2)
+            W3 = _read_array(doc["W3"], "W3", 2, token=_NEG_INF_TOKEN)
         net = ShallowNetwork(
             _read_array(doc["W1"], "W1", 2),
             _read_array(doc["b1"], "b1", 1),
-            _read_array(doc["W2"], "W2", 2),
+            W2,
             _read_array(doc["b2"], "b2", 1),
-            _read_array(doc["W3"], "W3", 2, token=_NEG_INF_TOKEN),
+            W3,
             _read_array(doc["b3"], "b3", 1),
             _read_array(doc["W4"], "W4", 2),
         )
@@ -604,7 +730,7 @@ def loads_shallow(text: str) -> ShallowNetwork:
             raise ModelFormatError(
                 f"declared widths {doc['widths']} do not match weights {list(net.widths)}"
             )
-    except (KeyError, NonFiniteError, DimensionMismatchError) as exc:
+    except (KeyError, ValueError, NonFiniteError, DimensionMismatchError) as exc:
         raise ModelFormatError(f"malformed shallow network: {exc}") from exc
     return net
 

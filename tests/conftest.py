@@ -1,5 +1,7 @@
 """Shared fixtures: tiny hand-checked networks with known partitions."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -88,3 +90,18 @@ def interior_samples(d, region, rng, count, spread=0.5):
             continue
         out.append(x)
     return np.array(out) if out else np.zeros((0, d.input_dim))
+
+
+def shallow_v1_text(s) -> str:
+    """A shallow network as a ``relu-shallow-v1`` document: every weight
+    matrix dense, -inf written as the string "-Infinity".  The package
+    reads this format but no longer writes it."""
+
+    def dense(W):
+        return [["-Infinity" if v == -np.inf else v for v in row] for row in W.tolist()]
+
+    doc = {"format": "relu-shallow-v1", "widths": list(s.widths)}
+    for name in ("W1", "b1", "W2", "b2", "W3", "b3", "W4"):
+        value = getattr(s, name)
+        doc[name] = dense(value) if value.ndim == 2 else value.tolist()
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +265,36 @@ class TestEnumeration:
         assert res.solver_fallbacks == 1
         assert reference.solver_fallbacks == 0
         assert [rec.pattern for rec in res.records] == [rec.pattern for rec in reference.records]
+
+    def test_search_witness_of_an_empty_program_raises(self, monkeypatch):
+        """Clamping the negative right-hand sides of every split program's
+        parent rows to 0.0 makes the search keep pattern (1,1,0,0 | 0,0,1,0)
+        of biased [2,4,4] seed 0, whose own program has no interior.  Its
+        all-strict solve fails, so only the search's witness stands for it:
+        that program is solved and found empty, which raises."""
+        net = biased_net([2, 4, 4], 2, seed=0)
+        extra = ((1, 1, 0, 0), (0, 0, 1, 0))
+        assert check_feasible(global_lp(extra, net)).status is not Feasibility.INTERIOR
+        real = decomposition.check_feasible
+
+        def clamped(lp):
+            b = lp.b.copy()
+            b[:-1] = np.maximum(b[:-1], 0.0)
+            return real(LinearProgram(lp.A, b, lp.strict))
+
+        real_witnesses, seen = decomposition._witnesses, []
+
+        def spy(lps, known=None):
+            seen.extend(lps)
+            return real_witnesses(lps, known)
+
+        monkeypatch.setattr(decomposition, "check_feasible", clamped)
+        monkeypatch.setattr(decomposition, "_witnesses", spy)
+        with pytest.raises(UnwrapError, match="has no interior point") as info:
+            enumerate_feasible(net)
+        kept = seen[int(re.search(r"program (\d+)", str(info.value)).group(1))]
+        empty = global_lp(extra, net)
+        assert np.array_equal(kept.A, empty.A) and np.array_equal(kept.b, empty.b)
 
 
 class TestDecomposition:
@@ -663,7 +694,8 @@ def test_contradicting_constant_row_is_reported():
 
 class TestWitnessPaths:
     """Every record leaves the search with a witness: the interior re-solve,
-    else the split's witness, else a point of the pattern's own program."""
+    else the split's witness once the pattern's own program is found to have
+    an interior, else a point of that program."""
 
     def _keep_one_final_cut(self, monkeypatch, net, interior):
         """Raise on the first full-pattern split LP whose real status is
@@ -694,13 +726,25 @@ class TestWitnessPaths:
 
         monkeypatch.setattr(decomposition, "check_feasible_many", refinement_fails)
         res = enumerate_feasible(net)
-        assert len(raised) == 1 and calls == [len(res.records), 1]
+        # every leaf falls back, so every leaf's own program is solved: the
+        # kept cell's for its witness, the others' to certify the split's
+        assert len(raised) == 1 and calls == [len(res.records), len(res.records)]
         assert res.solver_fallbacks == 1 + len(res.records)
         assert [rec.pattern for rec in res.records] == [rec.pattern for rec in reference.records]
         kept = next(rec for rec in res.records if rec.pattern.bits() == raised[0])
         own = check_feasible(global_lp(kept.pattern, net))
         assert own.status is Feasibility.INTERIOR
         np.testing.assert_array_equal(kept.witness, own.witness)
+
+    def test_uncertified_split_witness_counts_as_a_fallback(self, monkeypatch):
+        """When both stacked calls run out of pivots, each leaf keeps its
+        split's witness and counts once in ``solver_fallbacks``."""
+        net = biased_net([2, 4, 4], 2, seed=0)
+        reference = enumerate_feasible(net)
+        monkeypatch.setattr(decomposition, "check_feasible_many", lambda lps: [None] * len(lps))
+        res = enumerate_feasible(net)
+        assert [rec.pattern for rec in res.records] == [rec.pattern for rec in reference.records]
+        assert res.solver_fallbacks == len(res.records)
 
     def test_kept_empty_leaf_is_not_certified(self, monkeypatch):
         net = biased_net([2, 4, 4], 2, seed=0)

@@ -1,4 +1,4 @@
-"""The three JSON formats share one strict reader: malformed documents fail loudly."""
+"""The JSON formats share one strict reader: malformed documents fail loudly."""
 
 import copy
 import json
@@ -20,14 +20,17 @@ from relu_unwrap import (
     loads_shallow,
 )
 
-from conftest import biased_net
+from conftest import biased_net, shallow_v1_text
 
 _NET = biased_net([2, 4, 4], 2, seed=0)
 _D = decompose(_NET)
+_S = build_shallow(_D)
+# "shallow" is the dense v1 format, still read; "shallow-v2" the one written
 DOCS = {
     "model": (json.loads(dumps_model(_NET)), loads_model),
     "decomposition": (json.loads(dumps_decomposition(_D)), loads_decomposition),
-    "shallow": (json.loads(dumps_shallow(build_shallow(_D))), loads_shallow),
+    "shallow": (json.loads(shallow_v1_text(_S)), loads_shallow),
+    "shallow-v2": (json.loads(dumps_shallow(_S)), loads_shallow),
 }
 
 NAN, INF, HUGE = "@NaN@", "@Infinity@", "@1e400@"  # written as bare literals
@@ -69,6 +72,23 @@ CASES = [
     ("shallow", ("b3", 0), True, ModelFormatError),
     ("shallow", ("widths", 0), float, ModelFormatError),
     ("shallow", ("W2", 1), [0.0], ModelFormatError),
+    ("shallow", ("W2",), lambda W2: DOCS["shallow-v2"][0]["W2"], ModelFormatError),
+    ("shallow-v2", ("W2", "values", 0), NAN, ModelFormatError),
+    ("shallow-v2", ("W3", "values", 0), HUGE, ModelFormatError),
+    ("shallow-v2", ("W2", "values", 1), "-Infinity", ModelFormatError),
+    ("shallow-v2", ("W2", "rows", 0), float, ModelFormatError),
+    ("shallow-v2", ("W3", "cols", 0), bool, ModelFormatError),
+    ("shallow-v2", ("W3", "rows", 1), str, ModelFormatError),
+    ("shallow-v2", ("W3", "cols", -1), lambda col: col + 1, ModelFormatError),  # out of range
+    ("shallow-v2", ("W2", "rows", 0), -1, ModelFormatError),
+    ("shallow-v2", ("W3", "cols", 1), lambda col: col - 1, ModelFormatError),  # a cell twice
+    ("shallow-v2", ("W3", "cols", 0), lambda col: col + 2, ModelFormatError),  # out of order
+    ("shallow-v2", ("W3", "values"), lambda values: values[:-1], ModelFormatError),
+    ("shallow-v2", ("W2", "rows"), lambda rows: rows + [rows[-1]], ModelFormatError),
+    ("shallow-v2", ("W3", "shape", 0), lambda rows: rows + 2, ModelFormatError),
+    ("shallow-v2", ("W2", "shape", 1), lambda cols: cols - 1, ModelFormatError),
+    ("shallow-v2", ("W3",), lambda W3: {**W3, "extra": []}, ModelFormatError),
+    ("shallow-v2", ("W2",), lambda W2: DOCS["shallow"][0]["W2"], ModelFormatError),
 ]
 
 

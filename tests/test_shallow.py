@@ -2,6 +2,7 @@
 
 import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,7 +47,13 @@ from relu_unwrap import (
 
 import relu_unwrap.decomposition as decomposition_module
 import relu_unwrap.shallow as shallow_module
-from conftest import biased_net, interior_samples, pad_identity_layer, permute_hidden
+from conftest import (
+    biased_net,
+    interior_samples,
+    pad_identity_layer,
+    permute_hidden,
+    shallow_v1_text,
+)
 
 INF = np.inf
 
@@ -530,7 +537,7 @@ def _assert_matches_reference(s, X, ref=_ref_eval):
     return np.array(kept).reshape(-1, s.input_dim), np.array(want).reshape(-1, s.output_dim)
 
 
-def _hand_built_net(seed):
+def _hand_built_weights(seed):
     """Random weights everywhere, with -inf entries in W3: most rows hold two
     (anywhere, selector columns included), one holds one and one none."""
     rng = np.random.default_rng(seed)
@@ -539,7 +546,7 @@ def _hand_built_net(seed):
     for row in range(2, 2 * p * m):
         W3[row, rng.choice(2 * n + p, size=2, replace=False)] = -INF
     W3[1, rng.integers(2 * n + p)] = -INF
-    return ShallowNetwork(
+    return (
         rng.normal(size=(2 * n + k, n)),
         rng.normal(size=2 * n + k),
         rng.normal(size=(2 * n + p, 2 * n + k)),
@@ -550,13 +557,18 @@ def _hand_built_net(seed):
     )
 
 
-def _mixed_net():
+def _hand_built_net(seed):
+    return ShallowNetwork(*_hand_built_weights(seed))
+
+
+def _mixed_weights():
     """The built net of biased [2,4,4] seed 0 with three region units that
     must stay float64 beside counted ones: region 0's has bias 0.5; region
     1's also reads, with weight 0.5, a new layer-1 unit that is always the
     smallest subnormal (so the product rounds to zero and the unit is zero
     in region 1, as the float64 layer computes it); and W3 reads region 2's
-    through finite weights in region 3's first row pair."""
+    through finite weights in region 3's first row pair.  Returns the
+    decomposition and the dense weights."""
     d = decompose(biased_net([2, 4, 4], 2, seed=0))
     s = build_shallow(d)
     n, p, m = d.input_dim, d.num_regions, d.output_dim
@@ -567,7 +579,7 @@ def _mixed_net():
     W3 = s.W3.copy()
     W3[3 * m, 2 * n + 2] = 0.25
     W3[(p + 3) * m, 2 * n + 2] = -0.25
-    mixed = ShallowNetwork(
+    weights = (
         np.vstack([s.W1, np.zeros((1, n))]),
         np.append(s.b1, 5e-324),
         W2,
@@ -576,7 +588,12 @@ def _mixed_net():
         s.b3,
         s.W4,
     )
-    return d, mixed
+    return d, weights
+
+
+def _mixed_net():
+    d, weights = _mixed_weights()
+    return d, ShallowNetwork(*weights)
 
 
 def _face_points(d):
@@ -774,3 +791,156 @@ class TestEvaluationBlocks:
             eval_shallow_many(s, X)
         X[at] = [3.0, 3.0]
         np.testing.assert_allclose(eval_shallow_many(s, X), forward_many(demo_net_m2, X), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Entry storage: the dense construction it replaced, as references
+
+WEIGHT_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3", "W4")
+
+
+def _dense_weights(d):
+    """The weights as build_shallow assembled them densely, before it wrote
+    W2 and W3 as entries."""
+    n, m = d.input_dim, d.output_dim
+    p, k = d.num_regions, d.num_halfspaces
+    W1 = np.vstack([np.eye(n), -np.eye(n), -d.halfspace_normals])
+    b1 = np.concatenate([np.zeros(2 * n), d.halfspace_offsets])
+    ids, _, starts = d.region_rows
+    R = np.zeros((p, k))
+    R[np.repeat(np.arange(p), np.diff(starts)), ids] = 1.0
+    W2 = np.zeros((2 * n + p, 2 * n + k))
+    W2[: 2 * n, : 2 * n] = np.eye(2 * n)
+    W2[2 * n :, 2 * n :] = R
+    alpha = np.vstack([region.alpha for region in d.regions])
+    beta = np.concatenate([region.beta for region in d.regions])
+    penalty = np.zeros((p * m, p))
+    penalty[np.arange(p * m), np.arange(p * m) // m] = -np.inf
+    W3 = np.vstack([np.hstack([alpha, -alpha, penalty]), np.hstack([-alpha, alpha, penalty])])
+    project = np.kron(np.ones((1, p)), np.eye(m))
+    return W1, b1, W2, np.zeros(2 * n + p), W3, np.concatenate([beta, -beta]), np.hstack([project, -project])
+
+
+def _dense_gates(W2, b2, W3):
+    """ShallowNetwork.gates as it was derived from dense W2 and W3, plus the
+    W2 rows of the float64 units that evaluation read as ``W2[units]``."""
+    width, n_in = W2.shape
+    neg = W3 == -np.inf
+    finite = np.where(neg, 0.0, W3)
+    read = (finite != 0.0).any(axis=0)
+    counted = ~read & (b2 == 0.0) & ((W2 == 0.0) | (W2 == 1.0)).all(axis=1)
+    units = np.flatnonzero(~counted)
+    live = np.flatnonzero(read[units])
+    rows, cols = np.nonzero(neg)
+    lists = np.full((W3.shape[0], max(1, int(neg.sum(axis=1).max(initial=0)))), width, dtype=np.intp)
+    lists[rows, np.arange(rows.size) - np.searchsorted(rows, rows)] = cols
+    _, first, label = np.unique(lists, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    label = np.argsort(order)[label.reshape(-1)]
+    feeds = np.zeros((width + 1, n_in + units.size), dtype=bool)
+    feeds[:width, :n_in] = (W2 != 0.0) & counted[:, None]
+    feeds[units, n_in + np.arange(units.size)] = True
+    inputs = feeds[lists[first[order]]].any(axis=1)
+    return {
+        "units": units.astype(np.intp),
+        "units_W2": W2[units],
+        "live": live.astype(np.intp),
+        "live_W3": np.array(finite[:, units[live]]),
+        "inputs": np.array(np.ascontiguousarray(inputs.T), dtype=np.float32),
+        "rows": np.argsort(label, kind="stable").astype(np.intp),
+        "starts": np.concatenate([[0], np.cumsum(np.bincount(label, minlength=order.size))]).astype(np.intp),
+    }
+
+
+def _same_bytes(got, want):
+    want = np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _outputs(s, X):
+    """eval_shallow_many's outputs as bytes, or the ambiguity it raises."""
+    try:
+        return eval_shallow_many(s, X).tobytes()
+    except AmbiguousSelectionError as exc:
+        return str(exc)
+
+
+def _built(make):
+    """(decomposition, built net, its weights as the dense construction made them)."""
+    d = decompose(make())
+    return d, build_shallow(d), _dense_weights(d)
+
+
+def _given(d, weights):
+    """(decomposition or None, the net of dense ``weights``, the weights)."""
+    return d, ShallowNetwork(*weights), weights
+
+
+STORED_NETS = (
+    [(label, functools.partial(_built, make)) for label, make in GATE_NETS]
+    + [(f"hand-built#{seed}", lambda seed=seed: _given(None, _hand_built_weights(seed))) for seed in range(4)]
+    + [("mixed", lambda: _given(*_mixed_weights()))]
+)
+
+
+class TestEntryStorage:
+    @pytest.mark.parametrize("make", [m for _, m in STORED_NETS], ids=[l for l, _ in STORED_NETS])
+    def test_v2_and_v1_files_load_bitwise(self, make):
+        """A net, its v2 file and its v1 file give byte-equal dense weights
+        (-0.0 included) and gates equal to the dense construction's.  So
+        they evaluate alike, at random points and at face points."""
+        d, s, weights = make()
+        want = _dense_gates(weights[2], weights[3], weights[4])
+        rng = np.random.default_rng(2)
+        batches = [rng.uniform(-6.0, 6.0, size=(500, s.input_dim))]
+        if d is not None:
+            batches += [_face_points(d)] + list(_face_points(d)[:40, None])
+        outputs = [_outputs(s, X) for X in batches]
+        for net in (s, loads_shallow(dumps_shallow(s)), loads_shallow(shallow_v1_text(s))):
+            for name, w in zip(WEIGHT_NAMES, weights):
+                assert _same_bytes(getattr(net, name), np.asarray(w, dtype=np.float64).reshape(getattr(net, name).shape)), name
+            for field, w in want.items():
+                assert _same_bytes(getattr(net.gates, field), w), field
+            assert [_outputs(net, X) for X in batches] == outputs
+
+    def test_built_net_keeps_written_entries(self):
+        """Explicit zeros of a region model stay entries, as +0.0 and -0.0;
+        a dense matrix passed in keeps only entries that are nonzero or -0.0."""
+        layer = Layer(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2))
+        d = decompose(MLPNetwork((layer,), Layer(np.array([[1.0, 0.0]]), np.zeros(1))))
+        s = build_shallow(d)
+        n, p, m = d.input_dim, d.num_regions, d.output_dim
+        assert s.W3_entries.values.size == 2 * p * m * (2 * n + 1)
+        zeros = s.W3_entries.values == 0.0
+        assert np.signbit(s.W3_entries.values[zeros]).any() and not np.signbit(s.W3_entries.values[zeros]).all()
+        again = ShallowNetwork(s.W1, s.b1, s.W2, s.b2, s.W3, s.b3, s.W4)
+        kept = again.W3_entries.values
+        assert kept.size == np.count_nonzero(s.W3_entries.values) + np.count_nonzero(np.signbit(s.W3_entries.values[zeros]))
+        assert _same_bytes(again.W3, s.W3)
+
+    def test_dense_views_are_read_only_and_not_cached(self, demo_net_m1):
+        s = build_shallow(decompose(demo_net_m1))
+        assert s.W2 is not s.W2 and s.W3 is not s.W3
+        assert not s.W2.flags.writeable and not s.W3.flags.writeable
+        with pytest.raises(AttributeError):
+            s.W1 = s.W1
+
+    def test_linear_entries_and_memory(self):
+        """Biased [3,5,5,3] seed 0 (p=294, k=398, m=2): the built net stores
+        2n + sum|halfspace_ids| W2 entries and 2pm(2n+1) W3 entries, and
+        build_shallow followed by gates allocates less than one dense float64
+        W3 (2pm(2n+p) * 8 bytes, 2.8 MB); the dense build peaked at 10.4 MB."""
+        d = decompose(biased_net([3, 5, 5, 3], 2, seed=0))
+        n, m, p = d.input_dim, d.output_dim, d.num_regions
+        assert (p, d.num_halfspaces) == (294, 398)
+        build_shallow(d).gates  # first calls import lazily loaded numpy modules
+        tracemalloc.start()
+        try:
+            s = build_shallow(d)
+            s.gates
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert s.W2_entries.values.size == 2 * n + sum(len(r.halfspace_ids) for r in d.regions)
+        assert s.W3_entries.values.size == 2 * p * m * (2 * n + 1)
+        assert peak < 2 * p * m * (2 * n + p) * 8
