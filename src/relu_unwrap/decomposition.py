@@ -26,16 +26,17 @@ prefix, that witness, and the minimal set of oriented half-spaces
 ``h . x > c`` bounding it.  Half-spaces keep their orientation (both sides
 of one hyperplane are separate table entries) and are unit-normalised.
 A region's duplicate rows are merged within ``TOL_CANON``; the regions'
-conditions share one table entry when their floats are equal.
+conditions share one table entry when their floats are equal.  A
+:class:`Decomposition` holds the table and the regions as arrays; its
+:class:`Region` and :class:`OrientedHalfspace` items are views.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -74,6 +75,7 @@ DECOMP_FORMAT = "relu-decomp-v1"
 TOL_CANON = 1e-8        # merge tolerance on (normal, offset) within a region
 TOL_DEGENERATE = 1e-12  # rows with a smaller normal are constant constraints
 _SORT_DECIMALS = 9      # rounding for order keys, keeps runs comparable
+_FLOAT_FIELDS = ("halfspace_normals", "halfspace_offsets", "alphas", "betas", "witnesses")
 
 
 @dataclass(frozen=True)
@@ -93,22 +95,10 @@ class GlobalAffinePrefix:
 
 @dataclass(frozen=True)
 class OrientedHalfspace:
-    """Strict condition ``normal . x > offset`` with a unit normal."""
+    """Strict condition ``normal . x > offset`` with a unit normal (a view)."""
 
     normal: np.ndarray
     offset: float
-
-    def __post_init__(self):
-        normal = _frozen_array(self.normal).reshape(-1)
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "offset", float(self.offset))
-        # Python floats: faster than numpy checks on arrays this small
-        entries = normal.tolist()
-        if not math.isfinite(self.offset) or not all(map(math.isfinite, entries)):
-            raise NonFiniteError("half-space entries must be finite")
-        length = math.hypot(*entries)
-        if abs(length - 1.0) > 1e-6:
-            raise ValueError(f"half-space normal has length {length}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -118,7 +108,7 @@ class Region:
     ``halfspace_ids`` index conditions that hold strictly on the region's
     interior.  ``nonstrict_ids`` is the subset whose faces the region owns
     (pattern bit 0, closed side), used to resolve points lying exactly on a
-    boundary.
+    boundary.  A read-only view of one region of a decomposition.
     """
 
     pattern: ActivationPattern
@@ -128,97 +118,121 @@ class Region:
     witness: np.ndarray
     nonstrict_ids: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _frozen_array(self.alpha))
-        object.__setattr__(self, "beta", _frozen_array(self.beta).reshape(-1))
-        object.__setattr__(self, "witness", _frozen_array(self.witness).reshape(-1))
-        object.__setattr__(self, "halfspace_ids", tuple(map(int, self.halfspace_ids)))
-        object.__setattr__(self, "nonstrict_ids", tuple(map(int, self.nonstrict_ids)))
-        if self.alpha.ndim != 2 or self.alpha.shape[0] != self.beta.shape[0]:
-            raise DimensionMismatchError("region model shapes disagree")
-        # Python floats: faster than numpy checks on arrays this small
-        entries = chain(self.alpha.ravel().tolist(), self.beta.tolist(), self.witness.tolist())
-        if not all(map(math.isfinite, entries)):
-            raise NonFiniteError("region model and witness must be finite")
-        if not set(self.nonstrict_ids) <= set(self.halfspace_ids):
+
+def _block(values, shape: tuple[int, ...], what: str, dtype=np.float64) -> np.ndarray:
+    """``values`` as a read-only array of ``shape``, which any empty block takes."""
+    try:
+        out = _frozen_array(values, dtype)
+    except ValueError as exc:
+        raise DimensionMismatchError(f"{what} do not stack into an array: {exc}") from exc
+    if out.size == 0 and 0 in shape:
+        out = out.reshape(shape)
+    if out.shape != shape:
+        raise DimensionMismatchError(f"{what} is shaped {out.shape}, expected {shape}")
+    return out
+
+
+def _region_rows(region_ids, region_owned) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:attr:`Decomposition.region_rows` of each region's ids and owned ids."""
+    ids, owned, lengths = [], [], [0]
+    for run, own in zip(region_ids, region_owned):
+        own = set(own)
+        if not own <= set(run):
             raise ValueError("nonstrict_ids must be a subset of halfspace_ids")
+        ids.extend(run)
+        owned.extend(i in own for i in run)
+        lengths.append(len(run))
+    return np.array(ids, dtype=np.intp), np.array(owned, dtype=bool), np.cumsum(lengths)
 
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Half-space table plus all regions of one network.
+    """Half-space table plus all regions of one network, held as arrays.
 
-    The read-only arrays below are derived once, on first use, and shared
-    by every later query.
+    Condition ``i`` is ``halfspace_normals[i] . x > halfspace_offsets[i]``.
+    Region ``r`` has pattern ``patterns[r]``, model ``x -> alphas[r] @ x +
+    betas[r]`` and interior point ``witnesses[r]``; in ``region_rows = (ids,
+    owned, starts)`` its conditions are ``ids[starts[r]:starts[r + 1]]``,
+    and ``owned[t]`` tells whether it owns the face of ``ids[t]``.  The
+    arrays are read-only and checked once, here.  :attr:`halfspaces` and
+    :attr:`regions` are per-item views built on first use; :meth:`of` builds
+    a decomposition from such items.
     """
 
     input_dim: int
     output_dim: int
-    halfspaces: tuple[OrientedHalfspace, ...]
-    regions: tuple[Region, ...]
+    halfspace_normals: np.ndarray
+    halfspace_offsets: np.ndarray
+    patterns: tuple[ActivationPattern, ...]
+    alphas: np.ndarray
+    betas: np.ndarray
+    witnesses: np.ndarray
+    region_rows: tuple[np.ndarray, np.ndarray, np.ndarray]
     partial: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "halfspaces", tuple(self.halfspaces))
-        object.__setattr__(self, "regions", tuple(self.regions))
-        k, n = len(self.halfspaces), self.input_dim
-        if any(hs.normal.shape != (n,) for hs in self.halfspaces):
-            raise DimensionMismatchError(f"a half-space normal does not have {n} entries")
-        seen = set()
-        for r, region in enumerate(self.regions):
-            if region.pattern.layers in seen:
-                raise ValueError("region patterns must be pairwise distinct")
-            seen.add(region.pattern.layers)
-            if any(not 0 <= i < k for i in region.halfspace_ids):
-                raise ValueError("region references a missing half-space")
-            if region.alpha.shape != (self.output_dim, n):
-                raise DimensionMismatchError(
-                    f"region {r}: alpha is {region.alpha.shape}, expected {(self.output_dim, n)}"
-                )
-            if region.witness.shape != (n,):
-                raise DimensionMismatchError(
-                    f"region {r}: witness is {region.witness.shape}, expected {(n,)}"
-                )
+        n, m = self.input_dim, self.output_dim
+        k, p = np.size(self.halfspace_offsets), len(self.patterns)
+        for name, shape in zip(_FLOAT_FIELDS, ((k, n), (k,), (p, m, n), (p, m), (p, n))):
+            object.__setattr__(self, name, _block(getattr(self, name), shape, name))
+        ids, owned, starts = self.region_rows
+        ids = _block(ids, (np.size(ids),), "region ids", np.intp)
+        owned = _block(owned, ids.shape, "owned mask", bool)
+        starts = _block(starts, (p + 1,), "region starts", np.intp)
+        object.__setattr__(self, "region_rows", (ids, owned, starts))
+        object.__setattr__(self, "patterns", tuple(self.patterns))
+        if not all(np.isfinite(getattr(self, name)).all() for name in _FLOAT_FIELDS):
+            raise NonFiniteError("decomposition entries must be finite")
+        lengths = np.linalg.norm(self.halfspace_normals, axis=1)
+        bad = np.flatnonzero(np.abs(lengths - 1.0) > 1e-6)
+        if bad.size:
+            length = lengths[bad[0]]
+            raise ValueError(f"half-space normal {bad[0]} has length {length}, expected 1")
+        if ids.size and not 0 <= ids.min() <= ids.max() < k:
+            raise ValueError("region references a missing half-space")
+        if starts[0] != 0 or starts[-1] != ids.size or (np.diff(starts) < 0).any():
+            raise ValueError("region starts do not split the region ids into runs")
+        if len({pattern.layers for pattern in self.patterns}) != p:
+            raise ValueError("region patterns must be pairwise distinct")
+
+    @classmethod
+    def of(cls, input_dim, output_dim, halfspaces, regions, partial=False) -> Decomposition:
+        """The decomposition of :class:`OrientedHalfspace` and :class:`Region`
+        items; owned ids outside a region's ``halfspace_ids`` are refused."""
+        halfspaces, regions = tuple(halfspaces), tuple(regions)
+        return cls(
+            input_dim, output_dim, [h.normal for h in halfspaces], [h.offset for h in halfspaces],
+            tuple(r.pattern for r in regions), [r.alpha for r in regions],
+            [r.beta for r in regions], [r.witness for r in regions],
+            _region_rows([r.halfspace_ids for r in regions], [r.nonstrict_ids for r in regions]),
+            partial=partial,
+        )
 
     @property
     def num_halfspaces(self) -> int:
-        return len(self.halfspaces)
+        return len(self.halfspace_offsets)
 
     @property
     def num_regions(self) -> int:
-        return len(self.regions)
+        return len(self.patterns)
 
     @cached_property
-    def halfspace_normals(self) -> np.ndarray:
-        """Unit normals of the half-space table stacked as a (k, n) array."""
-        return _frozen_array(
-            [hs.normal for hs in self.halfspaces] or np.zeros((0, self.input_dim))
-        )
+    def halfspaces(self) -> tuple[OrientedHalfspace, ...]:
+        """The half-space table as items, built on first use."""
+        offsets = self.halfspace_offsets.tolist()
+        return tuple(map(OrientedHalfspace, self.halfspace_normals, offsets))
 
     @cached_property
-    def halfspace_offsets(self) -> np.ndarray:
-        """Offsets of the half-space table as a (k,) array."""
-        return _frozen_array([hs.offset for hs in self.halfspaces])
+    def regions(self) -> tuple[Region, ...]:
+        """The regions as items, built on first use."""
+        ids, own = (map(tuple, runs) for runs in self._id_lists())
+        return tuple(map(Region, self.patterns, self.alphas, self.betas, ids, self.witnesses, own))
 
-    @cached_property
-    def region_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every region's conditions as flat arrays ``(ids, owned, starts)``.
-
-        ``ids`` concatenates the regions' ``halfspace_ids`` in region order,
-        ``owned[t]`` tells whether the region listing ``ids[t]`` owns that
-        face, and region ``r`` occupies ``ids[starts[r]:starts[r + 1]]``.
-        """
-        ids, owned = [], []
-        for region in self.regions:
-            own = set(region.nonstrict_ids)
-            ids.extend(region.halfspace_ids)
-            owned.extend(i in own for i in region.halfspace_ids)
-        lengths = [len(region.halfspace_ids) for region in self.regions]
-        return (
-            _frozen_array(ids, dtype=np.intp),
-            _frozen_array(owned, dtype=bool),
-            _frozen_array(np.cumsum([0] + lengths), dtype=np.intp),
-        )
+    def _id_lists(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Each region's half-space ids and the ids it owns, as lists."""
+        ids, owned, starts = (a.tolist() for a in self.region_rows)
+        runs = [slice(a, b) for a, b in zip(starts, starts[1:])]
+        return [ids[run] for run in runs], [list(compress(ids[run], owned[run])) for run in runs]
 
 
 @dataclass(frozen=True)
@@ -648,8 +662,9 @@ def extract_halfspaces(records: Sequence[PatternRecord], net: MLPNetwork):
     by LP in two stacked passes over all regions (:func:`_facets`, each
     region's program shifted to its witness); survivors are pooled into one
     table, where conditions with equal floats share an entry, sorted by
-    (normal, offset).  Returns
-    ``(table, region_ids, region_nonstrict_ids)``.
+    (normal, offset).  Returns ``(normals, offsets, region_ids,
+    region_nonstrict_ids)``: the table as (k, n) and (k,) arrays, and each
+    region's sorted ids and owned ids.
     """
     n = net.input_dim
     index: dict[tuple[bytes, float], int] = {}
@@ -675,10 +690,11 @@ def extract_halfspaces(records: Sequence[PatternRecord], net: MLPNetwork):
 
     order = sorted(range(len(items)), key=lambda i: _sort_key(*items[i]))
     remap = {old: new for new, old in enumerate(order)}
-    table = tuple(OrientedHalfspace(*items[i]) for i in order)
-    region_ids = [tuple(sorted(remap[i] for i in ids)) for ids in raw_ids]
-    region_nonstrict = [tuple(sorted(remap[i] for i in ids)) for ids in raw_nonstrict]
-    return table, region_ids, region_nonstrict
+    normals = np.array([items[i][0] for i in order]).reshape(-1, n)
+    offsets = np.array([items[i][1] for i in order])
+    region_ids = [sorted(remap[i] for i in ids) for ids in raw_ids]
+    region_nonstrict = [sorted(remap[i] for i in ids) for ids in raw_nonstrict]
+    return normals, offsets, region_ids, region_nonstrict
 
 
 def build_decomposition(
@@ -686,13 +702,12 @@ def build_decomposition(
 ) -> Decomposition:
     """Assemble regions (models, witnesses, half-spaces) from found patterns."""
     records = enumeration.records
-    table, region_ids, region_nonstrict = extract_halfspaces(records, net)
-    regions = [
-        Region(rec.pattern, *_model(rec.prefixes, rec.pattern.layers, net), ids, rec.witness, owned)
-        for rec, ids, owned in zip(records, region_ids, region_nonstrict)
-    ]
+    normals, offsets, region_ids, region_owned = extract_halfspaces(records, net)
+    models = [_model(rec.prefixes, rec.pattern.layers, net) for rec in records]
     return Decomposition(
-        net.input_dim, net.output_dim, table, tuple(regions), partial=partial
+        net.input_dim, net.output_dim, normals, offsets, tuple(rec.pattern for rec in records),
+        [alpha for alpha, _ in models], [beta for _, beta in models],
+        [rec.witness for rec in records], _region_rows(region_ids, region_owned), partial=partial,
     )
 
 
@@ -718,18 +733,22 @@ def dumps_decomposition(d: Decomposition) -> str:
         "input_dim": d.input_dim,
         "output_dim": d.output_dim,
         "halfspaces": [
-            {"h": hs.normal.tolist(), "c": hs.offset} for hs in d.halfspaces
+            {"h": h, "c": c}
+            for h, c in zip(d.halfspace_normals.tolist(), d.halfspace_offsets.tolist())
         ],
         "regions": [
             {
-                "pattern": [list(layer) for layer in region.pattern.layers],
-                "alpha": region.alpha.tolist(),
-                "beta": region.beta.tolist(),
-                "halfspace_ids": list(region.halfspace_ids),
-                "witness": region.witness.tolist(),
-                "nonstrict_ids": list(region.nonstrict_ids),
+                "pattern": [list(layer) for layer in pattern.layers],
+                "alpha": alpha,
+                "beta": beta,
+                "halfspace_ids": ids,
+                "witness": witness,
+                "nonstrict_ids": owned,
             }
-            for region in d.regions
+            for pattern, alpha, beta, witness, ids, owned in zip(
+                d.patterns, d.alphas.tolist(), d.betas.tolist(), d.witnesses.tolist(),
+                *d._id_lists(),
+            )
         ],
     }
     if d.partial:
@@ -741,25 +760,22 @@ def loads_decomposition(text: str) -> Decomposition:
     try:
         doc = _read_json(text, DECOMP_FORMAT)
         halfspaces, regions = doc["halfspaces"], doc["regions"]
-        normals = _read_array([item["h"] for item in halfspaces], "half-space normals", 2)
-        offsets = _read_array([item["c"] for item in halfspaces], "half-space offsets", 1)
-        alphas = _read_array([item["alpha"] for item in regions], "alpha", 3)
-        betas = _read_array([item["beta"] for item in regions], "beta", 2)
-        witnesses = _read_array([item["witness"] for item in regions], "witness", 2)
-        patterns = _read_ints([item["pattern"] for item in regions], "pattern", 3)
-        ids = _read_ints([item["halfspace_ids"] for item in regions], "halfspace_ids", 2)
-        owned = _read_ints(
-            [item.get("nonstrict_ids", []) for item in regions], "nonstrict_ids", 2
-        )
         partial = doc.get("partial", False)
         if type(partial) is not bool:
             raise ModelFormatError(f"partial must be true or false, got {partial!r}")
+        patterns = _read_ints([item["pattern"] for item in regions], "pattern", 3)
         return Decomposition(
             _read_ints(doc["input_dim"], "input_dim"),
             _read_ints(doc["output_dim"], "output_dim"),
-            tuple(map(OrientedHalfspace, normals, offsets)),
-            tuple(
-                map(Region, map(ActivationPattern, patterns), alphas, betas, ids, witnesses, owned)
+            _read_array([item["h"] for item in halfspaces], "half-space normals", 2),
+            _read_array([item["c"] for item in halfspaces], "half-space offsets", 1),
+            tuple(map(ActivationPattern, patterns)),
+            _read_array([item["alpha"] for item in regions], "alpha", 3),
+            _read_array([item["beta"] for item in regions], "beta", 2),
+            _read_array([item["witness"] for item in regions], "witness", 2),
+            _region_rows(
+                _read_ints([r["halfspace_ids"] for r in regions], "halfspace_ids", 2),
+                _read_ints([r.get("nonstrict_ids", []) for r in regions], "nonstrict_ids", 2),
             ),
             partial=partial,
         )

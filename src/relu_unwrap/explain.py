@@ -21,6 +21,7 @@ from .errors import DimensionMismatchError, NonFiniteError, PointNotLocatedError
 from .lp import Extremum, extremize
 
 _EPS_FACE = 1e-12  # margin below which a point counts as on a face
+_HOST_BLOCK = 1024  # points per block of _hosts, which bounds its margins
 
 _SHAP_DIM_CAP = 20  # brute force enumerates 2^n coalitions
 
@@ -89,24 +90,30 @@ def _inside(d: Decomposition, region: int, X: np.ndarray) -> np.ndarray:
 
 
 def _hosts(d: Decomposition, X: np.ndarray):
-    """(hosts, margins): the host region of each row of X, -1 where none.
+    """(hosts, lost): the host region of each row of X, -1 where none.
 
     The host is the first region the point lies in strictly (every margin
     above ``_EPS_FACE``), else the first region containing it through owned
-    faces.  ``margins`` holds every region's conditions in ``region_rows``
-    order.
+    faces.  Rows go ``_HOST_BLOCK`` at a time.  ``lost`` holds the margins
+    of the first row without a host in ``region_rows`` order, else None.
     """
     if not np.isfinite(X).all():
         raise NonFiniteError("query points must be finite")
     ids, owned, starts = d.region_rows
-    margins = (X @ d.halfspace_normals.T - d.halfspace_offsets)[:, ids]
     hosts = np.full(X.shape[0], -1, dtype=np.intp)
-    if d.num_regions:
-        strict = _runs(np.logical_and, margins > _EPS_FACE, starts, True)
-        inside = _runs(np.logical_and, _face_ok(margins, owned), starts, True)
-        hosts = np.where(inside.any(axis=1), inside.argmax(axis=1), hosts)
-        hosts = np.where(strict.any(axis=1), strict.argmax(axis=1), hosts)
-    return hosts, margins
+    lost = None
+    for first in range(0, X.shape[0], _HOST_BLOCK):
+        rows = slice(first, first + _HOST_BLOCK)
+        found = hosts[rows]  # a view, filled in place
+        margins = (X[rows] @ d.halfspace_normals.T - d.halfspace_offsets)[:, ids]
+        if d.num_regions:
+            strict = _runs(np.logical_and, margins > _EPS_FACE, starts, True)
+            inside = _runs(np.logical_and, _face_ok(margins, owned), starts, True)
+            np.copyto(found, inside.argmax(axis=1), where=inside.any(axis=1))
+            np.copyto(found, strict.argmax(axis=1), where=strict.any(axis=1))
+        if lost is None and found.min() < 0:
+            lost = margins[np.argmax(found < 0)]
+    return hosts, lost
 
 
 def region_contains(d: Decomposition, region: int, x) -> bool:
@@ -133,11 +140,10 @@ def locate_many(d: Decomposition, X) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected points shaped (N, {d.input_dim}), got {X.shape}"
         )
-    hosts, margins = _hosts(d, X)
-    missing = np.flatnonzero(hosts < 0)
-    if missing.size:
-        i = int(missing[0])
-        slack = _runs(np.minimum, margins[i : i + 1], d.region_rows[2], np.inf)[0]
+    hosts, lost = _hosts(d, X)
+    if lost is not None:
+        i = int(np.argmax(hosts < 0))
+        slack = _runs(np.minimum, lost[None], d.region_rows[2], np.inf)[0]
         # the first region of largest slack; a NaN slack never qualifies
         valid = slack > -np.inf
         best = int(np.argmax(np.where(valid, slack, -np.inf))) if valid.any() else None
@@ -188,7 +194,7 @@ def exact_shap(d: Decomposition, x, background) -> ShapResult:
     inside = bg[_inside(d, r, bg)]
     approximate = len(inside) == 0
     mu = np.mean(bg if approximate else inside, axis=0)
-    phi = d.regions[r].alpha.T * (x - mu)[:, None]
+    phi = d.alphas[r].T * (x - mu)[:, None]
     return ShapResult(phi, r, mu, approximate)
 
 
@@ -238,10 +244,10 @@ def hypercube(d: Decomposition, region: int) -> HypercubeSummary:
     """
     if not 0 <= region < d.num_regions:
         raise IndexError(f"region {region} out of range")
-    reg = d.regions[region]
+    ids, _, starts = d.region_rows
+    ids = ids[starts[region] : starts[region + 1]]
+    witness = d.witnesses[region]
     n = d.input_dim
-    ids = list(reg.halfspace_ids)
-    witness = reg.witness
     lp = closed_lp(d.halfspace_normals[ids], d.halfspace_offsets[ids]).shifted(witness)
     extremes = extremize(np.vstack([np.eye(n), -np.eye(n)]), lp)
     if any(res.status is Extremum.INFEASIBLE for res in extremes):
@@ -350,16 +356,16 @@ def plot_regions_2d(d: Decomposition, points, bounds, out, labels=None):
 
     # each hyperplane once, whichever orientations reference it
     seen = set()
-    for hs in d.halfspaces:
-        h = np.round(hs.normal, _SORT_DECIMALS)
-        c = round(hs.offset, _SORT_DECIMALS)
+    for normal, offset in zip(d.halfspace_normals, d.halfspace_offsets.tolist()):
+        h = np.round(normal, _SORT_DECIMALS)
+        c = round(offset, _SORT_DECIMALS)
         if h[0] < 0 or (h[0] == 0 and h[1] < 0):
             h, c = -h, -c
         key = (h[0], h[1], c)
         if key in seen:
             continue
         seen.add(key)
-        seg = _clip_line(hs.normal, hs.offset, (x0, y0, x1, y1))
+        seg = _clip_line(normal, offset, (x0, y0, x1, y1))
         if seg is None:
             continue
         (ax, ay), (bx, by) = (to_px(*seg[0]), to_px(*seg[1]))

@@ -43,7 +43,7 @@ evaluation keeps is the float32 incidence of the count gate, (2n+k+2n) x p.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -52,8 +52,6 @@ import numpy as np
 from .decomposition import (
     _SORT_DECIMALS,
     Decomposition,
-    OrientedHalfspace,
-    Region,
     _sort_key,
     _witnesses,
     closed_lp,
@@ -80,7 +78,6 @@ from .network import (
 )
 
 SHALLOW_FORMAT = "relu-shallow-v2"
-_SHALLOW_FORMAT_V1 = "relu-shallow-v1"  # dense W2 and W3; read, no longer written
 EVAL_BLOCK = 1024  # points per block of eval_shallow_many
 
 _NEG_INF_TOKEN = "-Infinity"
@@ -404,8 +401,8 @@ def build_shallow(d: Decomposition) -> ShallowNetwork:
 
     # W3 row r*m + j reads (alpha, -alpha) off the split input, its twin
     # (-alpha, alpha), and both read region r's unit through -inf
-    alpha = np.vstack([region.alpha for region in d.regions])
-    beta = np.concatenate([region.beta for region in d.regions])
+    alpha = d.alphas.reshape(p * m, n)
+    beta = d.betas.reshape(-1)
     values = np.empty((2, p * m, 2 * n + 1))
     values[0, :, :n] = values[1, :, n : 2 * n] = alpha
     values[0, :, n : 2 * n] = values[1, :, :n] = -alpha
@@ -521,31 +518,27 @@ def shallow_to_decomposition(s: ShallowNetwork) -> Decomposition:
     from.
     """
     n, m = s.input_dim, s.output_dim
-    p, k = s.num_regions, s.num_halfspaces
+    p = s.num_regions
     W2, W3 = s.W2_entries, s.W3_entries
     normals, offsets = -s.W1[2 * n :], s.b1[2 * n :]
-    halfspaces = tuple(OrientedHalfspace(normals[i], offsets[i]) for i in range(k))
     selector = (W2.rows >= 2 * n) & (W2.cols >= 2 * n) & (W2.values > 0.5)
-    region_cols = W2.cols[selector] - 2 * n
-    bounds = np.searchsorted(W2.rows[selector], 2 * n + np.arange(p + 1))
-    region_ids = [region_cols[bounds[r] : bounds[r + 1]] for r in range(p)]
+    ids = W2.cols[selector] - 2 * n
+    starts = np.searchsorted(W2.rows[selector], 2 * n + np.arange(p + 1))
     models = (W3.rows < p * m) & (W3.cols < n)
     alphas = np.zeros((p * m, n))
     alphas[W3.rows[models], W3.cols[models]] = W3.values[models]
-    witnesses, failed = _witnesses(
-        [closed_lp(normals[ids], offsets[ids]) for ids in region_ids]
-    )
-    regions = []
-    for r, (ids, witness) in enumerate(zip(region_ids, witnesses)):
+    lps = [closed_lp(normals[ids[a:b]], offsets[ids[a:b]]) for a, b in zip(starts, starts[1:])]
+    witnesses, failed = _witnesses(lps)
+    for r, witness in enumerate(witnesses):
         if failed[r]:
             raise IterationLimitError(f"region {r}: the interior solve ran out of pivots")
         if witness is None:
             raise UnwrapError(f"region {r} of the shallow network is empty")
-        alpha = alphas[r * m : (r + 1) * m]
-        beta = s.b3[r * m : (r + 1) * m]
-        pattern = ActivationPattern((tuple(int(i == r) for i in range(p)),))
-        regions.append(Region(pattern, alpha, beta, ids, witness))
-    return Decomposition(n, m, halfspaces, tuple(regions))
+    patterns = tuple(ActivationPattern(((0,) * r + (1,) + (0,) * (p - 1 - r),)) for r in range(p))
+    return Decomposition(
+        n, m, normals, offsets, patterns, alphas.reshape(p, m, n), s.b3[: p * m].reshape(p, m),
+        witnesses, (ids, np.zeros(ids.size, dtype=bool), starts),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -569,13 +562,10 @@ def canonicalize(d: Decomposition) -> Decomposition:
     remap = {old: new for new, old in enumerate(hs_order)}
     halfspaces = tuple(d.halfspaces[i] for i in hs_order)
     regions = [
-        Region(
-            region.pattern,
-            region.alpha,
-            region.beta,
-            tuple(sorted(remap[i] for i in region.halfspace_ids)),
-            region.witness,
-            tuple(sorted(remap[i] for i in region.nonstrict_ids)),
+        replace(
+            region,
+            halfspace_ids=tuple(sorted(remap[i] for i in region.halfspace_ids)),
+            nonstrict_ids=tuple(sorted(remap[i] for i in region.nonstrict_ids)),
         )
         for region in d.regions
     ]
@@ -586,9 +576,7 @@ def canonicalize(d: Decomposition) -> Decomposition:
             region.halfspace_ids,
         )
     )
-    return Decomposition(
-        d.input_dim, d.output_dim, halfspaces, tuple(regions), partial=d.partial
-    )
+    return Decomposition.of(d.input_dim, d.output_dim, halfspaces, regions, partial=d.partial)
 
 
 def canonical_equal(a: Decomposition, b: Decomposition, tol: float = 1e-7) -> bool:
@@ -598,23 +586,12 @@ def canonical_equal(a: Decomposition, b: Decomposition, tol: float = 1e-7) -> bo
     id sets; activation patterns and witnesses are architecture-specific and
     excluded.  Inputs must already be canonicalized.
     """
-    if (a.input_dim, a.output_dim) != (b.input_dim, b.output_dim):
+    if a.halfspace_normals.shape != b.halfspace_normals.shape or a.output_dim != b.output_dim:
         return False
-    if a.num_halfspaces != b.num_halfspaces or a.num_regions != b.num_regions:
+    if not all(map(np.array_equal, a.region_rows[::2], b.region_rows[::2])):  # ids and starts
         return False
-    for ha, hb in zip(a.halfspaces, b.halfspaces):
-        if abs(ha.offset - hb.offset) > tol:
-            return False
-        if np.abs(ha.normal - hb.normal).max() > tol:
-            return False
-    for ra, rb in zip(a.regions, b.regions):
-        if ra.halfspace_ids != rb.halfspace_ids:
-            return False
-        if np.abs(ra.alpha - rb.alpha).max() > tol:
-            return False
-        if np.abs(ra.beta - rb.beta).max() > tol:
-            return False
-    return True
+    fields = ("halfspace_normals", "halfspace_offsets", "alphas", "betas")
+    return all(np.abs(getattr(a, f) - getattr(b, f)).max(initial=0.0) <= tol for f in fields)
 
 
 @dataclass(frozen=True)
@@ -708,21 +685,20 @@ def dumps_shallow(s: ShallowNetwork) -> str:
 
 
 def loads_shallow(text: str) -> ShallowNetwork:
-    """Read a ``relu-shallow-v2`` document, or a dense ``relu-shallow-v1`` one."""
+    """Read a ``relu-shallow-v2`` document; a dense ``relu-shallow-v1`` one is refused."""
     try:
-        doc = _read_json(text, SHALLOW_FORMAT, _SHALLOW_FORMAT_V1)
-        if doc["format"] == SHALLOW_FORMAT:
-            W2 = Entries(*_read_entries(doc["W2"], "W2"))
-            W3 = Entries(*_read_entries(doc["W3"], "W3", token=_NEG_INF_TOKEN))
-        else:
-            W2 = _read_array(doc["W2"], "W2", 2)
-            W3 = _read_array(doc["W3"], "W3", 2, token=_NEG_INF_TOKEN)
+        doc = _read_json(text, SHALLOW_FORMAT, "relu-shallow-v1")
+        if doc["format"] != SHALLOW_FORMAT:
+            raise ModelFormatError(
+                f"{doc['format']} files are no longer read; rebuild the file "
+                "from its model with `relu-unwrap shallowize`"
+            )
         net = ShallowNetwork(
             _read_array(doc["W1"], "W1", 2),
             _read_array(doc["b1"], "b1", 1),
-            W2,
+            Entries(*_read_entries(doc["W2"], "W2")),
             _read_array(doc["b2"], "b2", 1),
-            W3,
+            Entries(*_read_entries(doc["W3"], "W3", token=_NEG_INF_TOKEN)),
             _read_array(doc["b3"], "b3", 1),
             _read_array(doc["W4"], "W4", 2),
         )

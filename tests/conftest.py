@@ -95,7 +95,7 @@ def interior_samples(d, region, rng, count, spread=0.5):
 def shallow_v1_text(s) -> str:
     """A shallow network as a ``relu-shallow-v1`` document: every weight
     matrix dense, -inf written as the string "-Infinity".  The package
-    reads this format but no longer writes it."""
+    neither writes nor reads this format; tests check that it is refused."""
 
     def dense(W):
         return [["-Infinity" if v == -np.inf else v for v in row] for row in W.tolist()]

@@ -10,6 +10,7 @@ import pytest
 
 from relu_unwrap import (
     ActivationPattern,
+    Decomposition,
     IterationLimitError,
     Layer,
     MLPNetwork,
@@ -230,7 +231,8 @@ class TestVerify:
         d = decompose(demo_net_m1)
         twin = dataclasses.replace(d.regions[-1], pattern=ActivationPattern(((1, 1, 1),)))
         s = tmp_path / "s.json"
-        save_shallow(build_shallow(dataclasses.replace(d, regions=d.regions + (twin,))), s)
+        twins = Decomposition.of(d.input_dim, d.output_dim, d.halfspaces, d.regions + (twin,))
+        save_shallow(build_shallow(twins), s)
         code, stdout, stderr = run(capsys, "verify", "--model", demo_m1_file, "--shallow", str(s))
         assert code == 3
         assert stdout == '{"max_abs_diff": null, "pass": false}\n'

@@ -1,5 +1,7 @@
 """Region enumeration: exactness, pruning soundness, and serialization."""
 
+import dataclasses
+import io
 import itertools
 import json
 import re
@@ -47,7 +49,14 @@ from relu_unwrap import (
 )
 import relu_unwrap.decomposition as decomposition
 import relu_unwrap.lp as lp_module
-from relu_unwrap.explain import locate_region, region_contains
+from relu_unwrap.explain import (
+    exact_shap,
+    hypercube,
+    locate_many,
+    locate_region,
+    plot_regions_2d,
+    region_contains,
+)
 
 from conftest import biased_net, interior_samples
 
@@ -427,7 +436,7 @@ class TestSerialization:
 
     def test_partial_flag_round_trips(self, demo_net_m1):
         d = decompose(demo_net_m1)
-        flagged = Decomposition(
+        flagged = Decomposition.of(
             d.input_dim, d.output_dim, d.halfspaces, d.regions, partial=True
         )
         back = loads_decomposition(dumps_decomposition(flagged))
@@ -446,30 +455,28 @@ class TestSerialization:
             loads_decomposition(json.dumps(doc))
 
 
+def _one_region(**fields):
+    """A one-region decomposition of R^2 bounded by x > 0, built from items."""
+    parts = {
+        "pattern": ActivationPattern(((1,),)),
+        "alpha": np.zeros((1, 2)),
+        "beta": np.zeros(1),
+        "halfspace_ids": (0,),
+        "witness": np.array([1.0, 0.0]),
+    }
+    parts.update(fields)
+    return Decomposition.of(2, 1, (OrientedHalfspace(np.array([1.0, 0.0]), 0.0),), (Region(**parts),))
+
+
 class TestRegionValidation:
     def test_nonstrict_must_be_subset(self):
-        hs = OrientedHalfspace(np.array([1.0, 0.0]), 0.0)
         with pytest.raises(ValueError):
-            Region(
-                ActivationPattern(((1,),)),
-                np.zeros((1, 2)),
-                np.zeros(1),
-                (0,),
-                np.zeros(2),
-                nonstrict_ids=(1,),
-            )
+            _one_region(nonstrict_ids=(1,))
 
     def test_duplicate_patterns_rejected(self):
-        hs = OrientedHalfspace(np.array([1.0, 0.0]), 0.0)
-        reg = Region(
-            ActivationPattern(((1,),)),
-            np.zeros((1, 2)),
-            np.zeros(1),
-            (0,),
-            np.array([1.0, 0.0]),
-        )
+        d = _one_region()
         with pytest.raises(ValueError):
-            Decomposition(2, 1, (hs,), (reg, reg))
+            Decomposition.of(2, 1, d.halfspaces, d.regions + d.regions)
 
     @pytest.mark.parametrize("field", ["alpha", "beta", "witness"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -477,7 +484,91 @@ class TestRegionValidation:
         parts = {"alpha": np.zeros((1, 2)), "beta": np.zeros(1), "witness": np.zeros(2)}
         parts[field].flat[0] = bad
         with pytest.raises(NonFiniteError):
-            Region(ActivationPattern(((1,),)), parts["alpha"], parts["beta"], (), parts["witness"])
+            _one_region(**parts)
+
+
+class TestArrayValidation:
+    """The constructor checks the arrays once; each defect raises the class
+    the per-item checks raised, and a file holding it is malformed."""
+
+    @pytest.fixture(scope="class")
+    def d(self):
+        return decompose(biased_net([2, 4, 4], 2, seed=0))
+
+    @staticmethod
+    def _fields(d, **changes):
+        fields = {f.name: getattr(d, f.name) for f in dataclasses.fields(d)}
+        fields.update(changes)
+        return fields
+
+    @pytest.mark.parametrize("name", ["halfspace_normals", "halfspace_offsets", "alphas", "betas", "witnesses"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry(self, d, name, bad):
+        block = np.array(getattr(d, name))
+        block.flat[block.size // 2] = bad
+        with pytest.raises(NonFiniteError):
+            Decomposition(**self._fields(d, **{name: block}))
+
+    def test_normal_not_of_unit_length(self, d):
+        normals = np.array(d.halfspace_normals)
+        normals[3] *= 1.0 + 1e-5
+        with pytest.raises(ValueError, match="half-space normal 3 has length"):
+            Decomposition(**self._fields(d, halfspace_normals=normals))
+        doc = json.loads(dumps_decomposition(d))
+        doc["halfspaces"][3]["h"] = normals[3].tolist()
+        with pytest.raises(ModelFormatError, match="length"):
+            loads_decomposition(json.dumps(doc))
+
+    @pytest.mark.parametrize("bad", [-1, "k"])
+    def test_id_outside_the_table(self, d, bad):
+        ids, owned, starts = d.region_rows
+        ids = np.array(ids)
+        ids[-1] = d.num_halfspaces if bad == "k" else bad
+        with pytest.raises(ValueError, match="missing half-space"):
+            Decomposition(**self._fields(d, region_rows=(ids, owned, starts)))
+
+    @pytest.mark.parametrize("change", ["first", "last", "order"])
+    def test_starts_that_do_not_cover_the_ids(self, d, change):
+        ids, owned, starts = d.region_rows
+        starts = np.array(starts)
+        if change == "first":
+            starts[0] = 1
+        elif change == "last":
+            starts[-1] -= 1
+        else:
+            starts[1], starts[2] = starts[2], starts[1]
+        with pytest.raises(ValueError, match="region starts"):
+            Decomposition(**self._fields(d, region_rows=(ids, owned, starts)))
+
+    def test_owned_mask_of_another_size(self, d):
+        ids, owned, starts = d.region_rows
+        with pytest.raises(DimensionMismatchError, match="owned mask"):
+            Decomposition(**self._fields(d, region_rows=(ids, owned[:-1], starts)))
+
+    def test_equal_patterns(self, d):
+        patterns = d.patterns[:1] + d.patterns[:-1]
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            Decomposition(**self._fields(d, patterns=patterns))
+        doc = json.loads(dumps_decomposition(d))
+        doc["regions"][1]["pattern"] = doc["regions"][0]["pattern"]
+        with pytest.raises(ModelFormatError, match="pairwise distinct"):
+            loads_decomposition(json.dumps(doc))
+
+    def test_owned_ids_outside_the_region_in_a_file(self, d):
+        doc = json.loads(dumps_decomposition(d))
+        region = doc["regions"][0]
+        other = next(i for i in range(d.num_halfspaces) if i not in region["halfspace_ids"])
+        region["nonstrict_ids"] = region["nonstrict_ids"] + [other]
+        with pytest.raises(ModelFormatError, match="subset"):
+            loads_decomposition(json.dumps(doc))
+
+    def test_arrays_are_read_only_copies(self, d):
+        ids, owned, starts = (np.array(a) for a in d.region_rows)
+        again = Decomposition(**self._fields(d, region_rows=(ids, owned, starts)))
+        ids[0] += 1
+        assert again.region_rows[0][0] == d.region_rows[0][0]
+        for block in (again.halfspace_normals, again.alphas, *again.region_rows):
+            assert not block.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +735,54 @@ class TestGoldenOutputs:
     def test_dumps_byte_identical(self, name, make):
         assert dumps_decomposition(decompose(make())) == (DATA / name).read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("name", [name for name, _ in GOLDEN])
+    def test_items_rebuild_the_arrays_bitwise(self, name):
+        """The per-item views hold the arrays' data exactly: rebuilding from
+        them gives every array back, bit for bit."""
+        d = loads_decomposition((DATA / name).read_text(encoding="utf-8"))
+        again = Decomposition.of(d.input_dim, d.output_dim, d.halfspaces, d.regions, partial=d.partial)
+        assert again.patterns == d.patterns and again.partial == d.partial
+        names = ["halfspace_normals", "halfspace_offsets", "alphas", "betas", "witnesses"]
+        for x, y in zip([getattr(again, f) for f in names] + list(again.region_rows),
+                        [getattr(d, f) for f in names] + list(d.region_rows)):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestOneStorage:
+    """Pipelines, file I/O and queries read the arrays: they build no
+    per-item :class:`Region` or :class:`OrientedHalfspace`."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        counts = {Region: 0, OrientedHalfspace: 0}
+        for cls in counts:
+
+            def counted(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+                counts[_cls] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        return counts
+
+    def test_build_load_and_query_build_no_items(self, built):
+        net = biased_net([2, 4, 4], 2, seed=0)
+        d = decomposition.build_decomposition(net, enumerate_feasible(net))
+        assert built == {Region: 0, OrientedHalfspace: 0}
+        back = loads_decomposition(dumps_decomposition(d))
+        X = np.random.default_rng(4).uniform(-3.0, 3.0, size=(50, 2))
+        exact_shap(back, X[0], X)
+        hosts = locate_many(back, X)
+        for r in np.unique(hosts).tolist():
+            hypercube(back, r)
+        plot_regions_2d(back, X, (-3.0, -3.0, 3.0, 3.0), io.BytesIO())
+        build_shallow(back)
+        assert dumps_decomposition(back) == dumps_decomposition(d)
+        assert built == {Region: 0, OrientedHalfspace: 0}
+        # the views are where items come from
+        assert len(back.regions) == built[Region] == d.num_regions
+        assert len(back.halfspaces) == built[OrientedHalfspace] == d.num_halfspaces
+        assert back.regions is back.regions
+
 
 class TestLocalLinearModel:
     @pytest.mark.parametrize("name,make", GOLDEN, ids=[n for n, _ in GOLDEN])
@@ -801,7 +940,7 @@ class TestShapeChecks:
             region.nonstrict_ids,
         )
         with pytest.raises(DimensionMismatchError):
-            Decomposition(d.input_dim, d.output_dim, d.halfspaces, (bad,) + d.regions[1:])
+            Decomposition.of(d.input_dim, d.output_dim, d.halfspaces, (bad,) + d.regions[1:])
 
     def test_bad_normal_length(self, d):
         doc = json.loads(dumps_decomposition(d))
@@ -810,4 +949,4 @@ class TestShapeChecks:
             loads_decomposition(json.dumps(doc))
         halfspaces = (OrientedHalfspace(np.array([1.0, 0.0, 0.0]), 0.0),) + d.halfspaces[1:]
         with pytest.raises(DimensionMismatchError):
-            Decomposition(d.input_dim, d.output_dim, halfspaces, d.regions)
+            Decomposition.of(d.input_dim, d.output_dim, halfspaces, d.regions)

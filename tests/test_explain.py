@@ -1,5 +1,6 @@
 """Feature attributions, region geometry summaries, and the 2-D plot."""
 
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -25,6 +26,8 @@ from relu_unwrap import (
     region_contains,
 )
 
+import relu_unwrap.explain as explain
+
 from conftest import biased_net, interior_samples
 
 SQ2 = np.sqrt(2.0)
@@ -41,7 +44,7 @@ def single_region_decomposition(alpha, beta, halfspaces, ids, witness, owned=())
             nonstrict_ids=tuple(owned),
         ),
     )
-    return Decomposition(len(witness), len(beta), tuple(halfspaces), regs)
+    return Decomposition.of(len(witness), len(beta), tuple(halfspaces), regs)
 
 
 @pytest.fixture
@@ -98,7 +101,7 @@ class TestLocateRegion:
             for r in range(d.num_regions)
             if d.regions[r].pattern.layers != ((0, 0),)
         ]
-        partial = Decomposition(
+        partial = Decomposition.of(
             d.input_dim,
             d.output_dim,
             d.halfspaces,
@@ -453,7 +456,7 @@ def _face_points(d):
 
 def _without_region(d, r):
     rest = tuple(reg for k, reg in enumerate(d.regions) if k != r)
-    return Decomposition(d.input_dim, d.output_dim, d.halfspaces, rest, partial=True)
+    return Decomposition.of(d.input_dim, d.output_dim, d.halfspaces, rest, partial=True)
 
 
 QUERY_NETS = [
@@ -545,6 +548,23 @@ class TestQueriesMatchReferenceLoops:
         assert approx and res.approximate
         assert np.array_equal(res.phi, phi) and np.array_equal(res.mu, mu)
 
+    def test_blocks_match_the_reference(self, decomposition):
+        """A batch spanning several blocks of rows answers as the loop does,
+        and the first unlocated row, in a later block, is the one reported."""
+        d = decomposition
+        X = self._query_points(d, seed=7)
+        partial = _without_region(d, int(np.bincount(locate_many(d, X)).argmax()))
+        want = [_ref_locate(partial, x) for x in X]
+        located = np.array([r is not None for r, _ in want])
+        reps = 2 * explain._HOST_BLOCK // int(located.sum()) + 1
+        tiled = np.vstack([X[located]] * reps)
+        assert len(tiled) > 2 * explain._HOST_BLOCK
+        assert locate_many(partial, tiled).tolist() == [r for r, _ in want if r is not None] * reps
+        with pytest.raises(PointNotLocatedError) as info:
+            locate_many(partial, np.vstack([tiled, X[~located]]))
+        assert info.value.nearest_region == want[int(np.argmax(~located))][1]
+        assert f"point {len(tiled)} " in str(info.value)
+
     def test_strict_containment_wins_over_an_earlier_owned_face(self):
         """Overlapping regions: region 0 is x >= 0 (owning x = 0), region 1
         is x > -1.  A point on x = 0 is strictly inside region 1 only."""
@@ -556,7 +576,7 @@ class TestQueriesMatchReferenceLoops:
             Region(ActivationPattern(((bit,),)), np.eye(2), np.zeros(2), ids, w, owned)
             for bit, ids, w, owned in [(0, (1,), (1.0, 0.0), (1,)), (1, (0,), (-0.5, 0.0), ())]
         )
-        d = Decomposition(2, 2, hs, regions)
+        d = Decomposition.of(2, 2, hs, regions)
         X = np.array([[0.0, 3.0], [2.0, -1.0], [-0.5, 0.0]])
         assert [_ref_locate(d, x)[0] for x in X] == [1, 0, 1]
         self._check_locate(d, X)
@@ -574,3 +594,21 @@ class TestQueriesMatchReferenceLoops:
             locate_many(d, np.zeros((4, 3)))
         with pytest.raises(DimensionMismatchError):
             locate_many(d, np.zeros(2))
+
+
+def test_locate_many_memory_is_bounded_by_its_blocks():
+    """Biased [3,5,5,3] seed 0 (p=294, 1,576 region conditions): locating
+    4,096 points peaks below one margins array over all of them (4,096 x
+    1,576 float64, 49.3 MB), which an unblocked evaluation exceeds."""
+    d = decompose(biased_net([3, 5, 5, 3], 2, seed=0))
+    assert (d.num_regions, d.region_rows[0].size) == (294, 1576)
+    X = np.random.default_rng(0).uniform(-3.0, 3.0, size=(4096, 3))
+    want = locate_many(d, X)  # also imports what numpy loads lazily
+    tracemalloc.start()
+    try:
+        hosts = locate_many(d, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hosts.tolist() == want.tolist()
+    assert peak < len(X) * d.region_rows[0].size * 8

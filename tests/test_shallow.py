@@ -211,7 +211,7 @@ class TestConstruction:
 
     def test_empty_decomposition_rejected(self):
         with pytest.raises(ValueError):
-            build_shallow(Decomposition(2, 1, (), ()))
+            build_shallow(Decomposition.of(2, 1, (), ()))
 
     def test_partial_decomposition_rejected(self):
         """A budget cut leaves 9 regions of 41; a net built from them would
@@ -341,7 +341,7 @@ class TestShallowRoundTrip:
         """A region bounded by x > 1 and x < -1 has no point."""
         halfspaces = (OrientedHalfspace([1.0], 1.0), OrientedHalfspace([-1.0], 1.0))
         region = Region(ActivationPattern(((1,),)), [[1.0]], [0.0], (0, 1), [0.0])
-        s = build_shallow(Decomposition(1, 1, halfspaces, (region,)))
+        s = build_shallow(Decomposition.of(1, 1, halfspaces, (region,)))
         with pytest.raises(UnwrapError, match="region 0 of the shallow network is empty"):
             shallow_to_decomposition(s)
 
@@ -886,9 +886,10 @@ STORED_NETS = (
 class TestEntryStorage:
     @pytest.mark.parametrize("make", [m for _, m in STORED_NETS], ids=[l for l, _ in STORED_NETS])
     def test_v2_and_v1_files_load_bitwise(self, make):
-        """A net, its v2 file and its v1 file give byte-equal dense weights
-        (-0.0 included) and gates equal to the dense construction's.  So
-        they evaluate alike, at random points and at face points."""
+        """A net and its v2 file give byte-equal dense weights (-0.0
+        included) and gates equal to the dense construction's.  So they
+        evaluate alike, at random points and at face points.  Its dense v1
+        file is no longer read."""
         d, s, weights = make()
         want = _dense_gates(weights[2], weights[3], weights[4])
         rng = np.random.default_rng(2)
@@ -896,7 +897,9 @@ class TestEntryStorage:
         if d is not None:
             batches += [_face_points(d)] + list(_face_points(d)[:40, None])
         outputs = [_outputs(s, X) for X in batches]
-        for net in (s, loads_shallow(dumps_shallow(s)), loads_shallow(shallow_v1_text(s))):
+        with pytest.raises(ModelFormatError, match="shallowize"):
+            loads_shallow(shallow_v1_text(s))
+        for net in (s, loads_shallow(dumps_shallow(s))):
             for name, w in zip(WEIGHT_NAMES, weights):
                 assert _same_bytes(getattr(net, name), np.asarray(w, dtype=np.float64).reshape(getattr(net, name).shape)), name
             for field, w in want.items():
