@@ -27,8 +27,9 @@ prefix, that witness, and the minimal set of oriented half-spaces
 of one hyperplane are separate table entries) and are unit-normalised.
 A region's duplicate rows are merged within ``TOL_CANON``; the regions'
 conditions share one table entry when their floats are equal.  A
-:class:`Decomposition` holds the table and the regions as arrays; its
-:class:`Region` and :class:`OrientedHalfspace` items are views.
+:class:`Decomposition` holds the table and the regions as arrays, the
+patterns as one bit matrix in :func:`~relu_unwrap.network.pattern_matrix`'s
+form; its :class:`Region` and :class:`OrientedHalfspace` items are views.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import accumulate, chain, compress
 from typing import Sequence
 
 import numpy as np
@@ -145,25 +146,37 @@ def _region_rows(region_ids, region_owned) -> tuple[np.ndarray, np.ndarray, np.n
     return np.array(ids, dtype=np.intp), np.array(owned, dtype=bool), np.cumsum(lengths)
 
 
+def _stack(patterns) -> tuple[list[list[int]], tuple[int, ...]]:
+    """The bit rows and the shared layer widths of patterns, each given as
+    its layers' bits; patterns of unequal layer widths are refused."""
+    widths = {tuple(map(len, layers)) for layers in patterns}
+    if len(widths) > 1:
+        raise DimensionMismatchError("region patterns have unequal layer widths")
+    return [list(chain.from_iterable(layers)) for layers in patterns], widths.pop() if widths else ()
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """Half-space table plus all regions of one network, held as arrays.
 
     Condition ``i`` is ``halfspace_normals[i] . x > halfspace_offsets[i]``.
-    Region ``r`` has pattern ``patterns[r]``, model ``x -> alphas[r] @ x +
-    betas[r]`` and interior point ``witnesses[r]``; in ``region_rows = (ids,
-    owned, starts)`` its conditions are ``ids[starts[r]:starts[r + 1]]``,
-    and ``owned[t]`` tells whether it owns the face of ``ids[t]``.  The
-    arrays are read-only and checked once, here.  :attr:`halfspaces` and
-    :attr:`regions` are per-item views built on first use; :meth:`of` builds
-    a decomposition from such items.
+    Region ``r`` has pattern ``patterns[r]``, a row of the (p, N) uint8
+    bit matrix :func:`~relu_unwrap.network.pattern_matrix` returns, whose
+    columns split into layers of ``hidden_widths``; model ``x -> alphas[r]
+    @ x + betas[r]`` and interior point ``witnesses[r]``; in ``region_rows
+    = (ids, owned, starts)`` its conditions are ``ids[starts[r]:starts[r +
+    1]]``, and ``owned[t]`` tells whether it owns the face of ``ids[t]``.
+    The arrays are read-only and checked once, here.  :attr:`halfspaces`
+    and :attr:`regions` are per-item views built on first use; :meth:`of`
+    builds a decomposition from such items.
     """
 
     input_dim: int
     output_dim: int
     halfspace_normals: np.ndarray
     halfspace_offsets: np.ndarray
-    patterns: tuple[ActivationPattern, ...]
+    patterns: np.ndarray
+    hidden_widths: tuple[int, ...]
     alphas: np.ndarray
     betas: np.ndarray
     witnesses: np.ndarray
@@ -180,7 +193,12 @@ class Decomposition:
         owned = _block(owned, ids.shape, "owned mask", bool)
         starts = _block(starts, (p + 1,), "region starts", np.intp)
         object.__setattr__(self, "region_rows", (ids, owned, starts))
-        object.__setattr__(self, "patterns", tuple(self.patterns))
+        widths = tuple(map(int, self.hidden_widths))
+        bits = _block(self.patterns, (p, sum(widths)), "patterns", None)
+        if not ((bits == 0) | (bits == 1)).all():
+            raise ValueError("pattern entries must be 0 or 1")
+        object.__setattr__(self, "patterns", _frozen_array(bits, np.uint8))
+        object.__setattr__(self, "hidden_widths", widths)
         if not all(np.isfinite(getattr(self, name)).all() for name in _FLOAT_FIELDS):
             raise NonFiniteError("decomposition entries must be finite")
         lengths = np.linalg.norm(self.halfspace_normals, axis=1)
@@ -192,18 +210,20 @@ class Decomposition:
             raise ValueError("region references a missing half-space")
         if starts[0] != 0 or starts[-1] != ids.size or (np.diff(starts) < 0).any():
             raise ValueError("region starts do not split the region ids into runs")
-        if len({pattern.layers for pattern in self.patterns}) != p:
+        raw, size = self.patterns.tobytes(), self.patterns.shape[1]
+        if len({raw[r * size : r * size + size] for r in range(p)}) != p:
             raise ValueError("region patterns must be pairwise distinct")
 
     @classmethod
     def of(cls, input_dim, output_dim, halfspaces, regions, partial=False) -> Decomposition:
         """The decomposition of :class:`OrientedHalfspace` and :class:`Region`
-        items; owned ids outside a region's ``halfspace_ids`` are refused."""
+        items; owned ids outside a region's ``halfspace_ids`` and patterns of
+        unequal layer widths are refused."""
         halfspaces, regions = tuple(halfspaces), tuple(regions)
         return cls(
             input_dim, output_dim, [h.normal for h in halfspaces], [h.offset for h in halfspaces],
-            tuple(r.pattern for r in regions), [r.alpha for r in regions],
-            [r.beta for r in regions], [r.witness for r in regions],
+            *_stack([r.pattern.layers for r in regions]),
+            [r.alpha for r in regions], [r.beta for r in regions], [r.witness for r in regions],
             _region_rows([r.halfspace_ids for r in regions], [r.nonstrict_ids for r in regions]),
             partial=partial,
         )
@@ -225,8 +245,15 @@ class Decomposition:
     @cached_property
     def regions(self) -> tuple[Region, ...]:
         """The regions as items, built on first use."""
+        patterns = map(ActivationPattern, self._pattern_layers())
         ids, own = (map(tuple, runs) for runs in self._id_lists())
-        return tuple(map(Region, self.patterns, self.alphas, self.betas, ids, self.witnesses, own))
+        return tuple(map(Region, patterns, self.alphas, self.betas, ids, self.witnesses, own))
+
+    def _pattern_layers(self) -> list[list[list[int]]]:
+        """Each region's pattern as its layers' bit lists."""
+        cuts = list(accumulate(self.hidden_widths, initial=0))
+        layers = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+        return [[row[layer] for layer in layers] for row in self.patterns.tolist()]
 
     def _id_lists(self) -> tuple[list[list[int]], list[list[int]]]:
         """Each region's half-space ids and the ids it owns, as lists."""
@@ -705,7 +732,8 @@ def build_decomposition(
     normals, offsets, region_ids, region_owned = extract_halfspaces(records, net)
     models = [_model(rec.prefixes, rec.pattern.layers, net) for rec in records]
     return Decomposition(
-        net.input_dim, net.output_dim, normals, offsets, tuple(rec.pattern for rec in records),
+        net.input_dim, net.output_dim, normals, offsets,
+        [rec.pattern.bits() for rec in records], net.hidden_widths,
         [alpha for alpha, _ in models], [beta for _, beta in models],
         [rec.witness for rec in records], _region_rows(region_ids, region_owned), partial=partial,
     )
@@ -738,7 +766,7 @@ def dumps_decomposition(d: Decomposition) -> str:
         ],
         "regions": [
             {
-                "pattern": [list(layer) for layer in pattern.layers],
+                "pattern": pattern,
                 "alpha": alpha,
                 "beta": beta,
                 "halfspace_ids": ids,
@@ -746,7 +774,7 @@ def dumps_decomposition(d: Decomposition) -> str:
                 "nonstrict_ids": owned,
             }
             for pattern, alpha, beta, witness, ids, owned in zip(
-                d.patterns, d.alphas.tolist(), d.betas.tolist(), d.witnesses.tolist(),
+                d._pattern_layers(), d.alphas.tolist(), d.betas.tolist(), d.witnesses.tolist(),
                 *d._id_lists(),
             )
         ],
@@ -769,7 +797,7 @@ def loads_decomposition(text: str) -> Decomposition:
             _read_ints(doc["output_dim"], "output_dim"),
             _read_array([item["h"] for item in halfspaces], "half-space normals", 2),
             _read_array([item["c"] for item in halfspaces], "half-space offsets", 1),
-            tuple(map(ActivationPattern, patterns)),
+            *_stack(patterns),
             _read_array([item["alpha"] for item in regions], "alpha", 3),
             _read_array([item["beta"] for item in regions], "beta", 2),
             _read_array([item["witness"] for item in regions], "witness", 2),

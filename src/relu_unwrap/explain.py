@@ -178,17 +178,17 @@ def exact_shap(d: Decomposition, x, background) -> ShapResult:
     The background mean is taken over the background points lying in the
     same region; if none do, the full-background mean is used and the result
     is flagged approximate.  phi[i, j] = alpha[j, i] * (x[i] - mu[i]).
-    A NaN or infinite coordinate of x or of a background point raises
-    :class:`NonFiniteError`.
+    ``background`` is one point or a (B, n) array; any other shape raises
+    :class:`DimensionMismatchError`.  A NaN or infinite coordinate of x or
+    of a background point raises :class:`NonFiniteError`.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     bg = np.atleast_2d(np.asarray(background, dtype=np.float64))
     if bg.size == 0:
         raise ValueError("background must contain at least one point")
-    if bg.shape[1] != d.input_dim:
+    if bg.ndim != 2 or bg.shape[1] != d.input_dim:
         raise DimensionMismatchError(
-            f"background points have {bg.shape[1]} coordinates, "
-            f"decomposition has {d.input_dim}"
+            f"background must be one point or (B, {d.input_dim}) points, got shape {bg.shape}"
         )
     r = locate_region(d, x)
     inside = bg[_inside(d, r, bg)]
@@ -385,7 +385,8 @@ def plot_regions_2d(d: Decomposition, points, bounds, out, labels=None):
     # red squares for bounded regions hosting points
     # points on unowned faces (host -1) get no square
     hosts = _hosts(d, pts)[0]
-    for r in np.unique(hosts[hosts >= 0]).tolist():
+    # np.unique would import numpy.ma, which no other command loads
+    for r in np.flatnonzero(np.bincount(hosts[hosts >= 0])).tolist():
         cube = hypercube(d, r)
         if cube.unbounded_dims or not np.isfinite(cube.side):
             continue

@@ -67,7 +67,6 @@ from .errors import (
     UnwrapError,
 )
 from .network import (
-    ActivationPattern,
     MLPNetwork,
     _frozen_array,
     _read_array,
@@ -510,10 +509,11 @@ def shallow_to_decomposition(s: ShallowNetwork) -> Decomposition:
     Half-spaces come from the rows below the +/- identity in the first
     layer, region id sets from the selector block of the second, and the
     affine models from the positive half of the third.  The original
-    activation patterns are gone, so each region gets a synthetic one-hot
-    pattern; witnesses are re-solved from the region's conditions, as the
-    pattern search settles them (a point off every face where one exists,
-    else a point of the region's closure, which may be a single point).
+    activation patterns are gone, so region ``r`` gets the synthetic one-hot
+    pattern ``e_r``, one layer of width p; witnesses are re-solved from the
+    region's conditions, as the pattern search settles them (a point off
+    every face where one exists, else a point of the region's closure,
+    which may be a single point).
     The result canonicalizes like the decomposition the network was built
     from.
     """
@@ -534,10 +534,9 @@ def shallow_to_decomposition(s: ShallowNetwork) -> Decomposition:
             raise IterationLimitError(f"region {r}: the interior solve ran out of pivots")
         if witness is None:
             raise UnwrapError(f"region {r} of the shallow network is empty")
-    patterns = tuple(ActivationPattern(((0,) * r + (1,) + (0,) * (p - 1 - r),)) for r in range(p))
     return Decomposition(
-        n, m, normals, offsets, patterns, alphas.reshape(p, m, n), s.b3[: p * m].reshape(p, m),
-        witnesses, (ids, np.zeros(ids.size, dtype=bool), starts),
+        n, m, normals, offsets, np.eye(p, dtype=np.uint8), (p,), alphas.reshape(p, m, n),
+        s.b3[: p * m].reshape(p, m), witnesses, (ids, np.zeros(ids.size, dtype=bool), starts),
     )
 
 

@@ -3,7 +3,11 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,9 +233,14 @@ class TestVerify:
         pattern, selects two regions at that region's witness: verify fails
         without a gap."""
         d = decompose(demo_net_m1)
-        twin = dataclasses.replace(d.regions[-1], pattern=ActivationPattern(((1, 1, 1),)))
+        # patterns share their layer widths: each grows a third bit, 0 but the copy's
+        regions = tuple(
+            dataclasses.replace(r, pattern=ActivationPattern((r.pattern.bits() + (0,),)))
+            for r in d.regions
+        )
+        twin = dataclasses.replace(regions[-1], pattern=ActivationPattern(((1, 1, 1),)))
         s = tmp_path / "s.json"
-        twins = Decomposition.of(d.input_dim, d.output_dim, d.halfspaces, d.regions + (twin,))
+        twins = Decomposition.of(d.input_dim, d.output_dim, d.halfspaces, regions + (twin,))
         save_shallow(build_shallow(twins), s)
         code, stdout, stderr = run(capsys, "verify", "--model", demo_m1_file, "--shallow", str(s))
         assert code == 3
@@ -547,6 +556,41 @@ class TestComposition:
         )
         assert code == 0
         assert json.loads(stdout)["pass"] is True
+
+
+class TestColdStart:
+    def test_no_command_imports_numpy_ma(self, tmp_path):
+        """numpy.ma costs about 15 ms to import (np.unique is one way in);
+        decompose, shallowize, verify, shap and plot run without it, each in
+        a fresh interpreter."""
+        model = tmp_path / "m.json"
+        save_model(biased_net([2, 4, 4], 2, seed=0), model)
+        (tmp_path / "bg.csv").write_text("0.5,0.5\n-1.0,2.0\n")
+        (tmp_path / "pts.csv").write_text("0.5,0.5,a\n-1.0,2.0,b\n2.5,-2.5,c\n")
+        d, s = str(tmp_path / "d.json"), str(tmp_path / "s.json")
+        commands = [
+            ["decompose", "--model", str(model), "--out", d],
+            ["shallowize", "--model", str(model), "--out", s],
+            ["verify", "--model", str(model), "--shallow", s, "--samples", "200"],
+            ["shap", "--decomp", d, "--point", "0.5,0.5", "--background", str(tmp_path / "bg.csv")],
+            ["plot", "--decomp", d, "--points", str(tmp_path / "pts.csv"), "--bounds", "-3,-3,3,3",
+             "--out", str(tmp_path / "p.svg")],
+        ]
+        script = (
+            "import json, sys\n"
+            "from relu_unwrap.cli import main\n"
+            "code = main(json.loads(sys.argv[1]))\n"
+            "print(json.dumps([code, 'numpy.ma' in sys.modules]))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        for argv in commands:
+            proc = subprocess.run(
+                [sys.executable, "-c", script, json.dumps(argv)],
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout.splitlines()[-1]) == [0, False], argv[0]
 
 
 class TestUsage:

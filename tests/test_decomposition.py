@@ -46,6 +46,7 @@ from relu_unwrap import (
     local_lp,
     pattern_matrix,
     random_init,
+    shallow_to_decomposition,
 )
 import relu_unwrap.decomposition as decomposition
 import relu_unwrap.lp as lp_module
@@ -546,13 +547,38 @@ class TestArrayValidation:
             Decomposition(**self._fields(d, region_rows=(ids, owned[:-1], starts)))
 
     def test_equal_patterns(self, d):
-        patterns = d.patterns[:1] + d.patterns[:-1]
+        patterns = np.vstack([d.patterns[:1], d.patterns[:-1]])
         with pytest.raises(ValueError, match="pairwise distinct"):
             Decomposition(**self._fields(d, patterns=patterns))
         doc = json.loads(dumps_decomposition(d))
         doc["regions"][1]["pattern"] = doc["regions"][0]["pattern"]
         with pytest.raises(ModelFormatError, match="pairwise distinct"):
             loads_decomposition(json.dumps(doc))
+
+    def test_patterns_of_unequal_layer_widths(self, d):
+        doc = json.loads(dumps_decomposition(d))
+        doc["regions"][0]["pattern"] = [[1]]
+        with pytest.raises(ModelFormatError, match="unequal layer widths"):
+            loads_decomposition(json.dumps(doc))
+        short = dataclasses.replace(d.regions[0], pattern=ActivationPattern(((1,),)))
+        with pytest.raises(DimensionMismatchError, match="unequal layer widths"):
+            Decomposition.of(d.input_dim, d.output_dim, d.halfspaces, (short,) + d.regions[1:])
+
+    def test_pattern_matrix_of_other_widths(self, d):
+        with pytest.raises(DimensionMismatchError, match="patterns is shaped"):
+            Decomposition(**self._fields(d, hidden_widths=(4, 3)))
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5])
+    def test_pattern_entry_not_a_bit(self, d, bad):
+        patterns = np.array(d.patterns, dtype=np.float64)
+        patterns[0, 0] = bad
+        with pytest.raises(ValueError, match="0 or 1"):
+            Decomposition(**self._fields(d, patterns=patterns))
+        if bad != 0.5:  # a float bit is refused by the reader itself
+            doc = json.loads(dumps_decomposition(d))
+            doc["regions"][0]["pattern"][0][0] = bad
+            with pytest.raises(ModelFormatError, match="0 or 1"):
+                loads_decomposition(json.dumps(doc))
 
     def test_owned_ids_outside_the_region_in_a_file(self, d):
         doc = json.loads(dumps_decomposition(d))
@@ -567,8 +593,9 @@ class TestArrayValidation:
         again = Decomposition(**self._fields(d, region_rows=(ids, owned, starts)))
         ids[0] += 1
         assert again.region_rows[0][0] == d.region_rows[0][0]
-        for block in (again.halfspace_normals, again.alphas, *again.region_rows):
+        for block in (again.halfspace_normals, again.alphas, again.patterns, *again.region_rows):
             assert not block.flags.writeable
+        assert again.patterns.dtype == np.uint8
 
 
 # ---------------------------------------------------------------------------
@@ -741,20 +768,36 @@ class TestGoldenOutputs:
         them gives every array back, bit for bit."""
         d = loads_decomposition((DATA / name).read_text(encoding="utf-8"))
         again = Decomposition.of(d.input_dim, d.output_dim, d.halfspaces, d.regions, partial=d.partial)
-        assert again.patterns == d.patterns and again.partial == d.partial
-        names = ["halfspace_normals", "halfspace_offsets", "alphas", "betas", "witnesses"]
+        assert again.hidden_widths == d.hidden_widths and again.partial == d.partial
+        names = ["halfspace_normals", "halfspace_offsets", "patterns", "alphas", "betas", "witnesses"]
         for x, y in zip([getattr(again, f) for f in names] + list(again.region_rows),
                         [getattr(d, f) for f in names] + list(d.region_rows)):
             assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
+    @pytest.mark.parametrize(
+        "name,make",
+        GOLDEN + [(None, lambda: biased_net([2, 8, 8, 4], 2, seed=0))],
+        ids=[n for n, _ in GOLDEN] + ["biased[2,8,8,4]"],
+    )
+    def test_witnesses_realise_their_patterns(self, name, make):
+        """Every region's witness has the region's own pattern, read as the
+        network computes it, in the golden files and the decomposition of a
+        deeper net."""
+        net = make()
+        d = decompose(net) if name is None else loads_decomposition((DATA / name).read_text(encoding="utf-8"))
+        assert d.hidden_widths == net.hidden_widths
+        got = pattern_matrix(net, d.witnesses)
+        assert got.dtype == d.patterns.dtype and np.array_equal(got, d.patterns)
+
 
 class TestOneStorage:
     """Pipelines, file I/O and queries read the arrays: they build no
-    per-item :class:`Region` or :class:`OrientedHalfspace`."""
+    per-item :class:`Region`, :class:`OrientedHalfspace` or
+    :class:`ActivationPattern`."""
 
     @pytest.fixture
     def built(self, monkeypatch):
-        counts = {Region: 0, OrientedHalfspace: 0}
+        counts = {Region: 0, OrientedHalfspace: 0, ActivationPattern: 0}
         for cls in counts:
 
             def counted(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
@@ -766,8 +809,12 @@ class TestOneStorage:
 
     def test_build_load_and_query_build_no_items(self, built):
         net = biased_net([2, 4, 4], 2, seed=0)
-        d = decomposition.build_decomposition(net, enumerate_feasible(net))
-        assert built == {Region: 0, OrientedHalfspace: 0}
+        res = enumerate_feasible(net)
+        built[ActivationPattern] = 0  # each of the search's records carries one
+        none = {Region: 0, OrientedHalfspace: 0, ActivationPattern: 0}
+        assert built == none
+        d = decomposition.build_decomposition(net, res)
+        assert built == none
         back = loads_decomposition(dumps_decomposition(d))
         X = np.random.default_rng(4).uniform(-3.0, 3.0, size=(50, 2))
         exact_shap(back, X[0], X)
@@ -775,11 +822,12 @@ class TestOneStorage:
         for r in np.unique(hosts).tolist():
             hypercube(back, r)
         plot_regions_2d(back, X, (-3.0, -3.0, 3.0, 3.0), io.BytesIO())
-        build_shallow(back)
+        s = build_shallow(back)
+        shallow_to_decomposition(s)
         assert dumps_decomposition(back) == dumps_decomposition(d)
-        assert built == {Region: 0, OrientedHalfspace: 0}
+        assert built == none
         # the views are where items come from
-        assert len(back.regions) == built[Region] == d.num_regions
+        assert len(back.regions) == built[Region] == built[ActivationPattern] == d.num_regions
         assert len(back.halfspaces) == built[OrientedHalfspace] == d.num_halfspaces
         assert back.regions is back.regions
 

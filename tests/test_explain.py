@@ -197,6 +197,13 @@ class TestExactShap:
         assert not res.approximate
         np.testing.assert_allclose(res.mu, inside.mean(axis=0))
 
+    @pytest.mark.parametrize("shape", [(4, 2, 2), (1, 1, 2), (3,), (2, 3)])
+    def test_background_of_another_shape(self, triangle, shape):
+        """The background is one point or a (B, n) array; any other shape is
+        refused before it is indexed."""
+        with pytest.raises(DimensionMismatchError, match="one point or"):
+            exact_shap(triangle, [0.5, 0.5], np.full(shape, 0.5))
+
     def test_jsonable_payload(self, triangle):
         res = exact_shap(triangle, [0.5, 1.0], [[1.0, 0.5]])
         doc = res.to_jsonable()
