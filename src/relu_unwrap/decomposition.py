@@ -15,11 +15,15 @@ hyperplane ``M(l)[i] . x + o(l)[i] = 0``.  Bit 1 adds a strict row
 exactly one pattern.  A child whose rows have no strict interior is dropped:
 it covers no open set, its points lie on the closed faces of neighbouring
 regions, and since added rows never create an interior, no extension of it
-is realisable either.  The parent cell's witness settles one child without
-a solve, so the work grows with the cells found rather than with the 2^width
-patterns of a layer.  Every pattern program comes from one helper,
-:func:`_rows`, so a leaf's rows are exactly its :func:`global_lp`, and the
-search settles every pattern's witness once (:func:`_witnesses`).
+is realisable either.  For the same reason, a side of a neuron's hyperplane
+with no interior in the cell that opens the neuron's layer has none in any
+sub-cell: that cell tests every neuron of the layer in one stacked solve,
+and its sub-cells skip the empty sides found.  The parent cell's witness
+settles one child without a solve, so the work grows with the cells found
+rather than with the 2^width patterns of a layer.  Every pattern program
+comes from one helper, :func:`_rows`, so a leaf's rows are exactly its
+:func:`global_lp`, and the search settles every pattern's witness once
+(:func:`_witnesses`).
 
 Each surviving pattern yields a region: its affine model, read off its last
 prefix, that witness, and the minimal set of oriented half-spaces
@@ -414,12 +418,15 @@ class _Cell:
     The last layer of ``bits`` may be incomplete; ``chain`` holds the
     prefix's affine maps.  ``witness`` clears every strict row of the
     prefix's program by more than ``TOL_SLACK`` and meets the closed ones;
-    it is None when a solver failure kept the cell.
+    it is None when a solver failure kept the cell.  ``empty`` holds the
+    ``(neuron, bit)`` children of the last layer that have no interior in
+    the cell that opened the layer, so in none of its sub-cells either.
     """
 
     bits: tuple[tuple[int, ...], ...]
     chain: tuple[GlobalAffinePrefix, ...]
     witness: np.ndarray | None
+    empty: frozenset[tuple[int, int]] = frozenset()
 
 
 class _Search:
@@ -432,35 +439,98 @@ class _Search:
         self.layer_cells = [0] * depth
         self.leaves: list[_Cell] = []
 
-    def interior(self, lp: LinearProgram, start) -> tuple[bool, np.ndarray | None]:
-        """(keep, witness) of a system; a solver failure keeps it unwitnessed.
+    def _charge(self, count: int) -> int:
+        """Charge up to ``count`` LPs to the budget; how many it allowed."""
+        room = count if self.budget is None else max(0, min(count, self.budget - self.lps))
+        self.lps += room
+        return room
 
-        ``start``, the parent cell's witness, meets every row but the new
-        one.  The program is solved shifted to it, unless the origin violates
-        fewer rows (a cell of a network without biases is a cone at the
-        origin), so the simplex starts from a basis feasible but for at most
-        that row.
-        """
-        if self.budget is not None and self.lps >= self.budget:
-            raise BudgetExceededError(
-                f"pattern search exceeded the budget of {self.budget} feasibility LPs",
-                partial=self.result(partial=True),
-            )
-        self.lps += 1
-        if start is not None:
-            moved = lp.shifted(start)
-            if np.count_nonzero(moved.b < 0) > np.count_nonzero(lp.b < 0):
-                start = None
-            else:
-                lp = moved
-        try:
-            res = check_feasible(lp)
-        except IterationLimitError:
-            self.fallbacks += 1
+    def _exceeded(self) -> BudgetExceededError:
+        return BudgetExceededError(
+            f"pattern search exceeded the budget of {self.budget} feasibility LPs",
+            partial=self.result(partial=True),
+        )
+
+    @staticmethod
+    def _shift(lp: LinearProgram, start) -> tuple[LinearProgram, np.ndarray | None]:
+        """``lp`` shifted to ``start``, the parent cell's witness, and the
+        start; unshifted, with None, when there is none or the origin
+        violates fewer rows (a cell of a network without biases is a cone
+        at the origin)."""
+        if start is None:
+            return lp, None
+        moved = lp.shifted(start)
+        if np.count_nonzero(moved.b < 0) > np.count_nonzero(lp.b < 0):
+            return lp, None
+        return moved, start
+
+    @staticmethod
+    def _verdict(res, start) -> tuple[bool, np.ndarray | None]:
+        """(keep, witness) of a program from its result, solved shifted to
+        ``start``; a solver failure (None) keeps it unwitnessed."""
+        if res is None:
             return True, None
         if res.status is Feasibility.INTERIOR:
             return True, res.witness if start is None else start + res.witness
         return False, None
+
+    def interior(self, lp: LinearProgram, start) -> tuple[bool, np.ndarray | None]:
+        """(keep, witness) of a system; a solver failure keeps it unwitnessed.
+
+        ``start``, the parent cell's witness, meets every row but the new
+        one.  The program is solved shifted to it (see :meth:`_shift`), so
+        the simplex starts from a basis feasible but for at most that row.
+        """
+        if not self._charge(1):
+            raise self._exceeded()
+        lp, start = self._shift(lp, start)
+        try:
+            res = check_feasible(lp)
+        except IterationLimitError:
+            res = None
+            self.fallbacks += 1
+        return self._verdict(res, start)
+
+    def open_layer(self, chain, bits, nxt: GlobalAffinePrefix, w: np.ndarray | None):
+        """Pre-test every neuron of the layer ``nxt`` maps to, for a cell
+        with rows ``_rows(chain, bits)`` and witness ``w`` that opens it.
+
+        Neuron ``j``'s program is the cell's rows plus row ``j`` on the side
+        ``w`` does not settle, shifted as in :meth:`interior`; all of them go
+        to one stacked solve.  Nothing is tested without a witness, nor a
+        neuron whose ``z = M[j] . w + o[j]`` is in the gray zone ``(0,
+        TOL_SLACK]``.  Returns neuron 0's ``(keep, witness)``, as
+        :meth:`interior` gives it for the cell's first split (None when not
+        tested), and the ``(neuron, bit)`` sides of the other neurons found
+        to have no interior, hence none in any sub-cell; a program that runs
+        out of pivots settles nothing.  When the budget runs out, the
+        programs left under it are solved, then :class:`BudgetExceededError`
+        is raised.
+        """
+        zs = [] if w is None else [float(row @ w + o) for row, o in zip(nxt.matrix, nxt.offset)]
+        far = [1 if z <= 0.0 else 0 if z > TOL_SLACK else None for z in zs]
+        tested = [j for j, bit in enumerate(far) if bit is not None]
+        if not tested:
+            return None, frozenset()
+        A, b, strict = _rows(chain, bits)
+        # every neuron's row, oriented for its side that ``w`` does not settle
+        rA, rb, rs = _rows((nxt,), (tuple(bit or 0 for bit in far),))
+        programs = []
+        for j in tested:
+            lp = LinearProgram(np.vstack((A, rA[j])), np.append(b, rb[j]), np.append(strict, rs[j]))
+            programs.append(self._shift(lp, w))
+        room = self._charge(len(programs))
+        results = check_feasible_many([lp for lp, _ in programs[:room]]) if room else []
+        if room < len(programs):
+            raise self._exceeded()
+        split, empty = None, set()
+        for j, (_, start), res in zip(tested, programs, results):
+            if j == 0:
+                split = self._verdict(res, start)
+                self.fallbacks += res is None
+            elif res is not None and res.status is not Feasibility.INTERIOR:
+                empty.add((j, far[j]))
+        return split, frozenset(empty)
 
     def result(self, *, partial: bool = False) -> EnumerationResult:
         """Records of the finished cells, with witnesses from :func:`_witnesses`.
@@ -504,13 +574,22 @@ def enumerate_feasible(net: MLPNetwork, *, budget: int | None = None) -> Enumera
     Every record carries a witness (see :func:`_witnesses`); a kept pattern
     that no point certifies raises :class:`UnwrapError`.
 
+    A witnessed cell that completes layer ``l - 1`` and opens layer ``l >=
+    2`` pre-tests the layer (:meth:`_Search.open_layer`): per neuron, its
+    rows plus the neuron's row on the side the witness does not settle, all
+    in one stacked solve.  A side with no interior is then skipped in every
+    sub-cell, whose other child is settled by its witness or its own LP as
+    above.  Neuron 0's program is the cell's first split LP, and serves as
+    it.  Splits inside a layer are solved one at a time.
+
     ``layer_feasible[l]`` counts the live cells after layer ``l + 1``; the
-    last entry is the number of patterns.  ``candidates_checked`` counts the
-    feasibility LPs solved to split cells; ``budget`` caps it, and the solve
-    that would cross it raises :class:`BudgetExceededError`, whose
-    ``partial`` field carries the patterns completed so far, less any kept
-    pattern that no point certifies.  Records are sorted by concatenated
-    pattern bits.
+    last entry is the number of patterns.  ``candidates_checked`` counts
+    every feasibility LP the search solves, pre-test programs included;
+    ``budget`` caps it.  The solve that would cross it raises
+    :class:`BudgetExceededError` (within a pre-test stack, after the
+    programs left under the budget are solved), whose ``partial`` field
+    carries the patterns completed so far, less any kept pattern that no
+    point certifies.  Records are sorted by concatenated pattern bits.
     """
     L, n = net.depth, net.input_dim
     if L == 0:
@@ -523,27 +602,31 @@ def enumerate_feasible(net: MLPNetwork, *, budget: int | None = None) -> Enumera
     stack = [_Cell(((),), (first,), np.zeros(n))]
     while stack:
         cell = stack.pop()
-        bits, chain = cell.bits, cell.chain
+        bits, chain, w, empty, split = cell.bits, cell.chain, cell.witness, cell.empty, None
         if len(bits[-1]) == widths[len(chain) - 1]:
             # the cell's last layer is complete: open the next one
             nxt = _next_prefix(chain[-1], bits[-1], net.hidden[len(chain)])
+            split, empty = search.open_layer(chain, bits, nxt, w)
             bits, chain = bits + ((),), chain + (nxt,)
         layer, i = len(chain), len(bits[-1])
         row, shift = chain[-1].matrix[i], chain[-1].offset[i]
-        w = cell.witness
         z = None if w is None else float(row @ w + shift)
         for bit in (0, 1):
+            if (i, bit) in empty:
+                continue
             child = bits[:-1] + (bits[-1] + (bit,),)
             if z is not None and (z > TOL_SLACK if bit else z <= 0.0):
-                witness = w
+                keep, witness = True, w
+            elif split is not None:
+                keep, witness = split
             else:
                 keep, witness = search.interior(LinearProgram(*_rows(chain, child)), w)
-                if not keep:
-                    continue
+            if not keep:
+                continue
             layer_done = i + 1 == widths[layer - 1]
             search.layer_cells[layer - 1] += layer_done
             (search.leaves if layer_done and layer == L else stack).append(
-                _Cell(child, chain, witness)
+                _Cell(child, chain, witness, empty)
             )
     return search.result()
 

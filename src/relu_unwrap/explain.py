@@ -17,7 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import _SORT_DECIMALS, Decomposition, closed_lp
-from .errors import DimensionMismatchError, NonFiniteError, PointNotLocatedError, UnwrapError
+from .errors import (
+    DimensionMismatchError,
+    IterationLimitError,
+    NonFiniteError,
+    PointNotLocatedError,
+    UnwrapError,
+)
 from .lp import Extremum, extremize
 
 _EPS_FACE = 1e-12  # margin below which a point counts as on a face
@@ -244,28 +250,43 @@ def hypercube(d: Decomposition, region: int) -> HypercubeSummary:
     """
     if not 0 <= region < d.num_regions:
         raise IndexError(f"region {region} out of range")
-    ids, _, starts = d.region_rows
-    ids = ids[starts[region] : starts[region + 1]]
-    witness = d.witnesses[region]
-    n = d.input_dim
-    lp = closed_lp(d.halfspace_normals[ids], d.halfspace_offsets[ids]).shifted(witness)
-    extremes = extremize(np.vstack([np.eye(n), -np.eye(n)]), lp)
-    if any(res.status is Extremum.INFEASIBLE for res in extremes):
-        raise UnwrapError(f"region {region} solved as empty while boxed")
+    return _boxes(d, [region])[0]
 
-    center = np.array(witness, dtype=np.float64)
-    extents = []
-    unbounded = []
-    for i in range(n):
-        hi, lo = extremes[i], extremes[n + i]
-        if hi.status is Extremum.UNBOUNDED or lo.status is Extremum.UNBOUNDED:
-            unbounded.append(i)
-            continue
-        top, bottom = witness[i] + hi.value, witness[i] - lo.value
-        center[i] = (top + bottom) / 2.0
-        extents.append(top - bottom)
-    side = max(extents) if extents else np.inf
-    return HypercubeSummary(center, float(side), tuple(unbounded))
+
+def _boxes(d: Decomposition, regions) -> list[HypercubeSummary]:
+    """:func:`hypercube` of every region in ``regions``, all of their
+    extremes in one :func:`~relu_unwrap.lp.extremize` call."""
+    ids, _, starts = d.region_rows
+    n = d.input_dim
+    lps = []
+    for r in regions:
+        run = ids[starts[r] : starts[r + 1]]
+        lp = closed_lp(d.halfspace_normals[run], d.halfspace_offsets[run])
+        lps.append(lp.shifted(d.witnesses[r]))
+    directions = np.vstack([np.eye(n), -np.eye(n)])
+    cubes = []
+    for region, lp, extremes in zip(regions, lps, extremize([directions] * len(lps), lps)):
+        if extremes is None:
+            raise IterationLimitError(
+                f"simplex ran out of pivots on a {lp.num_rows}x{lp.dim} program"
+            )
+        if any(res.status is Extremum.INFEASIBLE for res in extremes):
+            raise UnwrapError(f"region {region} solved as empty while boxed")
+        witness = d.witnesses[region]
+        center = np.array(witness, dtype=np.float64)
+        extents = []
+        unbounded = []
+        for i in range(n):
+            hi, lo = extremes[i], extremes[n + i]
+            if hi.status is Extremum.UNBOUNDED or lo.status is Extremum.UNBOUNDED:
+                unbounded.append(i)
+                continue
+            top, bottom = witness[i] + hi.value, witness[i] - lo.value
+            center[i] = (top + bottom) / 2.0
+            extents.append(top - bottom)
+        side = max(extents) if extents else np.inf
+        cubes.append(HypercubeSummary(center, float(side), tuple(unbounded)))
+    return cubes
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +407,7 @@ def plot_regions_2d(d: Decomposition, points, bounds, out, labels=None):
     # points on unowned faces (host -1) get no square
     hosts = _hosts(d, pts)[0]
     # np.unique would import numpy.ma, which no other command loads
-    for r in np.flatnonzero(np.bincount(hosts[hosts >= 0])).tolist():
-        cube = hypercube(d, r)
+    for cube in _boxes(d, np.flatnonzero(np.bincount(hosts[hosts >= 0])).tolist()):
         if cube.unbounded_dims or not np.isfinite(cube.side):
             continue
         half = cube.side / 2.0

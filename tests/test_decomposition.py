@@ -83,6 +83,28 @@ def region_by_pattern(d, bits):
     raise AssertionError(f"pattern {bits} missing")
 
 
+def route_stacked(monkeypatch, *, search=None, witness=None):
+    """Patch ``decomposition.check_feasible_many``: the stacked solves of
+    ``_witnesses`` go to ``witness(real, lps)``, the others (the search's
+    layer-opening pre-tests) to ``search(real, lps)``; either defaults to
+    the real solve."""
+    real, real_witnesses, inside = decomposition.check_feasible_many, decomposition._witnesses, []
+
+    def witnesses(lps, known=None):
+        inside.append(True)
+        try:
+            return real_witnesses(lps, known)
+        finally:
+            inside.pop()
+
+    def many(lps):
+        hook = witness if inside else search
+        return real(lps) if hook is None else hook(real, lps)
+
+    monkeypatch.setattr(decomposition, "_witnesses", witnesses)
+    monkeypatch.setattr(decomposition, "check_feasible_many", many)
+
+
 class TestDemoNetGroundTruth:
     """The two-neuron example has a fully hand-checkable partition."""
 
@@ -229,14 +251,72 @@ class TestEnumeration:
         complete = {rec.pattern.bits() for rec in full.records}
         assert {rec.pattern.bits() for rec in partial.records} <= complete
 
+    def test_budget_cut_inside_a_pretest_stack(self, monkeypatch):
+        """Every budget within one LP of a layer-opening pre-test stack's
+        edges raises after solving exactly that many LPs, with a certified
+        subset of the patterns; the full count passes."""
+        net = biased_net([2, 4, 4], 2, seed=0)
+        real, solved, edges = decomposition.check_feasible, [0], set()
+
+        def count(lp):
+            solved[0] += 1
+            return real(lp)
+
+        def stack(many, lps):
+            edges.update((solved[0], solved[0] + len(lps)))
+            solved[0] += len(lps)
+            return many(lps)
+
+        monkeypatch.setattr(decomposition, "check_feasible", count)
+        route_stacked(monkeypatch, search=stack)
+        full = enumerate_feasible(net)
+        assert solved[0] == full.candidates_checked and len(edges) > 4
+        complete = {rec.pattern.bits() for rec in full.records}
+        budgets = {e + d for e in edges for d in (-1, 0, 1)} & set(range(full.candidates_checked))
+        for budget in sorted(budgets):
+            solved[0] = 0
+            with pytest.raises(BudgetExceededError) as info:
+                enumerate_feasible(net, budget=budget)
+            partial = info.value.partial
+            assert partial.candidates_checked == solved[0] == budget
+            assert {rec.pattern.bits() for rec in partial.records} <= complete
+            for rec in partial.records:
+                assert activation_pattern(net, rec.witness) == rec.pattern
+        exact = enumerate_feasible(net, budget=full.candidates_checked)
+        assert [rec.pattern for rec in exact.records] == [rec.pattern for rec in full.records]
+
+    @pytest.mark.parametrize("kept", [1, 0], ids=["first-solved", "all-out-of-pivots"])
+    def test_pretest_out_of_pivots_settles_nothing(self, monkeypatch, kept):
+        """A pre-test program that runs out of pivots settles no neuron; for
+        the layer's first neuron it keeps the cell unwitnessed, as a failed
+        split does.  Patterns and witnesses are the reference's either way."""
+        net = biased_net([2, 4, 4, 3], 2, seed=0)
+        reference = enumerate_feasible(net)
+        stacks = []
+
+        def fail(many, lps):
+            stacks.append(len(lps))
+            return many(lps[:kept]) + [None] * (len(lps) - kept)
+
+        route_stacked(monkeypatch, search=fail)
+        res = enumerate_feasible(net)
+        assert stacks and res.candidates_checked > reference.candidates_checked
+        assert res.layer_feasible == reference.layer_feasible
+        assert res.solver_fallbacks == (0 if kept else len(stacks))
+        assert [rec.pattern for rec in res.records] == [rec.pattern for rec in reference.records]
+        for rec, ref in zip(res.records, reference.records):
+            np.testing.assert_array_equal(rec.witness, ref.witness)
+
     @pytest.mark.parametrize(
         "net",
         [
             random_init([2, 3, 3], 1, seed=0),
             biased_net([2, 4, 4], 2, seed=0),
             random_init([3, 3, 2, 2], 1, seed=0),
+            biased_net([2, 4, 4, 3], 2, seed=0),
+            random_init([2, 4, 4, 3], 1, seed=0),
         ],
-        ids=["[2,3,3]", "biased[2,4,4]", "[3,3,2,2]"],
+        ids=["[2,3,3]", "biased[2,4,4]", "[3,3,2,2]", "biased[2,4,4,3]", "[2,4,4,3]"],
     )
     def test_matches_brute_force_oracle(self, net):
         """The split finds exactly the patterns whose full program is feasible."""
@@ -278,27 +358,29 @@ class TestEnumeration:
 
     def test_search_witness_of_an_empty_program_raises(self, monkeypatch):
         """Clamping the negative right-hand sides of every split program's
-        parent rows to 0.0 makes the search keep pattern (1,1,0,0 | 0,0,1,0)
-        of biased [2,4,4] seed 0, whose own program has no interior.  Its
-        all-strict solve fails, so only the search's witness stands for it:
-        that program is solved and found empty, which raises."""
+        parent rows to 0.0 (one at a time or in a layer's pre-test stack)
+        makes the search keep pattern (1,1,0,0 | 0,0,1,0) of biased [2,4,4]
+        seed 0, whose own program has no interior.  Its all-strict solve
+        fails, so only the search's witness stands for it: that program is
+        solved and found empty, which raises."""
         net = biased_net([2, 4, 4], 2, seed=0)
         extra = ((1, 1, 0, 0), (0, 0, 1, 0))
         assert check_feasible(global_lp(extra, net)).status is not Feasibility.INTERIOR
         real = decomposition.check_feasible
 
-        def clamped(lp):
+        def clamp(lp):
             b = lp.b.copy()
             b[:-1] = np.maximum(b[:-1], 0.0)
-            return real(LinearProgram(lp.A, b, lp.strict))
+            return LinearProgram(lp.A, b, lp.strict)
 
+        route_stacked(monkeypatch, search=lambda many, lps: many([clamp(lp) for lp in lps]))
         real_witnesses, seen = decomposition._witnesses, []
 
         def spy(lps, known=None):
             seen.extend(lps)
             return real_witnesses(lps, known)
 
-        monkeypatch.setattr(decomposition, "check_feasible", clamped)
+        monkeypatch.setattr(decomposition, "check_feasible", lambda lp: real(clamp(lp)))
         monkeypatch.setattr(decomposition, "_witnesses", spy)
         with pytest.raises(UnwrapError, match="has no interior point") as info:
             enumerate_feasible(net)
@@ -904,14 +986,14 @@ class TestWitnessPaths:
         net = biased_net([2, 4, 4], 2, seed=0)
         reference = enumerate_feasible(net)
         raised = self._keep_one_final_cut(monkeypatch, net, interior=True)
-        real_many, calls = decomposition.check_feasible_many, []
+        calls = []
 
-        def refinement_fails(lps):
+        def refinement_fails(real_many, lps):
             calls.append(len(lps))
-            # the first stacked call is the interior re-solve of every leaf
+            # the witness stage's first stacked call is the interior re-solve of every leaf
             return [None] * len(lps) if len(calls) == 1 else real_many(lps)
 
-        monkeypatch.setattr(decomposition, "check_feasible_many", refinement_fails)
+        route_stacked(monkeypatch, witness=refinement_fails)
         res = enumerate_feasible(net)
         # every leaf falls back, so every leaf's own program is solved: the
         # kept cell's for its witness, the others' to certify the split's
@@ -924,11 +1006,12 @@ class TestWitnessPaths:
         np.testing.assert_array_equal(kept.witness, own.witness)
 
     def test_uncertified_split_witness_counts_as_a_fallback(self, monkeypatch):
-        """When both stacked calls run out of pivots, each leaf keeps its
-        split's witness and counts once in ``solver_fallbacks``."""
+        """When both stacked calls of the witness stage run out of pivots,
+        each leaf keeps its split's witness and counts once in
+        ``solver_fallbacks``."""
         net = biased_net([2, 4, 4], 2, seed=0)
         reference = enumerate_feasible(net)
-        monkeypatch.setattr(decomposition, "check_feasible_many", lambda lps: [None] * len(lps))
+        route_stacked(monkeypatch, witness=lambda real_many, lps: [None] * len(lps))
         res = enumerate_feasible(net)
         assert [rec.pattern for rec in res.records] == [rec.pattern for rec in reference.records]
         assert res.solver_fallbacks == len(res.records)

@@ -385,6 +385,21 @@ class TestPlot:
         ]
         assert len(rects) == 1
 
+    def test_host_regions_boxed_in_one_solve(self, tmp_path, monkeypatch):
+        """The plot boxes all its host regions in one ``extremize`` call,
+        each box bitwise the region's own :func:`hypercube`."""
+        d = decompose(biased_net([2, 4, 4], 2, seed=0))
+        regions = list(range(d.num_regions))
+        for box, r in zip(explain._boxes(d, regions), regions):
+            cube = hypercube(d, r)
+            np.testing.assert_array_equal(box.center, cube.center)
+            assert (box.side, box.unbounded_dims) == (cube.side, cube.unbounded_dims)
+        real, calls = explain.extremize, []
+        monkeypatch.setattr(explain, "extremize", lambda *args: calls.append(args) or real(*args))
+        grid = np.stack(np.meshgrid(np.linspace(-3, 3, 7), np.linspace(-3, 3, 7)), -1).reshape(-1, 2)
+        plot_regions_2d(d, grid, (-3.0, -3.0, 3.0, 3.0), tmp_path / "p.svg")
+        assert len(calls) == 1 and len(calls[0][1]) > 1
+
     def test_non_planar_rejected(self, tmp_path):
         net = random_init([3, 3], 1, seed=0)
         d = decompose(net)

@@ -214,13 +214,13 @@ class TestConstruction:
             build_shallow(Decomposition.of(2, 1, (), ()))
 
     def test_partial_decomposition_rejected(self):
-        """A budget cut leaves 9 regions of 41; a net built from them would
+        """A budget cut leaves 8 regions of 41; a net built from them would
         read 0 everywhere else, so it is refused."""
         net = biased_net([2, 4, 4], 2, seed=0)
         with pytest.raises(BudgetExceededError) as info:
             decompose(net, budget=20)
         d = build_decomposition(net, info.value.partial, partial=True)
-        assert d.num_regions == 9
+        assert d.num_regions == 8
         with pytest.raises(ValueError, match="partial"):
             build_shallow(d)
 
