@@ -134,6 +134,9 @@ def cmd_shallowize(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 0:
+        _diag(f"error: --samples must be at least 0, got {args.samples}")
+        return EXIT_USAGE
     net = load_model(args.model)
     shallow = load_shallow(args.shallow)
     if (net.input_dim, net.output_dim) != (shallow.input_dim, shallow.output_dim):

@@ -150,6 +150,37 @@ def _region_rows(region_ids, region_owned) -> tuple[np.ndarray, np.ndarray, np.n
     return np.array(ids, dtype=np.intp), np.array(owned, dtype=bool), np.cumsum(lengths)
 
 
+def _split(values: np.ndarray, starts: np.ndarray) -> list[list]:
+    """``values`` cut into the runs ``values[starts[r]:starts[r + 1]]``, as lists."""
+    flat, cuts = values.tolist(), starts.tolist()
+    return [flat[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _sort_keys(rows: np.ndarray, offsets: np.ndarray | None = None) -> list[list[float]]:
+    """Order keys of a matrix's rows, rounded so equal geometry sorts alike:
+    entries by numpy to ``_SORT_DECIMALS`` decimals, ``offsets`` by ``round``."""
+    keys = np.round(rows, _SORT_DECIMALS).tolist()
+    for key, offset in zip(keys, [] if offsets is None else offsets.tolist()):
+        key.append(round(offset, _SORT_DECIMALS))
+    return keys
+
+
+def _sort_order(keys: list) -> np.ndarray:
+    """Stable sort permutation of ``keys``, as :func:`_sort_keys` gives them."""
+    return np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
+
+
+def _renumber(region_rows, order: np.ndarray, regions: np.ndarray):
+    """``region_rows`` for the table reordered so that entry ``t`` was entry
+    ``order[t]``, and the regions so that region ``r`` was ``regions[r]``:
+    ids mapped, each run sorted, owned flags following their ids."""
+    ids, owned, starts = region_rows
+    sizes = np.diff(starts)
+    ids = np.argsort(order)[ids]
+    at = np.lexsort((ids, np.repeat(np.argsort(regions), sizes)))
+    return ids[at], owned[at], np.concatenate([[0], np.cumsum(sizes[regions])])
+
+
 def _stack(patterns) -> tuple[list[list[int]], tuple[int, ...]]:
     """The bit rows and the shared layer widths of patterns, each given as
     its layers' bits; patterns of unequal layer widths are refused."""
@@ -261,9 +292,9 @@ class Decomposition:
 
     def _id_lists(self) -> tuple[list[list[int]], list[list[int]]]:
         """Each region's half-space ids and the ids it owns, as lists."""
-        ids, owned, starts = (a.tolist() for a in self.region_rows)
-        runs = [slice(a, b) for a, b in zip(starts, starts[1:])]
-        return [ids[run] for run in runs], [list(compress(ids[run], owned[run])) for run in runs]
+        ids, owned, starts = self.region_rows
+        runs = _split(ids, starts)
+        return runs, [list(compress(run, own)) for run, own in zip(runs, _split(owned, starts))]
 
 
 @dataclass(frozen=True)
@@ -452,17 +483,16 @@ class _Search:
         )
 
     @staticmethod
-    def _shift(lp: LinearProgram, start) -> tuple[LinearProgram, np.ndarray | None]:
-        """``lp`` shifted to ``start``, the parent cell's witness, and the
-        start; unshifted, with None, when there is none or the origin
-        violates fewer rows (a cell of a network without biases is a cone
-        at the origin)."""
-        if start is None:
-            return lp, None
-        moved = lp.shifted(start)
-        if np.count_nonzero(moved.b < 0) > np.count_nonzero(lp.b < 0):
-            return lp, None
-        return moved, start
+    def _shift(A, b, strict, start) -> tuple[LinearProgram, np.ndarray | None]:
+        """The program of rows ``(A, b, strict)`` shifted to ``start``, the
+        parent cell's witness, and the start; unshifted, with None, when
+        there is none or the origin violates fewer rows (a cell of a network
+        without biases is a cone at the origin)."""
+        if start is not None:
+            moved = b - A @ start
+            if np.count_nonzero(moved < 0) <= np.count_nonzero(b < 0):
+                return LinearProgram(A, moved, strict), start
+        return LinearProgram(A, b, strict), None
 
     @staticmethod
     def _verdict(res, start) -> tuple[bool, np.ndarray | None]:
@@ -474,16 +504,16 @@ class _Search:
             return True, res.witness if start is None else start + res.witness
         return False, None
 
-    def interior(self, lp: LinearProgram, start) -> tuple[bool, np.ndarray | None]:
-        """(keep, witness) of a system; a solver failure keeps it unwitnessed.
+    def interior(self, rows, start) -> tuple[bool, np.ndarray | None]:
+        """(keep, witness) of a system's rows; a solver failure keeps it unwitnessed.
 
         ``start``, the parent cell's witness, meets every row but the new
         one.  The program is solved shifted to it (see :meth:`_shift`), so
         the simplex starts from a basis feasible but for at most that row.
         """
+        lp, start = self._shift(*rows, start)
         if not self._charge(1):
             raise self._exceeded()
-        lp, start = self._shift(lp, start)
         try:
             res = check_feasible(lp)
         except IterationLimitError:
@@ -515,10 +545,10 @@ class _Search:
         A, b, strict = _rows(chain, bits)
         # every neuron's row, oriented for its side that ``w`` does not settle
         rA, rb, rs = _rows((nxt,), (tuple(bit or 0 for bit in far),))
-        programs = []
-        for j in tested:
-            lp = LinearProgram(np.vstack((A, rA[j])), np.append(b, rb[j]), np.append(strict, rs[j]))
-            programs.append(self._shift(lp, w))
+        programs = [
+            self._shift(np.vstack((A, rA[j])), np.append(b, rb[j]), np.append(strict, rs[j]), w)
+            for j in tested
+        ]
         room = self._charge(len(programs))
         results = check_feasible_many([lp for lp, _ in programs[:room]]) if room else []
         if room < len(programs):
@@ -620,7 +650,7 @@ def enumerate_feasible(net: MLPNetwork, *, budget: int | None = None) -> Enumera
             elif split is not None:
                 keep, witness = split
             else:
-                keep, witness = search.interior(LinearProgram(*_rows(chain, child)), w)
+                keep, witness = search.interior(_rows(chain, child), w)
             if not keep:
                 continue
             layer_done = i + 1 == widths[layer - 1]
@@ -653,11 +683,6 @@ def local_linear_model(pattern: ActivationPattern, net: MLPNetwork):
             f"pattern has {len(layers)} layers, network has {net.depth}"
         )
     return _model(_prefix_chain(layers, net), layers, net)
-
-
-def _sort_key(normal: np.ndarray, offset: float) -> tuple:
-    """Order key of a half-space, rounded so equal geometry sorts alike."""
-    return tuple(np.round(normal, _SORT_DECIMALS)) + (round(offset, _SORT_DECIMALS),)
 
 
 def _candidates(rec: PatternRecord, dim: int) -> tuple[np.ndarray, list[float], list[bool]]:
@@ -772,39 +797,26 @@ def extract_halfspaces(records: Sequence[PatternRecord], net: MLPNetwork):
     by LP in two stacked passes over all regions (:func:`_facets`, each
     region's program shifted to its witness); survivors are pooled into one
     table, where conditions with equal floats share an entry, sorted by
-    (normal, offset).  Returns ``(normals, offsets, region_ids,
-    region_nonstrict_ids)``: the table as (k, n) and (k,) arrays, and each
-    region's sorted ids and owned ids.
+    (normal, offset).  Returns ``(normals, offsets, region_rows)``: the table
+    as (k, n) and (k,) arrays, and its :attr:`Decomposition.region_rows`.
     """
     n = net.input_dim
-    index: dict[tuple[bytes, float], int] = {}
-    items: list[tuple[np.ndarray, float]] = []
-    raw_ids: list[list[int]] = []
-    raw_nonstrict: list[list[int]] = []
-
+    # each entry's id and the floats of its first occurrence, by exact floats
+    index: dict[tuple[bytes, float], tuple[int, np.ndarray, float]] = {}
+    ids, owned, starts = [], [], [0]
     candidates = [_candidates(rec, n) for rec in records]
     lps = [closed_lp(c[0], c[1]).shifted(rec.witness) for c, rec in zip(candidates, records)]
     for (normals, offsets, any_strict), active in zip(candidates, _facets(lps)):
-        ids, owned = [], []
         for j in active:
-            normal, offset = normals[j], offsets[j]
-            # the first occurrence of the exact floats; + 0.0 folds -0.0 into 0.0
-            hit = index.setdefault(((normal + 0.0).tobytes(), offset + 0.0), len(items))
-            if hit == len(items):
-                items.append((normal, offset))
-            ids.append(hit)
-            if not any_strict[j]:
-                owned.append(hit)
-        raw_ids.append(ids)
-        raw_nonstrict.append(owned)
-
-    order = sorted(range(len(items)), key=lambda i: _sort_key(*items[i]))
-    remap = {old: new for new, old in enumerate(order)}
-    normals = np.array([items[i][0] for i in order]).reshape(-1, n)
-    offsets = np.array([items[i][1] for i in order])
-    region_ids = [sorted(remap[i] for i in ids) for ids in raw_ids]
-    region_nonstrict = [sorted(remap[i] for i in ids) for ids in raw_nonstrict]
-    return normals, offsets, region_ids, region_nonstrict
+            key = ((normals[j] + 0.0).tobytes(), offsets[j] + 0.0)  # + 0.0 folds -0.0 into 0.0
+            ids.append(index.setdefault(key, (len(index), normals[j], offsets[j]))[0])
+            owned.append(not any_strict[j])
+        starts.append(len(ids))
+    normals = np.array([normal for _, normal, _ in index.values()]).reshape(-1, n)
+    offsets = np.array([offset for _, _, offset in index.values()])
+    order = _sort_order(_sort_keys(normals, offsets))
+    rows = (np.array(ids, dtype=np.intp), np.array(owned, dtype=bool), np.array(starts, dtype=np.intp))
+    return normals[order], offsets[order], _renumber(rows, order, np.arange(len(records)))
 
 
 def build_decomposition(
@@ -812,13 +824,13 @@ def build_decomposition(
 ) -> Decomposition:
     """Assemble regions (models, witnesses, half-spaces) from found patterns."""
     records = enumeration.records
-    normals, offsets, region_ids, region_owned = extract_halfspaces(records, net)
+    normals, offsets, region_rows = extract_halfspaces(records, net)
     models = [_model(rec.prefixes, rec.pattern.layers, net) for rec in records]
     return Decomposition(
         net.input_dim, net.output_dim, normals, offsets,
         [rec.pattern.bits() for rec in records], net.hidden_widths,
         [alpha for alpha, _ in models], [beta for _, beta in models],
-        [rec.witness for rec in records], _region_rows(region_ids, region_owned), partial=partial,
+        [rec.witness for rec in records], region_rows, partial=partial,
     )
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import _SORT_DECIMALS, Decomposition, closed_lp
+from .decomposition import Decomposition, _sort_keys, closed_lp
 from .errors import (
     DimensionMismatchError,
     IterationLimitError,
@@ -377,16 +377,11 @@ def plot_regions_2d(d: Decomposition, points, bounds, out, labels=None):
 
     # each hyperplane once, whichever orientations reference it
     seen = set()
-    for normal, offset in zip(d.halfspace_normals, d.halfspace_offsets.tolist()):
-        h = np.round(normal, _SORT_DECIMALS)
-        c = round(offset, _SORT_DECIMALS)
-        if h[0] < 0 or (h[0] == 0 and h[1] < 0):
-            h, c = -h, -c
-        key = (h[0], h[1], c)
-        if key in seen:
-            continue
+    keys = _sort_keys(d.halfspace_normals, d.halfspace_offsets)
+    for normal, offset, (a, b, c) in zip(d.halfspace_normals, d.halfspace_offsets.tolist(), keys):
+        key = (-a, -b, -c) if a < 0 or (a == 0 and b < 0) else (a, b, c)
+        seg = None if key in seen else _clip_line(normal, offset, (x0, y0, x1, y1))
         seen.add(key)
-        seg = _clip_line(normal, offset, (x0, y0, x1, y1))
         if seg is None:
             continue
         (ax, ay), (bx, by) = (to_px(*seg[0]), to_px(*seg[1]))

@@ -43,16 +43,18 @@ evaluation keeps is the float32 incidence of the count gate, (2n+k+2n) x p.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .decomposition import (
-    _SORT_DECIMALS,
     Decomposition,
-    _sort_key,
+    _renumber,
+    _sort_keys,
+    _sort_order,
+    _split,
     _witnesses,
     closed_lp,
     decompose,
@@ -547,35 +549,22 @@ def shallow_to_decomposition(s: ShallowNetwork) -> Decomposition:
 def canonicalize(d: Decomposition) -> Decomposition:
     """Reorder a decomposition into its canonical form.
 
-    Half-spaces sort lexicographically by (normal, offset) and regions by
-    (flattened model matrix, model offset, half-space id set), keys rounded
-    to ``_SORT_DECIMALS`` decimals (as the decomposition's own table order)
-    so equal geometry sorts identically across runs.  Functionally
-    identical networks decompose to canonical forms that agree entry-wise,
-    whatever architecture produced them.
+    Half-spaces sort by (normal, offset), as the decomposition's own table,
+    and regions by (flattened model matrix, model offset, half-space id
+    run), with the table's rounded keys, so equal geometry sorts alike
+    across runs.  Functionally identical networks decompose to canonical
+    forms that agree entry-wise, whatever architecture produced them.
     """
-    hs_order = sorted(
-        range(d.num_halfspaces),
-        key=lambda i: _sort_key(d.halfspaces[i].normal, d.halfspaces[i].offset),
+    n, m, p = d.input_dim, d.output_dim, d.num_regions
+    order = _sort_order(_sort_keys(d.halfspace_normals, d.halfspace_offsets))
+    ids, _, starts = _renumber(d.region_rows, order, np.arange(p))
+    models = _sort_keys(np.hstack([d.alphas.reshape(p, m * n), d.betas]))
+    perm = _sort_order([model + run for model, run in zip(models, _split(ids, starts))])
+    return Decomposition(
+        n, m, d.halfspace_normals[order], d.halfspace_offsets[order], d.patterns[perm],
+        d.hidden_widths, d.alphas[perm], d.betas[perm], d.witnesses[perm],
+        _renumber(d.region_rows, order, perm), partial=d.partial,
     )
-    remap = {old: new for new, old in enumerate(hs_order)}
-    halfspaces = tuple(d.halfspaces[i] for i in hs_order)
-    regions = [
-        replace(
-            region,
-            halfspace_ids=tuple(sorted(remap[i] for i in region.halfspace_ids)),
-            nonstrict_ids=tuple(sorted(remap[i] for i in region.nonstrict_ids)),
-        )
-        for region in d.regions
-    ]
-    regions.sort(
-        key=lambda region: (
-            tuple(np.round(region.alpha, _SORT_DECIMALS).ravel()),
-            tuple(np.round(region.beta, _SORT_DECIMALS)),
-            region.halfspace_ids,
-        )
-    )
-    return Decomposition.of(d.input_dim, d.output_dim, halfspaces, regions, partial=d.partial)
 
 
 def canonical_equal(a: Decomposition, b: Decomposition, tol: float = 1e-7) -> bool:
@@ -603,20 +592,19 @@ class EquivalenceReport:
 
 
 def _first_unmatched_witness(a: Decomposition, b: Decomposition, tol: float):
-    """Witness of the first region of ``a`` whose model has no match in ``b``."""
-    for ra in a.regions:
-        for rb in b.regions:
-            if ra.alpha.shape != rb.alpha.shape:
-                continue
-            if (
-                np.abs(ra.alpha - rb.alpha).max() <= tol
-                and np.abs(ra.beta - rb.beta).max() <= tol
-                and ra.halfspace_ids == rb.halfspace_ids
-            ):
-                break
-        else:
-            return ra.witness
-    return None
+    """Witness of the first region of ``a`` matched by no region of ``b``
+    with the same half-space ids and a model within ``tol`` per entry."""
+    if a.alphas.shape[1:] != b.alphas.shape[1:]:
+        return a.witnesses[0] if a.num_regions else None
+    rivals: dict[tuple[int, ...], list[int]] = {}
+    for r, run in enumerate(_split(*b.region_rows[::2])):
+        rivals.setdefault(tuple(run), []).append(r)
+    pairs = [(r, s) for r, run in enumerate(_split(*a.region_rows[::2])) for s in rivals.get(tuple(run), ())]
+    ra, rb = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    gap = np.abs(a.alphas[ra] - b.alphas[rb]).max(axis=(1, 2), initial=0.0)
+    gap = np.maximum(gap, np.abs(a.betas[ra] - b.betas[rb]).max(axis=1, initial=0.0))
+    unmatched = np.flatnonzero(np.bincount(ra[gap <= tol], minlength=a.num_regions) == 0)
+    return a.witnesses[unmatched[0]] if unmatched.size else None
 
 
 def equivalence_report(
@@ -633,8 +621,10 @@ def equivalence_report(
     ``tol`` per entry is the ``canonical_equal`` verdict.  Outputs are also
     compared at ``samples`` uniform points on [-10, 10]^n.  When the forms
     differ, the witness is an interior point of a region present in one
-    network but matched by nothing in the other.
+    network but matched by nothing in the other.  ``samples`` must be >= 1.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if net_a.input_dim != net_b.input_dim or net_a.output_dim != net_b.output_dim:
         raise DimensionMismatchError("networks must share input and output sizes")
     da = canonicalize(decompose(net_a))

@@ -258,6 +258,26 @@ class TestVerify:
         assert code == 1
         assert "mismatch" in stderr
 
+    def test_negative_sample_count_is_a_usage_error(self, capsys, tmp_path):
+        """Refused before any file is read: the model does not exist."""
+        missing = str(tmp_path / "missing.json")
+        code, stdout, stderr = run(
+            capsys, "verify", "--model", missing, "--shallow", missing, "--samples", "-1"
+        )
+        assert (code, stdout) == (64, "")
+        assert "--samples must be at least 0, got -1" in stderr
+
+    def test_zero_samples_checks_the_witnesses(self, capsys, tmp_path):
+        net = biased_net([2, 4, 4], 2, seed=0)
+        model, s = tmp_path / "m.json", str(tmp_path / "s.json")
+        save_model(net, model)
+        assert run(capsys, "shallowize", "--model", str(model), "--out", s)[0] == 0
+        code, stdout, _ = run(capsys, "verify", "--model", str(model), "--shallow", s, "--samples", "0")
+        assert code == 0
+        W = decompose(net).witnesses
+        gap = np.abs(eval_shallow_many(load_shallow(s), W) - forward_many(net, W))
+        assert json.loads(stdout) == {"max_abs_diff": float(gap.max()), "pass": True}
+
     def test_witnesses_come_from_the_search(self, capsys, tmp_path, monkeypatch):
         """verify builds no half-space table: it checks the samples and the
         witnesses the pattern search settled."""

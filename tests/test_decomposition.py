@@ -30,11 +30,14 @@ from relu_unwrap import (
     UnwrapError,
     activation_pattern,
     build_shallow,
+    canonical_equal,
+    canonicalize,
     check_feasible,
     closed_lp,
     decompose,
     dumps_decomposition,
     enumerate_feasible,
+    equivalence_report,
     eval_shallow_many,
     forward,
     forward_many,
@@ -49,7 +52,9 @@ from relu_unwrap import (
     shallow_to_decomposition,
 )
 import relu_unwrap.decomposition as decomposition
+import relu_unwrap.explain as explain_module
 import relu_unwrap.lp as lp_module
+import relu_unwrap.shallow as shallow_module
 from relu_unwrap.explain import (
     exact_shap,
     hypercube,
@@ -913,6 +918,31 @@ class TestOneStorage:
         assert len(back.halfspaces) == built[OrientedHalfspace] == d.num_halfspaces
         assert back.regions is back.regions
 
+    def test_canonical_forms_build_no_items(self, built):
+        a, b = (
+            loads_decomposition((DATA / name).read_text(encoding="utf-8"))
+            for name in ("biased_2_4_4_seed0.json", "biased_2_4_4_seed1.json")
+        )
+        ca, cb = canonicalize(a), canonicalize(b)
+        assert canonical_equal(ca, canonicalize(ca)) and not canonical_equal(ca, cb)
+        assert shallow_module._first_unmatched_witness(ca, ca, 1e-7) is None
+        for x, y in ((ca, cb), (cb, ca)):
+            assert shallow_module._first_unmatched_witness(x, y, 1e-7) is not None
+        assert built == {Region: 0, OrientedHalfspace: 0, ActivationPattern: 0}
+
+    def test_equivalence_report_builds_only_the_search_records(self, built):
+        """The one item each found pattern's record carries, p_a + p_b in all."""
+        a, b = biased_net([2, 4, 4], 2, seed=0), biased_net([2, 4, 4], 2, seed=1)
+        found = decompose(a).num_regions + decompose(b).num_regions
+        built[ActivationPattern] = 0
+        rep = equivalence_report(a, b, samples=100)
+        assert not rep.canonical_equal and rep.witness_of_difference is not None
+        assert built == {Region: 0, OrientedHalfspace: 0, ActivationPattern: found}
+
+    def test_only_the_decomposition_rounds_sort_keys(self):
+        for module in (shallow_module, explain_module):
+            assert not {"_SORT_DECIMALS", "_sort_key"} & set(vars(module)), module.__name__
+
 
 class TestLocalLinearModel:
     @pytest.mark.parametrize("name,make", GOLDEN, ids=[n for n, _ in GOLDEN])
@@ -949,6 +979,61 @@ class TestBiased3663Regression:
         samples = np.random.default_rng(3).uniform(-10.0, 10.0, size=(10_000, 3))
         for X in (witnesses, samples):
             assert np.abs(eval_shallow_many(s, X) - forward_many(net, X)).max() <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: biased_net([3, 4, 3], 2, seed=1), lambda: random_init([2, 6, 6, 6], 2, seed=0)],
+    ids=["biased[3,4,3]", "xavier[2,6,6,6]"],
+)
+def test_extract_halfspaces_returns_region_rows(make):
+    """The table comes with :attr:`Decomposition.region_rows` as (intp,
+    bool, intp) arrays, one run per record, every run sorted; they are the
+    decomposition's own."""
+    net = make()
+    res = enumerate_feasible(net)
+    normals, offsets, (ids, owned, starts) = decomposition.extract_halfspaces(res.records, net)
+    assert (ids.dtype, owned.dtype, starts.dtype) == (np.dtype(np.intp), np.dtype(bool), np.dtype(np.intp))
+    assert ids.shape == owned.shape and starts.shape == (len(res.records) + 1,)
+    assert starts[0] == 0 and starts[-1] == ids.size
+    assert all((np.diff(ids[a:b]) > 0).all() for a, b in zip(starts, starts[1:]))
+    d = decomposition.build_decomposition(net, res)
+    wants = (d.halfspace_normals, d.halfspace_offsets, *d.region_rows)
+    for got, want in zip((normals, offsets, ids, owned, starts), wants):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_sort_keys_round_rows_by_numpy_and_offsets_by_python():
+    """Order keys round a row's entries by numpy and its offset by Python's
+    ``round``, which split a halfway value, and equal keys keep their
+    first-seen order."""
+    low, high = -0.0029999995, -0.002999999
+    assert np.round(low, 9) < high == round(low, 9)
+    order = decomposition._sort_order(decomposition._sort_keys(np.ones((2, 1)), np.array([high, low])))
+    assert order.dtype == np.intp and order.tolist() == [0, 1]
+    assert decomposition._sort_order(decomposition._sort_keys(np.array([[high], [low]]))).tolist() == [1, 0]
+
+
+def test_shift_builds_one_program(monkeypatch):
+    """A split program is built once, shifted to the parent witness as
+    :meth:`LinearProgram.shifted` shifts it, or left unshifted when the
+    start violates more rows than the origin."""
+    built, real_init = [], LinearProgram.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real_init(self)
+
+    monkeypatch.setattr(LinearProgram, "__post_init__", counted)
+    rng = np.random.default_rng(0)
+    A, b, strict = rng.normal(size=(6, 3)), rng.uniform(1.0, 2.0, 6), rng.random(6) < 0.5
+    lp = LinearProgram(A, b, strict)
+    for start, shifted in ((rng.normal(size=3) * 0.1, True), (A[0] * 10.0, False), (None, False)):
+        built.clear()
+        got, used = decomposition._Search._shift(A, b, strict, start)
+        assert len(built) == 1 and (used is start if shifted else used is None)
+        want = lp.shifted(start) if shifted else lp
+        assert all(getattr(got, f).tobytes() == getattr(want, f).tobytes() for f in ("A", "b", "strict"))
 
 
 def test_contradicting_constant_row_is_reported():

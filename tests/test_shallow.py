@@ -1,8 +1,10 @@
 """Extended-real arithmetic and the three-hidden-layer reconstruction."""
 
+import dataclasses
 import functools
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from relu_unwrap import (
     eval_shallow_many,
     forward,
     forward_many,
+    loads_decomposition,
     loads_shallow,
     random_init,
     shallow_to_decomposition,
@@ -318,6 +321,120 @@ class TestCanonicalForm:
         assert not canonical_equal(canonicalize(a), canonicalize(b))
 
 
+def _reference_canonicalize(d):
+    """The canonical form as it was built from per-item views: a rounded
+    tuple key per half-space and per region, ``dataclasses.replace`` and
+    ``Decomposition.of``."""
+    places = decomposition_module._SORT_DECIMALS
+
+    def key(h):
+        return tuple(np.round(h.normal, places)) + (round(h.offset, places),)
+
+    order = sorted(range(d.num_halfspaces), key=lambda i: key(d.halfspaces[i]))
+    remap = {old: new for new, old in enumerate(order)}
+    regions = [
+        dataclasses.replace(
+            r,
+            halfspace_ids=tuple(sorted(remap[i] for i in r.halfspace_ids)),
+            nonstrict_ids=tuple(sorted(remap[i] for i in r.nonstrict_ids)),
+        )
+        for r in d.regions
+    ]
+    regions.sort(
+        key=lambda r: (
+            tuple(np.round(r.alpha, places).ravel()), tuple(np.round(r.beta, places)), r.halfspace_ids
+        )
+    )
+    halfspaces = [d.halfspaces[i] for i in order]
+    return Decomposition.of(d.input_dim, d.output_dim, halfspaces, regions, partial=d.partial)
+
+
+def _reference_unmatched_witness(a, b, tol):
+    """The first unmatched witness found by comparing every pair of regions."""
+    for ra in a.regions:
+        for rb in b.regions:
+            if (
+                ra.alpha.shape == rb.alpha.shape
+                and np.abs(ra.alpha - rb.alpha).max() <= tol
+                and np.abs(ra.beta - rb.beta).max() <= tol
+                and ra.halfspace_ids == rb.halfspace_ids
+            ):
+                break
+        else:
+            return ra.witness
+    return None
+
+
+def _same_arrays(a, b):
+    """Bitwise equality of every array of two decompositions."""
+    names = ["halfspace_normals", "halfspace_offsets", "patterns", "alphas", "betas", "witnesses"]
+    pairs = [(getattr(a, f), getattr(b, f)) for f in names] + list(zip(a.region_rows, b.region_rows))
+    return (a.input_dim, a.output_dim, a.hidden_widths, a.partial) == (
+        b.input_dim, b.output_dim, b.hidden_widths, b.partial
+    ) and all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in pairs)
+
+
+GOLDEN_FILES = sorted((Path(__file__).parent / "data").glob("*.json"))
+TINY_NETS = {
+    "biased[2,4,4]#2": lambda: biased_net([2, 4, 4], 2, seed=2),
+    "biased[3,4,3]#0": lambda: biased_net([3, 4, 3], 2, seed=0),
+    "biased[2,5,5,3]#1": lambda: biased_net([2, 5, 5, 3], 2, seed=1),
+    "xavier[2,4,4]#1": lambda: random_init([2, 4, 4], 2, seed=1),
+    "xavier[3,4,3]#2": lambda: random_init([3, 4, 3], 2, seed=2),
+    "xavier[2,6,6,6]#0": lambda: random_init([2, 6, 6, 6], 2, seed=0),
+}
+
+
+@pytest.fixture(scope="module")
+def reference_decompositions():
+    """The golden files and the tiny nets' decompositions, by name; the
+    zero-bias [2,6,6,6] net merges rows within ``TOL_CANON``."""
+    found = {f.name: loads_decomposition(f.read_text(encoding="utf-8")) for f in GOLDEN_FILES}
+    found.update((name, decompose(make())) for name, make in TINY_NETS.items())
+    return found
+
+
+class TestArrayPathsMatchItemReferences:
+    """Canonical forms and unmatched witnesses, computed on the arrays, are
+    bitwise what the per-item code computed."""
+
+    @pytest.mark.parametrize("name", [f.name for f in GOLDEN_FILES] + list(TINY_NETS))
+    def test_canonicalize_bitwise(self, reference_decompositions, name):
+        d = reference_decompositions[name]
+        got = canonicalize(d)
+        assert _same_arrays(got, _reference_canonicalize(d))
+        assert _same_arrays(canonicalize(got), got)
+
+    def test_unmatched_witness_same_as_per_pair_search(self, reference_decompositions):
+        """Each decomposition against itself (every region matched), and
+        every ordered pair of distinct ones, whose model sizes may differ."""
+        forms = [canonicalize(d) for d in reference_decompositions.values()]
+        kinds = set()
+        for a in forms:
+            for b in forms:
+                got = shallow_module._first_unmatched_witness(a, b, 1e-7)
+                want = _reference_unmatched_witness(a, b, 1e-7)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                kinds.add((a is b, got is None, a.alphas.shape[1:] == b.alphas.shape[1:]))
+        # matched to itself, unmatched pairs of equal and of unequal model sizes
+        assert {(True, True, True), (False, False, True), (False, False, False)} <= kinds
+
+    def test_canonical_form_of_a_perturbed_twin_has_one_unmatched_region(self):
+        """A region's model moved by more than ``tol`` is the one witness
+        found, in both directions, as the per-pair search finds it."""
+        d = canonicalize(decompose(biased_net([2, 4, 4], 2, seed=0)))
+        betas = d.betas.copy()
+        betas[3, 1] += 1e-3
+        twin = dataclasses.replace(d, betas=betas)
+        for a, b in ((d, twin), (twin, d)):
+            got = shallow_module._first_unmatched_witness(a, b, 1e-7)
+            assert got.tobytes() == _reference_unmatched_witness(a, b, 1e-7).tobytes()
+            assert got.tobytes() == d.witnesses[3].tobytes()
+        assert shallow_module._first_unmatched_witness(d, twin, 1e-2) is None
+
+
 class TestShallowRoundTrip:
     def test_decomposition_recovered_from_weights(self):
         """Reading the construction back yields the same canonical partition."""
@@ -458,6 +575,16 @@ class TestEquivalenceReport:
         gaps = np.abs(forward_many(a, X) - forward_many(b, X)).max(axis=1)
         (at,) = np.flatnonzero((X == rep.witness_of_difference).all(axis=1))
         assert gaps[at] == rep.max_abs_diff == gaps.max()
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_sample_count_below_one_refused_before_decomposing(self, monkeypatch, samples):
+        def no_decomposition(net):
+            raise AssertionError("decomposed before the sample count was checked")
+
+        monkeypatch.setattr(shallow_module, "decompose", no_decomposition)
+        net = random_init([2, 3, 3], 1, seed=0)
+        with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
+            equivalence_report(net, net, samples=samples)
 
 
 class TestShallowSerialization:
