@@ -137,6 +137,10 @@ def cmd_verify(args) -> int:
     if args.samples < 0:
         _diag(f"error: --samples must be at least 0, got {args.samples}")
         return EXIT_USAGE
+    for flag, value in (("--tol", args.tol), ("--range", args.range)):
+        if not (np.isfinite(value) and value >= 0.0):
+            _diag(f"error: {flag} must be finite and at least 0, got {value}")
+            return EXIT_USAGE
     net = load_model(args.model)
     shallow = load_shallow(args.shallow)
     if (net.input_dim, net.output_dim) != (shallow.input_dim, shallow.output_dim):

@@ -400,32 +400,32 @@ def global_lp(prefix, net: MLPNetwork) -> LinearProgram:
     return LinearProgram(*_rows(_prefix_chain(layer_bits, net), layer_bits))
 
 
-def _witnesses(lps: Sequence[LinearProgram], known=None) -> tuple[list, list[bool]]:
-    """A point of each program, settled in stacked solves.
+def _witnesses(rows: Sequence[tuple], known=None) -> tuple[list, list[bool]]:
+    """A point of each program, given as its rows ``(A, b, strict)``, in stacked solves.
 
     A feasibility witness is only pushed off the strict rows, so it may sit
     exactly on a closed row, which is a face shared with a neighbouring
     region.  Re-solving with every non-degenerate row marked strict yields a
     point in the polytope's topological interior; zero rows (constant
     constraints from gated-off neurons) can never clear a margin and are
-    skipped.  Where that finds nothing, the programs themselves are solved
-    in one stacked call: ``known[i]`` is taken if given, but only if program
-    ``i`` is found to have an interior (else :class:`UnwrapError`), and
-    otherwise the program's own witness (a region with only closed faces
-    may be a point).  Returns ``(points, failed)``: a point, or None when
-    none is found, and whether a solve of the program ran out of pivots.
+    skipped.  Only where that finds nothing is the program itself built, and
+    those are solved in one stacked call: ``known[i]`` is taken if given, but
+    only if program ``i`` is found to have an interior (else
+    :class:`UnwrapError`), and otherwise the program's own witness (a region
+    with only closed faces may be a point).  Returns ``(points, failed)``: a
+    point, or None when none is found, and whether a solve ran out of pivots.
     """
     pushed = []
-    for lp in lps:
-        keep = np.linalg.norm(lp.A, axis=1) > TOL_DEGENERATE
-        pushed.append(LinearProgram(lp.A[keep], lp.b[keep], np.ones(int(keep.sum()), dtype=bool)))
-    known = known or [None] * len(lps)
+    for A, b, _ in rows:
+        keep = np.linalg.norm(A, axis=1) > TOL_DEGENERATE
+        pushed.append(LinearProgram(A[keep], b[keep], np.ones(int(keep.sum()), dtype=bool)))
+    known = known or [None] * len(rows)
     points, failed = [], []
     for res in check_feasible_many(pushed):
         points.append(res.witness if res is not None and res.status is Feasibility.INTERIOR else None)
         failed.append(res is None)
     rest = [i for i, w in enumerate(points) if w is None]
-    for i, res in zip(rest, check_feasible_many([lps[i] for i in rest])):
+    for i, res in zip(rest, check_feasible_many([LinearProgram(*rows[i]) for i in rest])):
         failed[i] |= res is None
         if known[i] is not None:
             if res is not None and res.status is not Feasibility.INTERIOR:
@@ -440,6 +440,13 @@ def _witnesses(lps: Sequence[LinearProgram], known=None) -> tuple[list, list[boo
 
 # ---------------------------------------------------------------------------
 # Pattern enumeration
+
+
+def _settled(z: float) -> int | None:
+    """The bit of a neuron that a witness settles without a solve, from the
+    neuron's value ``z`` there: 1 above ``TOL_SLACK``, 0 at or below 0, and
+    None in the gray zone between."""
+    return 1 if z > TOL_SLACK else 0 if z <= 0.0 else None
 
 
 @dataclass(frozen=True)
@@ -511,9 +518,9 @@ class _Search:
         one.  The program is solved shifted to it (see :meth:`_shift`), so
         the simplex starts from a basis feasible but for at most that row.
         """
-        lp, start = self._shift(*rows, start)
         if not self._charge(1):
             raise self._exceeded()
+        lp, start = self._shift(*rows, start)
         try:
             res = check_feasible(lp)
         except IterationLimitError:
@@ -538,20 +545,20 @@ class _Search:
         is raised.
         """
         zs = [] if w is None else [float(row @ w + o) for row, o in zip(nxt.matrix, nxt.offset)]
-        far = [1 if z <= 0.0 else 0 if z > TOL_SLACK else None for z in zs]
-        tested = [j for j, bit in enumerate(far) if bit is not None]
+        settled = list(map(_settled, zs))
+        tested = [j for j, bit in enumerate(settled) if bit is not None]
         if not tested:
             return None, frozenset()
         A, b, strict = _rows(chain, bits)
         # every neuron's row, oriented for its side that ``w`` does not settle
-        rA, rb, rs = _rows((nxt,), (tuple(bit or 0 for bit in far),))
+        rA, rb, rs = _rows((nxt,), (tuple(int(bit == 0) for bit in settled),))
+        room = self._charge(len(tested))
         programs = [
             self._shift(np.vstack((A, rA[j])), np.append(b, rb[j]), np.append(strict, rs[j]), w)
-            for j in tested
+            for j in tested[:room]
         ]
-        room = self._charge(len(programs))
-        results = check_feasible_many([lp for lp, _ in programs[:room]]) if room else []
-        if room < len(programs):
+        results = check_feasible_many([lp for lp, _ in programs])
+        if room < len(tested):
             raise self._exceeded()
         split, empty = None, set()
         for j, (_, start), res in zip(tested, programs, results):
@@ -559,7 +566,7 @@ class _Search:
                 split = self._verdict(res, start)
                 self.fallbacks += res is None
             elif res is not None and res.status is not Feasibility.INTERIOR:
-                empty.add((j, far[j]))
+                empty.add((j, 1 - settled[j]))
         return split, frozenset(empty)
 
     def result(self, *, partial: bool = False) -> EnumerationResult:
@@ -570,10 +577,8 @@ class _Search:
         runs out, leaves such cells out instead (``layer_feasible`` still
         counts them).
         """
-        points, failed = _witnesses(
-            [LinearProgram(*_rows(cell.chain, cell.bits)) for cell in self.leaves],
-            [cell.witness for cell in self.leaves],
-        )
+        rows = [_rows(cell.chain, cell.bits) for cell in self.leaves]
+        points, failed = _witnesses(rows, [cell.witness for cell in self.leaves])
         self.fallbacks += sum(failed)
         if not partial and any(w is None for w in points):
             raise UnwrapError(
@@ -640,12 +645,12 @@ def enumerate_feasible(net: MLPNetwork, *, budget: int | None = None) -> Enumera
             bits, chain = bits + ((),), chain + (nxt,)
         layer, i = len(chain), len(bits[-1])
         row, shift = chain[-1].matrix[i], chain[-1].offset[i]
-        z = None if w is None else float(row @ w + shift)
+        settled = None if w is None else _settled(float(row @ w + shift))
         for bit in (0, 1):
             if (i, bit) in empty:
                 continue
             child = bits[:-1] + (bits[-1] + (bit,),)
-            if z is not None and (z > TOL_SLACK if bit else z <= 0.0):
+            if bit == settled:
                 keep, witness = True, w
             elif split is not None:
                 keep, witness = split
@@ -730,11 +735,12 @@ def _candidates(rec: PatternRecord, dim: int) -> tuple[np.ndarray, list[float], 
 def _prune_sequential(lp: LinearProgram) -> list[int]:
     """Drop redundant rows one at a time, each tested against the rows still
     kept, in row order."""
-    active = list(range(lp.num_rows))
+    active, rest = list(range(lp.num_rows)), lp
     for j in range(lp.num_rows):
         if len(active) < 2:
             break
-        rest = LinearProgram(lp.A[active], lp.b[active], lp.strict[active])
+        if rest.num_rows > len(active):
+            rest = LinearProgram(lp.A[active], lp.b[active], lp.strict[active])
         if is_redundant(active.index(j), rest):
             active.remove(j)
     return active
@@ -776,14 +782,19 @@ def _facets(lps: Sequence[LinearProgram]) -> list[list[int]]:
     return [_prune_sequential(lp) if f is None else f for lp, f in zip(lps, facets)]
 
 
-def closed_lp(normals, offsets) -> LinearProgram:
-    """Closed program ``-h . x <= -c`` of the conditions ``h . x > c``.
+def _closed_rows(normals, offsets, point=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows ``(A, b, strict)`` of :func:`closed_lp`, shifted to ``point`` if
+    given, bitwise as :meth:`LinearProgram.shifted` shifts (``b - A @ point``)."""
+    A = -np.asarray(normals, dtype=np.float64)
+    b = -np.asarray(offsets, dtype=np.float64).reshape(-1)
+    b = b if point is None else b - A @ np.asarray(point, dtype=np.float64).reshape(-1)
+    return A, b, np.zeros(b.shape[0], dtype=bool)
 
-    Its feasible set is the closure of the region the conditions bound.
-    """
-    normals = np.asarray(normals, dtype=np.float64)
-    offsets = np.asarray(offsets, dtype=np.float64).reshape(-1)
-    return LinearProgram(-normals, -offsets, np.zeros(offsets.shape[0], dtype=bool))
+
+def closed_lp(normals, offsets) -> LinearProgram:
+    """Closed program ``-h . x <= -c`` of the conditions ``h . x > c``: its
+    feasible set is the closure of the region the conditions bound."""
+    return LinearProgram(*_closed_rows(normals, offsets))
 
 
 def extract_halfspaces(records: Sequence[PatternRecord], net: MLPNetwork):
@@ -805,7 +816,7 @@ def extract_halfspaces(records: Sequence[PatternRecord], net: MLPNetwork):
     index: dict[tuple[bytes, float], tuple[int, np.ndarray, float]] = {}
     ids, owned, starts = [], [], [0]
     candidates = [_candidates(rec, n) for rec in records]
-    lps = [closed_lp(c[0], c[1]).shifted(rec.witness) for c, rec in zip(candidates, records)]
+    lps = [LinearProgram(*_closed_rows(c[0], c[1], rec.witness)) for c, rec in zip(candidates, records)]
     for (normals, offsets, any_strict), active in zip(candidates, _facets(lps)):
         for j in active:
             key = ((normals[j] + 0.0).tobytes(), offsets[j] + 0.0)  # + 0.0 folds -0.0 into 0.0

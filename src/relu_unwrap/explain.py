@@ -16,15 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import Decomposition, _sort_keys, closed_lp
+from .decomposition import Decomposition, _closed_rows, _sort_keys
 from .errors import (
     DimensionMismatchError,
-    IterationLimitError,
     NonFiniteError,
     PointNotLocatedError,
     UnwrapError,
 )
-from .lp import Extremum, extremize
+from .lp import Extremum, LinearProgram, _alone, extremize
 
 _EPS_FACE = 1e-12  # margin below which a point counts as on a face
 _HOST_BLOCK = 1024  # points per block of _hosts, which bounds its margins
@@ -261,15 +260,12 @@ def _boxes(d: Decomposition, regions) -> list[HypercubeSummary]:
     lps = []
     for r in regions:
         run = ids[starts[r] : starts[r + 1]]
-        lp = closed_lp(d.halfspace_normals[run], d.halfspace_offsets[run])
-        lps.append(lp.shifted(d.witnesses[r]))
+        rows = _closed_rows(d.halfspace_normals[run], d.halfspace_offsets[run], d.witnesses[r])
+        lps.append(LinearProgram(*rows))
     directions = np.vstack([np.eye(n), -np.eye(n)])
     cubes = []
     for region, lp, extremes in zip(regions, lps, extremize([directions] * len(lps), lps)):
-        if extremes is None:
-            raise IterationLimitError(
-                f"simplex ran out of pivots on a {lp.num_rows}x{lp.dim} program"
-            )
+        extremes = _alone(extremes, lp)
         if any(res.status is Extremum.INFEASIBLE for res in extremes):
             raise UnwrapError(f"region {region} solved as empty while boxed")
         witness = d.witnesses[region]

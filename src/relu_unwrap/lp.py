@@ -56,18 +56,19 @@ _PHASE1_TOL = 1e-9
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Row system ``A x <= b`` with per-row strict flags."""
+    """Row system ``A x <= b`` with per-row strict flags, held as read-only
+    copies of the caller's arrays."""
 
     A: np.ndarray
     b: np.ndarray
     strict: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.A, dtype=np.float64)
+        a = np.array(self.A, dtype=np.float64)
         if a.ndim != 2:
             a = a.reshape(len(a), -1) if a.size else a.reshape(0, 0)
-        b = np.asarray(self.b, dtype=np.float64).reshape(-1)
-        s = np.asarray(self.strict, dtype=bool).reshape(-1)
+        b = np.array(self.b, dtype=np.float64).reshape(-1)
+        s = np.array(self.strict, dtype=bool).reshape(-1)
         if a.shape[0] != b.shape[0] or a.shape[0] != s.shape[0]:
             raise DimensionMismatchError(
                 f"rows disagree: A has {a.shape[0]}, b has {b.shape[0]}, "

@@ -51,12 +51,12 @@ import numpy as np
 
 from .decomposition import (
     Decomposition,
+    _closed_rows,
     _renumber,
     _sort_keys,
     _sort_order,
     _split,
     _witnesses,
-    closed_lp,
     decompose,
 )
 from .errors import (
@@ -529,8 +529,8 @@ def shallow_to_decomposition(s: ShallowNetwork) -> Decomposition:
     models = (W3.rows < p * m) & (W3.cols < n)
     alphas = np.zeros((p * m, n))
     alphas[W3.rows[models], W3.cols[models]] = W3.values[models]
-    lps = [closed_lp(normals[ids[a:b]], offsets[ids[a:b]]) for a, b in zip(starts, starts[1:])]
-    witnesses, failed = _witnesses(lps)
+    rows = [_closed_rows(normals[ids[a:b]], offsets[ids[a:b]]) for a, b in zip(starts, starts[1:])]
+    witnesses, failed = _witnesses(rows)
     for r, witness in enumerate(witnesses):
         if failed[r]:
             raise IterationLimitError(f"region {r}: the interior solve ran out of pivots")

@@ -267,6 +267,37 @@ class TestVerify:
         assert (code, stdout) == (64, "")
         assert "--samples must be at least 0, got -1" in stderr
 
+    @pytest.mark.parametrize(
+        "flag,value,shown",
+        [
+            ("--tol", "nan", "nan"),
+            ("--tol", "-1", "-1.0"),
+            ("--tol", "inf", "inf"),
+            ("--range", "nan", "nan"),
+            ("--range", "inf", "inf"),
+            ("--range", "-5", "-5.0"),
+        ],
+    )
+    def test_bad_tolerance_or_range_is_a_usage_error(self, capsys, tmp_path, flag, value, shown):
+        """Refused before any file is read: the model does not exist."""
+        missing = str(tmp_path / "missing.json")
+        code, stdout, stderr = run(capsys, "verify", "--model", missing, "--shallow", missing, flag, value)
+        assert (code, stdout) == (64, "")
+        assert stderr == f"error: {flag} must be finite and at least 0, got {shown}\n"
+
+    def test_zero_tolerance_and_range_are_accepted(self, capsys, tmp_path):
+        """Both bounds may be 0: every sample is then the origin, and only an
+        exact agreement passes."""
+        net = biased_net([2, 4, 4], 2, seed=0)
+        model, s = tmp_path / "m.json", str(tmp_path / "s.json")
+        save_model(net, model)
+        assert run(capsys, "shallowize", "--model", str(model), "--out", s)[0] == 0
+        argv = ["verify", "--model", str(model), "--shallow", s, "--samples", "3", "--range", "0"]
+        code, stdout, _ = run(capsys, *argv, "--tol", "0")
+        W = np.vstack([np.zeros((3, 2)), decompose(net).witnesses])
+        gap = float(np.abs(eval_shallow_many(load_shallow(s), W) - forward_many(net, W)).max())
+        assert (code, json.loads(stdout)["max_abs_diff"]) == (0 if gap == 0.0 else 3, gap)
+
     def test_zero_samples_checks_the_witnesses(self, capsys, tmp_path):
         net = biased_net([2, 4, 4], 2, seed=0)
         model, s = tmp_path / "m.json", str(tmp_path / "s.json")

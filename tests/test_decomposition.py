@@ -95,10 +95,10 @@ def route_stacked(monkeypatch, *, search=None, witness=None):
     the real solve."""
     real, real_witnesses, inside = decomposition.check_feasible_many, decomposition._witnesses, []
 
-    def witnesses(lps, known=None):
+    def witnesses(rows, known=None):
         inside.append(True)
         try:
-            return real_witnesses(lps, known)
+            return real_witnesses(rows, known)
         finally:
             inside.pop()
 
@@ -381,17 +381,17 @@ class TestEnumeration:
         route_stacked(monkeypatch, search=lambda many, lps: many([clamp(lp) for lp in lps]))
         real_witnesses, seen = decomposition._witnesses, []
 
-        def spy(lps, known=None):
-            seen.extend(lps)
-            return real_witnesses(lps, known)
+        def spy(rows, known=None):
+            seen.extend(rows)
+            return real_witnesses(rows, known)
 
         monkeypatch.setattr(decomposition, "check_feasible", lambda lp: real(clamp(lp)))
         monkeypatch.setattr(decomposition, "_witnesses", spy)
         with pytest.raises(UnwrapError, match="has no interior point") as info:
             enumerate_feasible(net)
-        kept = seen[int(re.search(r"program (\d+)", str(info.value)).group(1))]
+        A, b, _ = seen[int(re.search(r"program (\d+)", str(info.value)).group(1))]
         empty = global_lp(extra, net)
-        assert np.array_equal(kept.A, empty.A) and np.array_equal(kept.b, empty.b)
+        assert np.array_equal(A, empty.A) and np.array_equal(b, empty.b)
 
 
 class TestDecomposition:
@@ -1034,6 +1034,132 @@ def test_shift_builds_one_program(monkeypatch):
         assert len(built) == 1 and (used is start if shifted else used is None)
         want = lp.shifted(start) if shifted else lp
         assert all(getattr(got, f).tobytes() == getattr(want, f).tobytes() for f in ("A", "b", "strict"))
+
+
+@pytest.mark.parametrize(
+    "name,make",
+    GOLDEN + [("xavier[2,8,8,8]", lambda: random_init([2, 8, 8, 8], 1, seed=0))],
+    ids=[n for n, _ in GOLDEN] + ["xavier[2,8,8,8]"],
+)
+def test_closed_rows_are_the_shifted_closed_program(name, make):
+    """``_closed_rows(N, c, w)`` is bitwise ``closed_lp(N, c).shifted(w)``,
+    for every region's candidate rows at its witness and every region's
+    table rows at its stored witness.  The zero-bias net has rows with
+    ``c = 0`` at the witness 0, whose right-hand side is -0.0, where ``N @ w
+    - c`` would give 0.0."""
+    net = make()
+    d = decompose(net)
+    ids, _, starts = d.region_rows
+    cases = [(*decomposition._candidates(rec, net.input_dim)[:2], rec.witness)
+             for rec in enumerate_feasible(net).records]
+    cases += [(d.halfspace_normals[ids[a:b]], d.halfspace_offsets[ids[a:b]], w)
+              for a, b, w in zip(starts, starts[1:], d.witnesses)]
+    negative_zeros = 0
+    for normals, offsets, w in cases:
+        want = closed_lp(normals, offsets).shifted(w)
+        for got, field in zip(decomposition._closed_rows(normals, offsets, w), ("A", "b", "strict")):
+            same = getattr(want, field)
+            assert (got.dtype, got.shape, got.tobytes()) == (same.dtype, same.shape, same.tobytes())
+        negative_zeros += int(np.count_nonzero(np.signbit(want.b) & (want.b == 0.0)))
+    if name == "xavier[2,8,8,8]":
+        assert negative_zeros > 0
+
+
+class TestProgramsBuiltOnce:
+    """Every :class:`LinearProgram` the library builds is solved as built,
+    and each stage builds only the programs it solves."""
+
+    @pytest.fixture
+    def ledger(self, monkeypatch):
+        """``(built, solved)``: every program built, and every program passed
+        to the solver's three entry points, kept as objects."""
+        built, solved, real_init = [], [], LinearProgram.__post_init__
+
+        def counted(self):
+            real_init(self)
+            built.append(self)
+
+        monkeypatch.setattr(LinearProgram, "__post_init__", counted)
+        for name in ("_feasibility", "_extrema", "_redundant"):
+
+            def spy(*args, _real=getattr(lp_module, name)):
+                lps = list(args[-1])
+                solved.extend(lps)
+                return _real(*args[:-1], lps)
+
+            monkeypatch.setattr(lp_module, name, spy)
+        return built, solved
+
+    def test_every_program_built_is_solved(self, ledger):
+        built, solved = ledger
+        X = np.random.default_rng(3).uniform(-3.0, 3.0, size=(40, 2))
+        for net in (random_init([2, 8, 8, 8], 1, seed=0), biased_net([3, 4, 3], 2, seed=1)):
+            d = decompose(net)
+            for r in range(d.num_regions):
+                hypercube(d, r)
+            if net.input_dim == 2:
+                plot_regions_2d(d, X, (-3.0, -3.0, 3.0, 3.0), io.BytesIO())
+            shallow_to_decomposition(build_shallow(d))
+        equivalence_report(biased_net([2, 4, 4], 2, seed=0), biased_net([2, 4, 4], 2, seed=1), samples=100)
+        net = biased_net([2, 4, 4], 2, seed=0)
+        for budget in range(1, enumerate_feasible(net).candidates_checked, 4):
+            with pytest.raises(BudgetExceededError):
+                enumerate_feasible(net, budget=budget)
+        once = {id(lp) for lp in solved}
+        assert len(built) > 1000 and [lp for lp in built if id(lp) not in once] == []
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: random_init([2, 8, 8, 8], 1, seed=0), lambda: biased_net([3, 4, 3], 2, seed=1)],
+        ids=["xavier[2,8,8,8]", "biased[3,4,3]"],
+    )
+    def test_stage_counts(self, ledger, monkeypatch, make):
+        """The search builds one program per LP it counts and per leaf, and
+        one more per leaf whose pushed solve fails; the pruning builds one
+        per region, per second-pass check and per row its loop drops before
+        another test; ``hypercube`` one; ``shallow_to_decomposition`` one per
+        region, and one per region whose pushed solve fails."""
+        built, _ = ledger
+        net = make()
+        stacks, checks, loops = [], [], []
+        real_many, real_extremize, real_loop = (
+            decomposition.check_feasible_many, decomposition.extremize, decomposition._prune_sequential
+        )
+
+        def many(lps):
+            stacks.append(len(lps))
+            return real_many(lps)
+
+        def extremize(directions, lps):
+            checks.append(len(lps))
+            return real_extremize(directions, lps)
+
+        def loop(lp):
+            before = len(built)
+            kept = real_loop(lp)
+            loops.append((len(built) - before, lp.num_rows - len(kept)))
+            return kept
+
+        monkeypatch.setattr(decomposition, "check_feasible_many", many)
+        monkeypatch.setattr(decomposition, "extremize", extremize)
+        monkeypatch.setattr(decomposition, "_prune_sequential", loop)
+        res = enumerate_feasible(net)
+        p = len(res.records)
+        # the witness stage's two stacked calls come last: every leaf, then the fallbacks
+        assert stacks[-2] == p and len(built) == res.candidates_checked + p + stacks[-1]
+        built.clear()
+        d = decomposition.build_decomposition(net, res)
+        assert len(built) == p + sum(checks) + sum(n for n, _ in loops)
+        assert all(n <= dropped for n, dropped in loops)
+        built.clear()
+        for r in range(p):
+            hypercube(d, r)
+        assert len(built) == p
+        stacks.clear()
+        s = build_shallow(d)
+        built.clear()
+        shallow_to_decomposition(s)
+        assert stacks[0] == p and len(built) == p + stacks[1]
 
 
 def test_contradicting_constant_row_is_reported():

@@ -487,6 +487,19 @@ class TestStackedSolves:
             check_feasible_many([lp, LinearProgram(np.eye(3), np.ones(3), np.zeros(3, dtype=bool))])
 
 
+def test_program_holds_copies_of_the_callers_arrays():
+    """The caller's arrays stay writeable, and writing to them leaves the
+    program as it was built."""
+    A, b, strict = np.eye(2), np.ones(2), np.array([True, False])
+    lp = LinearProgram(A, b, strict)
+    assert A.flags.writeable and b.flags.writeable and strict.flags.writeable
+    assert not (lp.A.flags.writeable or lp.b.flags.writeable or lp.strict.flags.writeable)
+    A[0, 0], b[1], strict[0] = 5.0, -3.0, False
+    assert lp.A.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert lp.b.tolist() == [1.0, 1.0] and lp.strict.tolist() == [True, False]
+    assert check_feasible(lp).status is Feasibility.INTERIOR
+
+
 # ---------------------------------------------------------------------------
 # HiGHS oracle
 
