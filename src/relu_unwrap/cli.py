@@ -240,7 +240,11 @@ def _add_common(sub):
         "--budget",
         type=int,
         default=DEFAULT_BUDGET,
-        help=f"cap on the feasibility LPs of the pattern search (default {DEFAULT_BUDGET})",
+        help=(
+            f"cap on the feasibility LPs of the pattern search, at least 0 (default "
+            f"{DEFAULT_BUDGET}); no pattern is complete before the last layer's splits, "
+            "so a cut before them finds no region"
+        ),
     )
     sub.add_argument(
         "--threads",
@@ -324,6 +328,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     if getattr(args, "fn", None) is None:
         parser.print_usage(sys.stderr)
+        return EXIT_USAGE
+    if getattr(args, "budget", 0) < 0:
+        _diag(f"error: --budget must be at least 0, got {args.budget}")
         return EXIT_USAGE
     try:
         return args.fn(args)

@@ -17,13 +17,15 @@ it covers no open set, its points lie on the closed faces of neighbouring
 regions, and since added rows never create an interior, no extension of it
 is realisable either.  For the same reason, a side of a neuron's hyperplane
 with no interior in the cell that opens the neuron's layer has none in any
-sub-cell: that cell tests every neuron of the layer in one stacked solve,
-and its sub-cells skip the empty sides found.  The parent cell's witness
-settles one child without a solve, so the work grows with the cells found
-rather than with the 2^width patterns of a layer.  Every pattern program
-comes from one helper, :func:`_rows`, so a leaf's rows are exactly its
-:func:`global_lp`, and the search settles every pattern's witness once
-(:func:`_witnesses`).
+sub-cell.  So the search runs layer by layer: every cell that completes a
+layer is collected, one stacked solve tests every neuron of the next layer
+in all of them, and their sub-cells skip the empty sides found.  Splits
+inside a layer are solved one at a time (see :func:`enumerate_feasible`).
+The parent cell's witness settles one child without a solve, so the work
+grows with the cells found rather than with the 2^width patterns of a
+layer.  Every pattern program comes from one helper, :func:`_rows`, so a
+leaf's rows are exactly its :func:`global_lp`, and the search settles
+every pattern's witness once (:func:`_witnesses`).
 
 Each surviving pattern yields a region: its affine model, read off its last
 prefix, that witness, and the minimal set of oriented half-spaces
@@ -528,46 +530,58 @@ class _Search:
             self.fallbacks += 1
         return self._verdict(res, start)
 
-    def open_layer(self, chain, bits, nxt: GlobalAffinePrefix, w: np.ndarray | None):
-        """Pre-test every neuron of the layer ``nxt`` maps to, for a cell
-        with rows ``_rows(chain, bits)`` and witness ``w`` that opens it.
+    def open_layers(self, cells: Sequence[_Cell], layer: Layer) -> list[tuple[_Cell, tuple | None]]:
+        """Pre-test every neuron of ``layer`` for each cell that completes
+        the layer before it, all cells in one stacked solve.
 
-        Neuron ``j``'s program is the cell's rows plus row ``j`` on the side
-        ``w`` does not settle, shifted as in :meth:`interior`; all of them go
-        to one stacked solve.  Nothing is tested without a witness, nor a
-        neuron whose ``z = M[j] . w + o[j]`` is in the gray zone ``(0,
-        TOL_SLACK]``.  Returns neuron 0's ``(keep, witness)``, as
-        :meth:`interior` gives it for the cell's first split (None when not
-        tested), and the ``(neuron, bit)`` sides of the other neurons found
-        to have no interior, hence none in any sub-cell; a program that runs
-        out of pivots settles nothing.  When the budget runs out, the
-        programs left under it are solved, then :class:`BudgetExceededError`
-        is raised.
+        Neuron ``j``'s program for a cell with witness ``w`` is the cell's
+        rows plus row ``j`` on the side ``w`` does not settle, shifted as in
+        :meth:`interior`.  Nothing is tested without a witness, nor a neuron
+        whose ``z = M[j] . w + o[j]`` is in the gray zone ``(0, TOL_SLACK]``.
+        Returns, per cell, the cell opening ``layer``, whose ``empty`` holds
+        the ``(neuron, bit)`` sides of neurons ``j >= 1`` found to have no
+        interior (hence none in any sub-cell), and neuron 0's ``(keep,
+        witness)`` as :meth:`interior` gives it for the first split (None when
+        not tested); a program that runs out of pivots settles nothing.  The
+        whole layer is charged first: when the budget runs out, only the
+        programs left under it are built and solved, then
+        :class:`BudgetExceededError` is raised.
         """
-        zs = [] if w is None else [float(row @ w + o) for row, o in zip(nxt.matrix, nxt.offset)]
-        settled = list(map(_settled, zs))
-        tested = [j for j, bit in enumerate(settled) if bit is not None]
-        if not tested:
-            return None, frozenset()
-        A, b, strict = _rows(chain, bits)
-        # every neuron's row, oriented for its side that ``w`` does not settle
-        rA, rb, rs = _rows((nxt,), (tuple(int(bit == 0) for bit in settled),))
-        room = self._charge(len(tested))
-        programs = [
-            self._shift(np.vstack((A, rA[j])), np.append(b, rb[j]), np.append(strict, rs[j]), w)
-            for j in tested[:room]
-        ]
-        results = check_feasible_many([lp for lp, _ in programs])
-        if room < len(tested):
+        plans = []  # (cell, prefix of ``layer``, settled bit per neuron, tested neurons)
+        for cell in cells:
+            nxt, w = _next_prefix(cell.chain[-1], cell.bits[-1], layer), cell.witness
+            zs = [] if w is None else [float(row @ w + o) for row, o in zip(nxt.matrix, nxt.offset)]
+            settled = list(map(_settled, zs))
+            plans.append((cell, nxt, settled, [j for j, bit in enumerate(settled) if bit is not None]))
+        total = sum(len(tested) for *_, tested in plans)
+        room, programs = self._charge(total), []
+        for cell, nxt, settled, tested in plans:
+            tested = tested[: room - len(programs)]
+            if not tested:
+                continue
+            (A, b, strict), w = _rows(cell.chain, cell.bits), cell.witness
+            # every neuron's row, oriented for its side that ``w`` does not settle
+            rA, rb, rs = _rows((nxt,), (tuple(int(bit == 0) for bit in settled),))
+            programs += [
+                self._shift(np.vstack((A, rA[j])), np.append(b, rb[j]), np.append(strict, rs[j]), w)
+                for j in tested
+            ]
+        verdicts = zip(programs, check_feasible_many([lp for lp, _ in programs]))
+        if room < total:
             raise self._exceeded()
-        split, empty = None, set()
-        for j, (_, start), res in zip(tested, programs, results):
-            if j == 0:
-                split = self._verdict(res, start)
-                self.fallbacks += res is None
-            elif res is not None and res.status is not Feasibility.INTERIOR:
-                empty.add((j, 1 - settled[j]))
-        return split, frozenset(empty)
+        opened = []
+        for cell, nxt, settled, tested in plans:
+            split, empty = None, set()
+            # zip draws a neuron before a verdict, so each cell takes its own
+            for j, ((_, start), res) in zip(tested, verdicts):
+                if j == 0:
+                    split = self._verdict(res, start)
+                    self.fallbacks += res is None
+                elif res is not None and res.status is not Feasibility.INTERIOR:
+                    empty.add((j, 1 - settled[j]))
+            bits, chain = cell.bits + ((),), cell.chain + (nxt,)
+            opened.append((_Cell(bits, chain, cell.witness, frozenset(empty)), split))
+        return opened
 
     def result(self, *, partial: bool = False) -> EnumerationResult:
         """Records of the finished cells, with witnesses from :func:`_witnesses`.
@@ -609,60 +623,68 @@ def enumerate_feasible(net: MLPNetwork, *, budget: int | None = None) -> Enumera
     Every record carries a witness (see :func:`_witnesses`); a kept pattern
     that no point certifies raises :class:`UnwrapError`.
 
-    A witnessed cell that completes layer ``l - 1`` and opens layer ``l >=
-    2`` pre-tests the layer (:meth:`_Search.open_layer`): per neuron, its
-    rows plus the neuron's row on the side the witness does not settle, all
-    in one stacked solve.  A side with no interior is then skipped in every
-    sub-cell, whose other child is settled by its witness or its own LP as
-    above.  Neuron 0's program is the cell's first split LP, and serves as
-    it.  Splits inside a layer are solved one at a time.
+    The search is layer-synchronous at layer boundaries.  Each layer is
+    split depth-first, one cell at a time; the cells completing layer ``l -
+    1`` are collected, and one stacked solve pre-tests all of them for layer
+    ``l >= 2`` (:meth:`_Search.open_layers`): per cell and neuron, the
+    cell's rows plus the neuron's row on the side the cell's witness does
+    not settle.  A side with no interior is then skipped in every sub-cell,
+    whose other child is settled by its witness or its own LP as above.
+    Neuron 0's program is the cell's first split LP, and serves as it.  The
+    splits inside a layer stay one at a time, through :func:`check_feasible`,
+    whose calls the benchmark's tracer (``perfbench/spans.py``) counts one
+    program each; stacking them would need a search over neuron-level
+    frontiers and a tracer that reads stacked calls.
 
     ``layer_feasible[l]`` counts the live cells after layer ``l + 1``; the
     last entry is the number of patterns.  ``candidates_checked`` counts
     every feasibility LP the search solves, pre-test programs included;
-    ``budget`` caps it.  The solve that would cross it raises
-    :class:`BudgetExceededError` (within a pre-test stack, after the
-    programs left under the budget are solved), whose ``partial`` field
-    carries the patterns completed so far, less any kept pattern that no
-    point certifies.  Records are sorted by concatenated pattern bits.
+    ``budget``, at least 0, caps it (a negative one is a ``ValueError``).
+    The solve that would cross it raises :class:`BudgetExceededError` (in a
+    layer's pre-test, after the programs left under the budget are solved),
+    whose ``partial`` field carries the patterns completed so far, less any
+    kept pattern that no point certifies.  No pattern is complete before
+    the last layer's splits, so a cut before them leaves none.  Records are
+    sorted by concatenated pattern bits.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     L, n = net.depth, net.input_dim
     if L == 0:
         record = PatternRecord(ActivationPattern(()), (), np.zeros(n))
         return EnumerationResult((record,), (), 0)
 
-    widths = net.hidden_widths
     search = _Search(L, budget)
     first = GlobalAffinePrefix(net.hidden[0].weights, net.hidden[0].bias, 1)
-    stack = [_Cell(((),), (first,), np.zeros(n))]
-    while stack:
-        cell = stack.pop()
-        bits, chain, w, empty, split = cell.bits, cell.chain, cell.witness, cell.empty, None
-        if len(bits[-1]) == widths[len(chain) - 1]:
-            # the cell's last layer is complete: open the next one
-            nxt = _next_prefix(chain[-1], bits[-1], net.hidden[len(chain)])
-            split, empty = search.open_layer(chain, bits, nxt, w)
-            bits, chain = bits + ((),), chain + (nxt,)
-        layer, i = len(chain), len(bits[-1])
-        row, shift = chain[-1].matrix[i], chain[-1].offset[i]
-        settled = None if w is None else _settled(float(row @ w + shift))
-        for bit in (0, 1):
-            if (i, bit) in empty:
-                continue
-            child = bits[:-1] + (bits[-1] + (bit,),)
-            if bit == settled:
-                keep, witness = True, w
-            elif split is not None:
-                keep, witness = split
-            else:
-                keep, witness = search.interior(_rows(chain, child), w)
-            if not keep:
-                continue
-            layer_done = i + 1 == widths[layer - 1]
-            search.layer_cells[layer - 1] += layer_done
-            (search.leaves if layer_done and layer == L else stack).append(
-                _Cell(child, chain, witness, empty)
-            )
+    stack = [(_Cell(((),), (first,), np.zeros(n)), None)]
+    for layer, width in enumerate(net.hidden_widths, 1):
+        done = search.leaves if layer == L else []
+        while stack:
+            cell, split = stack.pop()
+            bits, chain, w, empty = cell.bits, cell.chain, cell.witness, cell.empty
+            i = len(bits[-1])
+            row, shift = chain[-1].matrix[i], chain[-1].offset[i]
+            settled = None if w is None else _settled(float(row @ w + shift))
+            for bit in (0, 1):
+                if (i, bit) in empty:
+                    continue
+                child = bits[:-1] + (bits[-1] + (bit,),)
+                if bit == settled:
+                    keep, witness = True, w
+                elif split is not None:
+                    keep, witness = split
+                else:
+                    keep, witness = search.interior(_rows(chain, child), w)
+                if not keep:
+                    continue
+                cell = _Cell(child, chain, witness, empty)
+                if i + 1 < width:
+                    stack.append((cell, None))
+                else:
+                    search.layer_cells[layer - 1] += 1
+                    done.append(cell)
+        if layer < L:
+            stack = search.open_layers(done, net.hidden[layer])
     return search.result()
 
 

@@ -648,6 +648,25 @@ class TestUsage:
     def test_no_command(self, capsys):
         assert run(capsys)[0] == 64
 
+    @pytest.mark.parametrize("command", ["decompose", "shallowize", "verify", "bench"])
+    def test_negative_budget_is_a_usage_error(self, capsys, tmp_path, command):
+        """Refused before any file is read or written: the model does not
+        exist, and no output appears."""
+        missing, out = str(tmp_path / "missing.json"), tmp_path / "out"
+        files = {"verify": ["--model", missing, "--shallow", missing], "bench": ["--out", str(out)]}
+        argv = files.get(command, ["--model", missing, "--out", str(out)])
+        code, stdout, stderr = run(capsys, command, *argv, "--budget", "-3")
+        assert (code, stdout) == (64, "")
+        assert stderr == "error: --budget must be at least 0, got -3\n"
+        assert not out.exists()
+
+    def test_zero_budget_is_accepted(self, capsys, tmp_path, affine_m1_file):
+        """A budget of 0 is valid: a net without hidden layers needs no LP."""
+        out = tmp_path / "d.json"
+        argv = ["decompose", "--model", affine_m1_file, "--out", str(out), "--budget", "0"]
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(stdout)["candidates_checked"] == 0
+
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 64
 

@@ -91,8 +91,8 @@ def region_by_pattern(d, bits):
 def route_stacked(monkeypatch, *, search=None, witness=None):
     """Patch ``decomposition.check_feasible_many``: the stacked solves of
     ``_witnesses`` go to ``witness(real, lps)``, the others (the search's
-    layer-opening pre-tests) to ``search(real, lps)``; either defaults to
-    the real solve."""
+    layer pre-tests, one call per layer) to ``search(real, lps)``; either
+    defaults to the real solve."""
     real, real_witnesses, inside = decomposition.check_feasible_many, decomposition._witnesses, []
 
     def witnesses(rows, known=None):
@@ -257,10 +257,10 @@ class TestEnumeration:
         assert {rec.pattern.bits() for rec in partial.records} <= complete
 
     def test_budget_cut_inside_a_pretest_stack(self, monkeypatch):
-        """Every budget within one LP of a layer-opening pre-test stack's
-        edges raises after solving exactly that many LPs, with a certified
-        subset of the patterns; the full count passes."""
-        net = biased_net([2, 4, 4], 2, seed=0)
+        """Every budget within one LP of an edge of a layer's pre-test stack
+        raises after solving exactly that many LPs, with a certified subset
+        of the patterns; the full count passes.  Each net has one stack per
+        layer it opens, so [2,4,4,3] gives the edges of two stacks."""
         real, solved, edges = decomposition.check_feasible, [0], set()
 
         def count(lp):
@@ -274,27 +274,31 @@ class TestEnumeration:
 
         monkeypatch.setattr(decomposition, "check_feasible", count)
         route_stacked(monkeypatch, search=stack)
-        full = enumerate_feasible(net)
-        assert solved[0] == full.candidates_checked and len(edges) > 4
-        complete = {rec.pattern.bits() for rec in full.records}
-        budgets = {e + d for e in edges for d in (-1, 0, 1)} & set(range(full.candidates_checked))
-        for budget in sorted(budgets):
+        for net in (biased_net([2, 4, 4], 2, seed=0), biased_net([2, 4, 4, 3], 2, seed=0)):
             solved[0] = 0
-            with pytest.raises(BudgetExceededError) as info:
-                enumerate_feasible(net, budget=budget)
-            partial = info.value.partial
-            assert partial.candidates_checked == solved[0] == budget
-            assert {rec.pattern.bits() for rec in partial.records} <= complete
-            for rec in partial.records:
-                assert activation_pattern(net, rec.witness) == rec.pattern
-        exact = enumerate_feasible(net, budget=full.candidates_checked)
-        assert [rec.pattern for rec in exact.records] == [rec.pattern for rec in full.records]
+            edges.clear()
+            full = enumerate_feasible(net)
+            assert solved[0] == full.candidates_checked and len(edges) == 2 * (net.depth - 1)
+            complete = {rec.pattern.bits() for rec in full.records}
+            budgets = {e + d for e in edges for d in (-1, 0, 1)} & set(range(full.candidates_checked))
+            for budget in sorted(budgets):
+                solved[0] = 0
+                with pytest.raises(BudgetExceededError) as info:
+                    enumerate_feasible(net, budget=budget)
+                partial = info.value.partial
+                assert partial.candidates_checked == solved[0] == budget
+                assert {rec.pattern.bits() for rec in partial.records} <= complete
+                for rec in partial.records:
+                    assert activation_pattern(net, rec.witness) == rec.pattern
+            exact = enumerate_feasible(net, budget=full.candidates_checked)
+            assert [rec.pattern for rec in exact.records] == [rec.pattern for rec in full.records]
 
     @pytest.mark.parametrize("kept", [1, 0], ids=["first-solved", "all-out-of-pivots"])
     def test_pretest_out_of_pivots_settles_nothing(self, monkeypatch, kept):
         """A pre-test program that runs out of pivots settles no neuron; for
         the layer's first neuron it keeps the cell unwitnessed, as a failed
-        split does.  Patterns and witnesses are the reference's either way."""
+        split does, and counts as a fallback.  Patterns and witnesses are
+        the reference's either way."""
         net = biased_net([2, 4, 4, 3], 2, seed=0)
         reference = enumerate_feasible(net)
         stacks = []
@@ -305,12 +309,86 @@ class TestEnumeration:
 
         route_stacked(monkeypatch, search=fail)
         res = enumerate_feasible(net)
-        assert stacks and res.candidates_checked > reference.candidates_checked
+        opening = reference.layer_feasible[:-1]
+        # every neuron of every opening cell is tested, each cell's neuron 0 first
+        assert stacks == [cells * width for cells, width in zip(opening, net.hidden_widths[1:])]
+        assert res.candidates_checked > reference.candidates_checked
         assert res.layer_feasible == reference.layer_feasible
-        assert res.solver_fallbacks == (0 if kept else len(stacks))
+        assert res.solver_fallbacks == sum(opening) - kept * len(stacks)
         assert [rec.pattern for rec in res.records] == [rec.pattern for rec in reference.records]
         for rec, ref in zip(res.records, reference.records):
             np.testing.assert_array_equal(rec.witness, ref.witness)
+
+    def test_negative_budget_is_refused(self):
+        """A budget below 0 is a ``ValueError``; 0 is valid and cuts the
+        search at its first LP."""
+        net = biased_net([2, 4, 4], 2, seed=0)
+        with pytest.raises(ValueError, match="budget must be at least 0, got -3"):
+            enumerate_feasible(net, budget=-3)
+        with pytest.raises(BudgetExceededError) as info:
+            enumerate_feasible(net, budget=0)
+        assert info.value.partial.candidates_checked == 0 and info.value.partial.records == ()
+
+    @pytest.mark.parametrize(
+        "net",
+        [biased_net([2, 4, 4, 3], 2, seed=0), random_init([2, 4, 4, 4], 1, seed=0)],
+        ids=["biased[2,4,4,3]", "[2,4,4,4]"],
+    )
+    def test_records_do_not_depend_on_stack_size(self, monkeypatch, net):
+        """A layer's pre-test is cut into stacks of ``STACK_SIZE`` programs,
+        each solved bitwise as alone: records and counters are the same at
+        any stack size."""
+        reference = enumerate_feasible(net)
+        counters = (reference.candidates_checked, reference.layer_feasible, reference.solver_fallbacks)
+        for size in (1, 3):
+            monkeypatch.setattr(lp_module, "STACK_SIZE", size)
+            res = enumerate_feasible(net)
+            assert (res.candidates_checked, res.layer_feasible, res.solver_fallbacks) == counters
+            assert [rec.pattern for rec in res.records] == [rec.pattern for rec in reference.records]
+            for rec, ref in zip(res.records, reference.records):
+                np.testing.assert_array_equal(rec.witness, ref.witness)
+
+    @pytest.mark.parametrize(
+        "net",
+        [
+            biased_net([2, 4, 4], 2, seed=0),
+            biased_net([2, 4, 4, 3], 2, seed=0),
+            random_init([2, 4, 4, 4], 1, seed=0),
+            random_init([3, 3, 2, 2], 1, seed=0),
+            random_init([2, 3], 1, seed=0),
+        ],
+        ids=["biased[2,4,4]", "biased[2,4,4,3]", "[2,4,4,4]", "[3,3,2,2]", "[2,3]"],
+    )
+    def test_one_pretest_call_per_opened_layer(self, monkeypatch, net):
+        """Every cell that opens hidden layer l >= 2 is pre-tested in one
+        stacked call for the whole layer; layer 1 has none."""
+        calls = []
+        route_stacked(monkeypatch, search=lambda many, lps: calls.append(len(lps)) or many(lps))
+        enumerate_feasible(net)
+        assert len(calls) == net.depth - 1 and all(calls)
+
+    @pytest.mark.parametrize(
+        "net", [biased_net([2, 3, 3], 2, seed=0), random_init([2, 3, 2], 1, seed=1)],
+        ids=["biased[2,3,3]", "[2,3,2]"],
+    )
+    def test_splits_go_through_check_feasible(self, monkeypatch, net):
+        """Splits inside a layer are solved one at a time through
+        :func:`check_feasible`, which the benchmark traces; those calls and
+        the pre-test programs are every LP ``candidates_checked`` counts."""
+        real, split, stacked = decomposition.check_feasible, [0], [0]
+
+        def count(lp):
+            split[0] += 1
+            return real(lp)
+
+        def stack(many, lps):
+            stacked[0] += len(lps)
+            return many(lps)
+
+        monkeypatch.setattr(decomposition, "check_feasible", count)
+        route_stacked(monkeypatch, search=stack)
+        res = enumerate_feasible(net)
+        assert split[0] >= 1 and split[0] + stacked[0] == res.candidates_checked
 
     @pytest.mark.parametrize(
         "net",
