@@ -103,14 +103,12 @@ def _read_points_csv(path):
 
 def cmd_decompose(args) -> int:
     net = load_model(args.model)
-    partial = False
     try:
         enum = _enumerate(net, args.budget)
     except BudgetExceededError as exc:
         _diag(str(exc))
         enum = _note_fallbacks(exc.partial)
-        partial = True
-    d = build_decomposition(net, enum, partial=partial)
+    d = build_decomposition(net, enum)
     save_decomposition(d, args.out)
     payload = {
         "p": d.num_regions,
@@ -118,10 +116,10 @@ def cmd_decompose(args) -> int:
         "layer_feasible": list(enum.layer_feasible),
         "candidates_checked": enum.candidates_checked,
     }
-    if partial:
+    if enum.partial:
         payload["partial"] = True
     _emit(payload)
-    return EXIT_BUDGET if partial else EXIT_OK
+    return EXIT_BUDGET if enum.partial else EXIT_OK
 
 
 def cmd_shallowize(args) -> int:

@@ -23,7 +23,8 @@ in all of them, and their sub-cells skip the empty sides found.  Splits
 inside a layer are solved one at a time (see :func:`enumerate_feasible`).
 The parent cell's witness settles one child without a solve, so the work
 grows with the cells found rather than with the 2^width patterns of a
-layer.  Every pattern program comes from one helper, :func:`_rows`, so a
+layer.  Every search program is its parent cell's rows plus one neuron's
+row from :func:`_with_row`, oriented as :func:`_rows` orients it, so a
 leaf's rows are exactly its :func:`global_lp`, and the search settles
 every pattern's witness once (:func:`_witnesses`).
 
@@ -310,12 +311,14 @@ class PatternRecord:
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """Found patterns and the search's counters (see :func:`enumerate_feasible`)."""
+    """Found patterns and the search's counters (see :func:`enumerate_feasible`);
+    ``partial`` when a budget cut left the patterns incomplete."""
 
     records: tuple[PatternRecord, ...]
     layer_feasible: tuple[int, ...]
     candidates_checked: int
     solver_fallbacks: int = 0
+    partial: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -386,20 +389,32 @@ def _rows(chain, bits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows ``(A, b, strict)`` of a pattern prefix's program ``A x <= b``.
 
     ``chain[l]`` maps the input to the pre-activations of the prefix's layer
-    ``l + 1`` and ``bits[l]`` holds that layer's bits, which may cover only
-    its first neurons.  Bit 1 gives the strict row ``-M[i] . x < o[i]``
-    (pre-activation > 0), bit 0 the closed row ``M[i] . x <= -o[i]``.
+    ``l + 1`` and ``bits[l]`` holds all of that layer's bits.  Bit 1 gives
+    the strict row ``-M[i] . x < o[i]`` (pre-activation > 0), bit 0 the
+    closed row ``M[i] . x <= -o[i]``.
     """
-    M = np.concatenate([p.matrix[: len(e)] for p, e in zip(chain, bits)])
-    o = np.concatenate([p.offset[: len(e)] for p, e in zip(chain, bits)])
+    M = np.concatenate([p.matrix for p in chain])
+    o = np.concatenate([p.offset for p in chain])
     strict = np.array(sum(bits, ())) == 1
     return np.where(strict[:, None], -M, M), np.where(strict, o, -o), strict
+
+
+def _with_row(rows, prefix: GlobalAffinePrefix, i: int, bit: int) -> tuple:
+    """``rows`` plus neuron ``i`` of ``prefix`` on side ``bit``, the row :func:`_rows` gives it."""
+    row, o = (-prefix.matrix[i], prefix.offset[i]) if bit else (prefix.matrix[i], -prefix.offset[i])
+    return np.vstack((rows[0], row)), np.append(rows[1], o), np.append(rows[2], bit == 1)
 
 
 def global_lp(prefix, net: MLPNetwork) -> LinearProgram:
     """Stacked input-space program of a pattern prefix (all layers so far)."""
     layer_bits = _bits_of(prefix)
     return LinearProgram(*_rows(_prefix_chain(layer_bits, net), layer_bits))
+
+
+def _row_lengths(A: np.ndarray) -> np.ndarray:
+    """Length of each row of ``A``, bitwise as ``np.linalg.norm(row)`` gives it,
+    so every test of a row against ``TOL_DEGENERATE`` sees the same floats."""
+    return np.sqrt((A[:, None, :] @ A[:, :, None]).reshape(-1))
 
 
 def _witnesses(rows: Sequence[tuple], known=None) -> tuple[list, list[bool]]:
@@ -419,7 +434,7 @@ def _witnesses(rows: Sequence[tuple], known=None) -> tuple[list, list[bool]]:
     """
     pushed = []
     for A, b, _ in rows:
-        keep = np.linalg.norm(A, axis=1) > TOL_DEGENERATE
+        keep = _row_lengths(A) > TOL_DEGENERATE
         pushed.append(LinearProgram(A[keep], b[keep], np.ones(int(keep.sum()), dtype=bool)))
     known = known or [None] * len(rows)
     points, failed = [], []
@@ -456,15 +471,17 @@ class _Cell:
     """A live cell: the inputs realising a pattern prefix.
 
     The last layer of ``bits`` may be incomplete; ``chain`` holds the
-    prefix's affine maps.  ``witness`` clears every strict row of the
-    prefix's program by more than ``TOL_SLACK`` and meets the closed ones;
-    it is None when a solver failure kept the cell.  ``empty`` holds the
-    ``(neuron, bit)`` children of the last layer that have no interior in
-    the cell that opened the layer, so in none of its sub-cells either.
+    prefix's affine maps, ``rows`` its program ``(A, b, strict)`` in
+    :func:`_rows`' order.  ``witness`` clears every strict row by more than
+    ``TOL_SLACK`` and meets the closed ones; it is None when a solver failure
+    kept the cell.  ``empty`` holds the ``(neuron, bit)`` children of the
+    last layer that have no interior in the cell that opened the layer, so in
+    none of its sub-cells either.
     """
 
     bits: tuple[tuple[int, ...], ...]
     chain: tuple[GlobalAffinePrefix, ...]
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray]
     witness: np.ndarray | None
     empty: frozenset[tuple[int, int]] = frozenset()
 
@@ -535,17 +552,17 @@ class _Search:
         the layer before it, all cells in one stacked solve.
 
         Neuron ``j``'s program for a cell with witness ``w`` is the cell's
-        rows plus row ``j`` on the side ``w`` does not settle, shifted as in
-        :meth:`interior`.  Nothing is tested without a witness, nor a neuron
-        whose ``z = M[j] . w + o[j]`` is in the gray zone ``(0, TOL_SLACK]``.
-        Returns, per cell, the cell opening ``layer``, whose ``empty`` holds
-        the ``(neuron, bit)`` sides of neurons ``j >= 1`` found to have no
-        interior (hence none in any sub-cell), and neuron 0's ``(keep,
-        witness)`` as :meth:`interior` gives it for the first split (None when
-        not tested); a program that runs out of pivots settles nothing.  The
-        whole layer is charged first: when the budget runs out, only the
-        programs left under it are built and solved, then
-        :class:`BudgetExceededError` is raised.
+        rows plus row ``j`` on the side ``w`` does not settle, from
+        :func:`_with_row`, shifted as in :meth:`interior`.  Nothing is tested
+        without a witness, nor a neuron whose ``z = M[j] . w + o[j]`` is in
+        the gray zone ``(0, TOL_SLACK]``.  Returns, per cell, the cell opening
+        ``layer``, whose ``empty`` holds the ``(neuron, bit)`` sides of
+        neurons ``j >= 1`` found to have no interior (hence none in any
+        sub-cell), and neuron 0's ``(keep, witness)`` as :meth:`interior`
+        gives it for the first split (None when not tested); a program that
+        runs out of pivots settles nothing.  The whole layer is charged
+        first: when the budget runs out, only the programs left under it are
+        built and solved, then :class:`BudgetExceededError` is raised.
         """
         plans = []  # (cell, prefix of ``layer``, settled bit per neuron, tested neurons)
         for cell in cells:
@@ -557,14 +574,8 @@ class _Search:
         room, programs = self._charge(total), []
         for cell, nxt, settled, tested in plans:
             tested = tested[: room - len(programs)]
-            if not tested:
-                continue
-            (A, b, strict), w = _rows(cell.chain, cell.bits), cell.witness
-            # every neuron's row, oriented for its side that ``w`` does not settle
-            rA, rb, rs = _rows((nxt,), (tuple(int(bit == 0) for bit in settled),))
             programs += [
-                self._shift(np.vstack((A, rA[j])), np.append(b, rb[j]), np.append(strict, rs[j]), w)
-                for j in tested
+                self._shift(*_with_row(cell.rows, nxt, j, 1 - settled[j]), cell.witness) for j in tested
             ]
         verdicts = zip(programs, check_feasible_many([lp for lp, _ in programs]))
         if room < total:
@@ -580,19 +591,18 @@ class _Search:
                 elif res is not None and res.status is not Feasibility.INTERIOR:
                     empty.add((j, 1 - settled[j]))
             bits, chain = cell.bits + ((),), cell.chain + (nxt,)
-            opened.append((_Cell(bits, chain, cell.witness, frozenset(empty)), split))
+            opened.append((_Cell(bits, chain, cell.rows, cell.witness, frozenset(empty)), split))
         return opened
 
     def result(self, *, partial: bool = False) -> EnumerationResult:
-        """Records of the finished cells, with witnesses from :func:`_witnesses`.
+        """Records of the finished cells, with witnesses from :func:`_witnesses` of their rows.
 
         A cell a solver failure kept and no point certifies raises
-        :class:`UnwrapError`; a ``partial`` result, built when the budget
-        runs out, leaves such cells out instead (``layer_feasible`` still
-        counts them).
+        :class:`UnwrapError`; a ``partial`` result, built and flagged when the
+        budget runs out, leaves such cells out instead (``layer_feasible``
+        still counts them).
         """
-        rows = [_rows(cell.chain, cell.bits) for cell in self.leaves]
-        points, failed = _witnesses(rows, [cell.witness for cell in self.leaves])
+        points, failed = _witnesses([c.rows for c in self.leaves], [c.witness for c in self.leaves])
         self.fallbacks += sum(failed)
         if not partial and any(w is None for w in points):
             raise UnwrapError(
@@ -605,7 +615,7 @@ class _Search:
         ]
         records.sort(key=lambda rec: rec.pattern.bits())
         return EnumerationResult(
-            tuple(records), tuple(self.layer_cells), self.lps, self.fallbacks
+            tuple(records), tuple(self.layer_cells), self.lps, self.fallbacks, partial
         )
 
 
@@ -642,10 +652,10 @@ def enumerate_feasible(net: MLPNetwork, *, budget: int | None = None) -> Enumera
     ``budget``, at least 0, caps it (a negative one is a ``ValueError``).
     The solve that would cross it raises :class:`BudgetExceededError` (in a
     layer's pre-test, after the programs left under the budget are solved),
-    whose ``partial`` field carries the patterns completed so far, less any
-    kept pattern that no point certifies.  No pattern is complete before
-    the last layer's splits, so a cut before them leaves none.  Records are
-    sorted by concatenated pattern bits.
+    whose ``partial`` field, flagged ``partial``, carries the patterns
+    completed so far, less any kept pattern that no point certifies.  No
+    pattern is complete before the last layer's splits, so a cut before
+    them leaves none.  Records are sorted by concatenated pattern bits.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be at least 0, got {budget}")
@@ -656,28 +666,29 @@ def enumerate_feasible(net: MLPNetwork, *, budget: int | None = None) -> Enumera
 
     search = _Search(L, budget)
     first = GlobalAffinePrefix(net.hidden[0].weights, net.hidden[0].bias, 1)
-    stack = [(_Cell(((),), (first,), np.zeros(n)), None)]
+    root = (np.zeros((0, n)), np.zeros(0), np.zeros(0, dtype=bool))
+    stack = [(_Cell(((),), (first,), root, np.zeros(n)), None)]
     for layer, width in enumerate(net.hidden_widths, 1):
         done = search.leaves if layer == L else []
         while stack:
             cell, split = stack.pop()
-            bits, chain, w, empty = cell.bits, cell.chain, cell.witness, cell.empty
+            bits, chain, rows, w, empty = cell.bits, cell.chain, cell.rows, cell.witness, cell.empty
             i = len(bits[-1])
             row, shift = chain[-1].matrix[i], chain[-1].offset[i]
             settled = None if w is None else _settled(float(row @ w + shift))
             for bit in (0, 1):
                 if (i, bit) in empty:
                     continue
-                child = bits[:-1] + (bits[-1] + (bit,),)
+                child, grown = bits[:-1] + (bits[-1] + (bit,),), _with_row(rows, chain[-1], i, bit)
                 if bit == settled:
                     keep, witness = True, w
                 elif split is not None:
                     keep, witness = split
                 else:
-                    keep, witness = search.interior(_rows(chain, child), w)
+                    keep, witness = search.interior(grown, w)
                 if not keep:
                     continue
-                cell = _Cell(child, chain, witness, empty)
+                cell = _Cell(child, chain, grown, witness, empty)
                 if i + 1 < width:
                     stack.append((cell, None))
                 else:
@@ -724,7 +735,7 @@ def _candidates(rec: PatternRecord, dim: int) -> tuple[np.ndarray, list[float], 
     if not rec.prefixes:
         return np.zeros((0, dim)), [], []
     A, b, strict = _rows(rec.prefixes, rec.pattern.layers)
-    lengths = np.array([float(np.linalg.norm(row)) for row in A])
+    lengths = _row_lengths(A)
     live = lengths > TOL_DEGENERATE
     for i in np.flatnonzero(~live):
         bit = int(strict[i])
@@ -852,10 +863,9 @@ def extract_halfspaces(records: Sequence[PatternRecord], net: MLPNetwork):
     return normals[order], offsets[order], _renumber(rows, order, np.arange(len(records)))
 
 
-def build_decomposition(
-    net: MLPNetwork, enumeration: EnumerationResult, *, partial: bool = False
-) -> Decomposition:
-    """Assemble regions (models, witnesses, half-spaces) from found patterns."""
+def build_decomposition(net: MLPNetwork, enumeration: EnumerationResult) -> Decomposition:
+    """Assemble regions (models, witnesses, half-spaces) from found patterns;
+    the decomposition is partial when ``enumeration`` is."""
     records = enumeration.records
     normals, offsets, region_rows = extract_halfspaces(records, net)
     models = [_model(rec.prefixes, rec.pattern.layers, net) for rec in records]
@@ -863,7 +873,7 @@ def build_decomposition(
         net.input_dim, net.output_dim, normals, offsets,
         [rec.pattern.bits() for rec in records], net.hidden_widths,
         [alpha for alpha, _ in models], [beta for _, beta in models],
-        [rec.witness for rec in records], region_rows, partial=partial,
+        [rec.witness for rec in records], region_rows, partial=enumeration.partial,
     )
 
 

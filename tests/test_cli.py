@@ -524,6 +524,18 @@ class TestBench:
 
         assert counts(tmp_path / "a.csv") == counts(tmp_path / "b.csv")
 
+    def test_budget_cut_gives_a_row_and_goes_on(self, capsys, tmp_path):
+        """A net that runs out of budget gets wall time -1, the LPs spent and
+        the patterns finished (none before the last layer), a line on
+        stderr, and the grid goes on."""
+        out = tmp_path / "bench.csv"
+        grid = ["--min-w1", "2", "--max-w1", "2", "--min-w2", "2", "--max-w2", "3", "--repeats", "1"]
+        code, stdout, stderr = run(capsys, "bench", *grid, "--budget", "5", "--out", str(out))
+        assert code == 0 and json.loads(stdout)["rows"] == 2
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert rows == [f"2x{w2}x3,0,-1.000000,5,0" for w2 in (2, 3)]
+        assert stderr.splitlines() == [f"budget exceeded for 2x{w2}x3 seed 0" for w2 in (2, 3)]
+
 
 class TestPlot:
     @pytest.fixture

@@ -248,11 +248,11 @@ class TestEnumeration:
         net = random_init([2, 5, 7, 4], 3, seed=2)
         full = enumerate_feasible(net)
         exact = enumerate_feasible(net, budget=full.candidates_checked)
-        assert exact.candidates_checked == full.candidates_checked
+        assert exact.candidates_checked == full.candidates_checked and not exact.partial
         with pytest.raises(BudgetExceededError) as info:
             enumerate_feasible(net, budget=full.candidates_checked - 1)
         partial = info.value.partial
-        assert partial.candidates_checked == full.candidates_checked - 1
+        assert partial.candidates_checked == full.candidates_checked - 1 and partial.partial
         complete = {rec.pattern.bits() for rec in full.records}
         assert {rec.pattern.bits() for rec in partial.records} <= complete
 
@@ -389,6 +389,60 @@ class TestEnumeration:
         route_stacked(monkeypatch, search=stack)
         res = enumerate_feasible(net)
         assert split[0] >= 1 and split[0] + stacked[0] == res.candidates_checked
+
+    @pytest.mark.parametrize(
+        "net,budget",
+        [
+            (biased_net([2, 4, 4, 3], 2, seed=0), None),
+            (random_init([2, 8, 8, 8], 1, seed=0), None),
+            (biased_net([2, 4, 4, 3], 2, seed=0), 245),
+        ],
+        ids=["biased[2,4,4,3]", "[2,8,8,8]", "biased[2,4,4,3]-cut"],
+    )
+    def test_search_builds_no_whole_pattern_rows(self, monkeypatch, net, budget):
+        """Every search program is its parent cell's rows plus one row, so
+        the whole-pattern builder ``_rows`` is never called, nor by the
+        partial result of a budget cut that finished some patterns."""
+        real, calls = decomposition._rows, []
+        monkeypatch.setattr(decomposition, "_rows", lambda *args: calls.append(args) or real(*args))
+        if budget is None:
+            enumerate_feasible(net)
+        else:
+            with pytest.raises(BudgetExceededError) as info:
+                enumerate_feasible(net, budget=budget)
+            assert info.value.partial.records
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "net",
+        [
+            biased_net([2, 4, 4, 3], 2, seed=0),
+            biased_net([3, 5, 5, 3], 2, seed=0),
+            random_init([2, 8, 8, 8], 1, seed=0),
+        ],
+        ids=["biased[2,4,4,3]", "biased[3,5,5,3]", "[2,8,8,8]"],
+    )
+    def test_leaf_rows_are_their_global_lp(self, monkeypatch, net):
+        """A leaf's rows, grown one split at a time, are bitwise the program
+        :func:`global_lp` builds for its pattern, whose bits its strict flags
+        spell."""
+        real, seen = decomposition._witnesses, []
+
+        def spy(rows, known=None):
+            seen.extend(rows)
+            return real(rows, known)
+
+        monkeypatch.setattr(decomposition, "_witnesses", spy)
+        res = enumerate_feasible(net)
+        cuts = list(itertools.accumulate(net.hidden_widths, initial=0))
+        patterns = []
+        for A, b, strict in seen:
+            bits = strict.astype(int).tolist()
+            patterns.append(ActivationPattern([bits[a:z] for a, z in zip(cuts, cuts[1:])]))
+            want = global_lp(patterns[-1], net)
+            assert A.tobytes() == want.A.tobytes() and A.shape == want.A.shape
+            assert b.tobytes() == want.b.tobytes() and strict.tobytes() == want.strict.tobytes()
+        assert sorted(patterns, key=ActivationPattern.bits) == [rec.pattern for rec in res.records]
 
     @pytest.mark.parametrize(
         "net",
@@ -542,6 +596,8 @@ class TestDecomposition:
         reg = d.regions[0]
         np.testing.assert_allclose(reg.alpha, affine_net.output.weights)
         np.testing.assert_allclose(reg.beta, affine_net.output.bias)
+        alpha, beta = local_linear_model(reg.pattern, affine_net)
+        assert alpha.tobytes() == reg.alpha.tobytes() and beta.tobytes() == reg.beta.tobytes()
 
     def test_halfspace_normals_are_unit(self):
         net = random_init([2, 5, 7, 4], 3, seed=2)
@@ -1079,6 +1135,27 @@ def test_extract_halfspaces_returns_region_rows(make):
     wants = (d.halfspace_normals, d.halfspace_offsets, *d.region_rows)
     for got, want in zip((normals, offsets, ids, owned, starts), wants):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: biased_net([2, 4, 4, 3], 2, seed=0),
+        lambda: biased_net([3, 5, 5, 3], 2, seed=0),
+        lambda: random_init([2, 8, 8, 8], 1, seed=0),
+    ],
+    ids=["biased[2,4,4,3]", "biased[3,5,5,3]", "[2,8,8,8]"],
+)
+def test_row_lengths_are_the_per_row_norm(make):
+    """``_row_lengths``, which both the witness refinement and the candidate
+    conditions test against ``TOL_DEGENERATE``, gives each leaf row's length
+    bitwise as ``np.linalg.norm(row)`` does, zero rows of a net without
+    biases included."""
+    net = make()
+    for rec in enumerate_feasible(net).records:
+        A = global_lp(rec.pattern, net).A
+        want = np.array([np.linalg.norm(row) for row in A])
+        assert decomposition._row_lengths(A).tobytes() == want.tobytes()
 
 
 def test_sort_keys_round_rows_by_numpy_and_offsets_by_python():

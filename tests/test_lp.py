@@ -110,14 +110,15 @@ class TestWitness:
                 assert vals[lp.strict].max() < 0.0
 
     def test_interior_slack_value(self):
-        # 0 < x < 1 has best margin 0.5 at the midpoint; t is capped at 1
-        lp = LinearProgram(
-            np.array([[-1.0], [1.0]]), np.array([0.0, 1.0]), np.array([True, True])
-        )
-        res = check_feasible(lp)
-        assert res.status is Feasibility.INTERIOR
-        assert abs(res.slack - 0.5) < 1e-9
-        assert abs(res.witness[0] - 0.5) < 1e-9
+        # 0 < x < 1 has best margin 0.5 at the midpoint; t is capped at 1;
+        # a 1-D ``A`` holds one coefficient per row
+        for A in ([[-1.0], [1.0]], [-1.0, 1.0]):
+            lp = LinearProgram(np.array(A), np.array([0.0, 1.0]), np.array([True, True]))
+            assert lp.A.shape == (2, 1)
+            res = check_feasible(lp)
+            assert res.status is Feasibility.INTERIOR
+            assert abs(res.slack - 0.5) < 1e-9
+            assert abs(res.witness[0] - 0.5) < 1e-9
 
     def test_empty_system_is_interior(self):
         lp = LinearProgram(np.zeros((0, 3)), np.zeros(0), np.zeros(0, dtype=bool))

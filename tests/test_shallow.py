@@ -218,13 +218,14 @@ class TestConstruction:
 
     def test_partial_decomposition_rejected(self):
         """A budget cut in the last layer's splits (LPs 59 to 98) leaves 13
-        regions of 41; a net built from them would read 0 everywhere else,
-        so it is refused."""
+        regions of 41; the decomposition built from that partial result is
+        partial by itself, and a net built from it would read 0 everywhere
+        else, so it is refused."""
         net = biased_net([2, 4, 4], 2, seed=0)
         with pytest.raises(BudgetExceededError) as info:
             decompose(net, budget=70)
-        d = build_decomposition(net, info.value.partial, partial=True)
-        assert d.num_regions == 13
+        d = build_decomposition(net, info.value.partial)
+        assert d.partial and d.num_regions == 13
         with pytest.raises(ValueError, match="partial"):
             build_shallow(d)
 
