@@ -179,8 +179,14 @@ def cmd_shap(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.max_w1 < args.min_w1 or args.max_w2 < args.min_w2:
-        raise ValueError("width ranges must satisfy min <= max")
+    for flag, value, least in (
+        ("--min-w1", args.min_w1, 1), ("--min-w2", args.min_w2, 1), ("--w3", args.w3, 1),
+        ("--repeats", args.repeats, 1), ("--seed", args.seed, 0),
+        ("--max-w1", args.max_w1, args.min_w1), ("--max-w2", args.max_w2, args.min_w2),
+    ):
+        if value < least:
+            _diag(f"error: {flag} must be at least {least}, got {value}")
+            return EXIT_USAGE
     rows = 0
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -25,13 +25,13 @@ The parent cell's witness settles one child without a solve, so the work
 grows with the cells found rather than with the 2^width patterns of a
 layer.  Every search program is its parent cell's rows plus one neuron's
 row from :func:`_with_row`, oriented as :func:`_rows` orients it, so a
-leaf's rows are exactly its :func:`global_lp`, and the search settles
-every pattern's witness once (:func:`_witnesses`).
+leaf's rows are exactly its :func:`global_lp`.  A cell holds only its
+open layer's prefix; a pattern leaves the search as a record of its rows,
+its affine model, read off its last prefix, and a witness (:func:`_witnesses`).
 
-Each surviving pattern yields a region: its affine model, read off its last
-prefix, that witness, and the minimal set of oriented half-spaces
-``h . x > c`` bounding it.  Half-spaces keep their orientation (both sides
-of one hyperplane are separate table entries) and are unit-normalised.
+Each record yields a region: that model and witness, and the minimal set
+of oriented half-spaces ``h . x > c`` its rows give, each unit-normalised
+and oriented (both sides of one hyperplane are separate table entries).
 A region's duplicate rows are merged within ``TOL_CANON``; the regions'
 conditions share one table entry when their floats are equal.  A
 :class:`Decomposition` holds the table and the regions as arrays, the
@@ -302,10 +302,13 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class PatternRecord:
-    """A realisable pattern with its per-layer affine maps and a witness."""
+    """A realisable pattern as the search leaves it: its rows ``(A, b, strict)``,
+    bitwise its :func:`global_lp`, its model ``x -> alpha @ x + beta``, a witness."""
 
     pattern: ActivationPattern
-    prefixes: tuple[GlobalAffinePrefix, ...]
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray]
+    alpha: np.ndarray
+    beta: np.ndarray
     witness: np.ndarray
 
 
@@ -470,8 +473,8 @@ def _settled(z: float) -> int | None:
 class _Cell:
     """A live cell: the inputs realising a pattern prefix.
 
-    The last layer of ``bits`` may be incomplete; ``chain`` holds the
-    prefix's affine maps, ``rows`` its program ``(A, b, strict)`` in
+    The last layer of ``bits`` may be incomplete; ``prefix`` maps the input
+    to its pre-activations, ``rows`` is the program ``(A, b, strict)`` in
     :func:`_rows`' order.  ``witness`` clears every strict row by more than
     ``TOL_SLACK`` and meets the closed ones; it is None when a solver failure
     kept the cell.  ``empty`` holds the ``(neuron, bit)`` children of the
@@ -480,20 +483,21 @@ class _Cell:
     """
 
     bits: tuple[tuple[int, ...], ...]
-    chain: tuple[GlobalAffinePrefix, ...]
+    prefix: GlobalAffinePrefix
     rows: tuple[np.ndarray, np.ndarray, np.ndarray]
     witness: np.ndarray | None
     empty: frozenset[tuple[int, int]] = frozenset()
 
 
 class _Search:
-    """LP budget, counters and finished cells of one enumeration."""
+    """LP budget, counters and finished cells of one enumeration of ``net``."""
 
-    def __init__(self, depth: int, budget: int | None):
+    def __init__(self, net: MLPNetwork, budget: int | None):
         self.budget = budget
+        self.output = net.output
         self.lps = 0
         self.fallbacks = 0
-        self.layer_cells = [0] * depth
+        self.layer_cells = [0] * net.depth
         self.leaves: list[_Cell] = []
 
     def _charge(self, count: int) -> int:
@@ -566,7 +570,7 @@ class _Search:
         """
         plans = []  # (cell, prefix of ``layer``, settled bit per neuron, tested neurons)
         for cell in cells:
-            nxt, w = _next_prefix(cell.chain[-1], cell.bits[-1], layer), cell.witness
+            nxt, w = _next_prefix(cell.prefix, cell.bits[-1], layer), cell.witness
             zs = [] if w is None else [float(row @ w + o) for row, o in zip(nxt.matrix, nxt.offset)]
             settled = list(map(_settled, zs))
             plans.append((cell, nxt, settled, [j for j, bit in enumerate(settled) if bit is not None]))
@@ -590,12 +594,11 @@ class _Search:
                     self.fallbacks += res is None
                 elif res is not None and res.status is not Feasibility.INTERIOR:
                     empty.add((j, 1 - settled[j]))
-            bits, chain = cell.bits + ((),), cell.chain + (nxt,)
-            opened.append((_Cell(bits, chain, cell.rows, cell.witness, frozenset(empty)), split))
+            opened.append((_Cell(cell.bits + ((),), nxt, cell.rows, cell.witness, frozenset(empty)), split))
         return opened
 
     def result(self, *, partial: bool = False) -> EnumerationResult:
-        """Records of the finished cells, with witnesses from :func:`_witnesses` of their rows.
+        """Records of the finished cells: rows, models and :func:`_witnesses` of the rows.
 
         A cell a solver failure kept and no point certifies raises
         :class:`UnwrapError`; a ``partial`` result, built and flagged when the
@@ -609,9 +612,8 @@ class _Search:
                 "pattern kept after an iteration-limit failure could not be certified"
             )
         records = [
-            PatternRecord(ActivationPattern(cell.bits), cell.chain, w)
-            for cell, w in zip(self.leaves, points)
-            if w is not None
+            PatternRecord(ActivationPattern(c.bits), c.rows, *_model(c.prefix, c.bits[-1], self.output), w)
+            for c, w in zip(self.leaves, points) if w is not None
         ]
         records.sort(key=lambda rec: rec.pattern.bits())
         return EnumerationResult(
@@ -630,8 +632,8 @@ def enumerate_feasible(net: MLPNetwork, *, budget: int | None = None) -> Enumera
     dropped when its rows have no strict interior.  Rows only shrink a cell,
     so a dropped child has no realisable extension.  A solver failure keeps
     the child without a witness and is counted in ``solver_fallbacks``.
-    Every record carries a witness (see :func:`_witnesses`); a kept pattern
-    that no point certifies raises :class:`UnwrapError`.
+    Records carry rows, model and witness (:class:`PatternRecord`); a kept
+    pattern that no point certifies raises :class:`UnwrapError`.
 
     The search is layer-synchronous at layer boundaries.  Each layer is
     split depth-first, one cell at a time; the cells completing layer ``l -
@@ -660,26 +662,26 @@ def enumerate_feasible(net: MLPNetwork, *, budget: int | None = None) -> Enumera
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be at least 0, got {budget}")
     L, n = net.depth, net.input_dim
+    root = (np.zeros((0, n)), np.zeros(0), np.zeros(0, dtype=bool))
     if L == 0:
-        record = PatternRecord(ActivationPattern(()), (), np.zeros(n))
+        record = PatternRecord(ActivationPattern(()), root, *_model(None, (), net.output), np.zeros(n))
         return EnumerationResult((record,), (), 0)
 
-    search = _Search(L, budget)
+    search = _Search(net, budget)
     first = GlobalAffinePrefix(net.hidden[0].weights, net.hidden[0].bias, 1)
-    root = (np.zeros((0, n)), np.zeros(0), np.zeros(0, dtype=bool))
-    stack = [(_Cell(((),), (first,), root, np.zeros(n)), None)]
+    stack = [(_Cell(((),), first, root, np.zeros(n)), None)]
     for layer, width in enumerate(net.hidden_widths, 1):
         done = search.leaves if layer == L else []
         while stack:
             cell, split = stack.pop()
-            bits, chain, rows, w, empty = cell.bits, cell.chain, cell.rows, cell.witness, cell.empty
+            bits, prefix, rows, w, empty = cell.bits, cell.prefix, cell.rows, cell.witness, cell.empty
             i = len(bits[-1])
-            row, shift = chain[-1].matrix[i], chain[-1].offset[i]
+            row, shift = prefix.matrix[i], prefix.offset[i]
             settled = None if w is None else _settled(float(row @ w + shift))
             for bit in (0, 1):
                 if (i, bit) in empty:
                     continue
-                child, grown = bits[:-1] + (bits[-1] + (bit,),), _with_row(rows, chain[-1], i, bit)
+                child, grown = bits[:-1] + (bits[-1] + (bit,),), _with_row(rows, prefix, i, bit)
                 if bit == settled:
                     keep, witness = True, w
                 elif split is not None:
@@ -688,7 +690,7 @@ def enumerate_feasible(net: MLPNetwork, *, budget: int | None = None) -> Enumera
                     keep, witness = search.interior(grown, w)
                 if not keep:
                     continue
-                cell = _Cell(child, chain, grown, witness, empty)
+                cell = _Cell(child, prefix, grown, witness, empty)
                 if i + 1 < width:
                     stack.append((cell, None))
                 else:
@@ -703,47 +705,45 @@ def enumerate_feasible(net: MLPNetwork, *, budget: int | None = None) -> Enumera
 # Region models and half-spaces
 
 
-def _model(chain, bits, net: MLPNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Affine model ``(alpha, beta)`` of a full pattern from its prefix chain."""
-    if not chain:
-        return np.array(net.output.weights), np.array(net.output.bias)
-    out = _next_prefix(chain[-1], bits[-1], net.output)
+def _model(prefix, gate_bits, output: Layer) -> tuple[np.ndarray, np.ndarray]:
+    """Affine model ``(alpha, beta)`` from a pattern's last prefix (None at depth 0) and bits."""
+    if prefix is None:
+        return np.array(output.weights), np.array(output.bias)
+    out = _next_prefix(prefix, gate_bits, output)
     return out.matrix, out.offset
 
 
 def local_linear_model(pattern: ActivationPattern, net: MLPNetwork):
     """Affine model ``x -> alpha @ x + beta`` of the pattern's region."""
     if net.depth == 0:
-        return _model((), (), net)
+        return _model(None, (), net.output)
     layers = _bits_of(pattern)
     if len(layers) != net.depth:
         raise DimensionMismatchError(
             f"pattern has {len(layers)} layers, network has {net.depth}"
         )
-    return _model(_prefix_chain(layers, net), layers, net)
+    return _model(_prefix_chain(layers, net)[-1], layers[-1], net.output)
 
 
-def _candidates(rec: PatternRecord, dim: int) -> tuple[np.ndarray, list[float], list[bool]]:
+def _candidates(rec: PatternRecord) -> tuple[np.ndarray, list[float], list[bool]]:
     """A region's candidate conditions ``(normals, offsets, any_strict)``.
 
-    Each row ``A[i] . x <= b[i]`` of the pattern's program gives the
+    Each row ``A[i] . x <= b[i]`` of the record's rows gives the
     condition ``-A[i] . x > -b[i]``, unit-normalised.  Rows within
     ``TOL_CANON`` of an earlier candidate merge into it, in row order;
     ``any_strict`` tells whether a strict (bit 1) row produced the
     candidate.
     """
-    if not rec.prefixes:
-        return np.zeros((0, dim)), [], []
-    A, b, strict = _rows(rec.prefixes, rec.pattern.layers)
+    A, b, strict = rec.rows
     lengths = _row_lengths(A)
     live = lengths > TOL_DEGENERATE
     for i in np.flatnonzero(~live):
         bit = int(strict[i])
         shift = float(b[i] if bit else -b[i])
         if not (shift > -TOL_CANON if bit else shift <= TOL_CANON):
-            layer, neuron = [(p.layer, j) for p in rec.prefixes for j in range(len(p.offset))][i]
+            names = [(l, j) for l, g in enumerate(rec.pattern.layers, 1) for j in range(len(g))]
             raise InconsistentConstantRowError(
-                f"layer {layer} neuron {neuron}: zero row with "
+                f"layer {names[i][0]} neuron {names[i][1]}: zero row with "
                 f"offset {shift} contradicts bit {bit}"
             )
     normals = -A[live] / lengths[live, None]
@@ -848,7 +848,7 @@ def extract_halfspaces(records: Sequence[PatternRecord], net: MLPNetwork):
     # each entry's id and the floats of its first occurrence, by exact floats
     index: dict[tuple[bytes, float], tuple[int, np.ndarray, float]] = {}
     ids, owned, starts = [], [], [0]
-    candidates = [_candidates(rec, n) for rec in records]
+    candidates = [_candidates(rec) for rec in records]
     lps = [LinearProgram(*_closed_rows(c[0], c[1], rec.witness)) for c, rec in zip(candidates, records)]
     for (normals, offsets, any_strict), active in zip(candidates, _facets(lps)):
         for j in active:
@@ -864,15 +864,14 @@ def extract_halfspaces(records: Sequence[PatternRecord], net: MLPNetwork):
 
 
 def build_decomposition(net: MLPNetwork, enumeration: EnumerationResult) -> Decomposition:
-    """Assemble regions (models, witnesses, half-spaces) from found patterns;
-    the decomposition is partial when ``enumeration`` is."""
+    """Assemble regions from found patterns (models, witnesses, half-spaces of
+    their rows); the decomposition is partial when ``enumeration`` is."""
     records = enumeration.records
     normals, offsets, region_rows = extract_halfspaces(records, net)
-    models = [_model(rec.prefixes, rec.pattern.layers, net) for rec in records]
     return Decomposition(
         net.input_dim, net.output_dim, normals, offsets,
         [rec.pattern.bits() for rec in records], net.hidden_widths,
-        [alpha for alpha, _ in models], [beta for _, beta in models],
+        [rec.alpha for rec in records], [rec.beta for rec in records],
         [rec.witness for rec in records], region_rows, partial=enumeration.partial,
     )
 

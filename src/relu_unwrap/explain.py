@@ -121,15 +121,26 @@ def _hosts(d: Decomposition, X: np.ndarray):
     return hosts, lost
 
 
+def _point(d: Decomposition, x) -> np.ndarray:
+    """``x`` as a (1, n) float row; :class:`DimensionMismatchError` unless
+    it has ``d.input_dim`` coordinates."""
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    if x.shape[1] != d.input_dim:
+        raise DimensionMismatchError(
+            f"point has {x.shape[1]} coordinates, decomposition has {d.input_dim}"
+        )
+    return x
+
+
 def region_contains(d: Decomposition, region: int, x) -> bool:
     """Membership test honouring face ownership.
 
     A point belongs to a region when every bounding condition holds
     strictly, or lies (within ``_EPS_FACE``) on faces the region owns.
-    Raises :class:`NonFiniteError` for a NaN or infinite coordinate.
+    Raises :class:`DimensionMismatchError` for a point of another length
+    and :class:`NonFiniteError` for a NaN or infinite coordinate.
     """
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    return bool(_inside(d, region, x)[0])
+    return bool(_inside(d, region, _point(d, x))[0])
 
 
 def locate_many(d: Decomposition, X) -> np.ndarray:
@@ -169,12 +180,7 @@ def locate_region(d: Decomposition, x) -> int:
     :class:`PointNotLocatedError` carrying the nearest region by violation.
     A NaN or infinite coordinate raises :class:`NonFiniteError`.
     """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape[0] != d.input_dim:
-        raise DimensionMismatchError(
-            f"point has {x.shape[0]} coordinates, decomposition has {d.input_dim}"
-        )
-    return int(locate_many(d, x[None, :])[0])
+    return int(locate_many(d, _point(d, x))[0])
 
 
 def exact_shap(d: Decomposition, x, background) -> ShapResult:

@@ -536,6 +536,28 @@ class TestBench:
         assert rows == [f"2x{w2}x3,0,-1.000000,5,0" for w2 in (2, 3)]
         assert stderr.splitlines() == [f"budget exceeded for 2x{w2}x3 seed 0" for w2 in (2, 3)]
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--repeats", "-2"], "--repeats must be at least 1, got -2"),
+            (["--repeats", "0"], "--repeats must be at least 1, got 0"),
+            (["--w3", "0"], "--w3 must be at least 1, got 0"),
+            (["--min-w1", "0"], "--min-w1 must be at least 1, got 0"),
+            (["--min-w2", "-1"], "--min-w2 must be at least 1, got -1"),
+            (["--seed", "-1"], "--seed must be at least 0, got -1"),
+            (["--min-w1", "4", "--max-w1", "3"], "--max-w1 must be at least 4, got 3"),
+            (["--min-w2", "3", "--max-w2", "2"], "--max-w2 must be at least 3, got 2"),
+        ],
+    )
+    def test_bad_arguments_are_usage_errors(self, capsys, tmp_path, args, message):
+        """A bad count, width, seed or width range prints one error line and
+        exits 64 before ``--out`` is opened."""
+        out = tmp_path / "bench.csv"
+        out.write_text("kept\n", encoding="utf-8")
+        code, stdout, stderr = run(capsys, "bench", *args, "--out", str(out))
+        assert (code, stdout, stderr) == (64, "", f"error: {message}\n")
+        assert out.read_text(encoding="utf-8") == "kept\n"
+
 
 class TestPlot:
     @pytest.fixture

@@ -400,17 +400,20 @@ class TestEnumeration:
         ids=["biased[2,4,4,3]", "[2,8,8,8]", "biased[2,4,4,3]-cut"],
     )
     def test_search_builds_no_whole_pattern_rows(self, monkeypatch, net, budget):
-        """Every search program is its parent cell's rows plus one row, so
-        the whole-pattern builder ``_rows`` is never called, nor by the
-        partial result of a budget cut that finished some patterns."""
+        """Every search program is its parent cell's rows plus one row, and
+        the records carry their leaves' rows on to the table, so the
+        whole-pattern builder ``_rows`` is never called in ``decompose``,
+        nor for the partial result of a budget cut that finished some
+        patterns."""
         real, calls = decomposition._rows, []
         monkeypatch.setattr(decomposition, "_rows", lambda *args: calls.append(args) or real(*args))
         if budget is None:
-            enumerate_feasible(net)
+            assert decompose(net).num_regions
         else:
             with pytest.raises(BudgetExceededError) as info:
-                enumerate_feasible(net, budget=budget)
+                decompose(net, budget=budget)
             assert info.value.partial.records
+            assert decomposition.build_decomposition(net, info.value.partial).partial
         assert calls == []
 
     @pytest.mark.parametrize(
@@ -422,27 +425,42 @@ class TestEnumeration:
         ],
         ids=["biased[2,4,4,3]", "biased[3,5,5,3]", "[2,8,8,8]"],
     )
-    def test_leaf_rows_are_their_global_lp(self, monkeypatch, net):
-        """A leaf's rows, grown one split at a time, are bitwise the program
+    def test_leaf_rows_are_their_global_lp(self, net):
+        """A record's rows, grown one split at a time, are bitwise the program
         :func:`global_lp` builds for its pattern, whose bits its strict flags
         spell."""
-        real, seen = decomposition._witnesses, []
-
-        def spy(rows, known=None):
-            seen.extend(rows)
-            return real(rows, known)
-
-        monkeypatch.setattr(decomposition, "_witnesses", spy)
-        res = enumerate_feasible(net)
         cuts = list(itertools.accumulate(net.hidden_widths, initial=0))
-        patterns = []
-        for A, b, strict in seen:
+        for rec in enumerate_feasible(net).records:
+            A, b, strict = rec.rows
             bits = strict.astype(int).tolist()
-            patterns.append(ActivationPattern([bits[a:z] for a, z in zip(cuts, cuts[1:])]))
-            want = global_lp(patterns[-1], net)
+            assert rec.pattern == ActivationPattern([bits[a:z] for a, z in zip(cuts, cuts[1:])])
+            want = global_lp(rec.pattern, net)
             assert A.tobytes() == want.A.tobytes() and A.shape == want.A.shape
             assert b.tobytes() == want.b.tobytes() and strict.tobytes() == want.strict.tobytes()
-        assert sorted(patterns, key=ActivationPattern.bits) == [rec.pattern for rec in res.records]
+
+    @pytest.mark.parametrize(
+        "net,budgets",
+        [
+            (biased_net([2, 4, 4, 3], 2, seed=0), (None, 230, 260)),
+            (biased_net([3, 5, 5, 3], 2, seed=0), (None,)),
+            (random_init([2, 8, 8, 8], 1, seed=0), (None,)),
+            (MLPNetwork((), Layer(np.array([[2.0, -1.0]]), np.array([0.5]))), (None,)),
+        ],
+        ids=["biased[2,4,4,3]", "biased[3,5,5,3]", "[2,8,8,8]", "no-hidden"],
+    )
+    def test_record_models_are_their_local_linear_model(self, net, budgets):
+        """Each record's ``(alpha, beta)`` is bitwise the model
+        :func:`local_linear_model` builds for its pattern, also on the
+        partial records of a budget cut."""
+        for budget in budgets:
+            try:
+                records = enumerate_feasible(net, budget=budget).records
+            except BudgetExceededError as exc:
+                records = exc.partial.records
+            assert records
+            for rec in records:
+                for got, want in zip((rec.alpha, rec.beta), local_linear_model(rec.pattern, net)):
+                    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
     @pytest.mark.parametrize(
         "net",
@@ -858,7 +876,7 @@ def region_programs(net):
     sequential loop keeps."""
     lps, wants = [], []
     for rec in enumerate_feasible(net).records:
-        normals, offsets, _ = decomposition._candidates(rec, net.input_dim)
+        normals, offsets, _ = decomposition._candidates(rec)
         lps.append(closed_lp(normals, offsets).shifted(rec.witness))
         wants.append(sequential_facets(normals, offsets))
     return lps, wants
@@ -877,7 +895,7 @@ class TestFacetPruning:
         net = biased_net([2, 4, 4], 2, seed=0)
         cases = []
         for rec in enumerate_feasible(net).records:
-            normals, offsets, _ = decomposition._candidates(rec, net.input_dim)
+            normals, offsets, _ = decomposition._candidates(rec)
             cases.append((closed_lp(normals, offsets), rec.witness, sequential_facets(normals, offsets)))
         wants = [want for _, _, want in cases]
         calls = []
@@ -1205,7 +1223,7 @@ def test_closed_rows_are_the_shifted_closed_program(name, make):
     net = make()
     d = decompose(net)
     ids, _, starts = d.region_rows
-    cases = [(*decomposition._candidates(rec, net.input_dim)[:2], rec.witness)
+    cases = [(*decomposition._candidates(rec)[:2], rec.witness)
              for rec in enumerate_feasible(net).records]
     cases += [(d.halfspace_normals[ids[a:b]], d.halfspace_offsets[ids[a:b]], w)
               for a, b, w in zip(starts, starts[1:], d.witnesses)]
@@ -1321,8 +1339,10 @@ def test_contradicting_constant_row_is_reported():
     """A zero row whose offset contradicts its bit names its layer and neuron."""
     first = global_prefix(((1, 0),), MLPNetwork((Layer(np.eye(2), np.zeros(2)),), Layer(np.eye(2), np.zeros(2))))
     dead = decomposition.GlobalAffinePrefix(np.zeros((2, 2)), np.array([0.5, -0.5]), 2)
+    model = (np.zeros((1, 2)), np.zeros(1))
     for bits, neuron in ((((1, 0), (1, 1)), 1), (((1, 0), (0, 0)), 0)):
-        rec = PatternRecord(ActivationPattern(bits), (first, dead), np.array([1.0, -1.0]))
+        rows = decomposition._rows((first, dead), bits)
+        rec = PatternRecord(ActivationPattern(bits), rows, *model, np.array([1.0, -1.0]))
         with pytest.raises(InconsistentConstantRowError, match=f"layer 2 neuron {neuron}:"):
             decomposition.extract_halfspaces([rec], random_init([2, 2, 2], 1, seed=0))
 

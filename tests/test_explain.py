@@ -140,6 +140,17 @@ class TestRegionContains:
         # the face x2 = 0 belongs to the inactive side, not to (1,1)
         assert not region_contains(d, r11, [2.0, 0.0])
 
+    @pytest.mark.parametrize("x", [[0.5, -1.0, 2.0], [0.5]], ids=["3", "1"])
+    def test_dimension_checked_as_locate_region_checks_it(self, x):
+        """A point of another length raises as :func:`locate_region` raises."""
+        d = decompose(biased_net([2, 4, 4], 2, seed=0))
+        with pytest.raises(DimensionMismatchError) as want:
+            locate_region(d, x)
+        for r in (0, d.num_regions - 1):
+            with pytest.raises(DimensionMismatchError) as got:
+                region_contains(d, r, x)
+            assert str(got.value) == str(want.value) == f"point has {len(x)} coordinates, decomposition has 2"
+
 
 class TestExactShap:
     def test_linear_model_formula(self, triangle):
