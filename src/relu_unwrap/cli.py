@@ -4,9 +4,13 @@ Subcommands: decompose, shallowize, verify, shap, bench, plot.  Every
 command writes a single line of JSON to standard output and keeps
 diagnostics on standard error.  Exit codes: 0 success, 1 input error,
 2 pattern-search budget exceeded, 3 verification failure, 64 usage error.
-All randomness flows from --seed flags, so runs are reproducible.  The
-pattern search runs in one thread: --threads is accepted for compatibility
-and ignored, and the RELU_UNWRAP_THREADS environment variable is never read.
+Usage errors are found before any file is read or opened: besides what
+argparse refuses, --budget, --samples and --seed must be at least 0, --tol
+and --range finite and at least 0, --min-w1, --min-w2, --w3 and --repeats
+at least 1, and --max-w1 and --max-w2 at least their --min- flags.  All
+randomness flows from --seed flags, so runs are reproducible.  The pattern
+search runs in one thread: --threads is accepted for compatibility and
+ignored, and the RELU_UNWRAP_THREADS environment variable is never read.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 import time
@@ -38,6 +43,14 @@ EXIT_INPUT = 1
 EXIT_BUDGET = 2
 EXIT_VERIFY = 3
 EXIT_USAGE = 64
+
+# the least value of each numeric flag, or the flag holding it; a float flag
+# must also be finite.  main checks them in this order before a command runs.
+_FLAG_LEAST = {
+    "--budget": 0, "--samples": 0, "--seed": 0, "--tol": 0, "--range": 0,
+    "--min-w1": 1, "--min-w2": 1, "--w3": 1, "--repeats": 1,
+    "--max-w1": "--min-w1", "--max-w2": "--min-w2",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,13 +145,6 @@ def cmd_shallowize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.samples < 0:
-        _diag(f"error: --samples must be at least 0, got {args.samples}")
-        return EXIT_USAGE
-    for flag, value in (("--tol", args.tol), ("--range", args.range)):
-        if not (np.isfinite(value) and value >= 0.0):
-            _diag(f"error: {flag} must be finite and at least 0, got {value}")
-            return EXIT_USAGE
     net = load_model(args.model)
     shallow = load_shallow(args.shallow)
     if (net.input_dim, net.output_dim) != (shallow.input_dim, shallow.output_dim):
@@ -179,14 +185,6 @@ def cmd_shap(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    for flag, value, least in (
-        ("--min-w1", args.min_w1, 1), ("--min-w2", args.min_w2, 1), ("--w3", args.w3, 1),
-        ("--repeats", args.repeats, 1), ("--seed", args.seed, 0),
-        ("--max-w1", args.max_w1, args.min_w1), ("--max-w2", args.max_w2, args.min_w2),
-    ):
-        if value < least:
-            _diag(f"error: {flag} must be at least {least}, got {value}")
-            return EXIT_USAGE
     rows = 0
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -333,9 +331,16 @@ def main(argv=None) -> int:
     if getattr(args, "fn", None) is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    if getattr(args, "budget", 0) < 0:
-        _diag(f"error: --budget must be at least 0, got {args.budget}")
-        return EXIT_USAGE
+    given = {"--" + name.replace("_", "-"): value for name, value in vars(args).items()}
+    for flag, least in _FLAG_LEAST.items():
+        if flag not in given:
+            continue
+        got = given[flag]
+        least = given[least] if isinstance(least, str) else least
+        finite = isinstance(got, float)
+        if got < least or finite and not math.isfinite(got):
+            _diag(f"error: {flag} must be {'finite and ' if finite else ''}at least {least}, got {got}")
+            return EXIT_USAGE
     try:
         return args.fn(args)
     except BudgetExceededError as exc:

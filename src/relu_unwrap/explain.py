@@ -17,18 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import Decomposition, _closed_rows, _sort_keys
-from .errors import (
-    DimensionMismatchError,
-    NonFiniteError,
-    PointNotLocatedError,
-    UnwrapError,
-)
+from .errors import DimensionMismatchError, PointNotLocatedError, UnwrapError
 from .lp import Extremum, LinearProgram, _alone, extremize
+from .network import _points
 
 _EPS_FACE = 1e-12  # margin below which a point counts as on a face
 _HOST_BLOCK = 1024  # points per block of _hosts, which bounds its margins
 
 _SHAP_DIM_CAP = 20  # brute force enumerates 2^n coalitions
+
+_POINT = "point has {k} coordinates, decomposition has {n}"  # for network._points
 
 
 @dataclass(frozen=True)
@@ -83,12 +81,17 @@ def _face_ok(margins: np.ndarray, owned: np.ndarray) -> np.ndarray:
     return ~(margins < -_EPS_FACE) & (~(margins <= _EPS_FACE) | owned)
 
 
-def _inside(d: Decomposition, region: int, X: np.ndarray) -> np.ndarray:
-    """Whether each row of X lies in one region, face ownership honoured."""
-    if not np.isfinite(X).all():
-        raise NonFiniteError("query points must be finite")
+def _region(d: Decomposition, region: int) -> int:
+    """``region`` as an index of d's regions, counting from the end if negative."""
+    try:
+        return range(d.num_regions)[region]
+    except IndexError:
+        raise IndexError(f"region {region} out of range") from None
+
+
+def _inside(d: Decomposition, r: int, X: np.ndarray) -> np.ndarray:
+    """Whether each row of X lies in region ``r``, face ownership honoured."""
     ids, owned, starts = d.region_rows
-    r = range(d.num_regions)[region]  # a negative index counts from the end
     run = slice(starts[r], starts[r + 1])
     margins = X @ d.halfspace_normals[ids[run]].T - d.halfspace_offsets[ids[run]]
     return _face_ok(margins, owned[run]).all(axis=1)
@@ -102,8 +105,6 @@ def _hosts(d: Decomposition, X: np.ndarray):
     faces.  Rows go ``_HOST_BLOCK`` at a time.  ``lost`` holds the margins
     of the first row without a host in ``region_rows`` order, else None.
     """
-    if not np.isfinite(X).all():
-        raise NonFiniteError("query points must be finite")
     ids, owned, starts = d.region_rows
     hosts = np.full(X.shape[0], -1, dtype=np.intp)
     lost = None
@@ -121,26 +122,15 @@ def _hosts(d: Decomposition, X: np.ndarray):
     return hosts, lost
 
 
-def _point(d: Decomposition, x) -> np.ndarray:
-    """``x`` as a (1, n) float row; :class:`DimensionMismatchError` unless
-    it has ``d.input_dim`` coordinates."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    if x.shape[1] != d.input_dim:
-        raise DimensionMismatchError(
-            f"point has {x.shape[1]} coordinates, decomposition has {d.input_dim}"
-        )
-    return x
-
-
 def region_contains(d: Decomposition, region: int, x) -> bool:
     """Membership test honouring face ownership.
 
     A point belongs to a region when every bounding condition holds
-    strictly, or lies (within ``_EPS_FACE``) on faces the region owns.
-    Raises :class:`DimensionMismatchError` for a point of another length
-    and :class:`NonFiniteError` for a NaN or infinite coordinate.
+    strictly, or lies (within ``_EPS_FACE``) on faces the region owns.  A
+    negative ``region`` counts from the end, as in :func:`hypercube`.
     """
-    return bool(_inside(d, region, _point(d, x))[0])
+    x = _points(x, d.input_dim, _POINT, one=True)
+    return bool(_inside(d, _region(d, region), x)[0])
 
 
 def locate_many(d: Decomposition, X) -> np.ndarray:
@@ -148,21 +138,28 @@ def locate_many(d: Decomposition, X) -> np.ndarray:
     finds it.
 
     Raises :class:`PointNotLocatedError` for the first row no region
-    contains, and :class:`NonFiniteError` if any coordinate is NaN or
-    infinite.
+    contains.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != d.input_dim:
-        raise DimensionMismatchError(
-            f"expected points shaped (N, {d.input_dim}), got {X.shape}"
-        )
+    return _locate(d, _points(X, d.input_dim))
+
+
+def locate_region(d: Decomposition, x) -> int:
+    """Index of the region containing x.
+
+    Strict containment wins; points on a face resolve to the region owning
+    it.  If nothing matches (a numerically ambiguous boundary point), raises
+    :class:`PointNotLocatedError` carrying the nearest region by violation.
+    """
+    return int(_locate(d, _points(x, d.input_dim, _POINT, one=True))[0])
+
+
+def _locate(d: Decomposition, X: np.ndarray) -> np.ndarray:
+    """:func:`locate_many` of points already read by ``_points``."""
     hosts, lost = _hosts(d, X)
     if lost is not None:
         i = int(np.argmax(hosts < 0))
         slack = _runs(np.minimum, lost[None], d.region_rows[2], np.inf)[0]
-        # the first region of largest slack; a NaN slack never qualifies
-        valid = slack > -np.inf
-        best = int(np.argmax(np.where(valid, slack, -np.inf))) if valid.any() else None
+        best = int(np.argmax(slack)) if slack.size else None  # the first of largest slack
         worst = -np.inf if best is None else slack[best]
         raise PointNotLocatedError(
             f"point {i} lies on an unowned boundary (worst margin {worst:.3e}); "
@@ -172,40 +169,24 @@ def locate_many(d: Decomposition, X) -> np.ndarray:
     return hosts
 
 
-def locate_region(d: Decomposition, x) -> int:
-    """Index of the region containing x.
-
-    Strict containment wins; points on a face resolve to the region owning
-    it.  If nothing matches (a numerically ambiguous boundary point), raises
-    :class:`PointNotLocatedError` carrying the nearest region by violation.
-    A NaN or infinite coordinate raises :class:`NonFiniteError`.
-    """
-    return int(locate_many(d, _point(d, x))[0])
-
-
 def exact_shap(d: Decomposition, x, background) -> ShapResult:
     """Closed-form SHAP values of the model hosting x.
 
     The background mean is taken over the background points lying in the
     same region; if none do, the full-background mean is used and the result
     is flagged approximate.  phi[i, j] = alpha[j, i] * (x[i] - mu[i]).
-    ``background`` is one point or a (B, n) array; any other shape raises
-    :class:`DimensionMismatchError`.  A NaN or infinite coordinate of x or
-    of a background point raises :class:`NonFiniteError`.
+    ``background`` is one point or a (B, n) array of at least one point.
     """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    bg = np.atleast_2d(np.asarray(background, dtype=np.float64))
-    if bg.size == 0:
+    x = _points(x, d.input_dim, _POINT, one=True)
+    message = "background must be one point or (B, {n}) points, got shape {shape}"
+    bg = _points(np.atleast_2d(background), d.input_dim, message)
+    if len(bg) == 0:
         raise ValueError("background must contain at least one point")
-    if bg.ndim != 2 or bg.shape[1] != d.input_dim:
-        raise DimensionMismatchError(
-            f"background must be one point or (B, {d.input_dim}) points, got shape {bg.shape}"
-        )
-    r = locate_region(d, x)
+    r = int(_locate(d, x)[0])
     inside = bg[_inside(d, r, bg)]
     approximate = len(inside) == 0
     mu = np.mean(bg if approximate else inside, axis=0)
-    phi = d.alphas[r].T * (x - mu)[:, None]
+    phi = d.alphas[r].T * (x[0] - mu)[:, None]
     return ShapResult(phi, r, mu, approximate)
 
 
@@ -251,11 +232,10 @@ def hypercube(d: Decomposition, region: int) -> HypercubeSummary:
     Each coordinate is pushed to both extremes by LP over the region's
     bounding conditions, all 2n extremes in one stacked solve shifted to the
     region's witness; directions without a finite extreme are reported in
-    ``unbounded_dims`` instead of clipped.
+    ``unbounded_dims`` instead of clipped.  A negative ``region`` counts
+    from the end.
     """
-    if not 0 <= region < d.num_regions:
-        raise IndexError(f"region {region} out of range")
-    return _boxes(d, [region])[0]
+    return _boxes(d, [_region(d, region)])[0]
 
 
 def _boxes(d: Decomposition, regions) -> list[HypercubeSummary]:
@@ -338,7 +318,7 @@ def plot_regions_2d(d: Decomposition, points, bounds, out, labels=None):
     x0, y0, x1, y1 = (float(v) for v in bounds)
     if not (x0 < x1 and y0 < y1):
         raise ValueError("bounds must satisfy x0 < x1 and y0 < y1")
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2) if len(points) else np.zeros((0, 2))
+    pts = _points(points, 2)
     if labels is not None and len(labels) != len(pts):
         raise DimensionMismatchError("one label per point required")
 

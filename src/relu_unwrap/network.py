@@ -13,6 +13,12 @@ Model files use the ``relu-mlp-v1`` JSON schema::
 Numbers may use scientific notation.  Files written by :func:`save_model`
 round-trip bit-exactly because floats are serialised with Python's
 shortest-round-trip repr.
+
+Every public entry that takes points, here and in the shallow and explain
+modules, reads them once through :func:`_points`: one point is ``n``
+numbers, a batch an (N, n) array.  Another shape raises
+:class:`DimensionMismatchError`, a NaN or infinite coordinate
+:class:`NonFiniteError`.
 """
 
 from __future__ import annotations
@@ -238,27 +244,30 @@ class Trace:
     output: np.ndarray
 
 
-def _check_input(net: MLPNetwork, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape != (net.input_dim,):
-        raise DimensionMismatchError(
-            f"input has length {x.shape[0]}, network expects {net.input_dim}"
-        )
-    return x
+# messages of _points, given {k} coordinates in {shape} where {n} are expected
+_BATCH = "expected (N, {n}) points, got shape {shape}"
+_POINT = "point has {k} coordinates, network has {n}"
 
 
-def _check_batch(net: MLPNetwork, points) -> np.ndarray:
-    a = np.asarray(points, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != net.input_dim:
-        raise DimensionMismatchError(
-            f"expected (N, {net.input_dim}) points, got shape {a.shape}"
-        )
-    return a
+def _points(values, n: int, message: str = _BATCH, *, one: bool = False) -> np.ndarray:
+    """``values`` as a finite float64 (N, n) batch: an (N, n) array, or with
+    ``one`` a single point of ``n`` coordinates in any shape, as (1, n).
+
+    A wrong shape raises :class:`DimensionMismatchError` with ``message``
+    filled in, a NaN or infinite coordinate :class:`NonFiniteError`; the
+    functions the batch is handed to check nothing again.
+    """
+    a = np.asarray(values, dtype=np.float64)
+    if (a.size != n) if one else (a.ndim != 2 or a.shape[1] != n):
+        raise DimensionMismatchError(message.format(k=a.size, n=n, shape=a.shape))
+    if not np.isfinite(a).all():
+        raise NonFiniteError("points must be finite")
+    return a.reshape(-1, n)
 
 
 def _layers(net: MLPNetwork, a: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Each hidden layer's post-ReLU activations and the output of the (N, n)
-    batch ``a``; a one-point caller passes ``x[None]``."""
+    batch ``a``, as :func:`_points` returns it."""
     activations = []
     for layer in net.hidden:
         a = np.maximum(a @ layer.weights.T + layer.bias, 0.0)
@@ -267,8 +276,8 @@ def _layers(net: MLPNetwork, a: np.ndarray) -> tuple[list[np.ndarray], np.ndarra
 
 
 def forward(net: MLPNetwork, x) -> Trace:
-    """Evaluate the network at ``x`` and keep every hidden activation."""
-    activations, out = _layers(net, _check_input(net, x)[None])
+    """Evaluate the network at the point ``x`` and keep every hidden activation."""
+    activations, out = _layers(net, _points(x, net.input_dim, _POINT, one=True))
     return Trace(tuple(a[0] for a in activations), out[0])
 
 
@@ -280,18 +289,18 @@ def activation_pattern(net: MLPNetwork, x) -> ActivationPattern:
     positive exactly when its ReLU is, so the bits are read off the
     activations.
     """
-    activations, _ = _layers(net, _check_input(net, x)[None])
+    activations, _ = _layers(net, _points(x, net.input_dim, _POINT, one=True))
     return ActivationPattern(tuple(a[0] > 0.0 for a in activations))
 
 
 def forward_many(net: MLPNetwork, points) -> np.ndarray:
     """Vectorised forward pass: ``points`` is (N, n), result is (N, m)."""
-    return _layers(net, _check_batch(net, points))[1]
+    return _layers(net, _points(points, net.input_dim))[1]
 
 
 def pattern_matrix(net: MLPNetwork, points) -> np.ndarray:
     """Concatenated pattern bits of many points as a (N, total_neurons) uint8."""
-    a = _check_batch(net, points)
+    a = _points(points, net.input_dim)
     activations, _ = _layers(net, a)
     return (np.hstack([a[:, :0], *activations]) > 0.0).astype(np.uint8)
 

@@ -75,6 +75,7 @@ from .network import (
     _read_entries,
     _read_ints,
     _read_json,
+    _points,
     forward_many,
 )
 
@@ -425,14 +426,9 @@ def build_shallow(d: Decomposition) -> ShallowNetwork:
 
 
 def eval_shallow(s: ShallowNetwork, x) -> np.ndarray:
-    """Evaluate the shallow network at one finite point.
-
-    A one-row call of :func:`eval_shallow_many`; raises
-    :class:`AmbiguousSelectionError` if two regions contribute to one output
-    coordinate (the point lies on a shared face with a nonzero output there).
-    """
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    return eval_shallow_many(s, x)[0]
+    """Evaluate the shallow network at one point as :func:`eval_shallow_many` does."""
+    message = "point has {k} coordinates, shallow network has {n}"
+    return _eval(s, _points(x, s.input_dim, message, one=True))[0]
 
 
 def eval_shallow_many(s: ShallowNetwork, points) -> np.ndarray:
@@ -450,13 +446,11 @@ def eval_shallow_many(s: ShallowNetwork, points) -> np.ndarray:
     rows feed one output coordinate of a point (a shared face with a nonzero
     output).
     """
-    X = np.asarray(points, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != s.input_dim:
-        raise DimensionMismatchError(
-            f"expected points shaped (N, {s.input_dim}), got {X.shape}"
-        )
-    if not np.isfinite(X).all():
-        raise NonFiniteError("input points must be finite")
+    return _eval(s, _points(points, s.input_dim))
+
+
+def _eval(s: ShallowNetwork, X: np.ndarray) -> np.ndarray:
+    """:func:`eval_shallow_many` of points already read by ``_points``."""
     out = np.empty((X.shape[0], s.output_dim))
     for start in range(0, X.shape[0], EVAL_BLOCK):
         out[start : start + EVAL_BLOCK] = _eval_block(s, X[start : start + EVAL_BLOCK], start)

@@ -267,6 +267,14 @@ class TestVerify:
         assert (code, stdout) == (64, "")
         assert "--samples must be at least 0, got -1" in stderr
 
+    def test_negative_seed_is_a_usage_error(self, capsys, tmp_path):
+        """Refused before any file is read: the model does not exist."""
+        missing = str(tmp_path / "missing.json")
+        code, stdout, stderr = run(
+            capsys, "verify", "--model", missing, "--shallow", missing, "--seed", "-1"
+        )
+        assert (code, stdout, stderr) == (64, "", "error: --seed must be at least 0, got -1\n")
+
     @pytest.mark.parametrize(
         "flag,value,shown",
         [
@@ -435,6 +443,15 @@ class TestShap:
         )
         assert code == 1 and stdout == ""
 
+    def test_unparsable_point_exit_1(self, capsys, tmp_path, linear_decomp_file):
+        bg = tmp_path / "bg.csv"
+        bg.write_text("0.0,0.0\n")
+        code, stdout, stderr = run(
+            capsys, "shap", "--decomp", linear_decomp_file, "--point", "1,x", "--background", str(bg)
+        )
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: invalid point '1,x': could not convert string to float: 'x'\n"
+
     def test_nan_payload_not_printed(self, capsys, tmp_path, linear_decomp_file, monkeypatch):
         """stdout is strict JSON: a payload holding NaN is exit 1 with nothing printed."""
         nan_result = ShapResult(np.full((2, 1), np.nan), 0, np.zeros(2), False)
@@ -601,6 +618,30 @@ class TestPlot:
         )
         assert code == 0
         assert out.exists()
+
+    def test_points_file_skips_comments_and_blank_lines(self, capsys, tmp_path, demo_decomp_file):
+        pts, out = tmp_path / "pts.csv", tmp_path / "plot.svg"
+        pts.write_text("# x,y,label\n\n1.0,1.0,first\n   \n# more\n-1.5,-1.0\n")
+        argv = ["plot", "--decomp", demo_decomp_file, "--points", str(pts)]
+        code, stdout, _ = run(capsys, *argv, "--bounds", "-2,-2,2,2", "--out", str(out))
+        assert (code, json.loads(stdout)["points"]) == (0, 2)
+        texts = [el.text for el in ET.parse(out).getroot().iter() if el.tag.endswith("text")]
+        assert texts == ["first", None]  # an empty label is an empty text element
+
+    def test_points_line_of_one_field_exit_1(self, capsys, tmp_path, demo_decomp_file):
+        pts, out = tmp_path / "pts.csv", tmp_path / "plot.svg"
+        pts.write_text("1.0,1.0\n# next\n2.0\n")
+        argv = ["plot", "--decomp", demo_decomp_file, "--points", str(pts)]
+        code, stdout, stderr = run(capsys, *argv, "--bounds", "-2,-2,2,2", "--out", str(out))
+        assert (code, stdout, stderr) == (1, "", f"error: {pts}:3: expected at least x,y\n")
+        assert not out.exists()
+
+    def test_bounds_of_three_numbers_exit_1(self, capsys, tmp_path, demo_decomp_file):
+        out = tmp_path / "plot.svg"
+        argv = ["plot", "--decomp", demo_decomp_file, "--bounds", "1,2,3", "--out", str(out)]
+        code, stdout, stderr = run(capsys, *argv)
+        assert (code, stdout, stderr) == (1, "", "error: --bounds needs x0,y0,x1,y1\n")
+        assert not out.exists()
 
     def test_three_input_decomposition_exit_1(self, capsys, tmp_path):
         model = tmp_path / "m3.json"

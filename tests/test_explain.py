@@ -1,6 +1,7 @@
 """Feature attributions, region geometry summaries, and the 2-D plot."""
 
 import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -14,13 +15,19 @@ from relu_unwrap import (
     OrientedHalfspace,
     PointNotLocatedError,
     Region,
+    activation_pattern,
     brute_force_shap,
+    build_shallow,
     decompose,
+    eval_shallow,
+    eval_shallow_many,
     exact_shap,
     forward,
+    forward_many,
     hypercube,
     locate_many,
     locate_region,
+    pattern_matrix,
     plot_regions_2d,
     random_init,
     region_contains,
@@ -215,6 +222,14 @@ class TestExactShap:
         with pytest.raises(DimensionMismatchError, match="one point or"):
             exact_shap(triangle, [0.5, 0.5], np.full(shape, 0.5))
 
+    def test_empty_background(self, triangle):
+        """A (0, n) background is refused as empty; a bare empty list has
+        no point's shape."""
+        with pytest.raises(ValueError, match="^background must contain at least one point$"):
+            exact_shap(triangle, [0.5, 0.5], np.zeros((0, 2)))
+        with pytest.raises(DimensionMismatchError, match=r"got shape \(1, 0\)$"):
+            exact_shap(triangle, [0.5, 0.5], [])
+
     def test_jsonable_payload(self, triangle):
         res = exact_shap(triangle, [0.5, 1.0], [[1.0, 0.5]])
         doc = res.to_jsonable()
@@ -224,24 +239,74 @@ class TestExactShap:
         assert doc["approximate"] is False
 
 
+def _point_entries(net, tmp_path):
+    """Every public entry that takes points, by name, as (form, call): form
+    "one" takes one point, "many" an (N, n) batch, "background" either."""
+    d = decompose(net)
+    s = build_shallow(d)
+    svg = str(tmp_path / "p.svg")
+    return {
+        "forward": ("one", lambda x: forward(net, x)),
+        "activation_pattern": ("one", lambda x: activation_pattern(net, x)),
+        "forward_many": ("many", lambda X: forward_many(net, X)),
+        "pattern_matrix": ("many", lambda X: pattern_matrix(net, X)),
+        "eval_shallow": ("one", lambda x: eval_shallow(s, x)),
+        "eval_shallow_many": ("many", lambda X: eval_shallow_many(s, X)),
+        "locate_region": ("one", lambda x: locate_region(d, x)),
+        "locate_many": ("many", lambda X: locate_many(d, X)),
+        "region_contains": ("one", lambda x: region_contains(d, 0, x)),
+        "exact_shap": ("one", lambda x: exact_shap(d, x, [[1.0, 1.0]])),
+        "exact_shap background": ("background", lambda bg: exact_shap(d, [1.0, 1.0], bg)),
+        "plot_regions_2d": ("many", lambda X: plot_regions_2d(d, X, (-2, -2, 2, 2), svg)),
+    }
+
+
+_ENTRIES = [
+    "forward", "activation_pattern", "forward_many", "pattern_matrix", "eval_shallow",
+    "eval_shallow_many", "locate_region", "locate_many", "region_contains", "exact_shap",
+    "exact_shap background", "plot_regions_2d",
+]
+_OWNERS = {"forward": "network", "activation_pattern": "network", "eval_shallow": "shallow network"}
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_points_rejected(demo_net_m2, tmp_path, bad):
-    """A NaN or infinite coordinate is refused wherever points meet the table."""
-    d = decompose(demo_net_m2)
+    """A NaN or infinite coordinate is refused wherever points enter, before
+    any arithmetic on it (no numpy warning) and before anything is written."""
+    entries = _point_entries(demo_net_m2, tmp_path)
+    assert list(entries) == _ENTRIES
     point = [bad, 1.0]
-    for query in (
-        lambda: locate_region(d, point),
-        lambda: locate_many(d, [[1.0, 1.0], point]),
-        lambda: region_contains(d, 0, point),
-        lambda: exact_shap(d, point, [[1.0, 1.0]]),
-        lambda: exact_shap(d, [1.0, 1.0], [[1.0, 1.0], point]),
-        lambda: plot_regions_2d(d, [point], (-2, -2, 2, 2), str(tmp_path / "p.svg")),
-    ):
-        with pytest.raises(NonFiniteError):
-            query()
+    for form, call in entries.values():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="^points must be finite$"):
+                call(point if form == "one" else [[1.0, 1.0], point])
+    assert not (tmp_path / "p.svg").exists()
+
+
+@pytest.mark.parametrize("entry", _ENTRIES)
+@pytest.mark.parametrize("shape", [(6,), (3, 3), (3,)], ids=["1-d batch", "(N, n+1)", "n+1 point"])
+def test_points_of_another_shape_rejected(demo_net_m2, tmp_path, shape, entry):
+    """Points of the wrong shape for n = 2 are refused with the entry's message."""
+    form, call = _point_entries(demo_net_m2, tmp_path)[entry]
+    values = np.ones(shape)
+    with pytest.raises(DimensionMismatchError) as info:
+        call(values)
+    if form == "one":
+        owner = _OWNERS.get(entry, "decomposition")
+        want = f"point has {values.size} coordinates, {owner} has 2"
+    elif form == "many":
+        want = f"expected (N, 2) points, got shape {shape}"
+    else:
+        want = f"background must be one point or (B, 2) points, got shape {np.atleast_2d(values).shape}"
+    assert str(info.value) == want
 
 
 class TestBruteForceShap:
+    def test_baseline_of_another_length(self):
+        with pytest.raises(DimensionMismatchError, match="^baseline and point lengths differ$"):
+            brute_force_shap(lambda z: z.sum(), [1.0, 2.0], [0.0, 0.0, 0.0])
+
     def test_linear_function_closed_form(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
@@ -358,6 +423,21 @@ class TestHypercube:
         with pytest.raises(IndexError):
             hypercube(triangle, 5)
 
+    def test_region_index_read_as_region_contains_reads_it(self):
+        """A negative index counts from the end in both queries, and an index
+        outside the regions raises one message in both."""
+        d = decompose(biased_net([2, 4, 4], 2, seed=0))
+        p, x = d.num_regions, d.witnesses[-1]
+        last, tail = hypercube(d, p - 1), hypercube(d, -1)
+        np.testing.assert_array_equal(tail.center, last.center)
+        assert (tail.side, tail.unbounded_dims) == (last.side, last.unbounded_dims)
+        assert region_contains(d, -1, x) and region_contains(d, p - 1, x)
+        for r in (p, -p - 1):
+            with pytest.raises(IndexError, match=f"^region {r} out of range$"):
+                hypercube(d, r)
+            with pytest.raises(IndexError, match=f"^region {r} out of range$"):
+                region_contains(d, r, x)
+
 
 class TestPlot:
     def test_svg_structure(self, tmp_path, demo_net_m2):
@@ -422,6 +502,12 @@ class TestPlot:
             plot_regions_2d(
                 triangle, np.zeros((0, 2)), (1.0, 0.0, -1.0, 2.0), tmp_path / "x.svg"
             )
+
+    def test_label_count_must_match_the_points(self, tmp_path, triangle):
+        out = tmp_path / "x.svg"
+        with pytest.raises(DimensionMismatchError, match="^one label per point required$"):
+            plot_regions_2d(triangle, np.zeros((2, 2)), (-1, -1, 1, 1), out, labels=["a"])
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from relu_unwrap import (
     ArithmeticFault,
     BudgetExceededError,
     Decomposition,
+    DimensionMismatchError,
     Feasibility,
     IterationLimitError,
     Layer,
@@ -587,6 +588,12 @@ class TestEquivalenceReport:
         net = random_init([2, 3, 3], 1, seed=0)
         with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
             equivalence_report(net, net, samples=samples)
+
+    @pytest.mark.parametrize("dims,m", [([3, 3, 3], 1), ([2, 3, 3], 2)], ids=["inputs", "outputs"])
+    def test_nets_of_other_sizes_refused(self, dims, m):
+        net = random_init([2, 3, 3], 1, seed=0)
+        with pytest.raises(DimensionMismatchError, match="^networks must share input and output sizes$"):
+            equivalence_report(net, random_init(dims, m, seed=0))
 
 
 class TestShallowSerialization:
