@@ -4,13 +4,15 @@ Subcommands: decompose, shallowize, verify, shap, bench, plot.  Every
 command writes a single line of JSON to standard output and keeps
 diagnostics on standard error.  Exit codes: 0 success, 1 input error,
 2 pattern-search budget exceeded, 3 verification failure, 64 usage error.
-Usage errors are found before any file is read or opened: besides what
-argparse refuses, --budget, --samples and --seed must be at least 0, --tol
-and --range finite and at least 0, --min-w1, --min-w2, --w3 and --repeats
-at least 1, and --max-w1 and --max-w2 at least their --min- flags.  All
-randomness flows from --seed flags, so runs are reproducible.  The pattern
-search runs in one thread: --threads is accepted for compatibility and
-ignored, and the RELU_UNWRAP_THREADS environment variable is never read.
+Usage errors are found before any file is read or opened: argparse refuses
+a --point that is not comma-separated numbers and --bounds that are not four
+finite numbers, among its own checks; besides, --budget, --samples and
+--seed must be at least 0, --tol and --range finite and at least 0,
+--min-w1, --min-w2, --w3 and --repeats at least 1, and --max-w1 and --max-w2
+at least their --min- flags.  All randomness flows from --seed flags, so
+runs are reproducible.  The pattern search runs in one thread: --threads
+is accepted for compatibility and ignored, and the RELU_UNWRAP_THREADS
+environment variable is never read.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import math
 import re
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -88,11 +91,23 @@ def _enumerate(net, budget: int):
     return _note_fallbacks(enumerate_feasible(net, budget=budget))
 
 
-def _parse_point(text: str) -> np.ndarray:
+def _point_flag(text: str) -> list[float]:
+    """--point: comma-separated numbers."""
     try:
-        return np.array([float(v) for v in text.split(",")], dtype=np.float64)
+        return [float(v) for v in text.split(",")]
     except ValueError as exc:
-        raise ValueError(f"invalid point {text!r}: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"invalid point {text!r}: {exc}") from None
+
+
+def _bounds_flag(text: str) -> tuple[float, ...]:
+    """--bounds: four finite numbers x0,y0,x1,y1."""
+    try:
+        bounds = tuple(map(float, text.split(",")))
+    except ValueError:
+        bounds = ()
+    if len(bounds) != 4 or not all(map(math.isfinite, bounds)):
+        raise argparse.ArgumentTypeError(f"expected four finite numbers x0,y0,x1,y1, got {text!r}")
+    return bounds
 
 
 def _read_points_csv(path):
@@ -177,9 +192,12 @@ def cmd_verify(args) -> int:
 
 def cmd_shap(args) -> int:
     d = load_decomposition(args.decomp)
-    x = _parse_point(args.point)
-    background = np.loadtxt(args.background, delimiter=",", ndmin=2)
-    result = exact_shap(d, x, background)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        background = np.loadtxt(args.background, delimiter=",", ndmin=2)
+    if background.size == 0:
+        raise ValueError(f"background file {args.background} holds no points")
+    result = exact_shap(d, args.point, background)
     _emit(result.to_jsonable())
     return EXIT_OK
 
@@ -229,10 +247,7 @@ def cmd_plot(args) -> int:
         points, labels = _read_points_csv(args.points)
     else:
         points, labels = np.zeros((0, 2)), None
-    bounds = _parse_point(args.bounds)
-    if bounds.shape[0] != 4:
-        raise ValueError("--bounds needs x0,y0,x1,y1")
-    plot_regions_2d(d, points, tuple(bounds), args.out, labels=labels)
+    plot_regions_2d(d, points, args.bounds, args.out, labels=labels)
     _emit({"out": args.out, "points": int(points.shape[0])})
     return EXIT_OK
 
@@ -284,7 +299,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("shap", help="exact SHAP values at a point")
     p.add_argument("--decomp", required=True)
-    p.add_argument("--point", required=True, help="comma-separated coordinates")
+    p.add_argument("--point", required=True, type=_point_flag, help="comma-separated coordinates")
     p.add_argument("--background", required=True, help="CSV of background points")
     p.set_defaults(fn=cmd_shap)
 
@@ -315,7 +330,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("plot", help="SVG of a 2-D decomposition")
     p.add_argument("--decomp", required=True)
     p.add_argument("--points", default=None, help="CSV rows x,y[,label]")
-    p.add_argument("--bounds", required=True, help="x0,y0,x1,y1")
+    p.add_argument("--bounds", required=True, type=_bounds_flag, help="finite x0,y0,x1,y1")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_plot)
 

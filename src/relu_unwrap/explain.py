@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import Decomposition, _closed_rows, _sort_keys
-from .errors import DimensionMismatchError, PointNotLocatedError, UnwrapError
+from .errors import DimensionMismatchError, NonFiniteError, PointNotLocatedError, UnwrapError
 from .lp import Extremum, LinearProgram, _alone, extremize
 from .network import _points
 
@@ -303,26 +303,48 @@ def _clip_line(normal, offset, bounds):
     return unique[0], unique[-1]
 
 
+def _element(parent, tag, text=None, **attrs):
+    """Append a ``tag`` child holding ``text`` to ``parent``.
+
+    A float attribute is a pixel coordinate, written to two decimals; any
+    other is written as given.  An ``_`` in a keyword reads as ``-``.
+    """
+    child = ET.SubElement(
+        parent,
+        tag,
+        {
+            name.replace("_", "-"): f"{value:.2f}" if isinstance(value, float) else value
+            for name, value in attrs.items()
+        },
+    )
+    child.text = text
+
+
 def plot_regions_2d(d: Decomposition, points, bounds, out, labels=None):
     """Write an SVG of a 2-D decomposition.
 
     Draws every boundary line (green) clipped to ``bounds`` =
     (x0, y0, x1, y1), the given points as crosses with optional labels, and
     for each bounded region containing at least one point its enclosing
-    hypercube as a red square.  Only 2-input decompositions can be drawn.
+    hypercube as a red square.  Only 2-input decompositions can be drawn,
+    within finite bounds of a finite span.
     """
     if d.input_dim != 2:
         raise DimensionMismatchError(
             f"plot needs a 2-input decomposition, got {d.input_dim} inputs"
         )
     x0, y0, x1, y1 = (float(v) for v in bounds)
+    if not all(map(math.isfinite, (x0, y0, x1, y1))):
+        raise NonFiniteError(f"bounds must be finite, got {(x0, y0, x1, y1)}")
     if not (x0 < x1 and y0 < y1):
         raise ValueError("bounds must satisfy x0 < x1 and y0 < y1")
+    span = max(x1 - x0, y1 - y0)
+    if not math.isfinite(span):
+        raise ValueError(f"bounds must span a finite width and height, got {(x0, y0, x1, y1)}")
     pts = _points(points, 2)
     if labels is not None and len(labels) != len(pts):
         raise DimensionMismatchError("one label per point required")
 
-    span = max(x1 - x0, y1 - y0)
     scale = (_SVG_SIZE - 2 * _SVG_MARGIN) / span
 
     def to_px(x, y):
@@ -330,6 +352,13 @@ def plot_regions_2d(d: Decomposition, points, bounds, out, labels=None):
             _SVG_MARGIN + (x - x0) * scale,
             _SVG_SIZE - _SVG_MARGIN - (y - y0) * scale,
         )
+
+    def line(a, b, stroke):
+        _element(svg, "line", x1=a[0], y1=a[1], x2=b[0], y2=b[1], stroke=stroke, stroke_width="1.5")
+
+    def rect(lo_x, lo_y, hi_x, hi_y, **style):
+        (px, py), (qx, qy) = to_px(lo_x, hi_y), to_px(hi_x, lo_y)
+        _element(svg, "rect", x=px, y=py, width=qx - px, height=qy - py, **style)
 
     svg = ET.Element(
         "svg",
@@ -341,21 +370,7 @@ def plot_regions_2d(d: Decomposition, points, bounds, out, labels=None):
             "viewBox": f"0 0 {_SVG_SIZE:g} {_SVG_SIZE:g}",
         },
     )
-    fx0, fy1 = to_px(x0, y0)
-    fx1, fy0 = to_px(x1, y1)
-    ET.SubElement(
-        svg,
-        "rect",
-        {
-            "x": f"{fx0:.2f}",
-            "y": f"{fy0:.2f}",
-            "width": f"{fx1 - fx0:.2f}",
-            "height": f"{fy1 - fy0:.2f}",
-            "fill": "white",
-            "stroke": "#333333",
-            "stroke-width": "1",
-        },
-    )
+    rect(x0, y0, x1, y1, fill="white", stroke="#333333", stroke_width="1")
 
     # each hyperplane once, whichever orientations reference it
     seen = set()
@@ -364,21 +379,8 @@ def plot_regions_2d(d: Decomposition, points, bounds, out, labels=None):
         key = (-a, -b, -c) if a < 0 or (a == 0 and b < 0) else (a, b, c)
         seg = None if key in seen else _clip_line(normal, offset, (x0, y0, x1, y1))
         seen.add(key)
-        if seg is None:
-            continue
-        (ax, ay), (bx, by) = (to_px(*seg[0]), to_px(*seg[1]))
-        ET.SubElement(
-            svg,
-            "line",
-            {
-                "x1": f"{ax:.2f}",
-                "y1": f"{ay:.2f}",
-                "x2": f"{bx:.2f}",
-                "y2": f"{by:.2f}",
-                "stroke": "#2e8b57",
-                "stroke-width": "1.5",
-            },
-        )
+        if seg is not None:
+            line(to_px(*seg[0]), to_px(*seg[1]), "#2e8b57")
 
     # red squares for bounded regions hosting points
     # points on unowned faces (host -1) get no square
@@ -390,51 +392,17 @@ def plot_regions_2d(d: Decomposition, points, bounds, out, labels=None):
         half = cube.side / 2.0
         cx0, cy0 = max(cube.center[0] - half, x0), max(cube.center[1] - half, y0)
         cx1, cy1 = min(cube.center[0] + half, x1), min(cube.center[1] + half, y1)
-        if cx0 >= cx1 or cy0 >= cy1:
-            continue
-        px, py = to_px(cx0, cy1)
-        qx, qy = to_px(cx1, cy0)
-        ET.SubElement(
-            svg,
-            "rect",
-            {
-                "x": f"{px:.2f}",
-                "y": f"{py:.2f}",
-                "width": f"{qx - px:.2f}",
-                "height": f"{qy - py:.2f}",
-                "fill": "none",
-                "stroke": "#d62728",
-                "stroke-width": "1.5",
-            },
-        )
+        if cx0 < cx1 and cy0 < cy1:
+            rect(cx0, cy0, cx1, cy1, fill="none", stroke="#d62728", stroke_width="1.5")
 
     for idx, pt in enumerate(pts):
         px, py = to_px(pt[0], pt[1])
         for dx0, dy0, dx1, dy1 in ((-4, 0, 4, 0), (0, -4, 0, 4)):
-            ET.SubElement(
-                svg,
-                "line",
-                {
-                    "x1": f"{px + dx0:.2f}",
-                    "y1": f"{py + dy0:.2f}",
-                    "x2": f"{px + dx1:.2f}",
-                    "y2": f"{py + dy1:.2f}",
-                    "stroke": "#222222",
-                    "stroke-width": "1.5",
-                },
-            )
+            line((px + dx0, py + dy0), (px + dx1, py + dy1), "#222222")
         if labels is not None:
-            text = ET.SubElement(
-                svg,
-                "text",
-                {
-                    "x": f"{px + 5:.2f}",
-                    "y": f"{py - 5:.2f}",
-                    "font-size": "10",
-                    "font-family": "sans-serif",
-                    "fill": "#222222",
-                },
+            _element(
+                svg, "text", str(labels[idx]), x=px + 5, y=py - 5,
+                font_size="10", font_family="sans-serif", fill="#222222",
             )
-            text.text = str(labels[idx])
 
     ET.ElementTree(svg).write(out, encoding="utf-8", xml_declaration=True)

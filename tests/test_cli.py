@@ -443,14 +443,25 @@ class TestShap:
         )
         assert code == 1 and stdout == ""
 
-    def test_unparsable_point_exit_1(self, capsys, tmp_path, linear_decomp_file):
-        bg = tmp_path / "bg.csv"
-        bg.write_text("0.0,0.0\n")
-        code, stdout, stderr = run(
-            capsys, "shap", "--decomp", linear_decomp_file, "--point", "1,x", "--background", str(bg)
+    def test_unparsable_point_is_a_usage_error(self, capsys, tmp_path):
+        """A bad --point is refused before the decomposition is read: the
+        path given does not exist."""
+        missing, bg = str(tmp_path / "missing.json"), str(tmp_path / "missing.csv")
+        code, stdout, stderr = run(capsys, "shap", "--decomp", missing, "--point", "1,x", "--background", bg)
+        assert (code, stdout) == (64, "")
+        assert stderr.splitlines()[-1] == (
+            "relu-unwrap shap: error: argument --point: "
+            "invalid point '1,x': could not convert string to float: 'x'"
         )
-        assert (code, stdout) == (1, "")
-        assert stderr == "error: invalid point '1,x': could not convert string to float: 'x'\n"
+
+    @pytest.mark.parametrize("content", ["", "# x,y\n\n"], ids=["empty", "comments"])
+    def test_background_without_points_exit_1(self, capsys, tmp_path, linear_decomp_file, content):
+        """One error line, and no numpy warning (warnings fail the tests)."""
+        bg = tmp_path / "bg.csv"
+        bg.write_text(content)
+        argv = ["shap", "--decomp", linear_decomp_file, "--point", "1,1", "--background", str(bg)]
+        code, stdout, stderr = run(capsys, *argv)
+        assert (code, stdout, stderr) == (1, "", f"error: background file {bg} holds no points\n")
 
     def test_nan_payload_not_printed(self, capsys, tmp_path, linear_decomp_file, monkeypatch):
         """stdout is strict JSON: a payload holding NaN is exit 1 with nothing printed."""
@@ -636,11 +647,31 @@ class TestPlot:
         assert (code, stdout, stderr) == (1, "", f"error: {pts}:3: expected at least x,y\n")
         assert not out.exists()
 
-    def test_bounds_of_three_numbers_exit_1(self, capsys, tmp_path, demo_decomp_file):
+    @pytest.mark.parametrize("bounds", ["1,2,3", "-3,-3,inf,3", "nan,-3,3,3", "1,2,x,4"])
+    def test_bad_bounds_are_usage_errors(self, capsys, tmp_path, bounds):
+        """Bounds that are not four finite numbers are refused before the
+        decomposition is read (the path given does not exist) and no SVG is
+        written."""
         out = tmp_path / "plot.svg"
-        argv = ["plot", "--decomp", demo_decomp_file, "--bounds", "1,2,3", "--out", str(out)]
+        argv = ["plot", "--decomp", str(tmp_path / "missing.json"), "--bounds", bounds, "--out", str(out)]
         code, stdout, stderr = run(capsys, *argv)
-        assert (code, stdout, stderr) == (1, "", "error: --bounds needs x0,y0,x1,y1\n")
+        assert (code, stdout) == (64, "")
+        assert stderr.splitlines()[-1] == (
+            f"relu-unwrap plot: error: argument --bounds: expected four finite numbers x0,y0,x1,y1, got {bounds!r}"
+        )
+        assert not out.exists()
+
+    def test_bounds_of_an_infinite_span_exit_1(self, capsys, tmp_path, demo_decomp_file):
+        """Finite bounds whose width overflows are refused by the plot,
+        before the SVG is opened."""
+        out = tmp_path / "plot.svg"
+        big = "-1e308,-1e308,1e308,1e308"
+        code, stdout, stderr = run(capsys, "plot", "--decomp", demo_decomp_file, "--bounds", big, "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert stderr == (
+            "error: bounds must span a finite width and height, "
+            "got (-1e+308, -1e+308, 1e+308, 1e+308)\n"
+        )
         assert not out.exists()
 
     def test_three_input_decomposition_exit_1(self, capsys, tmp_path):

@@ -182,6 +182,33 @@ class TestGlobalAffine:
                 )
                 a = np.maximum(z, 0.0)
 
+    @pytest.mark.parametrize(
+        "prefix,message",
+        [
+            ((), "prefix has 0 layers, network has 2"),
+            (((1,) * 4, (1,) * 3, (1,)), "prefix has 3 layers, network has 2"),
+            (((1, 1), (1, 1, 1)), "prefix layer 1 width does not match the network"),
+            (((1,) * 4, (1,)), "last prefix layer width does not match"),
+        ],
+        ids=["none", "too-many", "first-narrow", "last-narrow"],
+    )
+    def test_prefix_of_another_shape_rejected(self, prefix, message):
+        """Biased [3,4,3]: two hidden layers, of widths 4 and 3."""
+        net = biased_net([3, 4, 3], 2, seed=1)
+        for build in (global_prefix, global_lp):
+            with pytest.raises(DimensionMismatchError) as info:
+                build(prefix, net)
+            assert str(info.value) == message
+
+    def test_prefix_matrix_and_offset_must_agree(self):
+        with pytest.raises(DimensionMismatchError, match="^prefix matrix and offset disagree$"):
+            decomposition.GlobalAffinePrefix(np.ones((2, 3)), np.zeros(3), 1)
+
+    @pytest.mark.parametrize("bias,bits", [(np.zeros(3), (1, 0)), (np.zeros(2), (1,))])
+    def test_local_lp_of_disagreeing_sizes_rejected(self, bias, bits):
+        with pytest.raises(DimensionMismatchError, match="^weights, bias, and bits disagree$"):
+            local_lp(np.ones((2, 2)), bias, bits)
+
     def test_sampled_points_satisfy_their_lps(self):
         """Each point's pattern passes its local and global systems."""
         rng = np.random.default_rng(13)

@@ -3,6 +3,7 @@
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from relu_unwrap import (
     OrientedHalfspace,
     PointNotLocatedError,
     Region,
+    UnwrapError,
     activation_pattern,
     brute_force_shap,
     build_shallow,
@@ -25,6 +27,7 @@ from relu_unwrap import (
     forward,
     forward_many,
     hypercube,
+    loads_decomposition,
     locate_many,
     locate_region,
     pattern_matrix,
@@ -38,6 +41,7 @@ import relu_unwrap.explain as explain
 from conftest import biased_net, interior_samples
 
 SQ2 = np.sqrt(2.0)
+DATA = Path(__file__).parent / "data"
 
 
 def single_region_decomposition(alpha, beta, halfspaces, ids, witness, owned=()):
@@ -423,6 +427,17 @@ class TestHypercube:
         with pytest.raises(IndexError):
             hypercube(triangle, 5)
 
+    def test_region_of_contradicting_conditions_raises(self):
+        """x > 1 and x < -1: the region's closed program is empty, which a
+        region of a decomposition never is, so boxing it is an error."""
+        hs = (
+            OrientedHalfspace(np.array([1.0, 0.0]), 1.0),
+            OrientedHalfspace(np.array([-1.0, 0.0]), 1.0),
+        )
+        d = single_region_decomposition([[1.0, 0.0]], [0.0], hs, (0, 1), (0.0, 0.0))
+        with pytest.raises(UnwrapError, match="^region 0 solved as empty while boxed$"):
+            hypercube(d, 0)
+
     def test_region_index_read_as_region_contains_reads_it(self):
         """A negative index counts from the end in both queries, and an index
         outside the regions raises one message in both."""
@@ -502,6 +517,44 @@ class TestPlot:
             plot_regions_2d(
                 triangle, np.zeros((0, 2)), (1.0, 0.0, -1.0, 2.0), tmp_path / "x.svg"
             )
+
+    @pytest.mark.parametrize(
+        "bounds", [(-1.0, -1.0, np.inf, 1.0), (np.nan, -1.0, 1.0, 1.0), (-1.0, -np.inf, 1.0, 1.0)]
+    )
+    def test_non_finite_bounds_rejected(self, tmp_path, triangle, bounds):
+        out = tmp_path / "x.svg"
+        with pytest.raises(NonFiniteError, match=r"^bounds must be finite, got \("):
+            plot_regions_2d(triangle, np.zeros((0, 2)), bounds, out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "bounds", [(-1e308, 0.0, 1e308, 1.0), (0.0, -1e308, 1.0, 1e308)], ids=["width", "height"]
+    )
+    def test_overflowing_span_rejected(self, tmp_path, triangle, bounds):
+        """Finite bounds whose width or height overflows to infinity."""
+        out = tmp_path / "x.svg"
+        with pytest.raises(ValueError, match="^bounds must span a finite width and height, got "):
+            plot_regions_2d(triangle, np.zeros((0, 2)), bounds, out)
+        assert not out.exists()
+
+    def test_svg_bytes_pinned(self, tmp_path):
+        """The drawing of a golden decomposition is byte for byte the
+        committed SVG: an escaped label, a square clipped by the bounds, a
+        square of an off-frame point lying wholly outside them (not drawn)
+        and a host without a bounded box (no square)."""
+        d = loads_decomposition((DATA / "biased_2_4_4_seed0.json").read_text(encoding="utf-8"))
+        points = np.array(
+            [[0.34229408, 0.34098541], [-0.65544642, 1.71180731], [14.23458438, -9.10651184], [2.5, 2.5]]
+        )
+        labels = ["x < 1 & y > 0", "clipped", "off the frame", "unbounded"]
+        hosts = explain._hosts(d, points)[0].tolist()
+        boxes = explain._boxes(d, hosts)
+        assert [cube.unbounded_dims for cube in boxes] == [(), (), (), (0, 1)]
+        assert boxes[1].center[1] + boxes[1].side / 2 > 3.0  # clipped at y = 3
+        assert boxes[2].center[0] - boxes[2].side / 2 > 3.0  # wholly right of x = 3
+        out = tmp_path / "plot.svg"
+        plot_regions_2d(d, points, (-3.0, -3.0, 3.0, 3.0), out, labels=labels)
+        assert out.read_bytes() == (DATA / "plot_biased_2_4_4_seed0.svg").read_bytes()
 
     def test_label_count_must_match_the_points(self, tmp_path, triangle):
         out = tmp_path / "x.svg"

@@ -37,7 +37,8 @@ DOCS = {
 NAN, INF, HUGE = "@NaN@", "@Infinity@", "@1e400@"  # written as bare literals
 
 # (format, path to a value, what replaces it, expected error); a callable
-# maps the old value, so only its JSON type changes
+# maps the old value, so only its JSON type changes.  The error may be an
+# (error, message) pair, pinning the whole message.
 CASES = [
     ("model", ("hidden_layers", 0, "weights", 0, 0), NAN, NonFiniteError),
     ("model", ("hidden_layers", 0, "bias", 1), INF, NonFiniteError),
@@ -46,6 +47,10 @@ CASES = [
     ("model", ("hidden_layers", 0, "weights", 1, 0), str, ModelFormatError),
     ("model", ("output", "bias", 0), True, ModelFormatError),
     ("model", ("hidden_layers", 0, "weights", 0), [1.0], DimensionMismatchError),
+    ("model", ("output", "weights", 0), 1.0, (ModelFormatError, "output layer weights must be lists nested 2 deep")),
+    ("model", ("output",), [], (ModelFormatError, "output layer must be an object with non-empty weights and a bias")),
+    ("model", ("hidden_layers", 1), "layer", (ModelFormatError, "hidden layer 1 must be an object with non-empty weights and a bias")),
+    ("model", ("hidden_layers",), {}, (ModelFormatError, "hidden_layers must be a list")),
     ("decomposition", ("regions", 0, "alpha", 0, 0), NAN, ModelFormatError),
     ("decomposition", ("regions", 0, "witness", 1), INF, ModelFormatError),
     ("decomposition", ("regions", 0, "beta", 0), HUGE, ModelFormatError),
@@ -85,6 +90,8 @@ CASES = [
     ("shallow-v2", ("W2", "shape", 1), lambda cols: cols - 1, ModelFormatError),
     ("shallow-v2", ("W3",), lambda W3: {**W3, "extra": []}, ModelFormatError),
     ("shallow-v2", ("W2",), lambda W2: _S.W2.tolist(), ModelFormatError),  # a dense block
+    ("shallow-v2", ("W2", "shape"), lambda shape: shape[:1], (ModelFormatError, "W2 shape must be two sizes")),
+    ("shallow-v2", ("W3", "shape", 1), -1, (ModelFormatError, "W3 shape must be two sizes")),
 ]
 
 
@@ -113,8 +120,10 @@ def test_well_formed_documents_load(fmt):
     ],
 )
 def test_malformed_document_rejected(fmt, path, value, error):
-    with pytest.raises(error):
+    error, message = error if isinstance(error, tuple) else (error, None)
+    with pytest.raises(error) as info:
         DOCS[fmt][1](_malformed(fmt, path, value))
+    assert message is None or str(info.value) == message
 
 
 

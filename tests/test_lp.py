@@ -9,6 +9,7 @@ from relu_unwrap import (
     Feasibility,
     IterationLimitError,
     LinearProgram,
+    NonFiniteError,
     TOL_REDUNDANT,
     TOL_SLACK,
     check_feasible,
@@ -443,6 +444,8 @@ class TestStackedSolves:
             extremize([np.ones(2)], [lp, lp])
         with pytest.raises(IndexError):
             is_redundant([0, 2], [lp, lp])
+        with pytest.raises(DimensionMismatchError, match="^1 row sets for 2 programs$"):
+            is_redundant([0], [lp, lp])
         with pytest.raises(DimensionMismatchError):
             extremize([np.ones(2), np.ones(2)], [lp, other])
 
@@ -486,6 +489,27 @@ class TestStackedSolves:
             extremize(np.ones((2, 3)), lp)
         with pytest.raises(DimensionMismatchError):
             check_feasible_many([lp, LinearProgram(np.eye(3), np.ones(3), np.zeros(3, dtype=bool))])
+
+
+@pytest.mark.parametrize(
+    "b,strict,message",
+    [
+        (np.ones(3), np.zeros(2, dtype=bool), "rows disagree: A has 2, b has 3, strict has 2"),
+        (np.ones(2), np.zeros(1, dtype=bool), "rows disagree: A has 2, b has 2, strict has 1"),
+    ],
+)
+def test_program_rows_must_agree(b, strict, message):
+    with pytest.raises(DimensionMismatchError) as info:
+        LinearProgram(np.eye(2), b, strict)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("where,bad", [("A", np.nan), ("b", np.inf), ("b", -np.inf)])
+def test_program_entries_must_be_finite(where, bad):
+    A, b = np.eye(2), np.ones(2)
+    {"A": A, "b": b}[where].flat[1] = bad
+    with pytest.raises(NonFiniteError, match="^linear program entries must be finite$"):
+        LinearProgram(A, b, np.zeros(2, dtype=bool))
 
 
 def test_program_holds_copies_of_the_callers_arrays():

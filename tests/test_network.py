@@ -37,6 +37,19 @@ class TestConstruction:
                 Layer(np.ones((1, 4)), np.zeros(1)),
             )
 
+    def test_hidden_width_mismatch_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="^hidden layer 1 expects 4 inputs, previous width is 3$"):
+            MLPNetwork(
+                (Layer(np.ones((3, 2)), np.zeros(3)), Layer(np.ones((2, 4)), np.zeros(2))),
+                Layer(np.ones((1, 2)), np.zeros(1)),
+            )
+
+    @pytest.mark.parametrize("shape", [(3,), (0, 2), (2, 0)])
+    def test_weights_not_a_matrix_rejected(self, shape):
+        with pytest.raises(DimensionMismatchError) as info:
+            Layer(np.ones(shape), np.zeros(1))
+        assert str(info.value) == f"layer weights must be a 2-d matrix, got shape {shape}"
+
     def test_non_finite_weight_rejected(self):
         w = np.ones((2, 2))
         w[0, 0] = np.nan
@@ -112,6 +125,11 @@ class TestActivationPattern:
     def test_bits_concatenation(self):
         pat = ActivationPattern(((1, 0), (0, 1, 1)))
         assert pat.bits() == (1, 0, 0, 1, 1)
+
+    @pytest.mark.parametrize("layers", [((1, 2),), ((0,), (-1, 1))])
+    def test_bits_other_than_0_or_1_rejected(self, layers):
+        with pytest.raises(ValueError, match="^pattern entries must be 0 or 1$"):
+            ActivationPattern(layers)
 
     def test_affine_net_has_empty_pattern(self, affine_net):
         assert activation_pattern(affine_net, [1.0, 2.0]).layers == ()

@@ -152,6 +152,10 @@ class TestExtendedRealMatvec:
         with pytest.raises(ArithmeticFault):
             xr_matvec(W, np.array([1.0, 1.0]))
 
+    def test_vector_of_another_length(self):
+        with pytest.raises(DimensionMismatchError, match="^matrix has 2 columns, vector has 3 entries$"):
+            xr_matvec(np.ones((1, 2)), np.ones(3))
+
 
 class TestConstruction:
     def test_width_formula(self):
@@ -212,6 +216,38 @@ class TestConstruction:
                 np.zeros(1),
                 np.ones((1, 1)),
             )
+
+    @pytest.mark.parametrize(
+        "name,value,error,message",
+        [
+            ("W2", np.ones(6), DimensionMismatchError, "expected a matrix, got shape (6,)"),
+            (
+                "W2",
+                shallow_module.Entries((3, 2), np.array([0.0]), np.array([0]), np.ones(1)),
+                ValueError,
+                "W2 entry indices must be integers",
+            ),
+            (
+                "W3",
+                shallow_module.Entries((2, 3), np.array([0, 2]), np.array([0, 0]), np.ones(2)),
+                DimensionMismatchError,
+                "W3 has an entry outside its shape (2, 3)",
+            ),
+            ("b2", np.array([0.0, np.nan, 0.0]), NonFiniteError, "b2 must be finite"),
+            ("W1", np.ones((1, 1)), DimensionMismatchError, "layer widths do not fit 2n+k / 2n+p"),
+        ],
+        ids=["W2-not-a-matrix", "W2-float-index", "W3-outside", "b2-nan", "W1-too-narrow"],
+    )
+    def test_malformed_weights_rejected(self, name, value, error, message):
+        """A net of n = 1, k = 0, p = 1, m = 1 with one weight replaced."""
+        weights = {
+            "W1": np.ones((2, 1)), "b1": np.zeros(2), "W2": np.ones((3, 2)), "b2": np.zeros(3),
+            "W3": np.ones((2, 3)), "b3": np.zeros(2), "W4": np.ones((1, 2)),
+        }
+        ShallowNetwork(**weights)
+        with pytest.raises(error) as info:
+            ShallowNetwork(**{**weights, name: value})
+        assert str(info.value) == message
 
     def test_empty_decomposition_rejected(self):
         with pytest.raises(ValueError):
@@ -322,6 +358,18 @@ class TestCanonicalForm:
         a = decompose(random_init([2, 3, 3], 1, seed=0))
         b = decompose(random_init([2, 3, 3], 1, seed=3))
         assert not canonical_equal(canonicalize(a), canonicalize(b))
+
+    def test_regions_of_other_conditions_not_equal(self):
+        """One table, one model: the region bounded by x > 0 and y > 0 is
+        not the region bounded by x > 0 alone."""
+        hs = (OrientedHalfspace(np.array([1.0, 0.0]), 0.0), OrientedHalfspace(np.array([0.0, 1.0]), 0.0))
+
+        def quadrant(ids):
+            region = Region(ActivationPattern(((1,),)), np.ones((1, 2)), np.zeros(1), ids, np.ones(2))
+            return canonicalize(Decomposition.of(2, 1, hs, (region,)))
+
+        assert canonical_equal(quadrant((0, 1)), quadrant((0, 1)))
+        assert not canonical_equal(quadrant((0, 1)), quadrant((0,)))
 
 
 def _reference_canonicalize(d):
