@@ -12,7 +12,10 @@ finite numbers, among its own checks; besides, --budget, --samples and
 at least their --min- flags.  All randomness flows from --seed flags, so
 runs are reproducible.  The pattern search runs in one thread: --threads
 is accepted for compatibility and ignored, and the RELU_UNWRAP_THREADS
-environment variable is never read.
+environment variable is never read.  bench times its grid in BENCH_PASSES
+passes, every network once per pass in grid order, and writes each
+network's fastest time.perf_counter wall time; a network whose search
+budget runs out runs once and gets -1.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .network import forward_many, load_model, random_init
 from .shallow import build_shallow, eval_shallow_many, load_shallow, save_shallow
 
 DEFAULT_BUDGET = 2**22
+BENCH_PASSES = 5  # timing passes of bench over its grid
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -121,7 +125,10 @@ def _read_points_csv(path):
             parts = [p.strip() for p in line.split(",")]
             if len(parts) < 2:
                 raise ValueError(f"{path}:{lineno}: expected at least x,y")
-            points.append([float(parts[0]), float(parts[1])])
+            try:
+                points.append([float(parts[0]), float(parts[1])])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             label = ",".join(parts[2:]) if len(parts) > 2 else ""
             labels.append(label)
             any_label = any_label or bool(label)
@@ -194,7 +201,12 @@ def cmd_shap(args) -> int:
     d = load_decomposition(args.decomp)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        background = np.loadtxt(args.background, delimiter=",", ndmin=2)
+        try:
+            background = np.loadtxt(args.background, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            # numpy's reason, without its advice to pass `usecols`
+            reason = str(exc).split("; use `usecols`")[0].rstrip(".")
+            raise ValueError(f"background file {args.background}: {reason}") from None
     if background.size == 0:
         raise ValueError(f"background file {args.background} holds no points")
     result = exact_shap(d, args.point, background)
@@ -202,42 +214,42 @@ def cmd_shap(args) -> int:
     return EXIT_OK
 
 
+def _timed_build(net, budget: int):
+    """(seconds, enumeration, decomposition) of one decompose-and-rebuild."""
+    start = time.perf_counter()
+    enum = enumerate_feasible(net, budget=budget)
+    d = build_decomposition(net, enum)
+    build_shallow(d)
+    return time.perf_counter() - start, enum, d
+
+
 def cmd_bench(args) -> int:
-    rows = 0
+    rows, timed = [], []
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["widths", "seed", "wall_time_seconds", "pattern_count", "region_count"]
-        )
         for w1 in range(args.min_w1, args.max_w1 + 1):
             for w2 in range(args.min_w2, args.max_w2 + 1):
-                for rep in range(args.repeats):
-                    seed = args.seed + rep
+                for seed in range(args.seed, args.seed + args.repeats):
+                    widths = f"{w1}x{w2}x{args.w3}"
                     net = random_init([2, w1, w2, args.w3], 1, seed)
-                    start = time.monotonic()
                     try:
-                        enum = _enumerate(net, args.budget)
-                        d = build_decomposition(net, enum)
-                        build_shallow(d)
-                        wall = time.monotonic() - start
-                        pattern_count = enum.candidates_checked
-                        region_count = d.num_regions
+                        wall, enum, d = _timed_build(net, args.budget)
                     except BudgetExceededError as exc:
-                        _diag(f"budget exceeded for {w1}x{w2}x{args.w3} seed {seed}")
-                        wall = -1.0
-                        pattern_count = exc.partial.candidates_checked
-                        region_count = len(exc.partial.records)
-                    writer.writerow(
-                        [
-                            f"{w1}x{w2}x{args.w3}",
-                            seed,
-                            f"{wall:.6f}",
-                            pattern_count,
-                            region_count,
-                        ]
-                    )
-                    rows += 1
-    _emit({"rows": rows, "csv": args.out})
+                        _diag(f"budget exceeded for {widths} seed {seed}")
+                        partial = exc.partial
+                        rows.append([widths, seed, -1.0, partial.candidates_checked, len(partial.records)])
+                        continue
+                    _note_fallbacks(enum)
+                    rows.append([widths, seed, wall, enum.candidates_checked, d.num_regions])
+                    timed.append((rows[-1], net))
+        # the passes after the first time the grid again, every net once per
+        # pass in grid order; a net keeps its fastest time
+        for _ in range(BENCH_PASSES - 1):
+            for row, net in timed:
+                row[2] = min(row[2], _timed_build(net, args.budget)[0])
+        writer = csv.writer(fh)
+        writer.writerow(["widths", "seed", "wall_time_seconds", "pattern_count", "region_count"])
+        writer.writerows([widths, seed, f"{wall:.6f}", *counts] for widths, seed, wall, *counts in rows)
+    _emit({"rows": len(rows), "csv": args.out})
     return EXIT_OK
 
 
@@ -312,8 +324,11 @@ def build_parser() -> _Parser:
             "wall_time_seconds, pattern_count, region_count.  pattern_count "
             "holds candidates_checked, the number of feasibility LPs the "
             "pattern search solved, not a number of patterns; the number of "
-            "patterns found is region_count.  wall_time_seconds is -1 when "
-            "the search budget ran out."
+            "patterns found is region_count.  wall_time_seconds is the "
+            f"fastest of {BENCH_PASSES} timings of the network's decompose and "
+            f"rebuild (time.perf_counter), taken in {BENCH_PASSES} passes over "
+            "the grid that time every network once in grid order; it is -1, "
+            "from one run, when the search budget ran out."
         ),
     )
     p.add_argument("--min-w1", type=int, default=2)

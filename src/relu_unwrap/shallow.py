@@ -334,28 +334,20 @@ class ShallowNetwork:
         mine = ~neg & (slot_live[W3.cols] >= 0)
         live_W3 = np.zeros((W3.shape[0], live.size))
         live_W3[W3.rows[mine], slot_live[W3.cols[mine]]] = W3.values[mine]
-        # each row's -inf columns, padded with the out-of-range unit `width`
-        rows, cols = W3.rows[neg], W3.cols[neg]
-        longest = np.bincount(rows, minlength=W3.shape[0]).max(initial=0)
-        lists = np.full((W3.shape[0], max(1, int(longest))), width, dtype=np.intp)
-        lists[rows, np.arange(rows.size) - np.searchsorted(rows, rows)] = cols
-        _, first, label = np.unique(lists, axis=0, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        label = np.argsort(order)[label.reshape(-1)]
+        # each W3 row's -inf columns (split at each row's first entry, so
+        # piece 0 is empty) and its group, numbered in order of first row
+        sets = np.split(W3.cols[neg], np.searchsorted(W3.rows[neg], np.arange(W3.shape[0])))[1:]
+        group_of: dict[tuple[int, ...], int] = {}
+        label = [group_of.setdefault(tuple(c.tolist()), len(group_of)) for c in sets]
+        label = np.array(label, dtype=np.intp)
         # what each group reads: a float64 unit directly, a counted unit
-        # through the layer-1 units of its W2 row
-        heads = lists[first[order]]
-        group, col = np.nonzero(heads < width)
-        unit = heads[group, col]
-        inputs = np.zeros((n_in + units.size, order.size), dtype=np.float32)
-        direct = ~counted[unit]
-        inputs[n_in + slot[unit[direct]], group[direct]] = 1.0
+        # through the layer-1 units of its nonzero W2 entries
         nonzero = W2.values != 0.0
-        row_starts = np.searchsorted(W2.rows[nonzero], np.arange(width + 1))
-        unit, group = unit[~direct], group[~direct]
-        sizes = row_starts[unit + 1] - row_starts[unit]
-        at = np.arange(sizes.sum()) + np.repeat(row_starts[unit] - np.cumsum(sizes) + sizes, sizes)
-        inputs[W2.cols[nonzero][at], np.repeat(group, sizes)] = 1.0
+        feeds = np.split(W2.cols[nonzero], np.searchsorted(W2.rows[nonzero], np.arange(width)))[1:]
+        inputs = np.zeros((n_in + units.size, len(group_of)), dtype=np.float32)
+        for group, cols in enumerate(group_of):
+            for unit in cols:
+                inputs[feeds[unit] if counted[unit] else n_in + slot[unit], group] = 1.0
         return _Gates(
             _readonly(units),
             _readonly(units_W2),
@@ -363,7 +355,7 @@ class ShallowNetwork:
             _readonly(live_W3),
             _readonly(inputs),
             _readonly(np.argsort(label, kind="stable")),
-            _readonly(np.concatenate([[0], np.cumsum(np.bincount(label, minlength=order.size))])),
+            _readonly(np.concatenate([[0], np.cumsum(np.bincount(label, minlength=len(group_of)))])),
         )
 
 

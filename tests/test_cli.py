@@ -463,6 +463,23 @@ class TestShap:
         code, stdout, stderr = run(capsys, *argv)
         assert (code, stdout, stderr) == (1, "", f"error: background file {bg} holds no points\n")
 
+    @pytest.mark.parametrize(
+        "content,reason",
+        [
+            ("1,1\n1,2,3\n", "the number of columns changed from 2 to 3 at row 2"),
+            ("1,1\n1,y\n", "could not convert string 'y' to float64 at row 1, column 2"),
+        ],
+        ids=["ragged", "text"],
+    )
+    def test_background_not_numbers_exit_1(self, capsys, tmp_path, linear_decomp_file, content, reason):
+        """One error line that names the file, without numpy's advice to pass
+        ``usecols``."""
+        bg = tmp_path / "bg.csv"
+        bg.write_text(content)
+        argv = ["shap", "--decomp", linear_decomp_file, "--point", "1,1", "--background", str(bg)]
+        code, stdout, stderr = run(capsys, *argv)
+        assert (code, stdout, stderr) == (1, "", f"error: background file {bg}: {reason}\n")
+
     def test_nan_payload_not_printed(self, capsys, tmp_path, linear_decomp_file, monkeypatch):
         """stdout is strict JSON: a payload holding NaN is exit 1 with nothing printed."""
         nan_result = ShapResult(np.full((2, 1), np.nan), 0, np.zeros(2), False)
@@ -564,6 +581,33 @@ class TestBench:
         assert rows == [f"2x{w2}x3,0,-1.000000,5,0" for w2 in (2, 3)]
         assert stderr.splitlines() == [f"budget exceeded for 2x{w2}x3 seed 0" for w2 in (2, 3)]
 
+    def test_passes_time_every_net_and_warn_once(self, capsys, tmp_path, monkeypatch):
+        """Every net is timed once per pass, in grid order, and its pivot-limit
+        warning is printed once; a net cut by the budget runs once."""
+        real, runs = cli.enumerate_feasible, []
+
+        def flagged(net, budget):
+            runs.append(net.hidden_widths)
+            return dataclasses.replace(real(net, budget=budget), solver_fallbacks=1)
+
+        monkeypatch.setattr(cli, "enumerate_feasible", flagged)
+        grid = ["--min-w1", "2", "--max-w1", "2", "--min-w2", "2", "--max-w2", "3", "--repeats", "1"]
+        code, _, stderr = run(capsys, "bench", *grid, "--out", str(tmp_path / "a.csv"))
+        assert code == 0 and runs == [(2, 2, 3), (2, 3, 3)] * cli.BENCH_PASSES
+        assert stderr.count("warning: 1 feasibility solve(s)") == 2 == len(stderr.splitlines())
+        runs.clear()
+        code, _, stderr = run(capsys, "bench", *grid, "--budget", "5", "--out", str(tmp_path / "b.csv"))
+        assert code == 0 and runs == [(2, 2, 3), (2, 3, 3)]
+        assert stderr.splitlines() == [f"budget exceeded for 2x{w2}x3 seed 0" for w2 in (2, 3)]
+
+    def test_row_keeps_the_fastest_pass(self, capsys, tmp_path, monkeypatch):
+        real, seconds = cli._timed_build, iter([0.5, 0.3, 0.4, 0.2, 0.6])
+        monkeypatch.setattr(cli, "_timed_build", lambda net, budget: (next(seconds),) + real(net, budget)[1:])
+        out = tmp_path / "bench.csv"
+        grid = ["--min-w1", "2", "--max-w1", "2", "--min-w2", "2", "--max-w2", "2", "--repeats", "1"]
+        assert run(capsys, "bench", *grid, "--out", str(out))[0] == 0
+        assert out.read_text(encoding="utf-8").splitlines()[1].split(",")[:3] == ["2x2x3", "0", "0.200000"]
+
     @pytest.mark.parametrize(
         "args,message",
         [
@@ -645,6 +689,14 @@ class TestPlot:
         argv = ["plot", "--decomp", demo_decomp_file, "--points", str(pts)]
         code, stdout, stderr = run(capsys, *argv, "--bounds", "-2,-2,2,2", "--out", str(out))
         assert (code, stdout, stderr) == (1, "", f"error: {pts}:3: expected at least x,y\n")
+        assert not out.exists()
+
+    def test_points_coordinate_not_a_number_exit_1(self, capsys, tmp_path, demo_decomp_file):
+        pts, out = tmp_path / "pts.csv", tmp_path / "plot.svg"
+        pts.write_text("1.0,1.0\n\nx,2,label\n")
+        argv = ["plot", "--decomp", demo_decomp_file, "--points", str(pts)]
+        code, stdout, stderr = run(capsys, *argv, "--bounds", "-2,-2,2,2", "--out", str(out))
+        assert (code, stdout, stderr) == (1, "", f"error: {pts}:3: could not convert string to float: 'x'\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("bounds", ["1,2,3", "-3,-3,inf,3", "nan,-3,3,3", "1,2,x,4"])

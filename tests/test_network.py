@@ -134,6 +134,12 @@ class TestActivationPattern:
     def test_affine_net_has_empty_pattern(self, affine_net):
         assert activation_pattern(affine_net, [1.0, 2.0]).layers == ()
 
+    def test_length_is_the_hidden_layer_count(self, affine_net):
+        net = random_init([2, 5, 7, 4], 3, seed=2)
+        assert len(activation_pattern(net, [0.5, -1.0])) == net.depth == 3
+        assert len(ActivationPattern(((1, 0), (0, 1, 1)))) == 2
+        assert len(activation_pattern(affine_net, [1.0, 2.0])) == 0
+
 
 class TestPiecewiseLinearity:
     def test_segment_with_constant_pattern_is_affine(self):
