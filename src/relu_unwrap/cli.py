@@ -5,17 +5,18 @@ command writes a single line of JSON to standard output and keeps
 diagnostics on standard error.  Exit codes: 0 success, 1 input error,
 2 pattern-search budget exceeded, 3 verification failure, 64 usage error.
 Usage errors are found before any file is read or opened: argparse refuses
-a --point that is not comma-separated numbers and --bounds that are not four
-finite numbers, among its own checks; besides, --budget, --samples and
---seed must be at least 0, --tol and --range finite and at least 0,
+a --point that is not comma-separated finite numbers and --bounds that are
+not four finite numbers, among its own checks; besides, --budget, --samples
+and --seed must be at least 0, --tol and --range finite and at least 0,
 --min-w1, --min-w2, --w3 and --repeats at least 1, and --max-w1 and --max-w2
 at least their --min- flags.  All randomness flows from --seed flags, so
 runs are reproducible.  The pattern search runs in one thread: --threads
 is accepted for compatibility and ignored, and the RELU_UNWRAP_THREADS
-environment variable is never read.  bench times its grid in BENCH_PASSES
-passes, every network once per pass in grid order, and writes each
-network's fastest time.perf_counter wall time; a network whose search
-budget runs out runs once and gets -1.
+environment variable is never read.  bench runs its grid once to count
+patterns and regions, then times it in BENCH_PASSES more passes, every
+network once per pass, seed by seed in grid order, and writes each
+network's mean time.perf_counter wall time over those passes; a network
+whose search budget runs out runs once and gets -1.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .network import forward_many, load_model, random_init
 from .shallow import build_shallow, eval_shallow_many, load_shallow, save_shallow
 
 DEFAULT_BUDGET = 2**22
-BENCH_PASSES = 5  # timing passes of bench over its grid
+BENCH_PASSES = 20  # timed passes of bench over its grid, after the counting pass
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -96,11 +97,14 @@ def _enumerate(net, budget: int):
 
 
 def _point_flag(text: str) -> list[float]:
-    """--point: comma-separated numbers."""
+    """--point: comma-separated finite numbers."""
     try:
-        return [float(v) for v in text.split(",")]
+        point = [float(v) for v in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"invalid point {text!r}: {exc}") from None
+    if not all(map(math.isfinite, point)):
+        raise argparse.ArgumentTypeError(f"invalid point {text!r}: coordinates must be finite")
+    return point
 
 
 def _bounds_flag(text: str) -> tuple[float, ...]:
@@ -129,6 +133,8 @@ def _read_points_csv(path):
                 points.append([float(parts[0]), float(parts[1])])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if not all(map(math.isfinite, points[-1])):
+                raise ValueError(f"{path}:{lineno}: coordinates must be finite")
             label = ",".join(parts[2:]) if len(parts) > 2 else ""
             labels.append(label)
             any_label = any_label or bool(label)
@@ -209,6 +215,9 @@ def cmd_shap(args) -> int:
             raise ValueError(f"background file {args.background}: {reason}") from None
     if background.size == 0:
         raise ValueError(f"background file {args.background} holds no points")
+    bad = np.flatnonzero(~np.isfinite(background).all(axis=1))
+    if bad.size:
+        raise ValueError(f"background file {args.background}: row {bad[0] + 1} holds a non-finite coordinate")
     result = exact_shap(d, args.point, background)
     _emit(result.to_jsonable())
     return EXIT_OK
@@ -232,20 +241,23 @@ def cmd_bench(args) -> int:
                     widths = f"{w1}x{w2}x{args.w3}"
                     net = random_init([2, w1, w2, args.w3], 1, seed)
                     try:
-                        wall, enum, d = _timed_build(net, args.budget)
+                        _, enum, d = _timed_build(net, args.budget)
                     except BudgetExceededError as exc:
                         _diag(f"budget exceeded for {widths} seed {seed}")
                         partial = exc.partial
                         rows.append([widths, seed, -1.0, partial.candidates_checked, len(partial.records)])
                         continue
                     _note_fallbacks(enum)
-                    rows.append([widths, seed, wall, enum.candidates_checked, d.num_regions])
+                    rows.append([widths, seed, 0.0, enum.candidates_checked, d.num_regions])
                     timed.append((rows[-1], net))
-        # the passes after the first time the grid again, every net once per
-        # pass in grid order; a net keeps its fastest time
-        for _ in range(BENCH_PASSES - 1):
+        # the counting pass also warms up, so only the passes after it are
+        # timed, every net once per pass; a net keeps its mean time, which a
+        # shared CPU's jitter moves less than the fastest.  A pass runs seed
+        # by seed, so one jitter burst rarely slows two nets of one cell
+        timed.sort(key=lambda item: item[0][1])
+        for _ in range(BENCH_PASSES):
             for row, net in timed:
-                row[2] = min(row[2], _timed_build(net, args.budget)[0])
+                row[2] += _timed_build(net, args.budget)[0] / BENCH_PASSES
         writer = csv.writer(fh)
         writer.writerow(["widths", "seed", "wall_time_seconds", "pattern_count", "region_count"])
         writer.writerows([widths, seed, f"{wall:.6f}", *counts] for widths, seed, wall, *counts in rows)
@@ -325,10 +337,11 @@ def build_parser() -> _Parser:
             "holds candidates_checked, the number of feasibility LPs the "
             "pattern search solved, not a number of patterns; the number of "
             "patterns found is region_count.  wall_time_seconds is the "
-            f"fastest of {BENCH_PASSES} timings of the network's decompose and "
+            f"mean of {BENCH_PASSES} timings of the network's decompose and "
             f"rebuild (time.perf_counter), taken in {BENCH_PASSES} passes over "
-            "the grid that time every network once in grid order; it is -1, "
-            "from one run, when the search budget ran out."
+            "the grid that time every network once, seed by seed in grid "
+            "order, after an untimed pass that counts; it is -1, from one "
+            "run, when the search budget ran out."
         ),
     )
     p.add_argument("--min-w1", type=int, default=2)

@@ -24,8 +24,8 @@ inside a layer are solved one at a time (see :func:`enumerate_feasible`).
 The parent cell's witness settles one child without a solve, so the work
 grows with the cells found rather than with the 2^width patterns of a
 layer.  Every search program is its parent cell's rows plus one neuron's
-row from :func:`_with_row`, oriented as :func:`_rows` orients it, so a
-leaf's rows are exactly its :func:`global_lp`.  A cell holds only its
+row from :func:`_with_row`, which also grows every row of :func:`global_lp`,
+so a leaf's rows are exactly its :func:`global_lp`.  A cell holds only its
 open layer's prefix; a pattern leaves the search as a record of its rows,
 its affine model, read off its last prefix, and a witness (:func:`_witnesses`).
 
@@ -340,7 +340,8 @@ def local_lp(weights, bias, bits, *, nonneg_inputs: bool = True) -> LinearProgra
     bits = tuple(int(v) for v in bits)
     if W.shape[0] != b.shape[0] or W.shape[0] != len(bits):
         raise DimensionMismatchError("weights, bias, and bits disagree")
-    A, rhs, strict = _rows((GlobalAffinePrefix(W, b, 1),), (bits,))
+    root = (np.zeros((0, W.shape[1])), np.zeros(0), np.zeros(0, dtype=bool))
+    A, rhs, strict = _with_layer(root, GlobalAffinePrefix(W, b, 1), bits)
     if nonneg_inputs:
         A = np.vstack([A, -np.eye(W.shape[1])])
         rhs = np.concatenate([rhs, np.zeros(W.shape[1])])
@@ -364,54 +365,50 @@ def _next_prefix(prev: GlobalAffinePrefix, gate_bits, layer: Layer) -> GlobalAff
     )
 
 
-def _prefix_chain(layer_bits, net: MLPNetwork) -> list[GlobalAffinePrefix]:
+def _with_row(rows, prefix: GlobalAffinePrefix, i: int, bit: int) -> tuple:
+    """``rows`` plus neuron ``i`` of ``prefix`` on side ``bit``: bit 1 the strict row
+    ``-M[i] . x < o[i]`` (pre-activation > 0), any other bit the closed ``M[i] . x <= -o[i]``."""
+    strict = bit == 1
+    row, o = (-prefix.matrix[i], prefix.offset[i]) if strict else (prefix.matrix[i], -prefix.offset[i])
+    return tuple(np.concatenate((old, new)) for old, new in zip(rows, (row[None], (o,), (strict,))))
+
+
+def _with_layer(rows, prefix: GlobalAffinePrefix, bits) -> tuple:
+    """``rows`` plus every neuron of ``prefix``'s layer, on the sides ``bits``."""
+    for i, bit in enumerate(bits):
+        rows = _with_row(rows, prefix, i, bit)
+    return rows
+
+
+def _prefix_chain(layer_bits, net: MLPNetwork) -> tuple[GlobalAffinePrefix, tuple]:
+    """The deepest prefix of a pattern prefix of ``net``'s shape, and the rows
+    ``(A, b, strict)`` of its program ``A x <= b``, grown as the search grows them."""
     layer_bits = _bits_of(layer_bits)
     if not 1 <= len(layer_bits) <= net.depth:
-        raise DimensionMismatchError(
-            f"prefix has {len(layer_bits)} layers, network has {net.depth}"
-        )
-    chain = [GlobalAffinePrefix(net.hidden[0].weights, net.hidden[0].bias, 1)]
-    for l in range(2, len(layer_bits) + 1):
-        if len(layer_bits[l - 2]) != chain[-1].matrix.shape[0]:
+        raise DimensionMismatchError(f"prefix has {len(layer_bits)} layers, network has {net.depth}")
+    prefix = GlobalAffinePrefix(net.hidden[0].weights, net.hidden[0].bias, 1)
+    rows = (np.zeros((0, net.input_dim)), np.zeros(0), np.zeros(0, dtype=bool))
+    for l, bits in enumerate(layer_bits, 1):
+        last = l == len(layer_bits)
+        if len(bits) != prefix.matrix.shape[0]:
             raise DimensionMismatchError(
-                f"prefix layer {l - 1} width does not match the network"
+                "last prefix layer width does not match" if last
+                else f"prefix layer {l} width does not match the network"
             )
-        chain.append(_next_prefix(chain[-1], layer_bits[l - 2], net.hidden[l - 1]))
-    last_gate = layer_bits[-1]
-    if len(last_gate) != chain[-1].matrix.shape[0]:
-        raise DimensionMismatchError("last prefix layer width does not match")
-    return chain
+        rows = _with_layer(rows, prefix, bits)
+        if not last:
+            prefix = _next_prefix(prefix, bits, net.hidden[l])
+    return prefix, rows
 
 
 def global_prefix(prefix, net: MLPNetwork) -> GlobalAffinePrefix:
     """Affine map for the deepest layer of a pattern prefix."""
-    return _prefix_chain(prefix, net)[-1]
-
-
-def _rows(chain, bits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows ``(A, b, strict)`` of a pattern prefix's program ``A x <= b``.
-
-    ``chain[l]`` maps the input to the pre-activations of the prefix's layer
-    ``l + 1`` and ``bits[l]`` holds all of that layer's bits.  Bit 1 gives
-    the strict row ``-M[i] . x < o[i]`` (pre-activation > 0), bit 0 the
-    closed row ``M[i] . x <= -o[i]``.
-    """
-    M = np.concatenate([p.matrix for p in chain])
-    o = np.concatenate([p.offset for p in chain])
-    strict = np.array(sum(bits, ())) == 1
-    return np.where(strict[:, None], -M, M), np.where(strict, o, -o), strict
-
-
-def _with_row(rows, prefix: GlobalAffinePrefix, i: int, bit: int) -> tuple:
-    """``rows`` plus neuron ``i`` of ``prefix`` on side ``bit``, the row :func:`_rows` gives it."""
-    row, o = (-prefix.matrix[i], prefix.offset[i]) if bit else (prefix.matrix[i], -prefix.offset[i])
-    return np.vstack((rows[0], row)), np.append(rows[1], o), np.append(rows[2], bit == 1)
+    return _prefix_chain(prefix, net)[0]
 
 
 def global_lp(prefix, net: MLPNetwork) -> LinearProgram:
     """Stacked input-space program of a pattern prefix (all layers so far)."""
-    layer_bits = _bits_of(prefix)
-    return LinearProgram(*_rows(_prefix_chain(layer_bits, net), layer_bits))
+    return LinearProgram(*_prefix_chain(prefix, net)[1])
 
 
 def _row_lengths(A: np.ndarray) -> np.ndarray:
@@ -475,11 +472,11 @@ class _Cell:
 
     The last layer of ``bits`` may be incomplete; ``prefix`` maps the input
     to its pre-activations, ``rows`` is the program ``(A, b, strict)`` in
-    :func:`_rows`' order.  ``witness`` clears every strict row by more than
-    ``TOL_SLACK`` and meets the closed ones; it is None when a solver failure
-    kept the cell.  ``empty`` holds the ``(neuron, bit)`` children of the
-    last layer that have no interior in the cell that opened the layer, so in
-    none of its sub-cells either.
+    :func:`global_lp`'s order.  ``witness`` clears every strict row by more
+    than ``TOL_SLACK`` and meets the closed ones; it is None when a solver
+    failure kept the cell.  ``empty`` holds the ``(neuron, bit)`` children
+    of the last layer that have no interior in the cell that opened the
+    layer, so in none of its sub-cells either.
     """
 
     bits: tuple[tuple[int, ...], ...]
@@ -722,7 +719,7 @@ def local_linear_model(pattern: ActivationPattern, net: MLPNetwork):
         raise DimensionMismatchError(
             f"pattern has {len(layers)} layers, network has {net.depth}"
         )
-    return _model(_prefix_chain(layers, net)[-1], layers[-1], net.output)
+    return _model(_prefix_chain(layers, net)[0], layers[-1], net.output)
 
 
 def _candidates(rec: PatternRecord) -> tuple[np.ndarray, list[float], list[bool]]:

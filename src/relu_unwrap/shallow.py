@@ -204,8 +204,7 @@ class _Gates(NamedTuple):
 
     units: np.ndarray
     units_W2: np.ndarray
-    live: np.ndarray
-    live_W3: np.ndarray
+    units_W3: np.ndarray
     inputs: np.ndarray
     rows: np.ndarray
     starts: np.ndarray
@@ -298,10 +297,9 @@ class ShallowNetwork:
         layer-1 inputs is, because ``1 * a == a`` and a float sum of
         nonnegative terms is zero only when every term is.  The other units,
         ``units``, are computed in float64 through ``units_W2``, their dense
-        W2 rows; in a built net these are the 2n pass-through units.
-        ``live`` are the positions in ``units`` that W3 reads through finite
-        nonzero weights, and ``live_W3`` is dense W3 on them, with -inf read
-        as zero.
+        W2 rows; in a built net these are the 2n pass-through units.  Layer 3
+        reads them through ``units_W3``, the dense W3 columns of ``units``
+        with -inf read as zero.
 
         W3 rows that share one set of -inf columns form a group, and groups
         are ordered by their first row: a built net has one group of 2m rows
@@ -323,17 +321,14 @@ class ShallowNetwork:
         not_01[W2.rows[(W2.values != 0.0) & (W2.values != 1.0)]] = True
         counted = ~read & (self.b2 == 0.0) & ~not_01
         units = np.flatnonzero(~counted)
-        live = np.flatnonzero(read[units])
         slot = np.full(width, -1)  # each unit's position in `units`
         slot[units] = np.arange(units.size)
         mine = slot[W2.rows] >= 0
         units_W2 = np.zeros((units.size, n_in))
         units_W2[slot[W2.rows[mine]], W2.cols[mine]] = W2.values[mine]
-        slot_live = np.full(width, -1)  # each unit's position in `units[live]`
-        slot_live[units[live]] = np.arange(live.size)
-        mine = ~neg & (slot_live[W3.cols] >= 0)
-        live_W3 = np.zeros((W3.shape[0], live.size))
-        live_W3[W3.rows[mine], slot_live[W3.cols[mine]]] = W3.values[mine]
+        mine = ~neg & (slot[W3.cols] >= 0)
+        units_W3 = np.zeros((W3.shape[0], units.size))
+        units_W3[W3.rows[mine], slot[W3.cols[mine]]] = W3.values[mine]
         # each W3 row's -inf columns (split at each row's first entry, so
         # piece 0 is empty) and its group, numbered in order of first row
         sets = np.split(W3.cols[neg], np.searchsorted(W3.rows[neg], np.arange(W3.shape[0])))[1:]
@@ -351,8 +346,7 @@ class ShallowNetwork:
         return _Gates(
             _readonly(units),
             _readonly(units_W2),
-            _readonly(live),
-            _readonly(live_W3),
+            _readonly(units_W3),
             _readonly(inputs),
             _readonly(np.argsort(label, kind="stable")),
             _readonly(np.concatenate([[0], np.cumsum(np.bincount(label, minlength=len(group_of)))])),
@@ -472,7 +466,7 @@ def _eval_block(s: ShallowNetwork, X: np.ndarray, first: int) -> np.ndarray:
     rows = g.rows[
         np.arange(pts.size) + np.repeat(g.starts[groups] - np.cumsum(sizes) + sizes, sizes)
     ]
-    z = np.einsum("ij,ij->i", A2[:, g.live][pts], g.live_W3[rows]) + s.b3[rows]
+    z = np.einsum("ij,ij->i", A2[pts], g.units_W3[rows]) + s.b3[rows]
     a3 = xr_relu(z)
     selected = a3 > 0
     # layer-3 row r*m + j (and its twin) carries output coordinate j

@@ -428,20 +428,32 @@ class TestShap:
         assert "alpha" in stderr
 
     @pytest.mark.parametrize(
-        "nan_alpha,point", [(True, "0.1,0.2"), (False, "nan,0")], ids=["nan-alpha", "nan-point"]
+        "nan_alpha,point,code", [(True, "0.1,0.2", 1), (False, "nan,0", 64)], ids=["nan-alpha", "nan-point"]
     )
-    def test_non_finite_input_exit_1(self, capsys, tmp_path, nan_alpha, point):
-        """A NaN in the region table or in the point gives no attributions."""
+    def test_non_finite_input_exit_1(self, capsys, tmp_path, nan_alpha, point, code):
+        """A NaN in the region table (exit 1) or in the point (a usage error)
+        gives no attributions."""
         doc = json.loads(dumps_decomposition(decompose(biased_net([2, 4, 4], 2, seed=0))))
         if nan_alpha:
             doc["regions"][0]["alpha"][0][0] = float("nan")  # written as a bare NaN
         path, bg = tmp_path / "d.json", tmp_path / "bg.csv"
         path.write_text(json.dumps(doc))
         bg.write_text("0.0,0.0\n")
-        code, stdout, _ = run(
+        got, stdout, _ = run(
             capsys, "shap", "--decomp", str(path), "--point", point, "--background", str(bg)
         )
-        assert code == 1 and stdout == ""
+        assert got == code and stdout == ""
+
+    @pytest.mark.parametrize("point", ["nan,1", "1,inf", "0,-inf"])
+    def test_non_finite_point_is_a_usage_error(self, capsys, tmp_path, point):
+        """A NaN or infinite --point is refused before the decomposition is
+        read: the path given does not exist."""
+        missing, bg = str(tmp_path / "missing.json"), str(tmp_path / "missing.csv")
+        code, stdout, stderr = run(capsys, "shap", "--decomp", missing, "--point", point, "--background", bg)
+        assert (code, stdout) == (64, "")
+        assert stderr.splitlines()[-1] == (
+            f"relu-unwrap shap: error: argument --point: invalid point {point!r}: coordinates must be finite"
+        )
 
     def test_unparsable_point_is_a_usage_error(self, capsys, tmp_path):
         """A bad --point is refused before the decomposition is read: the
@@ -479,6 +491,17 @@ class TestShap:
         argv = ["shap", "--decomp", linear_decomp_file, "--point", "1,1", "--background", str(bg)]
         code, stdout, stderr = run(capsys, *argv)
         assert (code, stdout, stderr) == (1, "", f"error: background file {bg}: {reason}\n")
+
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_background_not_finite_exit_1(self, capsys, tmp_path, linear_decomp_file, value):
+        """The error names the file and the data row, counted from 1 past
+        comments and blank lines."""
+        bg = tmp_path / "bg.csv"
+        bg.write_text(f"# x,y\n1,1\n\n2,{value}\n3,3\n")
+        argv = ["shap", "--decomp", linear_decomp_file, "--point", "1,1", "--background", str(bg)]
+        code, stdout, stderr = run(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        assert stderr == f"error: background file {bg}: row 2 holds a non-finite coordinate\n"
 
     def test_nan_payload_not_printed(self, capsys, tmp_path, linear_decomp_file, monkeypatch):
         """stdout is strict JSON: a payload holding NaN is exit 1 with nothing printed."""
@@ -582,8 +605,8 @@ class TestBench:
         assert stderr.splitlines() == [f"budget exceeded for 2x{w2}x3 seed 0" for w2 in (2, 3)]
 
     def test_passes_time_every_net_and_warn_once(self, capsys, tmp_path, monkeypatch):
-        """Every net is timed once per pass, in grid order, and its pivot-limit
-        warning is printed once; a net cut by the budget runs once."""
+        """Every net runs in the counting pass and once per timed pass, and its
+        pivot-limit warning is printed once; a net cut by the budget runs once."""
         real, runs = cli.enumerate_feasible, []
 
         def flagged(net, budget):
@@ -593,20 +616,40 @@ class TestBench:
         monkeypatch.setattr(cli, "enumerate_feasible", flagged)
         grid = ["--min-w1", "2", "--max-w1", "2", "--min-w2", "2", "--max-w2", "3", "--repeats", "1"]
         code, _, stderr = run(capsys, "bench", *grid, "--out", str(tmp_path / "a.csv"))
-        assert code == 0 and runs == [(2, 2, 3), (2, 3, 3)] * cli.BENCH_PASSES
+        assert code == 0 and runs == [(2, 2, 3), (2, 3, 3)] * (1 + cli.BENCH_PASSES)
         assert stderr.count("warning: 1 feasibility solve(s)") == 2 == len(stderr.splitlines())
         runs.clear()
         code, _, stderr = run(capsys, "bench", *grid, "--budget", "5", "--out", str(tmp_path / "b.csv"))
         assert code == 0 and runs == [(2, 2, 3), (2, 3, 3)]
         assert stderr.splitlines() == [f"budget exceeded for 2x{w2}x3 seed 0" for w2 in (2, 3)]
 
-    def test_row_keeps_the_fastest_pass(self, capsys, tmp_path, monkeypatch):
-        real, seconds = cli._timed_build, iter([0.5, 0.3, 0.4, 0.2, 0.6])
+    def test_timed_passes_run_seed_by_seed(self, capsys, tmp_path, monkeypatch):
+        """The counting pass runs in grid order, each timed pass every cell of
+        one seed before the next seed; rows stay in grid order."""
+        real, runs = cli._timed_build, []
+
+        def recorded(net, budget):
+            runs.append(net.hidden_widths[1])
+            return real(net, budget)
+
+        monkeypatch.setattr(cli, "BENCH_PASSES", 2)
+        monkeypatch.setattr(cli, "_timed_build", recorded)
+        out = tmp_path / "bench.csv"
+        grid = ["--min-w1", "2", "--max-w1", "2", "--min-w2", "2", "--max-w2", "3", "--repeats", "2"]
+        assert run(capsys, "bench", *grid, "--out", str(out))[0] == 0
+        assert runs == [2, 2, 3, 3] + [2, 3, 2, 3] * 2
+        rows = [line.split(",")[:2] for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert rows == [["2x2x3", "0"], ["2x2x3", "1"], ["2x3x3", "0"], ["2x3x3", "1"]]
+
+    def test_row_holds_the_mean_of_the_timed_passes(self, capsys, tmp_path, monkeypatch):
+        """The counting pass's time is dropped; the row is the mean of the rest."""
+        real, seconds = cli._timed_build, iter([9.0, 0.5, 0.3, 0.4, 0.2])
+        monkeypatch.setattr(cli, "BENCH_PASSES", 4)
         monkeypatch.setattr(cli, "_timed_build", lambda net, budget: (next(seconds),) + real(net, budget)[1:])
         out = tmp_path / "bench.csv"
         grid = ["--min-w1", "2", "--max-w1", "2", "--min-w2", "2", "--max-w2", "2", "--repeats", "1"]
         assert run(capsys, "bench", *grid, "--out", str(out))[0] == 0
-        assert out.read_text(encoding="utf-8").splitlines()[1].split(",")[:3] == ["2x2x3", "0", "0.200000"]
+        assert out.read_text(encoding="utf-8").splitlines()[1].split(",")[:3] == ["2x2x3", "0", "0.350000"]
 
     @pytest.mark.parametrize(
         "args,message",
@@ -697,6 +740,15 @@ class TestPlot:
         argv = ["plot", "--decomp", demo_decomp_file, "--points", str(pts)]
         code, stdout, stderr = run(capsys, *argv, "--bounds", "-2,-2,2,2", "--out", str(out))
         assert (code, stdout, stderr) == (1, "", f"error: {pts}:3: could not convert string to float: 'x'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_points_coordinate_not_finite_exit_1(self, capsys, tmp_path, demo_decomp_file, value):
+        pts, out = tmp_path / "pts.csv", tmp_path / "plot.svg"
+        pts.write_text(f"1.0,1.0\n\n2,{value},label\n")
+        argv = ["plot", "--decomp", demo_decomp_file, "--points", str(pts)]
+        code, stdout, stderr = run(capsys, *argv, "--bounds", "-2,-2,2,2", "--out", str(out))
+        assert (code, stdout, stderr) == (1, "", f"error: {pts}:3: coordinates must be finite\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("bounds", ["1,2,3", "-3,-3,inf,3", "nan,-3,3,3", "1,2,x,4"])

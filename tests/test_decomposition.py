@@ -429,11 +429,11 @@ class TestEnumeration:
     def test_search_builds_no_whole_pattern_rows(self, monkeypatch, net, budget):
         """Every search program is its parent cell's rows plus one row, and
         the records carry their leaves' rows on to the table, so the
-        whole-pattern builder ``_rows`` is never called in ``decompose``,
-        nor for the partial result of a budget cut that finished some
-        patterns."""
-        real, calls = decomposition._rows, []
-        monkeypatch.setattr(decomposition, "_rows", lambda *args: calls.append(args) or real(*args))
+        whole-pattern walk ``_prefix_chain`` is never called in
+        ``decompose``, nor for the partial result of a budget cut that
+        finished some patterns."""
+        real, calls = decomposition._prefix_chain, []
+        monkeypatch.setattr(decomposition, "_prefix_chain", lambda *args: calls.append(args) or real(*args))
         if budget is None:
             assert decompose(net).num_regions
         else:
@@ -1364,11 +1364,13 @@ class TestProgramsBuiltOnce:
 
 def test_contradicting_constant_row_is_reported():
     """A zero row whose offset contradicts its bit names its layer and neuron."""
-    first = global_prefix(((1, 0),), MLPNetwork((Layer(np.eye(2), np.zeros(2)),), Layer(np.eye(2), np.zeros(2))))
+    first = global_lp(((1, 0),), MLPNetwork((Layer(np.eye(2), np.zeros(2)),), Layer(np.eye(2), np.zeros(2))))
     dead = decomposition.GlobalAffinePrefix(np.zeros((2, 2)), np.array([0.5, -0.5]), 2)
     model = (np.zeros((1, 2)), np.zeros(1))
     for bits, neuron in ((((1, 0), (1, 1)), 1), (((1, 0), (0, 0)), 0)):
-        rows = decomposition._rows((first, dead), bits)
+        rows = (first.A, first.b, first.strict)
+        for i, bit in enumerate(bits[1]):
+            rows = decomposition._with_row(rows, dead, i, bit)
         rec = PatternRecord(ActivationPattern(bits), rows, *model, np.array([1.0, -1.0]))
         with pytest.raises(InconsistentConstantRowError, match=f"layer 2 neuron {neuron}:"):
             decomposition.extract_halfspaces([rec], random_init([2, 2, 2], 1, seed=0))

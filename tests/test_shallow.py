@@ -862,7 +862,7 @@ class TestGateFirstMatchesReference:
         g = s.gates
         n_in, width = s.W1.shape[0], s.W2.shape[0]
         np.testing.assert_array_equal(g.units, np.arange(width))
-        np.testing.assert_array_equal(g.live, np.arange(width))  # every column has a finite weight
+        np.testing.assert_array_equal(g.units_W3, np.where(s.W3 == -INF, 0.0, s.W3))
         assert not g.inputs[:n_in].any()
         firsts = g.rows[g.starts[:-1]]
         assert (np.diff(firsts) > 0).all()  # groups in order of their first row
@@ -884,8 +884,7 @@ class TestGateFirstMatchesReference:
         n, p, m = d.input_dim, d.num_regions, d.output_dim
         g = s.gates
         np.testing.assert_array_equal(g.units, np.arange(2 * n))
-        np.testing.assert_array_equal(g.live, np.arange(2 * n))
-        np.testing.assert_array_equal(g.live_W3, s.W3[:, : 2 * n])
+        np.testing.assert_array_equal(g.units_W3, s.W3[:, : 2 * n])
         np.testing.assert_array_equal(g.starts, 2 * m * np.arange(p + 1))
         r, j = np.arange(p)[:, None], np.arange(m)
         np.testing.assert_array_equal(g.rows.reshape(p, 2 * m), np.hstack([r * m + j, (p + r) * m + j]))
@@ -1014,7 +1013,6 @@ def _dense_gates(W2, b2, W3):
     read = (finite != 0.0).any(axis=0)
     counted = ~read & (b2 == 0.0) & ((W2 == 0.0) | (W2 == 1.0)).all(axis=1)
     units = np.flatnonzero(~counted)
-    live = np.flatnonzero(read[units])
     rows, cols = np.nonzero(neg)
     lists = np.full((W3.shape[0], max(1, int(neg.sum(axis=1).max(initial=0)))), width, dtype=np.intp)
     lists[rows, np.arange(rows.size) - np.searchsorted(rows, rows)] = cols
@@ -1028,8 +1026,7 @@ def _dense_gates(W2, b2, W3):
     return {
         "units": units.astype(np.intp),
         "units_W2": W2[units],
-        "live": live.astype(np.intp),
-        "live_W3": np.array(finite[:, units[live]]),
+        "units_W3": np.array(finite[:, units]),
         "inputs": np.array(np.ascontiguousarray(inputs.T), dtype=np.float32),
         "rows": np.argsort(label, kind="stable").astype(np.intp),
         "starts": np.concatenate([[0], np.cumsum(np.bincount(label, minlength=order.size))]).astype(np.intp),
