@@ -64,9 +64,10 @@ _FLAG_LEAST = {
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # values like "-2,-2,2,2" (bounds, points) must not parse as flags;
-        # no option here starts with a digit, so -<digit>... is always data
-        self._negative_number_matcher = re.compile(r"^-\d")
+        # values like "-2,-2,2,2", "-.5,1" or "-inf,0" (bounds, points) must
+        # not parse as flags; no option here starts with a digit, ".<digit>",
+        # "inf" or "nan", so such a value is always data
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -142,6 +143,36 @@ def _read_points_csv(path):
     return pts, (labels if any_label else None)
 
 
+def _bad_row(path) -> str | None:
+    """Why the first bad data row of a CSV of numbers is bad, or None.
+
+    Lines are read as ``np.loadtxt`` reads them: a comment runs from "#" to
+    the end of its line, and only lines left empty are skipped, so rows and
+    columns are counted from 1 past those.  A row is bad if its cell count
+    differs from the first row's or a cell is not a number.
+    """
+    width, row = None, 0
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for line in fh:
+            text = line.split("#", 1)[0].rstrip("\n")
+            if not text:
+                continue
+            row += 1
+            cells = [cell.strip() for cell in text.split(",")]
+            width = width or len(cells)
+            if len(cells) != width:
+                return f"row {row} has a different number of columns ({len(cells)}) than row 1 ({width})"
+            for col, cell in enumerate(cells, 1):
+                try:
+                    # float() also reads "1_0" and non-ASCII digits; numpy does not
+                    if "_" in cell or not cell.isascii():
+                        raise ValueError
+                    float(cell)
+                except ValueError:
+                    return f"row {row}, column {col} is not a number: {cell!r}"
+    return None
+
+
 def cmd_decompose(args) -> int:
     net = load_model(args.model)
     try:
@@ -210,8 +241,9 @@ def cmd_shap(args) -> int:
         try:
             background = np.loadtxt(args.background, delimiter=",", ndmin=2)
         except ValueError as exc:
-            # numpy's reason, without its advice to pass `usecols`
-            reason = str(exc).split("; use `usecols`")[0].rstrip(".")
+            # numpy's reason, without its advice to pass `usecols`, if the
+            # line reader finds no bad row
+            reason = _bad_row(args.background) or str(exc).split("; use `usecols`")[0].rstrip(".")
             raise ValueError(f"background file {args.background}: {reason}") from None
     if background.size == 0:
         raise ValueError(f"background file {args.background} holds no points")

@@ -22,26 +22,29 @@ NaN, so products are wrapped).
 Cost of evaluating N points: layer 1 is a dense product of about N(2n+k)n
 multiply-adds.  Layer 3 reads a region's layer-2 score only through its
 sign, and the score is positive exactly when one of the region's half-spaces
-is violated, so the region scores are never computed: one float32 product of
-the 0/1 violation matrix with the 0/1 half-space x region incidence, about
-N(2n+k)p multiply-adds, counts each region's violated half-spaces; a count
-is zero exactly when none is violated.
-Only the 2n pass-through units of layer 2 are computed in float64.  The -inf
-weights then leave only the 2m rows of the zero-count regions alive (the
-hosting region at an interior point, a few more on shared faces), so layer 3
-is computed for those rows alone, at 2n multiply-adds each, instead of as a
-dense N(2n+p)(2pm) product.  The ambiguity check and the output cost O(Nm).
+is violated, so the region scores are never computed: each region's gate
+ORs the positivity of its own half-space units, read from a list of them,
+about N * (sum of the regions' half-space counts) boolean operations; a
+region is alive exactly where none is violated.
+Only the 2n pass-through units of layer 2 are computed in float64, from the
+2n layer-1 units they copy.  The -inf weights then leave only the 2m rows of
+the alive regions (the hosting region at an interior point, a few more on
+shared faces), so layer 3 is computed for those rows alone, at 2n
+multiply-adds each, instead of as a dense N(2n+p)(2pm) product.  The
+ambiguity check and the output cost O(Nm).
 
 Memory: dense, W2 would hold (2n+p)(2n+k) floats and W3 2pm(2n+p), both
 growing with p^2, yet only 2n + (sum of the regions' half-space counts) and
 2pm(2n+1) of their entries are not structural zeros.  So W2 and W3 are
 stored, built, gated and written to ``relu-shallow-v2`` files as those
 entries alone, and every other weight is linear in p.  The largest array
-evaluation keeps is the float32 incidence of the count gate, (2n+k+2n) x p.
+evaluation keeps is layer 3's finite weights on the pass-through units,
+2pm x 2n; the gate's read lists hold one integer per region half-space.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -203,11 +206,21 @@ class _Gates(NamedTuple):
     """:attr:`ShallowNetwork.gates`; the fields are described there."""
 
     units: np.ndarray
+    cols: np.ndarray
     units_W2: np.ndarray
     units_W3: np.ndarray
-    inputs: np.ndarray
+    sources: np.ndarray
+    ranked: np.ndarray
+    reads: tuple[np.ndarray, ...]
     rows: np.ndarray
     starts: np.ndarray
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs ``lo[i]:hi[i]`` concatenated, and the ``i`` each entry is from."""
+    sizes = hi - lo
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    return np.arange(owner.size) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes), owner
 
 
 class ShallowNetwork:
@@ -288,7 +301,7 @@ class ShallowNetwork:
 
     @cached_property
     def gates(self) -> _Gates:
-        """Layers 2 and 3 split for count-gated evaluation, read off the entries.
+        """Layers 2 and 3 split for gated evaluation, read off the entries.
 
         Layer 3 reads a layer-2 unit through finite weights or through -inf
         weights, and a -inf weight only asks whether the unit is positive.  A
@@ -296,20 +309,26 @@ class ShallowNetwork:
         bias, is *counted*: it is positive exactly when one of its ReLU'd
         layer-1 inputs is, because ``1 * a == a`` and a float sum of
         nonnegative terms is zero only when every term is.  The other units,
-        ``units``, are computed in float64 through ``units_W2``, their dense
-        W2 rows; in a built net these are the 2n pass-through units.  Layer 3
-        reads them through ``units_W3``, the dense W3 columns of ``units``
-        with -inf read as zero.
+        ``units``, are computed in float64 through ``units_W2``, their W2
+        rows restricted to ``cols``, the layer-1 columns those rows touch; in
+        a built net these are the 2n pass-through units, each reading one of
+        the first 2n columns.  Layer 3 reads them through ``units_W3``, the
+        dense W3 columns of ``units`` with -inf read as zero.
 
         W3 rows that share one set of -inf columns form a group, and groups
         are ordered by their first row: a built net has one group of 2m rows
         per region.  Group ``g`` owns rows ``rows[starts[g]:starts[g + 1]]``.
-        ``inputs`` is the float32 0/1 (layer-1 units + ``units``) x groups
-        matrix of what each group reads: a layer-1 unit through a counted
-        unit, or a float64 unit directly.  Its product with the 0/1 matrix
-        of positive activations counts each group's positive inputs.  A sum
-        of 0/1 terms is zero only when every term is, so a group is alive
-        exactly where its count is zero.
+        A group reads a layer-1 unit through a counted unit, or a float64
+        unit directly, and is alive exactly where none of its reads is
+        positive.  The inputs some group reads are ``sources``, numbered as
+        the layer-1 units and then ``n_in + i`` for ``units[i]``, ascending.
+        Each group's read list holds positions in ``sources``, once each and
+        ascending; a built net's group r reads region r's half-space units.
+        The lists are kept slot by slot: ``ranked`` orders the groups by
+        read count, most first, and ``reads[j][i]`` is the j-th read of group
+        ``ranked[i]``, so ``reads[j]`` covers the groups with more than j
+        reads.  Together they hold one integer per read, the sum of the
+        regions' half-space counts in a built net.
         """
         W2, W3 = self.W2_entries, self.W3_entries
         width, n_in = W2.shape
@@ -324,8 +343,10 @@ class ShallowNetwork:
         slot = np.full(width, -1)  # each unit's position in `units`
         slot[units] = np.arange(units.size)
         mine = slot[W2.rows] >= 0
-        units_W2 = np.zeros((units.size, n_in))
-        units_W2[slot[W2.rows[mine]], W2.cols[mine]] = W2.values[mine]
+        touched = np.zeros(n_in, dtype=bool)
+        touched[W2.cols[mine]] = True
+        units_W2 = np.zeros((units.size, np.count_nonzero(touched)))
+        units_W2[slot[W2.rows[mine]], np.cumsum(touched)[W2.cols[mine]] - 1] = W2.values[mine]
         mine = ~neg & (slot[W3.cols] >= 0)
         units_W3 = np.zeros((W3.shape[0], units.size))
         units_W3[W3.rows[mine], slot[W3.cols[mine]]] = W3.values[mine]
@@ -335,19 +356,41 @@ class ShallowNetwork:
         group_of: dict[tuple[int, ...], int] = {}
         label = [group_of.setdefault(tuple(c.tolist()), len(group_of)) for c in sets]
         label = np.array(label, dtype=np.intp)
+        unit = np.fromiter(itertools.chain.from_iterable(group_of), dtype=np.intp)
+        group = np.repeat(np.arange(len(group_of)), [len(c) for c in group_of])
         # what each group reads: a float64 unit directly, a counted unit
-        # through the layer-1 units of its nonzero W2 entries
+        # through the layer-1 units of its nonzero W2 entries; sorted
+        # (group, source) keys, once each
+        direct = ~counted[unit]
         nonzero = W2.values != 0.0
-        feeds = np.split(W2.cols[nonzero], np.searchsorted(W2.rows[nonzero], np.arange(width)))[1:]
-        inputs = np.zeros((n_in + units.size, len(group_of)), dtype=np.float32)
-        for group, cols in enumerate(group_of):
-            for unit in cols:
-                inputs[feeds[unit] if counted[unit] else n_in + slot[unit], group] = 1.0
+        feed_rows, feed_cols = W2.rows[nonzero], W2.cols[nonzero]
+        via = unit[~direct]
+        at, pair = _ranges(np.searchsorted(feed_rows, via), np.searchsorted(feed_rows, via + 1))
+        span = n_in + units.size
+        keys = np.sort(np.concatenate([
+            group[~direct][pair] * span + feed_cols[at],
+            group[direct] * span + n_in + slot[unit[direct]],
+        ]))
+        group, source = np.divmod(keys[np.diff(keys, prepend=-1) != 0], span)
+        used = np.zeros(span, dtype=bool)
+        used[source] = True
+        source = np.cumsum(used)[source] - 1  # position in `sources`
+        # read j of each group goes to slot j, at the group's rank
+        count = np.bincount(group, minlength=len(group_of))
+        ranked = np.argsort(-count, kind="stable")
+        rank = np.empty_like(ranked)
+        rank[ranked] = np.arange(ranked.size)
+        j = np.arange(group.size) - (np.cumsum(count) - count)[group]
+        order = np.argsort(j * ranked.size + rank[group])
+        reads = np.split(source[order], np.cumsum(np.bincount(j))[:-1])
         return _Gates(
             _readonly(units),
+            _readonly(np.flatnonzero(touched)),
             _readonly(units_W2),
             _readonly(units_W3),
-            _readonly(inputs),
+            _readonly(np.flatnonzero(used)),
+            _readonly(ranked),
+            tuple(map(_readonly, reads)),
             _readonly(np.argsort(label, kind="stable")),
             _readonly(np.concatenate([[0], np.cumsum(np.bincount(label, minlength=len(group_of)))])),
         )
@@ -426,7 +469,7 @@ def eval_shallow_many(s: ShallowNetwork, points) -> np.ndarray:
     zero is zero).  So layer 3 is computed gate-first: only the (point, row)
     pairs whose -inf columns all meet zero activations are evaluated, with
     their finite weights, and everything else is known to be zero; which
-    activations are zero is counted as :attr:`ShallowNetwork.gates` says.  Points
+    activations are zero is read as :attr:`ShallowNetwork.gates` says.  Points
     are evaluated in blocks of ``EVAL_BLOCK`` rows, which bounds the
     intermediate arrays.  Raises :class:`AmbiguousSelectionError` if two
     rows feed one output coordinate of a point (a shared face with a nonzero
@@ -448,24 +491,28 @@ def _eval_block(s: ShallowNetwork, X: np.ndarray, first: int) -> np.ndarray:
     N, m = X.shape[0], s.output_dim
     g = s.gates
     n_in = s.W1.shape[0]
-    A1 = X @ s.W1.T
-    A1 += s.b1
-    xr_relu(A1, out=A1)
-    A2 = A1 @ g.units_W2.T
+    Z = X @ s.W1.T
+    Z += s.b1
+    A1 = Z[:, g.cols]
+    A2 = xr_relu(A1, out=A1) @ g.units_W2.T
     A2 += s.b2[g.units]
     xr_relu(A2, out=A2)
-    positive = np.empty((N, n_in + g.units.size), dtype=np.float32)
-    np.greater(A1, 0.0, out=positive[:, :n_in])
-    np.greater(A2, 0.0, out=positive[:, n_in:])
-    del A1
-    # a group is alive at a point where none of the inputs it reads is positive
-    pts, groups = np.divmod(np.flatnonzero(positive @ g.inputs == 0.0), g.inputs.shape[1])
-    # expand each alive (point, group) pair to the group's W3 rows
-    sizes = g.starts[groups + 1] - g.starts[groups]
-    pts = np.repeat(pts, sizes)
-    rows = g.rows[
-        np.arange(pts.size) + np.repeat(g.starts[groups] - np.cumsum(sizes) + sizes, sizes)
-    ]
+    # which inputs some group reads are positive, one row per input
+    positive = np.empty((g.sources.size, N), dtype=bool)
+    q = np.searchsorted(g.sources, n_in)
+    np.take((Z > 0.0).T, g.sources[:q], axis=0, out=positive[:q])
+    np.take((A2 > 0.0).T, g.sources[q:] - n_in, axis=0, out=positive[q:])
+    del Z, A1
+    # a group is dead at a point where one of its reads is positive; the
+    # alive (point, group) pairs, point-major, then expanded to W3 rows
+    dead = np.zeros((g.ranked.size, N), dtype=bool)
+    for read in g.reads:
+        dead[: read.size] |= positive[read]
+    rank, pts = np.divmod(np.flatnonzero(~dead), N)
+    order = np.argsort(pts * g.ranked.size + g.ranked[rank])
+    pts, groups = pts[order], g.ranked[rank[order]]
+    at, pair = _ranges(g.starts[groups], g.starts[groups + 1])
+    pts, rows = pts[pair], g.rows[at]
     z = np.einsum("ij,ij->i", A2[pts], g.units_W3[rows]) + s.b3[rows]
     a3 = xr_relu(z)
     selected = a3 > 0

@@ -444,7 +444,7 @@ class TestShap:
         )
         assert got == code and stdout == ""
 
-    @pytest.mark.parametrize("point", ["nan,1", "1,inf", "0,-inf"])
+    @pytest.mark.parametrize("point", ["nan,1", "1,inf", "0,-inf", "-inf,0", "-NaN,1"])
     def test_non_finite_point_is_a_usage_error(self, capsys, tmp_path, point):
         """A NaN or infinite --point is refused before the decomposition is
         read: the path given does not exist."""
@@ -454,6 +454,15 @@ class TestShap:
         assert stderr.splitlines()[-1] == (
             f"relu-unwrap shap: error: argument --point: invalid point {point!r}: coordinates must be finite"
         )
+
+    def test_point_starting_with_a_bare_fraction(self, capsys, tmp_path, linear_decomp_file):
+        """A value like -.5 is data, not a flag."""
+        bg = tmp_path / "bg.csv"
+        bg.write_text("-0.5,1.0\n")
+        argv = ["shap", "--decomp", linear_decomp_file, "--point", "-.5,1", "--background", str(bg)]
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0
+        np.testing.assert_allclose(json.loads(stdout)["phi"], [[0.0], [0.0]], atol=1e-15)
 
     def test_unparsable_point_is_a_usage_error(self, capsys, tmp_path):
         """A bad --point is refused before the decomposition is read: the
@@ -478,14 +487,15 @@ class TestShap:
     @pytest.mark.parametrize(
         "content,reason",
         [
-            ("1,1\n1,2,3\n", "the number of columns changed from 2 to 3 at row 2"),
-            ("1,1\n1,y\n", "could not convert string 'y' to float64 at row 1, column 2"),
+            ("1,1\n1,2,3\n", "row 2 has a different number of columns (3) than row 1 (2)"),
+            ("1,1\n1,y\n", "row 2, column 2 is not a number: 'y'"),
+            ("# x,y\n1,1\n\n2,2 # note\n1, y\n", "row 3, column 2 is not a number: 'y'"),
         ],
-        ids=["ragged", "text"],
+        ids=["ragged", "text", "text-after-comments"],
     )
     def test_background_not_numbers_exit_1(self, capsys, tmp_path, linear_decomp_file, content, reason):
-        """One error line that names the file, without numpy's advice to pass
-        ``usecols``."""
+        """One error line that names the file and the data row, counted from
+        1 past comments and blank lines as for a non-finite coordinate."""
         bg = tmp_path / "bg.csv"
         bg.write_text(content)
         argv = ["shap", "--decomp", linear_decomp_file, "--point", "1,1", "--background", str(bg)]
@@ -750,6 +760,12 @@ class TestPlot:
         code, stdout, stderr = run(capsys, *argv, "--bounds", "-2,-2,2,2", "--out", str(out))
         assert (code, stdout, stderr) == (1, "", f"error: {pts}:3: coordinates must be finite\n")
         assert not out.exists()
+
+    def test_bounds_starting_with_a_bare_fraction(self, capsys, tmp_path, demo_decomp_file):
+        out = tmp_path / "plot.svg"
+        argv = ["plot", "--decomp", demo_decomp_file, "--bounds", "-.5,-1,1,1", "--out", str(out)]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0 and out.exists()
 
     @pytest.mark.parametrize("bounds", ["1,2,3", "-3,-3,inf,3", "nan,-3,3,3", "1,2,x,4"])
     def test_bad_bounds_are_usage_errors(self, capsys, tmp_path, bounds):

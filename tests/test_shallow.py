@@ -721,11 +721,11 @@ def _assert_matches_reference(s, X, ref=_ref_eval):
     return np.array(kept).reshape(-1, s.input_dim), np.array(want).reshape(-1, s.output_dim)
 
 
-def _hand_built_weights(seed):
+def _hand_built_weights(seed, m=2):
     """Random weights everywhere, with -inf entries in W3: most rows hold two
     (anywhere, selector columns included), one holds one and one none."""
     rng = np.random.default_rng(seed)
-    n, k, p, m = 2, 3, 3, 2
+    n, k, p = 2, 3, 3
     W3 = rng.normal(size=(2 * p * m, 2 * n + p))
     for row in range(2, 2 * p * m):
         W3[row, rng.choice(2 * n + p, size=2, replace=False)] = -INF
@@ -793,6 +793,16 @@ def _face_points(d):
     )
 
 
+def _read_lists(g):
+    """Each group's reads from ``g.reads``, in group order, numbered as the
+    layer-1 units and then ``n_in + i`` for the float64 unit ``units[i]``."""
+    lists = [[] for _ in g.ranked]
+    for read in g.reads:
+        for group, source in zip(g.ranked, g.sources[read]):
+            lists[group].append(int(source))
+    return lists
+
+
 GATE_NETS = [
     ("[2,3,3]", lambda: random_init([2, 3, 3], 1, seed=0)),
     ("biased[2,4,4]", lambda: biased_net([2, 4, 4], 2, seed=0)),
@@ -846,13 +856,11 @@ class TestGateFirstMatchesReference:
         region's group counts that region's half-space units."""
         d = decompose(make())
         s = build_shallow(d)
-        n, k, p = d.input_dim, d.num_halfspaces, d.num_regions
+        n = d.input_dim
         g = s.gates
         np.testing.assert_array_equal(g.units, np.arange(2 * n))
-        ids, _, starts = d.region_rows
-        reads = np.zeros((2 * n + k + 2 * n, p), dtype=np.float32)
-        reads[2 * n + ids, np.repeat(np.arange(p), np.diff(starts))] = 1.0
-        np.testing.assert_array_equal(g.inputs, reads)
+        np.testing.assert_array_equal(g.cols, np.arange(2 * n))
+        assert _read_lists(g) == [sorted(2 * n + i for i in reg.halfspace_ids) for reg in d.regions]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_hand_built_masks_and_selector_weights(self, seed):
@@ -863,14 +871,12 @@ class TestGateFirstMatchesReference:
         n_in, width = s.W1.shape[0], s.W2.shape[0]
         np.testing.assert_array_equal(g.units, np.arange(width))
         np.testing.assert_array_equal(g.units_W3, np.where(s.W3 == -INF, 0.0, s.W3))
-        assert not g.inputs[:n_in].any()
         firsts = g.rows[g.starts[:-1]]
         assert (np.diff(firsts) > 0).all()  # groups in order of their first row
         assert firsts[0] == 0 and firsts[1] == 1  # rows with no and one -inf entry
-        for group in range(len(firsts)):
-            cols = g.inputs[n_in:, group] == 1.0
+        for group, reads in enumerate(_read_lists(g)):
             for row in g.rows[g.starts[group] : g.starts[group + 1]]:
-                np.testing.assert_array_equal(s.W3[row] == -INF, cols)
+                assert reads == list(n_in + np.flatnonzero(s.W3[row] == -INF))
         X = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(400, s.input_dim))
         kept, want = _assert_matches_reference(s, X)
         assert 0 < len(kept) < len(X)  # both outcomes occur
@@ -888,8 +894,7 @@ class TestGateFirstMatchesReference:
         np.testing.assert_array_equal(g.starts, 2 * m * np.arange(p + 1))
         r, j = np.arange(p)[:, None], np.arange(m)
         np.testing.assert_array_equal(g.rows.reshape(p, 2 * m), np.hstack([r * m + j, (p + r) * m + j]))
-        np.testing.assert_array_equal(g.inputs[: s.W1.shape[0]], (s.W2[2 * n :] != 0).T)
-        assert not g.inputs[s.W1.shape[0] :].any()
+        assert _read_lists(g) == [list(np.flatnonzero(row)) for row in s.W2[2 * n :]]
 
     def test_counted_and_float64_units_mixed(self):
         """Units that break one condition of the count gate stay float64 and
@@ -1005,8 +1010,10 @@ def _dense_weights(d):
 
 
 def _dense_gates(W2, b2, W3):
-    """ShallowNetwork.gates as it was derived from dense W2 and W3, plus the
-    W2 rows of the float64 units that evaluation read as ``W2[units]``."""
+    """ShallowNetwork.gates as derived from dense W2 and W3, without
+    ``reads``, and the 0/1 (groups x inputs) matrix of what each group reads,
+    the former count gate's incidence (inputs numbered as in
+    :func:`_read_lists`)."""
     width, n_in = W2.shape
     neg = W3 == -np.inf
     finite = np.where(neg, 0.0, W3)
@@ -1023,14 +1030,67 @@ def _dense_gates(W2, b2, W3):
     feeds[:width, :n_in] = (W2 != 0.0) & counted[:, None]
     feeds[units, n_in + np.arange(units.size)] = True
     inputs = feeds[lists[first[order]]].any(axis=1)
-    return {
+    touched = ((W2[units] != 0.0) | np.signbit(W2[units])).any(axis=0)
+    fields = {
         "units": units.astype(np.intp),
-        "units_W2": W2[units],
+        "cols": np.flatnonzero(touched),
+        "units_W2": np.array(W2[units][:, touched]),
         "units_W3": np.array(finite[:, units]),
-        "inputs": np.array(np.ascontiguousarray(inputs.T), dtype=np.float32),
+        "sources": np.flatnonzero(inputs.any(axis=0)),
+        "ranked": np.argsort(-inputs.sum(axis=1), kind="stable"),
         "rows": np.argsort(label, kind="stable").astype(np.intp),
         "starts": np.concatenate([[0], np.cumsum(np.bincount(label, minlength=order.size))]).astype(np.intp),
     }
+    return fields, inputs
+
+
+def _count_blocks(s, X):
+    """eval_shallow_many as the dense count gate computed it, block by block:
+    one float32 product of the 0/1 matrix of positive layer-1 and float64
+    units with the incidence of :func:`_dense_gates` counts each group's
+    positive reads, and layer 2 reads every layer-1 column.  Yields each
+    block's first row, its (points x outputs) counts of selected rows, and
+    its outputs."""
+    f, inputs = _dense_gates(s.W2, s.b2, s.W3)
+    incidence = np.ascontiguousarray(inputs.T, dtype=np.float32)
+    m = s.output_dim
+    for first in range(0, len(X), 1024):
+        B = X[first : first + 1024]
+        N = len(B)
+        A1 = xr_relu(B @ s.W1.T + s.b1)
+        A2 = xr_relu(A1 @ s.W2[f["units"]].T + s.b2[f["units"]])
+        positive = np.hstack([A1 > 0.0, A2 > 0.0]).astype(np.float32)
+        pts, groups = np.divmod(np.flatnonzero(positive @ incidence == 0.0), incidence.shape[1])
+        starts = f["starts"]
+        sizes = starts[groups + 1] - starts[groups]
+        pts = np.repeat(pts, sizes)
+        rows = f["rows"][np.arange(pts.size) + np.repeat(starts[groups] - np.cumsum(sizes) + sizes, sizes)]
+        a3 = xr_relu(np.einsum("ij,ij->i", A2[pts], f["units_W3"][rows]) + s.b3[rows])
+        selected = a3 > 0
+        counts = np.bincount(pts[selected] * m + rows[selected] % m, minlength=N * m).reshape(N, m)
+        out = np.empty((N, m))
+        for j in range(m):
+            out[:, j] = np.bincount(pts, weights=a3 * s.W4[j, rows], minlength=N)
+        yield first, counts, out
+
+
+def _count_reference(s, X):
+    """The dense count gate's outputs, or the ambiguity it raises."""
+    out = np.empty((len(X), s.output_dim))
+    for first, counts, block in _count_blocks(s, X):
+        if (counts > 1).any():
+            row, j = np.argwhere(counts > 1)[0]
+            raise AmbiguousSelectionError(
+                f"point {first + int(row)}: {int(counts[row, j])} regions selected for "
+                f"output coordinate {int(j)}"
+            )
+        out[first : first + len(block)] = block
+    return out
+
+
+def _unambiguous_rows(s, X):
+    """The rows of X the dense count gate finds unambiguous in this batch."""
+    return np.concatenate([~(counts > 1).any(axis=1) for _, counts, _ in _count_blocks(s, X)])
 
 
 def _same_bytes(got, want):
@@ -1038,10 +1098,10 @@ def _same_bytes(got, want):
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def _outputs(s, X):
-    """eval_shallow_many's outputs as bytes, or the ambiguity it raises."""
+def _outputs(s, X, evaluate=eval_shallow_many):
+    """``evaluate``'s outputs as bytes, or the ambiguity it raises."""
     try:
-        return eval_shallow_many(s, X).tobytes()
+        return evaluate(s, X).tobytes()
     except AmbiguousSelectionError as exc:
         return str(exc)
 
@@ -1072,7 +1132,7 @@ class TestEntryStorage:
         evaluate alike, at random points and at face points.  Its dense v1
         file is no longer read."""
         d, s, weights = make()
-        want = _dense_gates(weights[2], weights[3], weights[4])
+        want, inputs = _dense_gates(weights[2], weights[3], weights[4])
         rng = np.random.default_rng(2)
         batches = [rng.uniform(-6.0, 6.0, size=(500, s.input_dim))]
         if d is not None:
@@ -1085,7 +1145,49 @@ class TestEntryStorage:
                 assert _same_bytes(getattr(net, name), np.asarray(w, dtype=np.float64).reshape(getattr(net, name).shape)), name
             for field, w in want.items():
                 assert _same_bytes(getattr(net.gates, field), w), field
+            assert _read_lists(net.gates) == [list(np.flatnonzero(row)) for row in inputs]
             assert [_outputs(net, X) for X in batches] == outputs
+
+    @pytest.mark.parametrize("rows", [1023, 1024, 1025])
+    @pytest.mark.parametrize("make", [m for _, m in STORED_NETS], ids=[l for l, _ in STORED_NETS])
+    def test_sparse_gate_matches_the_dense_count(self, make, rows):
+        """Random, witness and face-point batches around a block boundary
+        give the same bytes, or the same error text, as the dense float32
+        count gate; so do the batches of their rows it finds unambiguous,
+        repeated to the same length, which most hand-built and face-point
+        batches need to reach an output."""
+        d, s, _ = make()
+        rng = np.random.default_rng(rows)
+        batches = [rng.uniform(-6.0, 6.0, size=(rows, s.input_dim))]
+        if d is not None:
+            batches += [np.resize(d.witnesses, (rows, s.input_dim)), np.resize(_face_points(d), (rows, s.input_dim))]
+        for X in batches:
+            kept = X[_unambiguous_rows(s, X)]
+            assert len(kept) > 0
+            for batch in (X, np.resize(kept, X.shape)):
+                assert _outputs(s, batch) == _outputs(s, batch, _count_reference)
+
+    def test_alive_rows_summed_in_group_order(self):
+        """With three outputs, a hand-built W4 sums up to three nonzero
+        terms per output (three selected rows at most points here), so the
+        alive rows must be summed point by point in group order, as the
+        dense count gate sums them, and not in order of read count: the
+        group of row 0 reads nothing, so it is ranked last."""
+        s = ShallowNetwork(*_hand_built_weights(1, m=3))
+        X = np.random.default_rng(3).uniform(-3.0, 3.0, size=(1025, s.input_dim))
+        X = np.resize(X[_unambiguous_rows(s, X)], X.shape)
+        assert _same_bytes(eval_shallow_many(s, X), _count_reference(s, X))
+
+    def test_read_lists_hold_one_integer_per_read(self):
+        """Biased [3,5,5,3] seed 0 (p=294, k=398): the read lists hold
+        sum|halfspace_ids| entries, and no array of the gates has k*p cells,
+        as the dense count's incidence did."""
+        d = decompose(biased_net([3, 5, 5, 3], 2, seed=0))
+        g = build_shallow(d).gates
+        k, p = d.num_halfspaces, d.num_regions
+        assert sum(read.size for read in g.reads) == sum(len(r.halfspace_ids) for r in d.regions)
+        arrays = [a for a in g if isinstance(a, np.ndarray)] + list(g.reads)
+        assert max(a.size for a in arrays) < k * p
 
     def test_built_net_keeps_written_entries(self):
         """Explicit zeros of a region model stay entries, as +0.0 and -0.0;
