@@ -21,7 +21,8 @@ sub-cell.  So the search runs layer by layer: every cell that completes a
 layer is collected, one stacked solve tests every neuron of the next layer
 in all of them, and their sub-cells skip the empty sides found.  Splits
 inside a layer are solved one at a time (see :func:`enumerate_feasible`).
-The parent cell's witness settles one child without a solve, so the work
+The parent cell's witness settles one child without a solve, and the
+points the pre-test found inside a cell settle many others, so the work
 grows with the cells found rather than with the 2^width patterns of a
 layer.  Every search program is its parent cell's rows plus one neuron's
 row from :func:`_with_row`, which also grows every row of :func:`global_lp`,
@@ -32,11 +33,13 @@ its affine model, read off its last prefix, and a witness (:func:`_witnesses`).
 Each record yields a region: that model and witness, and the minimal set
 of oriented half-spaces ``h . x > c`` its rows give, each unit-normalised
 and oriented (both sides of one hyperplane are separate table entries).
-A region's duplicate rows are merged within ``TOL_CANON``; the regions'
-conditions share one table entry when their floats are equal.  A
-:class:`Decomposition` holds the table and the regions as arrays, the
-patterns as one bit matrix in :func:`~relu_unwrap.network.pattern_matrix`'s
-form; its :class:`Region` and :class:`OrientedHalfspace` items are views.
+A region's duplicate rows are merged within ``TOL_CANON``; its facets are
+found by LP, first among the rows whose one-flip pattern is another found
+region (:func:`_facet_hints`); the regions' conditions share one table
+entry when their floats are equal.  A :class:`Decomposition` holds the
+table and the regions as arrays, the patterns as one bit matrix in
+:func:`~relu_unwrap.network.pattern_matrix`'s form; its :class:`Region` and
+:class:`OrientedHalfspace` items are views.
 """
 
 from __future__ import annotations
@@ -476,7 +479,10 @@ class _Cell:
     than ``TOL_SLACK`` and meets the closed ones; it is None when a solver
     failure kept the cell.  ``empty`` holds the ``(neuron, bit)`` children
     of the last layer that have no interior in the cell that opened the
-    layer, so in none of its sub-cells either.
+    layer, so in none of its sub-cells either.  ``points`` are more points
+    like the witness, the layer pre-test's, each paired with the bit
+    :func:`_settled` gives it for every neuron of the last layer; a child
+    keeps those on its side.
     """
 
     bits: tuple[tuple[int, ...], ...]
@@ -484,6 +490,7 @@ class _Cell:
     rows: tuple[np.ndarray, np.ndarray, np.ndarray]
     witness: np.ndarray | None
     empty: frozenset[tuple[int, int]] = frozenset()
+    points: tuple[tuple[np.ndarray, tuple[int | None, ...]], ...] = ()
 
 
 class _Search:
@@ -559,11 +566,13 @@ class _Search:
         the gray zone ``(0, TOL_SLACK]``.  Returns, per cell, the cell opening
         ``layer``, whose ``empty`` holds the ``(neuron, bit)`` sides of
         neurons ``j >= 1`` found to have no interior (hence none in any
-        sub-cell), and neuron 0's ``(keep, witness)`` as :meth:`interior`
-        gives it for the first split (None when not tested); a program that
-        runs out of pivots settles nothing.  The whole layer is charged
-        first: when the budget runs out, only the programs left under it are
-        built and solved, then :class:`BudgetExceededError` is raised.
+        sub-cell) and whose ``points`` are the witnesses of the programs
+        found to have one, in neuron order, and neuron 0's ``(keep,
+        witness)`` as :meth:`interior` gives it for the first split (None
+        when not tested); a program that runs out of pivots settles nothing
+        and adds no point.  The whole layer is charged first: when the
+        budget runs out, only the programs left under it are built and
+        solved, then :class:`BudgetExceededError` is raised.
         """
         plans = []  # (cell, prefix of ``layer``, settled bit per neuron, tested neurons)
         for cell in cells:
@@ -583,15 +592,21 @@ class _Search:
             raise self._exceeded()
         opened = []
         for cell, nxt, settled, tested in plans:
-            split, empty = None, set()
+            split, empty, found = None, set(), []
             # zip draws a neuron before a verdict, so each cell takes its own
             for j, ((_, start), res) in zip(tested, verdicts):
+                keep, point = self._verdict(res, start)
                 if j == 0:
-                    split = self._verdict(res, start)
+                    split = keep, point
                     self.fallbacks += res is None
-                elif res is not None and res.status is not Feasibility.INTERIOR:
+                elif not keep:
                     empty.add((j, 1 - settled[j]))
-            opened.append((_Cell(cell.bits + ((),), nxt, cell.rows, cell.witness, frozenset(empty)), split))
+                if point is not None:
+                    found.append(point)
+            sides = (np.array(found) @ nxt.matrix.T + nxt.offset).tolist() if found else []
+            points = tuple((point, tuple(map(_settled, zs))) for point, zs in zip(found, sides))
+            cell = _Cell(cell.bits + ((),), nxt, cell.rows, cell.witness, frozenset(empty), points)
+            opened.append((cell, split))
         return opened
 
     def result(self, *, partial: bool = False) -> EnumerationResult:
@@ -625,10 +640,12 @@ def enumerate_feasible(net: MLPNetwork, *, budget: int | None = None) -> Enumera
     of layer ``l`` cuts a cell along ``M[i] . x + o[i] = 0``, which is affine
     in the input under the cell's prefix.  The cell's witness ``w`` settles
     one child without a solve (bit 1 if ``M[i] . w + o[i] > TOL_SLACK``, bit 0
-    if it is ``<= 0``); every other child costs one feasibility LP and is
-    dropped when its rows have no strict interior.  Rows only shrink a cell,
-    so a dropped child has no realisable extension.  A solver failure keeps
-    the child without a witness and is counted in ``solver_fallbacks``.
+    if it is ``<= 0``); every other child takes a point that the layer's
+    pre-test found inside the cell on its side, if one is left, or costs one
+    feasibility LP and is dropped when its rows have no strict interior.
+    Rows only shrink a cell, so a dropped child has no realisable extension.
+    A solver failure keeps the child without a witness and is counted in
+    ``solver_fallbacks``.
     Records carry rows, model and witness (:class:`PatternRecord`); a kept
     pattern that no point certifies raises :class:`UnwrapError`.
 
@@ -638,12 +655,14 @@ def enumerate_feasible(net: MLPNetwork, *, budget: int | None = None) -> Enumera
     ``l >= 2`` (:meth:`_Search.open_layers`): per cell and neuron, the
     cell's rows plus the neuron's row on the side the cell's witness does
     not settle.  A side with no interior is then skipped in every sub-cell,
-    whose other child is settled by its witness or its own LP as above.
-    Neuron 0's program is the cell's first split LP, and serves as it.  The
-    splits inside a layer stay one at a time, through :func:`check_feasible`,
-    whose calls the benchmark's tracer (``perfbench/spans.py``) counts one
-    program each; stacking them would need a search over neuron-level
-    frontiers and a tracer that reads stacked calls.
+    whose other child is settled by its witness, a pre-test point or its own
+    LP as above; the points of a side with one are kept with the opened
+    cell, and each child keeps those on its side.  Neuron 0's program is the
+    cell's first split LP, and serves as it.  The splits inside a layer stay
+    one at a time, through :func:`check_feasible`, whose calls the
+    benchmark's tracer (``perfbench/spans.py``) counts one program each;
+    stacking them would need a search over neuron-level frontiers and a
+    tracer that reads stacked calls.
 
     ``layer_feasible[l]`` counts the live cells after layer ``l + 1``; the
     last entry is the number of patterns.  ``candidates_checked`` counts
@@ -671,7 +690,9 @@ def enumerate_feasible(net: MLPNetwork, *, budget: int | None = None) -> Enumera
         done = search.leaves if layer == L else []
         while stack:
             cell, split = stack.pop()
-            bits, prefix, rows, w, empty = cell.bits, cell.prefix, cell.rows, cell.witness, cell.empty
+            bits, prefix, rows, w, empty, points = (
+                cell.bits, cell.prefix, cell.rows, cell.witness, cell.empty, cell.points
+            )
             i = len(bits[-1])
             row, shift = prefix.matrix[i], prefix.offset[i]
             settled = None if w is None else _settled(float(row @ w + shift))
@@ -679,15 +700,18 @@ def enumerate_feasible(net: MLPNetwork, *, budget: int | None = None) -> Enumera
                 if (i, bit) in empty:
                     continue
                 child, grown = bits[:-1] + (bits[-1] + (bit,),), _with_row(rows, prefix, i, bit)
+                mine = tuple(point for point in points if point[1][i] == bit)
                 if bit == settled:
                     keep, witness = True, w
                 elif split is not None:
                     keep, witness = split
+                elif mine:
+                    keep, witness = True, mine[0][0]
                 else:
                     keep, witness = search.interior(grown, w)
                 if not keep:
                     continue
-                cell = _Cell(child, prefix, grown, witness, empty)
+                cell = _Cell(child, prefix, grown, witness, empty, mine)
                 if i + 1 < width:
                     stack.append((cell, None))
                 else:
@@ -722,18 +746,22 @@ def local_linear_model(pattern: ActivationPattern, net: MLPNetwork):
     return _model(_prefix_chain(layers, net)[0], layers[-1], net.output)
 
 
-def _candidates(rec: PatternRecord) -> tuple[np.ndarray, list[float], list[bool]]:
-    """A region's candidate conditions ``(normals, offsets, any_strict)``.
+def _candidates(rec: PatternRecord) -> tuple[np.ndarray, list[float], list[bool], np.ndarray | None]:
+    """A region's candidate conditions ``(normals, offsets, any_strict, neurons)``.
 
     Each row ``A[i] . x <= b[i]`` of the record's rows gives the
     condition ``-A[i] . x > -b[i]``, unit-normalised.  Rows within
     ``TOL_CANON`` of an earlier candidate merge into it, in row order;
     ``any_strict`` tells whether a strict (bit 1) row produced the
-    candidate.
+    candidate.  ``neurons`` gives each candidate's row, which is its
+    neuron's column in the pattern bits; it is None when rows merged or a
+    zero row's offset is within ``TOL_CANON`` of 0, as then a neuron may
+    vanish on a facet (see :func:`_facet_hints`).
     """
     A, b, strict = rec.rows
     lengths = _row_lengths(A)
     live = lengths > TOL_DEGENERATE
+    vanishing = bool((np.abs(b[~live]) <= TOL_CANON).any())
     for i in np.flatnonzero(~live):
         bit = int(strict[i])
         shift = float(b[i] if bit else -b[i])
@@ -750,7 +778,7 @@ def _candidates(rec: PatternRecord) -> tuple[np.ndarray, list[float], list[bool]
         np.abs(normals[:, None] - normals).max(axis=2, initial=0.0) <= TOL_CANON
     )
     if not np.triu(close, 1).any():
-        return normals, offsets.tolist(), strict
+        return normals, offsets.tolist(), strict, None if vanishing else np.flatnonzero(live)
     keep, any_strict = [], []
     for i in range(len(offsets)):
         hit = next((t for t, j in enumerate(keep) if close[i, j]), None)
@@ -759,7 +787,33 @@ def _candidates(rec: PatternRecord) -> tuple[np.ndarray, list[float], list[bool]
             any_strict.append(strict[i])
         else:
             any_strict[hit] = any_strict[hit] or strict[i]
-    return normals[keep], offsets[keep].tolist(), any_strict
+    return normals[keep], offsets[keep].tolist(), any_strict, None
+
+
+def _pattern_index(patterns: np.ndarray) -> dict[bytes, int]:
+    """The region of each pattern, keyed by its row's bytes in a (p, N) uint8
+    bit matrix of :attr:`Decomposition.patterns` form."""
+    return {row.tobytes(): r for r, row in enumerate(patterns)}
+
+
+def _facet_hints(patterns: np.ndarray, neurons) -> list[np.ndarray | None]:
+    """Per region, the candidates whose one-flip pattern is a region of
+    ``patterns``, the ``(p, N)`` bit matrix; ``neurons[r]`` is region ``r``'s
+    from :func:`_candidates`, and a region where it is None gets None.
+
+    Across a facet from neuron ``j`` the pattern differs in bit ``j`` alone,
+    unless another neuron vanishes on the facet, so other rows are in
+    general not facets; :func:`_facets` tests the rows these hints miss.
+    """
+    index, width = _pattern_index(patterns), patterns.shape[1]
+    flips, hints = np.eye(width, dtype=np.uint8), []
+    for bits, rows in zip(patterns, neurons):
+        if rows is None:
+            hints.append(None)
+            continue
+        raw = (bits ^ flips[rows]).tobytes()  # one flipped pattern per candidate
+        hints.append(np.flatnonzero([raw[t * width : (t + 1) * width] in index for t in range(len(rows))]))
+    return hints
 
 
 def _prune_sequential(lp: LinearProgram) -> list[int]:
@@ -776,28 +830,35 @@ def _prune_sequential(lp: LinearProgram) -> list[int]:
     return active
 
 
-def _facets(lps: Sequence[LinearProgram]) -> list[list[int]]:
+def _facets(lps: Sequence[LinearProgram], hints=None) -> list[list[int]]:
     """Rows of each closed region program that bound it, as the sequential
     loop finds them.
 
     Each program is shifted to a point of its region, so a feasible start
     is at hand when that point clears every row.  Then two passes, each a
-    stacked call over all regions, suffice: every row tested against all
-    the others gives a region's facets F, and when every other row is
-    redundant against F alone, F is what the sequential loop keeps (a facet
-    stays one against any subset of the rows, and every other row is
-    implied by the facets it keeps).  A region runs the loop instead when it
-    has fewer than two rows, its point sits on a row, F is empty, a row is
-    not implied by F, or one of its own programs ran out of pivots.
+    stacked call over all regions, suffice: the hinted rows tested against
+    all the others give facets F, and when every other row is redundant
+    against F alone, F is what the sequential loop keeps (a facet stays one
+    against any subset of the rows, and every other row is implied by the
+    facets it keeps, so a facet left out of the hints would fail that test).
+    ``hints[j]`` lists the rows pass 1 tests in program ``j``, ascending
+    (:func:`_facet_hints`); all of them where it, or ``hints``, is None.  A
+    region runs the loop instead when it has fewer than two rows, its point
+    sits on a row, F is empty, a row is not implied by F, or one of its own
+    programs ran out of pivots.
     """
+    hints = hints or [None] * len(lps)
     quick = [j for j, lp in enumerate(lps) if lp.num_rows >= 2 and (lp.b > 0.0).all()]
-    first = is_redundant([np.arange(lps[j].num_rows) for j in quick], [lps[j] for j in quick])
+    tested = [np.arange(lps[j].num_rows) if hints[j] is None else hints[j] for j in quick]
+    first = is_redundant(tested, [lps[j] for j in quick])
     facets: list[list[int] | None] = [None] * len(lps)
     checks = []  # (region, facets F, rows to test against F)
-    for j, redundant in zip(quick, first):
+    for j, rows, redundant in zip(quick, tested, first):
         if redundant is None or redundant.all():
             continue
-        kept, rest = np.flatnonzero(~redundant), np.flatnonzero(redundant)
+        other = np.ones(lps[j].num_rows, dtype=bool)
+        other[rows[~redundant]] = False
+        kept, rest = np.flatnonzero(~other), np.flatnonzero(other)
         if rest.size:
             checks.append((j, kept, rest))
         else:
@@ -836,10 +897,13 @@ def extract_halfspaces(records: Sequence[PatternRecord], net: MLPNetwork):
     are constant constraints: they are checked for consistency and dropped.
     Duplicates are merged per region, and redundant conditions are removed
     by LP in two stacked passes over all regions (:func:`_facets`, each
-    region's program shifted to its witness); survivors are pooled into one
-    table, where conditions with equal floats share an entry, sorted by
-    (normal, offset).  Returns ``(normals, offsets, region_rows)``: the table
-    as (k, n) and (k,) arrays, and its :attr:`Decomposition.region_rows`.
+    region's program shifted to its witness); the first pass tests only the
+    rows whose one-flip pattern is in the index of the records' patterns
+    (:func:`_facet_hints`), the second every other row.  Survivors are
+    pooled into one table, where conditions with equal floats share an
+    entry, sorted by (normal, offset).  Returns ``(normals, offsets,
+    region_rows)``: the table as (k, n) and (k,) arrays, and its
+    :attr:`Decomposition.region_rows`.
     """
     n = net.input_dim
     # each entry's id and the floats of its first occurrence, by exact floats
@@ -847,7 +911,10 @@ def extract_halfspaces(records: Sequence[PatternRecord], net: MLPNetwork):
     ids, owned, starts = [], [], [0]
     candidates = [_candidates(rec) for rec in records]
     lps = [LinearProgram(*_closed_rows(c[0], c[1], rec.witness)) for c, rec in zip(candidates, records)]
-    for (normals, offsets, any_strict), active in zip(candidates, _facets(lps)):
+    patterns = np.array([rec.pattern.bits() for rec in records], dtype=np.uint8)
+    patterns = patterns.reshape(len(records), sum(net.hidden_widths))
+    hints = _facet_hints(patterns, [c[3] for c in candidates])
+    for (normals, offsets, any_strict, _), active in zip(candidates, _facets(lps, hints)):
         for j in active:
             key = ((normals[j] + 0.0).tobytes(), offsets[j] + 0.0)  # + 0.0 folds -0.0 into 0.0
             ids.append(index.setdefault(key, (len(index), normals[j], offsets[j]))[0])

@@ -346,6 +346,43 @@ class TestEnumeration:
         for rec, ref in zip(res.records, reference.records):
             np.testing.assert_array_equal(rec.witness, ref.witness)
 
+    def test_pretest_points_are_interior(self, monkeypatch):
+        """Every point a cell opening a layer keeps clears the cell's strict
+        rows by more than ``TOL_SLACK`` and meets its closed rows, up to the
+        rounding of a point on one (``TOL_SLACK``, as every system check
+        here), as the cell's witness does; so it can stand in for a split LP."""
+        real, opened = decomposition._Search.open_layers, []
+
+        def spy(search, cells, layer):
+            out = real(search, cells, layer)
+            opened.extend(cell for cell, _ in out)
+            return out
+
+        monkeypatch.setattr(decomposition._Search, "open_layers", spy)
+        enumerate_feasible(biased_net([2, 4, 4, 3], 2, seed=0))
+        points = [(cell.rows, point) for cell in opened for point, _ in cell.points]
+        assert len(points) > len(opened)
+        for (A, b, strict), point in points + [(cell.rows, cell.witness) for cell in opened]:
+            margin = b - A @ point
+            assert (margin[strict] > TOL_SLACK).all() and (margin[~strict] >= -TOL_SLACK).all()
+
+    def test_pretest_points_only_save_lps(self, monkeypatch):
+        """Withholding the pre-test points costs split LPs and changes
+        nothing else: patterns, witnesses and layer counts are the same."""
+        net = biased_net([2, 4, 4, 3], 2, seed=0)
+        reference, real = enumerate_feasible(net), decomposition._Search.open_layers
+
+        def bare(search, cells, layer):
+            return [(dataclasses.replace(cell, points=()), split) for cell, split in real(search, cells, layer)]
+
+        monkeypatch.setattr(decomposition._Search, "open_layers", bare)
+        res = enumerate_feasible(net)
+        assert res.candidates_checked > reference.candidates_checked
+        assert res.layer_feasible == reference.layer_feasible
+        assert [rec.pattern for rec in res.records] == [rec.pattern for rec in reference.records]
+        for rec, ref in zip(res.records, reference.records):
+            np.testing.assert_array_equal(rec.witness, ref.witness)
+
     def test_negative_budget_is_refused(self):
         """A budget below 0 is a ``ValueError``; 0 is valid and cuts the
         search at its first LP."""
@@ -422,7 +459,7 @@ class TestEnumeration:
         [
             (biased_net([2, 4, 4, 3], 2, seed=0), None),
             (random_init([2, 8, 8, 8], 1, seed=0), None),
-            (biased_net([2, 4, 4, 3], 2, seed=0), 245),
+            (biased_net([2, 4, 4, 3], 2, seed=0), 230),
         ],
         ids=["biased[2,4,4,3]", "[2,8,8,8]", "biased[2,4,4,3]-cut"],
     )
@@ -899,22 +936,61 @@ PRUNING_NETS = [
 
 
 def region_programs(net):
-    """Each region's closed program shifted to its witness, and the rows the
-    sequential loop keeps."""
-    lps, wants = [], []
-    for rec in enumerate_feasible(net).records:
-        normals, offsets, _ = decomposition._candidates(rec)
+    """Each region's closed program shifted to its witness, the rows the
+    sequential loop keeps, and the rows the pattern set hints at."""
+    records = enumerate_feasible(net).records
+    lps, wants, neurons = [], [], []
+    for rec in records:
+        normals, offsets, _, rows = decomposition._candidates(rec)
         lps.append(closed_lp(normals, offsets).shifted(rec.witness))
         wants.append(sequential_facets(normals, offsets))
-    return lps, wants
+        neurons.append(rows)
+    patterns = np.array([rec.pattern.bits() for rec in records], dtype=np.uint8)
+    return lps, wants, decomposition._facet_hints(patterns, neurons)
+
+
+def counting_loop(monkeypatch):
+    """Patch ``_prune_sequential`` to record the programs it is given."""
+    calls, real_loop = [], decomposition._prune_sequential
+
+    def loop(lp):
+        calls.append(lp)
+        return real_loop(lp)
+
+    monkeypatch.setattr(decomposition, "_prune_sequential", loop)
+    return calls
 
 
 class TestFacetPruning:
     @pytest.mark.parametrize("label,make", PRUNING_NETS, ids=[n for n, _ in PRUNING_NETS])
     def test_two_pass_equals_sequential_loop(self, label, make):
-        """Every region keeps exactly the rows the sequential loop keeps."""
-        lps, wants = region_programs(make())
+        """Every region keeps exactly the rows the sequential loop keeps, with
+        pass 1 over every row and over the hinted rows alone."""
+        lps, wants, hints = region_programs(make())
         assert decomposition._facets(lps) == wants
+        assert decomposition._facets(lps, hints) == wants
+
+    def test_hints_hold_every_facet(self):
+        """On a biased net every facet's one-flip pattern is found, so each
+        region's hints hold every row the sequential loop keeps, and fewer
+        rows than its program has in all."""
+        lps, wants, hints = region_programs(biased_net([3, 4, 3], 2, seed=1))
+        for want, hint in zip(wants, hints):
+            assert set(want) <= set(hint.tolist())
+        assert sum(map(len, hints)) < sum(lp.num_rows for lp in lps)
+
+    def test_hint_missing_a_facet_falls_back(self, monkeypatch):
+        """A region whose hints leave out a facet finds in pass 2 a row the
+        hinted facets do not imply, so it runs the sequential loop and keeps
+        the sequential rows; every other region keeps its two-pass answer."""
+        lps, wants, hints = region_programs(biased_net([2, 4, 4], 2, seed=0))
+        calls = counting_loop(monkeypatch)
+        assert decomposition._facets(lps, hints) == wants
+        assert not calls
+        target = next(r for r, want in enumerate(wants) if len(want) >= 3)
+        hints[target] = hints[target][hints[target] != wants[target][0]]
+        assert decomposition._facets(lps, hints) == wants
+        assert len(calls) == 1 and calls[0] is lps[target]
 
     def test_fallbacks_give_the_same_rows(self, monkeypatch):
         """A witness on a row, a failed pass and a pass-2 disagreement all run
@@ -922,17 +998,10 @@ class TestFacetPruning:
         net = biased_net([2, 4, 4], 2, seed=0)
         cases = []
         for rec in enumerate_feasible(net).records:
-            normals, offsets, _ = decomposition._candidates(rec)
+            normals, offsets = decomposition._candidates(rec)[:2]
             cases.append((closed_lp(normals, offsets), rec.witness, sequential_facets(normals, offsets)))
         wants = [want for _, _, want in cases]
-        calls = []
-        real_loop = decomposition._prune_sequential
-
-        def loop(lp):
-            calls.append(lp)
-            return real_loop(lp)
-
-        monkeypatch.setattr(decomposition, "_prune_sequential", loop)
+        calls = counting_loop(monkeypatch)
         mirrored = []
         for closed, witness, _ in cases:
             # the witness mirrored across the first row: no feasible start
@@ -965,15 +1034,8 @@ class TestFacetPruning:
     def test_one_region_out_of_pivots_falls_back_alone(self, monkeypatch):
         """A region one of whose stacked programs runs out of pivots runs the
         sequential loop; every other region keeps its stacked answer."""
-        lps, wants = region_programs(biased_net([2, 4, 4], 2, seed=0))
-        calls = []
-        real_loop = decomposition._prune_sequential
-
-        def loop(lp):
-            calls.append(lp)
-            return real_loop(lp)
-
-        monkeypatch.setattr(decomposition, "_prune_sequential", loop)
+        lps, wants, _ = region_programs(biased_net([2, 4, 4], 2, seed=0))
+        calls = counting_loop(monkeypatch)
         assert decomposition._facets(lps) == wants
         assert not calls  # every region is settled by the two passes
 
@@ -1005,6 +1067,8 @@ class TestFacetPruning:
         net = biased_net([3, 4, 3], 2, seed=1)
         records = enumerate_feasible(net).records
         sizes.clear()
+        # pass 1 on this net has 234 programs: a smaller stack size is filled
+        monkeypatch.setattr(lp_module, "STACK_SIZE", 128)
         decomposition.extract_halfspaces(records, net)
         assert max(sizes) == lp_module.STACK_SIZE  # the passes filled a stack
 
