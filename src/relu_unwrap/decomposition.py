@@ -39,7 +39,10 @@ region (:func:`_facet_hints`); the regions' conditions share one table
 entry when their floats are equal.  A :class:`Decomposition` holds the
 table and the regions as arrays, the patterns as one bit matrix in
 :func:`~relu_unwrap.network.pattern_matrix`'s form; its :class:`Region` and
-:class:`OrientedHalfspace` items are views.
+:class:`OrientedHalfspace` items are views.  Its canonical form
+(:func:`canonicalize`) orders the table by the same rounded keys and the
+regions by model and id run, so functionally identical networks compare
+entry-wise (:func:`canonical_equal`, :func:`equivalence_report`).
 """
 
 from __future__ import annotations
@@ -79,6 +82,7 @@ from .network import (
     _read_array,
     _read_ints,
     _read_json,
+    forward_many,
 )
 
 DECOMP_FORMAT = "relu-decomp-v1"
@@ -153,7 +157,11 @@ def _region_rows(region_ids, region_owned) -> tuple[np.ndarray, np.ndarray, np.n
         ids.extend(run)
         owned.extend(i in own for i in run)
         lengths.append(len(run))
-    return np.array(ids, dtype=np.intp), np.array(owned, dtype=bool), np.cumsum(lengths)
+    try:
+        ids = np.array(ids, dtype=np.intp)
+    except OverflowError as exc:  # no table has an entry beyond the index range
+        raise ValueError("region references a missing half-space") from exc
+    return ids, np.array(owned, dtype=bool), np.cumsum(lengths)
 
 
 def _split(values: np.ndarray, starts: np.ndarray) -> list[list]:
@@ -251,8 +259,7 @@ class Decomposition:
             raise ValueError("region references a missing half-space")
         if starts[0] != 0 or starts[-1] != ids.size or (np.diff(starts) < 0).any():
             raise ValueError("region starts do not split the region ids into runs")
-        raw, size = self.patterns.tobytes(), self.patterns.shape[1]
-        if len({raw[r * size : r * size + size] for r in range(p)}) != p:
+        if len(_pattern_index(self.patterns)) != p:
             raise ValueError("region patterns must be pairwise distinct")
 
     @classmethod
@@ -950,6 +957,108 @@ def decompose(
     offset).  ``threads`` is accepted for compatibility and ignored.
     """
     return build_decomposition(net, enumerate_feasible(net, budget=budget))
+
+
+# ---------------------------------------------------------------------------
+# Canonical form and functional equivalence
+
+
+def canonicalize(d: Decomposition) -> Decomposition:
+    """Reorder a decomposition into its canonical form.
+
+    Half-spaces sort by (normal, offset), as the decomposition's own table,
+    and regions by (flattened model matrix, model offset, half-space id
+    run), with the table's rounded keys, so equal geometry sorts alike
+    across runs.  Functionally identical networks decompose to canonical
+    forms that agree entry-wise, whatever architecture produced them.
+    """
+    n, m, p = d.input_dim, d.output_dim, d.num_regions
+    order = _sort_order(_sort_keys(d.halfspace_normals, d.halfspace_offsets))
+    ids, _, starts = _renumber(d.region_rows, order, np.arange(p))
+    models = _sort_keys(np.hstack([d.alphas.reshape(p, m * n), d.betas]))
+    perm = _sort_order([model + run for model, run in zip(models, _split(ids, starts))])
+    return Decomposition(
+        n, m, d.halfspace_normals[order], d.halfspace_offsets[order], d.patterns[perm],
+        d.hidden_widths, d.alphas[perm], d.betas[perm], d.witnesses[perm],
+        _renumber(d.region_rows, order, perm), partial=d.partial,
+    )
+
+
+def canonical_equal(a: Decomposition, b: Decomposition, tol: float = 1e-7) -> bool:
+    """Entry-wise agreement of two canonical decompositions.
+
+    Compares the half-space tables, the per-region models, and the region
+    id sets; activation patterns and witnesses are architecture-specific and
+    excluded.  Inputs must already be canonicalized.
+    """
+    if a.halfspace_normals.shape != b.halfspace_normals.shape or a.output_dim != b.output_dim:
+        return False
+    if not all(map(np.array_equal, a.region_rows[::2], b.region_rows[::2])):  # ids and starts
+        return False
+    fields = ("halfspace_normals", "halfspace_offsets", "alphas", "betas")
+    return all(np.abs(getattr(a, f) - getattr(b, f)).max(initial=0.0) <= tol for f in fields)
+
+
+@dataclass(frozen=True)
+class EquivalenceReport:
+    """Outcome of comparing two networks for functional identity."""
+
+    max_abs_diff: float
+    canonical_equal: bool
+    witness_of_difference: np.ndarray | None
+
+
+def _first_unmatched_witness(a: Decomposition, b: Decomposition, tol: float):
+    """Witness of the first region of ``a`` matched by no region of ``b``
+    with the same half-space ids and a model within ``tol`` per entry."""
+    if a.alphas.shape[1:] != b.alphas.shape[1:]:
+        return a.witnesses[0] if a.num_regions else None
+    rivals: dict[tuple[int, ...], list[int]] = {}
+    for r, run in enumerate(_split(*b.region_rows[::2])):
+        rivals.setdefault(tuple(run), []).append(r)
+    pairs = [(r, s) for r, run in enumerate(_split(*a.region_rows[::2])) for s in rivals.get(tuple(run), ())]
+    ra, rb = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    gap = np.abs(a.alphas[ra] - b.alphas[rb]).max(axis=(1, 2), initial=0.0)
+    gap = np.maximum(gap, np.abs(a.betas[ra] - b.betas[rb]).max(axis=1, initial=0.0))
+    unmatched = np.flatnonzero(np.bincount(ra[gap <= tol], minlength=a.num_regions) == 0)
+    return a.witnesses[unmatched[0]] if unmatched.size else None
+
+
+def equivalence_report(
+    net_a: MLPNetwork,
+    net_b: MLPNetwork,
+    samples: int = 10_000,
+    seed: int = 0,
+    *,
+    tol: float = 1e-7,
+) -> EquivalenceReport:
+    """Compare two networks structurally and by sampling.
+
+    Both are decomposed and canonicalized; structural agreement within
+    ``tol`` per entry is the ``canonical_equal`` verdict.  Outputs are also
+    compared at ``samples`` uniform points on [-10, 10]^n.  When the forms
+    differ, the witness is an interior point of a region present in one
+    network but matched by nothing in the other.  ``samples`` must be >= 1.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if net_a.input_dim != net_b.input_dim or net_a.output_dim != net_b.output_dim:
+        raise DimensionMismatchError("networks must share input and output sizes")
+    da = canonicalize(decompose(net_a))
+    db = canonicalize(decompose(net_b))
+    equal = canonical_equal(da, db, tol=tol)
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-10.0, 10.0, size=(samples, net_a.input_dim))
+    gaps = np.abs(forward_many(net_a, X) - forward_many(net_b, X)).max(axis=1)
+    diff = float(gaps.max())
+    witness = None
+    if not equal:
+        witness = _first_unmatched_witness(da, db, tol)
+        if witness is None:
+            witness = _first_unmatched_witness(db, da, tol)
+        if witness is None and diff > 0:
+            witness = X[int(np.argmax(gaps))]
+    return EquivalenceReport(diff, equal, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -57,12 +57,13 @@ def _read_json(text: str, *formats: str) -> dict:
     """The JSON object of a document tagged with one of ``formats``.
 
     A bare ``NaN``, ``Infinity`` or ``-Infinity`` literal raises
-    :class:`NonFiniteError`; invalid JSON, a non-object and a wrong format
-    tag raise :class:`ModelFormatError`.
+    :class:`NonFiniteError`; invalid JSON (nesting too deep for the parser
+    included), a non-object and a wrong format tag raise
+    :class:`ModelFormatError`.
     """
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ModelFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") not in formats:
         tags = " or ".join(map(repr, formats))

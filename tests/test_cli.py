@@ -490,8 +490,10 @@ class TestShap:
             ("1,1\n1,2,3\n", "row 2 has a different number of columns (3) than row 1 (2)"),
             ("1,1\n1,y\n", "row 2, column 2 is not a number: 'y'"),
             ("# x,y\n1,1\n\n2,2 # note\n1, y\n", "row 3, column 2 is not a number: 'y'"),
+            ("1,1\n1_0,2\n", "row 2, column 1 is not a number: '1_0'"),
+            ("1,1\n\u0661,2\n", "row 2, column 1 is not a number: '\u0661'"),
         ],
-        ids=["ragged", "text", "text-after-comments"],
+        ids=["ragged", "text", "text-after-comments", "underscore", "non-ascii-digit"],
     )
     def test_background_not_numbers_exit_1(self, capsys, tmp_path, linear_decomp_file, content, reason):
         """One error line that names the file and the data row, counted from
@@ -501,6 +503,28 @@ class TestShap:
         argv = ["shap", "--decomp", linear_decomp_file, "--point", "1,1", "--background", str(bg)]
         code, stdout, stderr = run(capsys, *argv)
         assert (code, stdout, stderr) == (1, "", f"error: background file {bg}: {reason}\n")
+
+    @pytest.mark.parametrize(
+        "edit,reason",
+        [
+            (
+                lambda text: text.replace('"halfspace_ids": []', f'"halfspace_ids": [{10**30}]'),
+                "malformed decomposition: region references a missing half-space\n",
+            ),
+            (lambda text: "[" * 100_000, "invalid JSON: "),
+        ],
+        ids=["id-beyond-index-range", "nested-too-deep"],
+    )
+    def test_malformed_decomposition_exit_1(self, capsys, tmp_path, linear_decomp_file, edit, reason):
+        """One error line, not a traceback, for a file the reader refuses."""
+        path = Path(linear_decomp_file)
+        path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+        bg = tmp_path / "bg.csv"
+        bg.write_text("0.0,0.0\n")
+        argv = ["shap", "--decomp", str(path), "--point", "1,1", "--background", str(bg)]
+        code, stdout, stderr = run(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith(f"error: {reason}") and stderr.count("\n") == 1
 
     @pytest.mark.parametrize("value", ["nan", "-inf"])
     def test_background_not_finite_exit_1(self, capsys, tmp_path, linear_decomp_file, value):

@@ -758,6 +758,28 @@ class TestSerialization:
         with pytest.raises(ModelFormatError):
             loads_decomposition(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "ids,owned,reason",
+        [
+            ([10**30], [], "missing half-space"),
+            ([-(10**30)], [], "missing half-space"),
+            ([10**30], [10**30], "missing half-space"),
+            ([0], [10**30], "subset"),
+        ],
+        ids=["beyond", "below", "beyond-owned", "owned-only"],
+    )
+    def test_id_beyond_the_index_range_rejected(self, demo_net_m1, ids, owned, reason):
+        """An id no index array can hold names no entry of any table."""
+        doc = json.loads(dumps_decomposition(decompose(demo_net_m1)))
+        doc["regions"][0]["halfspace_ids"], doc["regions"][0]["nonstrict_ids"] = ids, owned
+        with pytest.raises(ModelFormatError, match=reason):
+            loads_decomposition(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, "[" * 100_000 + "]" * 100_000], ids=["open", "closed"])
+    def test_json_nested_too_deep_rejected(self, text):
+        with pytest.raises(ModelFormatError, match="invalid JSON"):
+            loads_decomposition(text)
+
 
 def _one_region(**fields):
     """A one-region decomposition of R^2 bounded by x > 0, built from items."""
@@ -1168,9 +1190,9 @@ class TestOneStorage:
         )
         ca, cb = canonicalize(a), canonicalize(b)
         assert canonical_equal(ca, canonicalize(ca)) and not canonical_equal(ca, cb)
-        assert shallow_module._first_unmatched_witness(ca, ca, 1e-7) is None
+        assert decomposition._first_unmatched_witness(ca, ca, 1e-7) is None
         for x, y in ((ca, cb), (cb, ca)):
-            assert shallow_module._first_unmatched_witness(x, y, 1e-7) is not None
+            assert decomposition._first_unmatched_witness(x, y, 1e-7) is not None
         assert built == {Region: 0, OrientedHalfspace: 0, ActivationPattern: 0}
 
     def test_equivalence_report_builds_only_the_search_records(self, built):

@@ -217,3 +217,8 @@ class TestModelSerialization:
     def test_garbage_rejected(self):
         with pytest.raises(ModelFormatError):
             loads_model("{not json")
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, "[" * 100_000 + "]" * 100_000], ids=["open", "closed"])
+    def test_json_nested_too_deep_rejected(self, text):
+        with pytest.raises(ModelFormatError, match="invalid JSON"):
+            loads_model(text)

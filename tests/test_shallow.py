@@ -463,7 +463,7 @@ class TestArrayPathsMatchItemReferences:
         kinds = set()
         for a in forms:
             for b in forms:
-                got = shallow_module._first_unmatched_witness(a, b, 1e-7)
+                got = decomposition_module._first_unmatched_witness(a, b, 1e-7)
                 want = _reference_unmatched_witness(a, b, 1e-7)
                 assert (got is None) == (want is None)
                 if got is not None:
@@ -480,10 +480,10 @@ class TestArrayPathsMatchItemReferences:
         betas[3, 1] += 1e-3
         twin = dataclasses.replace(d, betas=betas)
         for a, b in ((d, twin), (twin, d)):
-            got = shallow_module._first_unmatched_witness(a, b, 1e-7)
+            got = decomposition_module._first_unmatched_witness(a, b, 1e-7)
             assert got.tobytes() == _reference_unmatched_witness(a, b, 1e-7).tobytes()
             assert got.tobytes() == d.witnesses[3].tobytes()
-        assert shallow_module._first_unmatched_witness(d, twin, 1e-2) is None
+        assert decomposition_module._first_unmatched_witness(d, twin, 1e-2) is None
 
 
 class TestShallowRoundTrip:
@@ -607,20 +607,20 @@ class TestEquivalenceReport:
         unmatched region of the second; with none unmatched either, it is the
         sample with the largest output gap."""
         a, b = biased_net([2, 4, 4], 2, seed=0), biased_net([2, 4, 4], 2, seed=1)
-        real = shallow_module._first_unmatched_witness
+        real = decomposition_module._first_unmatched_witness
         searched = []
 
         def first_matched(da, db, tol):
             searched.append(da)
             return None if len(searched) == 1 else real(da, db, tol)
 
-        monkeypatch.setattr(shallow_module, "_first_unmatched_witness", first_matched)
+        monkeypatch.setattr(decomposition_module, "_first_unmatched_witness", first_matched)
         w = equivalence_report(a, b, samples=2000, seed=1).witness_of_difference
         assert len(searched) == 2
         assert any(w.tobytes() == r.witness.tobytes() for r in searched[1].regions)
         assert np.abs(forward_many(a, w[None]) - forward_many(b, w[None])).max() > 1e-3
 
-        monkeypatch.setattr(shallow_module, "_first_unmatched_witness", lambda da, db, tol: None)
+        monkeypatch.setattr(decomposition_module, "_first_unmatched_witness", lambda da, db, tol: None)
         rep = equivalence_report(a, b, samples=2000, seed=1)
         X = np.random.default_rng(1).uniform(-10.0, 10.0, size=(2000, 2))
         gaps = np.abs(forward_many(a, X) - forward_many(b, X)).max(axis=1)
@@ -632,7 +632,7 @@ class TestEquivalenceReport:
         def no_decomposition(net):
             raise AssertionError("decomposed before the sample count was checked")
 
-        monkeypatch.setattr(shallow_module, "decompose", no_decomposition)
+        monkeypatch.setattr(decomposition_module, "decompose", no_decomposition)
         net = random_init([2, 3, 3], 1, seed=0)
         with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
             equivalence_report(net, net, samples=samples)
@@ -667,6 +667,11 @@ class TestShallowSerialization:
         doc["widths"][0] += 1
         with pytest.raises(ModelFormatError):
             loads_shallow(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, "[" * 100_000 + "]" * 100_000], ids=["open", "closed"])
+    def test_json_nested_too_deep_rejected(self, text):
+        with pytest.raises(ModelFormatError, match="invalid JSON"):
+            loads_shallow(text)
 
 
 # ---------------------------------------------------------------------------
