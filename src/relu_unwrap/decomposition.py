@@ -170,6 +170,32 @@ def _split(values: np.ndarray, starts: np.ndarray) -> list[list]:
     return [flat[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
+def _read_lists(group: np.ndarray, source: np.ndarray, groups: int) -> tuple[np.ndarray, list]:
+    """(ranked, reads): the read lists of ``groups`` groups from their (group,
+    source) pairs, sorted by group, slot by slot.  ``ranked`` orders the groups
+    by read count, most first; ``reads[j][i]`` is the j-th read of group
+    ``ranked[i]``, so ``reads[j]`` covers the groups with more than j reads."""
+    count = np.bincount(group, minlength=groups)
+    ranked = np.argsort(-count, kind="stable")
+    rank = np.empty_like(ranked)
+    rank[ranked] = np.arange(ranked.size)
+    j = np.arange(group.size) - (np.cumsum(count) - count)[group]
+    source = source[np.argsort(j * ranked.size + rank[group])]
+    cuts = [0, *np.cumsum(np.bincount(j)).tolist()]
+    return ranked, [source[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _any_read(rows: np.ndarray, ranked: np.ndarray, reads) -> np.ndarray:
+    """(groups, N) bool: whether a group reads a source that is true at each
+    point, ``rows`` being (sources, N), with :func:`_read_lists`' lists."""
+    hit = np.zeros((ranked.size, rows.shape[1]), dtype=bool)
+    for read in reads:
+        hit[: read.size] |= rows[read]
+    out = np.empty_like(hit)
+    out[ranked] = hit
+    return out
+
+
 def _sort_keys(rows: np.ndarray, offsets: np.ndarray | None = None) -> list[list[float]]:
     """Order keys of a matrix's rows, rounded so equal geometry sorts alike:
     entries by numpy to ``_SORT_DECIMALS`` decimals, ``offsets`` by ``round``."""
@@ -217,7 +243,8 @@ class Decomposition:
     1]]``, and ``owned[t]`` tells whether it owns the face of ``ids[t]``.
     The arrays are read-only and checked once, here.  :attr:`halfspaces`
     and :attr:`regions` are per-item views built on first use; :meth:`of`
-    builds a decomposition from such items.
+    builds a decomposition from such items.  ``_host_reads``, the lists
+    through which :func:`_any_read` locates points, is built on first use too.
     """
 
     input_dim: int
@@ -296,6 +323,19 @@ class Decomposition:
         patterns = map(ActivationPattern, self._pattern_layers())
         ids, own = (map(tuple, runs) for runs in self._id_lists())
         return tuple(map(Region, patterns, self.alphas, self.betas, ids, self.witnesses, own))
+
+    @cached_property
+    def _host_reads(self) -> tuple[np.ndarray, list]:
+        """:func:`_read_lists` of 2p + 1 groups over 2k sources: ``i`` is
+        true where condition ``i`` fails or holds only within the face
+        tolerance, ``k + i`` where it fails beyond it.  Group ``r`` reads
+        ``i`` for each condition of region ``r`` (it is missed strictly inside
+        ``r``), group ``p + r`` ``k + i`` for the faces ``r`` owns and ``i``
+        for the others (missed in ``r`` through owned faces), group 2p nothing."""
+        ids, owned, starts = self.region_rows
+        group = np.repeat(np.arange(2 * self.num_regions), np.tile(np.diff(starts), 2))
+        source = np.concatenate([ids, ids + self.num_halfspaces * owned])
+        return _read_lists(group, source, 2 * self.num_regions + 1)
 
     def _pattern_layers(self) -> list[list[list[int]]]:
         """Each region's pattern as its layers' bit lists."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import Decomposition, _closed_rows, _sort_keys
+from .decomposition import Decomposition, _any_read, _closed_rows, _sort_keys
 from .errors import DimensionMismatchError, NonFiniteError, PointNotLocatedError, UnwrapError
 from .lp import Extremum, LinearProgram, _alone, extremize
 from .network import _points
@@ -61,26 +61,6 @@ class HypercubeSummary:
     unbounded_dims: tuple[int, ...]
 
 
-def _runs(ufunc, values: np.ndarray, starts: np.ndarray, empty) -> np.ndarray:
-    """``ufunc`` reduced over each region's run of columns, shaped (N, p).
-
-    Region ``r`` owns columns ``starts[r]:starts[r + 1]``; a region without
-    conditions gets ``empty``.
-    """
-    out = np.full((values.shape[0], len(starts) - 1), empty, dtype=values.dtype)
-    bounded = np.flatnonzero(np.diff(starts))
-    if bounded.size:
-        out[:, bounded] = ufunc.reduceat(values, starts[bounded], axis=1)
-    return out
-
-
-def _face_ok(margins: np.ndarray, owned: np.ndarray) -> np.ndarray:
-    """Per condition: it holds strictly, or the point lies within
-    ``_EPS_FACE`` on a face the region owns.  A margin ``h . x - c`` is
-    positive where the condition holds."""
-    return ~(margins < -_EPS_FACE) & (~(margins <= _EPS_FACE) | owned)
-
-
 def _region(d: Decomposition, region: int) -> int:
     """``region`` as an index of d's regions, counting from the end if negative."""
     try:
@@ -90,11 +70,11 @@ def _region(d: Decomposition, region: int) -> int:
 
 
 def _inside(d: Decomposition, r: int, X: np.ndarray) -> np.ndarray:
-    """Whether each row of X lies in region ``r``, face ownership honoured."""
+    """Whether each row of X lies in region ``r`` through owned faces, as in ``_hosts``."""
     ids, owned, starts = d.region_rows
     run = slice(starts[r], starts[r + 1])
     margins = X @ d.halfspace_normals[ids[run]].T - d.halfspace_offsets[ids[run]]
-    return _face_ok(margins, owned[run]).all(axis=1)
+    return ~((margins < -_EPS_FACE) | (margins <= _EPS_FACE) & ~owned[run]).any(axis=1)
 
 
 def _hosts(d: Decomposition, X: np.ndarray):
@@ -102,21 +82,18 @@ def _hosts(d: Decomposition, X: np.ndarray):
 
     The host is the first region the point lies in strictly (every margin
     above ``_EPS_FACE``), else the first region containing it through owned
-    faces.  Rows go ``_HOST_BLOCK`` at a time.  ``lost`` holds the margins
-    of the first row without a host in ``region_rows`` order, else None.
+    faces: the first group of ``d._host_reads`` that :func:`_any_read` does
+    not hit.  Rows go ``_HOST_BLOCK`` at a time.  ``lost`` holds the (k,)
+    margins of the first row without a host, else None.
     """
-    ids, owned, starts = d.region_rows
-    hosts = np.full(X.shape[0], -1, dtype=np.intp)
+    region = np.concatenate([np.arange(d.num_regions)] * 2 + [[-1]])  # of each group; 2p: no host
+    hosts = np.empty(X.shape[0], dtype=np.intp)
     lost = None
     for first in range(0, X.shape[0], _HOST_BLOCK):
         rows = slice(first, first + _HOST_BLOCK)
-        found = hosts[rows]  # a view, filled in place
-        margins = (X[rows] @ d.halfspace_normals.T - d.halfspace_offsets)[:, ids]
-        if d.num_regions:
-            strict = _runs(np.logical_and, margins > _EPS_FACE, starts, True)
-            inside = _runs(np.logical_and, _face_ok(margins, owned), starts, True)
-            np.copyto(found, inside.argmax(axis=1), where=inside.any(axis=1))
-            np.copyto(found, strict.argmax(axis=1), where=strict.any(axis=1))
+        margins = X[rows] @ d.halfspace_normals.T - d.halfspace_offsets
+        sources = np.concatenate([(margins <= _EPS_FACE).T, (margins < -_EPS_FACE).T])
+        found = hosts[rows] = region[_any_read(sources, *d._host_reads).argmin(axis=0)]
         if lost is None and found.min() < 0:
             lost = margins[np.argmax(found < 0)]
     return hosts, lost
@@ -158,7 +135,9 @@ def _locate(d: Decomposition, X: np.ndarray) -> np.ndarray:
     hosts, lost = _hosts(d, X)
     if lost is not None:
         i = int(np.argmax(hosts < 0))
-        slack = _runs(np.minimum, lost[None], d.region_rows[2], np.inf)[0]
+        ids, _, starts = d.region_rows
+        slack = np.full(d.num_regions, np.inf)  # each region's smallest margin
+        np.minimum.at(slack, np.repeat(np.arange(d.num_regions), np.diff(starts)), lost[ids])
         best = int(np.argmax(slack)) if slack.size else None  # the first of largest slack
         worst = -np.inf if best is None else slack[best]
         raise PointNotLocatedError(

@@ -134,6 +134,8 @@ def _read_entries(value, what: str, token: str | None = None):
     shape = _read_ints(value["shape"], f"{what} shape", 1)
     if len(shape) != 2 or min(shape) < 0:
         raise ModelFormatError(f"{what} shape must be two sizes")
+    if shape[0] * shape[1] > np.iinfo(np.intp).max:  # cells are numbered in intp
+        raise ModelFormatError(f"{what} shape {shape} has more cells than an index can count")
     index = []
     for key, size in zip(("rows", "cols"), shape):
         ids = _read_ints(value[key], f"{what} {key}", 1)

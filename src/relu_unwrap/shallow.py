@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .decomposition import Decomposition, _closed_rows, _witnesses
+from .decomposition import Decomposition, _any_read, _closed_rows, _read_lists, _witnesses
 from .errors import (
     AmbiguousSelectionError,
     ArithmeticFault,
@@ -312,11 +312,10 @@ class ShallowNetwork:
         the layer-1 units and then ``n_in + i`` for ``units[i]``, ascending.
         Each group's read list holds positions in ``sources``, once each and
         ascending; a built net's group r reads region r's half-space units.
-        The lists are kept slot by slot: ``ranked`` orders the groups by
-        read count, most first, and ``reads[j][i]`` is the j-th read of group
-        ``ranked[i]``, so ``reads[j]`` covers the groups with more than j
-        reads.  Together they hold one integer per read, the sum of the
-        regions' half-space counts in a built net.
+        ``ranked`` and ``reads`` are those lists from
+        :func:`~relu_unwrap.decomposition._read_lists`, one integer per read,
+        for :func:`~relu_unwrap.decomposition._any_read`, which also locates
+        points in a decomposition.
         """
         W2, W3 = self.W2_entries, self.W3_entries
         width, n_in = W2.shape
@@ -363,14 +362,7 @@ class ShallowNetwork:
         used = np.zeros(span, dtype=bool)
         used[source] = True
         source = np.cumsum(used)[source] - 1  # position in `sources`
-        # read j of each group goes to slot j, at the group's rank
-        count = np.bincount(group, minlength=len(group_of))
-        ranked = np.argsort(-count, kind="stable")
-        rank = np.empty_like(ranked)
-        rank[ranked] = np.arange(ranked.size)
-        j = np.arange(group.size) - (np.cumsum(count) - count)[group]
-        order = np.argsort(j * ranked.size + rank[group])
-        reads = np.split(source[order], np.cumsum(np.bincount(j))[:-1])
+        ranked, reads = _read_lists(group, source, len(group_of))
         return _Gates(
             _readonly(units),
             _readonly(np.flatnonzero(touched)),
@@ -493,12 +485,9 @@ def _eval_block(s: ShallowNetwork, X: np.ndarray, first: int) -> np.ndarray:
     del Z, A1
     # a group is dead at a point where one of its reads is positive; the
     # alive (point, group) pairs, point-major, then expanded to W3 rows
-    dead = np.zeros((g.ranked.size, N), dtype=bool)
-    for read in g.reads:
-        dead[: read.size] |= positive[read]
-    rank, pts = np.divmod(np.flatnonzero(~dead), N)
-    order = np.argsort(pts * g.ranked.size + g.ranked[rank])
-    pts, groups = pts[order], g.ranked[rank[order]]
+    groups, pts = np.divmod(np.flatnonzero(~_any_read(positive, g.ranked, g.reads)), N)
+    order = np.argsort(pts * g.ranked.size + groups)
+    pts, groups = pts[order], groups[order]
     at, pair = _ranges(g.starts[groups], g.starts[groups + 1])
     pts, rows = pts[pair], g.rows[at]
     z = np.einsum("ij,ij->i", A2[pts], g.units_W3[rows]) + s.b3[rows]

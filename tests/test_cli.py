@@ -863,7 +863,9 @@ class TestColdStart:
     def test_no_command_imports_numpy_ma(self, tmp_path):
         """numpy.ma costs about 15 ms to import (np.unique is one way in);
         decompose, shallowize, verify, shap and plot run without it, each in
-        a fresh interpreter."""
+        a fresh interpreter.  Nor do they load any top-level module outside
+        the standard library but numpy, beyond what a bare interpreter's
+        site setup loads: numpy is the one runtime dependency."""
         model = tmp_path / "m.json"
         save_model(biased_net([2, 4, 4], 2, seed=0), model)
         (tmp_path / "bg.csv").write_text("0.5,0.5\n-1.0,2.0\n")
@@ -877,11 +879,17 @@ class TestColdStart:
             ["plot", "--decomp", d, "--points", str(tmp_path / "pts.csv"), "--bounds", "-3,-3,3,3",
              "--out", str(tmp_path / "p.svg")],
         ]
+        # top-level modules loaded from files outside the standard library,
+        # after the command less those the interpreter had loaded before it
         script = (
             "import json, sys\n"
+            "def top():\n"
+            "    files = {m for m, mod in list(sys.modules.items()) if getattr(mod, '__file__', None)}\n"
+            "    return {m for m in files if '.' not in m} - set(sys.stdlib_module_names)\n"
+            "site = top()\n"
             "from relu_unwrap.cli import main\n"
             "code = main(json.loads(sys.argv[1]))\n"
-            "print(json.dumps([code, 'numpy.ma' in sys.modules]))\n"
+            "print(json.dumps([code, 'numpy.ma' in sys.modules, sorted(top() - site)]))\n"
         )
         src = str(Path(cli.__file__).resolve().parents[1])
         for argv in commands:
@@ -891,7 +899,8 @@ class TestColdStart:
                 env={**os.environ, "PYTHONPATH": src},
             )
             assert proc.returncode == 0, proc.stderr
-            assert json.loads(proc.stdout.splitlines()[-1]) == [0, False], argv[0]
+            result = json.loads(proc.stdout.splitlines()[-1])
+            assert result == [0, False, ["numpy", "relu_unwrap"]], argv[0]
 
 
 class TestUsage:

@@ -10,6 +10,7 @@ import pytest
 
 from relu_unwrap import (
     ActivationPattern,
+    BudgetExceededError,
     Decomposition,
     DimensionMismatchError,
     NonFiniteError,
@@ -19,6 +20,7 @@ from relu_unwrap import (
     UnwrapError,
     activation_pattern,
     brute_force_shap,
+    build_decomposition,
     build_shallow,
     decompose,
     eval_shallow,
@@ -767,11 +769,32 @@ class TestQueriesMatchReferenceLoops:
         with pytest.raises(DimensionMismatchError):
             locate_many(d, np.zeros(2))
 
+    def test_decomposition_without_regions(self):
+        """A budget of 0 leaves a partial decomposition with p = k = 0: no
+        point has a host, the nearest region is None, and an empty batch
+        locates to an empty array."""
+        net = random_init([2, 3, 3], 1, 0)
+        with pytest.raises(BudgetExceededError) as cut:
+            decompose(net, budget=0)
+        d = build_decomposition(net, cut.value.partial)
+        assert (d.num_regions, d.num_halfspaces, d.partial) == (0, 0, True)
+        message = "point 0 lies on an unowned boundary (worst margin -inf); nearest region is None"
+        for query in (
+            lambda: locate_region(d, [0.5, -1.0]),
+            lambda: locate_many(d, np.zeros((3, 2))),
+            lambda: exact_shap(d, [0.5, -1.0], [[1.0, 1.0]]),
+        ):
+            with pytest.raises(PointNotLocatedError) as info:
+                query()
+            assert (str(info.value), info.value.nearest_region) == (message, None)
+        assert locate_many(d, np.zeros((0, 2))).shape == (0,)
+
 
 def test_locate_many_memory_is_bounded_by_its_blocks():
     """Biased [3,5,5,3] seed 0 (p=294, 1,576 region conditions): locating
-    4,096 points peaks below one margins array over all of them (4,096 x
-    1,576 float64, 49.3 MB), which an unblocked evaluation exceeds."""
+    4,096 points peaks below half of one margins array over all of them
+    (4,096 x 1,576 float64, 49.3 MB), which an unblocked evaluation, or
+    blocks that gather margins per region condition, exceed."""
     d = decompose(biased_net([3, 5, 5, 3], 2, seed=0))
     assert (d.num_regions, d.region_rows[0].size) == (294, 1576)
     X = np.random.default_rng(0).uniform(-3.0, 3.0, size=(4096, 3))
@@ -783,4 +806,4 @@ def test_locate_many_memory_is_bounded_by_its_blocks():
     finally:
         tracemalloc.stop()
     assert hosts.tolist() == want.tolist()
-    assert peak < len(X) * d.region_rows[0].size * 8
+    assert peak < len(X) * d.region_rows[0].size * 4

@@ -92,6 +92,10 @@ CASES = [
     ("shallow-v2", ("W2",), lambda W2: _S.W2.tolist(), ModelFormatError),  # a dense block
     ("shallow-v2", ("W2", "shape"), lambda shape: shape[:1], (ModelFormatError, "W2 shape must be two sizes")),
     ("shallow-v2", ("W3", "shape", 1), -1, (ModelFormatError, "W3 shape must be two sizes")),
+    # more cells than int64 counts: 10**30 overflowed the row-major check
+    ("shallow-v2", ("W2", "shape"), [10**30, 10**30], ModelFormatError),
+    ("shallow-v2", ("W3", "shape"), [10**30, 10**30], ModelFormatError),
+    ("shallow-v2", ("W3", "shape"), [2**40, 2**40], ModelFormatError),
 ]
 
 
