@@ -19,16 +19,16 @@ is realisable either.  For the same reason, a side of a neuron's hyperplane
 with no interior in the cell that opens the neuron's layer has none in any
 sub-cell.  So the search runs layer by layer: every cell that completes a
 layer is collected, one stacked solve tests every neuron of the next layer
-in all of them, and their sub-cells skip the empty sides found.  Splits
-inside a layer are solved one at a time (see :func:`enumerate_feasible`).
-The parent cell's witness settles one child without a solve, and the
-points the pre-test found inside a cell settle many others, so the work
-grows with the cells found rather than with the 2^width patterns of a
-layer.  Every search program is its parent cell's rows plus one neuron's
-row from :func:`_with_row`, which also grows every row of :func:`global_lp`,
-so a leaf's rows are exactly its :func:`global_lp`.  A cell holds only its
-open layer's prefix; a pattern leaves the search as a record of its rows,
-its affine model, read off its last prefix, and a witness (:func:`_witnesses`).
+in all of them, and their sub-cells skip the empty sides found.  A cell
+keeps points inside it, its witness first, then the pre-test's; a child
+takes the first of them on its side, or else solves one LP of its own
+(see :func:`enumerate_feasible`), so the work grows with the cells found
+rather than with the 2^width patterns of a layer.  Every search program
+is its parent cell's rows plus one neuron's row from :func:`_with_row`,
+which also grows every row of :func:`global_lp`, so a leaf's rows are
+exactly its :func:`global_lp`.  A cell holds only its open layer's
+prefix; a pattern leaves the search as a record of its rows, its affine
+model, read off its last prefix, and a witness (:func:`_witnesses`).
 
 Each record yields a region: that model and witness, and the minimal set
 of oriented half-spaces ``h . x > c`` its rows give, each unit-normalised
@@ -509,11 +509,13 @@ def _witnesses(rows: Sequence[tuple], known=None) -> tuple[list, list[bool]]:
 # Pattern enumeration
 
 
-def _settled(z: float) -> int | None:
-    """The bit of a neuron that a witness settles without a solve, from the
-    neuron's value ``z`` there: 1 above ``TOL_SLACK``, 0 at or below 0, and
-    None in the gray zone between."""
-    return 1 if z > TOL_SLACK else 0 if z <= 0.0 else None
+def _sides(prefix: GlobalAffinePrefix, points) -> list[list[int | None]]:
+    """Each point's side of every neuron of ``prefix``'s layer, which settles
+    that neuron's child without a solve, from one product: 1 where the
+    neuron's value is above ``TOL_SLACK``, 0 at or below 0, and None in the
+    gray zone between."""
+    zs = np.array(points) @ prefix.matrix.T + prefix.offset
+    return [[1 if z > TOL_SLACK else 0 if z <= 0.0 else None for z in row] for row in zs.tolist()]
 
 
 @dataclass(frozen=True)
@@ -522,22 +524,25 @@ class _Cell:
 
     The last layer of ``bits`` may be incomplete; ``prefix`` maps the input
     to its pre-activations, ``rows`` is the program ``(A, b, strict)`` in
-    :func:`global_lp`'s order.  ``witness`` clears every strict row by more
-    than ``TOL_SLACK`` and meets the closed ones; it is None when a solver
-    failure kept the cell.  ``empty`` holds the ``(neuron, bit)`` children
-    of the last layer that have no interior in the cell that opened the
-    layer, so in none of its sub-cells either.  ``points`` are more points
-    like the witness, the layer pre-test's, each paired with the bit
-    :func:`_settled` gives it for every neuron of the last layer; a child
-    keeps those on its side.
+    :func:`global_lp`'s order.  ``empty`` holds the ``(neuron, bit)``
+    children of the last layer that have no interior in the cell that
+    opened the layer, so in none of its sub-cells either.  ``points`` are
+    points that clear every strict row by more than ``TOL_SLACK`` and meet
+    the closed ones, each paired with its side of every neuron of the last
+    layer (:func:`_sides`, or the side a program proved); the first is the
+    cell's ``witness``, and there is none when a solver failure kept the
+    cell.  A child keeps the points on its side.
     """
 
     bits: tuple[tuple[int, ...], ...]
     prefix: GlobalAffinePrefix
     rows: tuple[np.ndarray, np.ndarray, np.ndarray]
-    witness: np.ndarray | None
     empty: frozenset[tuple[int, int]] = frozenset()
-    points: tuple[tuple[np.ndarray, tuple[int | None, ...]], ...] = ()
+    points: tuple[tuple[np.ndarray, list[int | None]], ...] = ()
+
+    @property
+    def witness(self) -> np.ndarray | None:
+        return self.points[0][0] if self.points else None
 
 
 class _Search:
@@ -602,30 +607,27 @@ class _Search:
             self.fallbacks += 1
         return self._verdict(res, start)
 
-    def open_layers(self, cells: Sequence[_Cell], layer: Layer) -> list[tuple[_Cell, tuple | None]]:
-        """Pre-test every neuron of ``layer`` for each cell that completes
-        the layer before it, all cells in one stacked solve.
+    def open_layers(self, cells: Sequence[_Cell], layer: Layer) -> list[_Cell]:
+        """The cells opening ``layer``, one per cell that completes the layer
+        before it, with every neuron pre-tested in one stacked solve.
 
         Neuron ``j``'s program for a cell with witness ``w`` is the cell's
         rows plus row ``j`` on the side ``w`` does not settle, from
         :func:`_with_row`, shifted as in :meth:`interior`.  Nothing is tested
-        without a witness, nor a neuron whose ``z = M[j] . w + o[j]`` is in
-        the gray zone ``(0, TOL_SLACK]``.  Returns, per cell, the cell opening
-        ``layer``, whose ``empty`` holds the ``(neuron, bit)`` sides of
-        neurons ``j >= 1`` found to have no interior (hence none in any
-        sub-cell) and whose ``points`` are the witnesses of the programs
-        found to have one, in neuron order, and neuron 0's ``(keep,
-        witness)`` as :meth:`interior` gives it for the first split (None
-        when not tested); a program that runs out of pivots settles nothing
-        and adds no point.  The whole layer is charged first: when the
-        budget runs out, only the programs left under it are built and
-        solved, then :class:`BudgetExceededError` is raised.
+        without a witness, nor a neuron for which :func:`_sides` puts ``w``
+        in the gray zone.  A side found to have no interior (hence none
+        in any sub-cell) goes into the opened cell's ``empty``; the witness
+        of a program found to have one follows ``w`` in its ``points``, in
+        neuron order, marked with the side its program proved for its own
+        neuron.  A program that runs out of pivots settles nothing.  The
+        whole layer is charged first: when the budget runs out, only the
+        programs left under it are built and solved, then
+        :class:`BudgetExceededError` is raised.
         """
-        plans = []  # (cell, prefix of ``layer``, settled bit per neuron, tested neurons)
+        plans = []  # (cell, prefix of ``layer``, sides of the witness, tested neurons)
         for cell in cells:
-            nxt, w = _next_prefix(cell.prefix, cell.bits[-1], layer), cell.witness
-            zs = [] if w is None else [float(row @ w + o) for row, o in zip(nxt.matrix, nxt.offset)]
-            settled = list(map(_settled, zs))
+            nxt = _next_prefix(cell.prefix, cell.bits[-1], layer)
+            settled = [] if cell.witness is None else _sides(nxt, [cell.witness])[0]
             plans.append((cell, nxt, settled, [j for j, bit in enumerate(settled) if bit is not None]))
         total = sum(len(tested) for *_, tested in plans)
         room, programs = self._charge(total), []
@@ -639,21 +641,20 @@ class _Search:
             raise self._exceeded()
         opened = []
         for cell, nxt, settled, tested in plans:
-            split, empty, found = None, set(), []
+            empty, found, proved = set(), [], []
             # zip draws a neuron before a verdict, so each cell takes its own
             for j, ((_, start), res) in zip(tested, verdicts):
                 keep, point = self._verdict(res, start)
-                if j == 0:
-                    split = keep, point
-                    self.fallbacks += res is None
-                elif not keep:
+                if not keep:
                     empty.add((j, 1 - settled[j]))
-                if point is not None:
+                elif point is not None:
                     found.append(point)
-            sides = (np.array(found) @ nxt.matrix.T + nxt.offset).tolist() if found else []
-            points = tuple((point, tuple(map(_settled, zs))) for point, zs in zip(found, sides))
-            cell = _Cell(cell.bits + ((),), nxt, cell.rows, cell.witness, frozenset(empty), points)
-            opened.append((cell, split))
+                    proved.append(j)
+            sides = _sides(nxt, found) if found else []
+            for side, j in zip(sides, proved):
+                side[j] = 1 - settled[j]
+            points = () if cell.witness is None else tuple(zip([cell.witness, *found], [settled, *sides]))
+            opened.append(_Cell(cell.bits + ((),), nxt, cell.rows, frozenset(empty), points))
         return opened
 
     def result(self, *, partial: bool = False) -> EnumerationResult:
@@ -685,31 +686,30 @@ def enumerate_feasible(net: MLPNetwork, *, budget: int | None = None) -> Enumera
 
     Live cells are split one neuron at a time, layer by layer.  Neuron ``i``
     of layer ``l`` cuts a cell along ``M[i] . x + o[i] = 0``, which is affine
-    in the input under the cell's prefix.  The cell's witness ``w`` settles
-    one child without a solve (bit 1 if ``M[i] . w + o[i] > TOL_SLACK``, bit 0
-    if it is ``<= 0``); every other child takes a point that the layer's
-    pre-test found inside the cell on its side, if one is left, or costs one
-    feasibility LP and is dropped when its rows have no strict interior.
-    Rows only shrink a cell, so a dropped child has no realisable extension.
-    A solver failure keeps the child without a witness and is counted in
-    ``solver_fallbacks``.
-    Records carry rows, model and witness (:class:`PatternRecord`); a kept
-    pattern that no point certifies raises :class:`UnwrapError`.
+    in the input under the cell's prefix.  One rule settles each child: a
+    side in the cell's ``empty`` set is skipped; otherwise the child takes
+    the first of the cell's points on its side (:class:`_Cell`: the witness
+    ``w`` is on side 1 if ``M[i] . w + o[i] > TOL_SLACK`` and on side 0 if
+    it is ``<= 0``), or, with none there, costs one feasibility LP and is
+    dropped when its rows have no strict interior.  Rows only shrink a
+    cell, so a dropped child has no realisable extension.  A solver failure
+    keeps the child without a witness and is counted in
+    ``solver_fallbacks``.  Records carry rows, model and witness
+    (:class:`PatternRecord`); a kept pattern that no point certifies
+    raises :class:`UnwrapError`.
 
     The search is layer-synchronous at layer boundaries.  Each layer is
     split depth-first, one cell at a time; the cells completing layer ``l -
     1`` are collected, and one stacked solve pre-tests all of them for layer
     ``l >= 2`` (:meth:`_Search.open_layers`): per cell and neuron, the
     cell's rows plus the neuron's row on the side the cell's witness does
-    not settle.  A side with no interior is then skipped in every sub-cell,
-    whose other child is settled by its witness, a pre-test point or its own
-    LP as above; the points of a side with one are kept with the opened
-    cell, and each child keeps those on its side.  Neuron 0's program is the
-    cell's first split LP, and serves as it.  The splits inside a layer stay
-    one at a time, through :func:`check_feasible`, whose calls the
-    benchmark's tracer (``perfbench/spans.py``) counts one program each;
-    stacking them would need a search over neuron-level frontiers and a
-    tracer that reads stacked calls.
+    not settle.  A side with no interior goes into the opened cell's
+    ``empty``, and the point of a side with one joins its ``points``.  The
+    splits inside a layer stay one at a time, through
+    :func:`check_feasible`, whose calls the benchmark's tracer
+    (``perfbench/spans.py``) counts one program each; stacking them would
+    need a search over neuron-level frontiers and a tracer that reads
+    stacked calls.
 
     ``layer_feasible[l]`` counts the live cells after layer ``l + 1``; the
     last entry is the number of patterns.  ``candidates_checked`` counts
@@ -731,39 +731,30 @@ def enumerate_feasible(net: MLPNetwork, *, budget: int | None = None) -> Enumera
         return EnumerationResult((record,), (), 0)
 
     search = _Search(net, budget)
-    first = GlobalAffinePrefix(net.hidden[0].weights, net.hidden[0].bias, 1)
-    stack = [(_Cell(((),), first, root, np.zeros(n)), None)]
+    first, origin = GlobalAffinePrefix(net.hidden[0].weights, net.hidden[0].bias, 1), np.zeros(n)
+    stack = [_Cell(((),), first, root, points=((origin, _sides(first, [origin])[0]),))]
     for layer, width in enumerate(net.hidden_widths, 1):
         done = search.leaves if layer == L else []
         while stack:
-            cell, split = stack.pop()
-            bits, prefix, rows, w, empty, points = (
-                cell.bits, cell.prefix, cell.rows, cell.witness, cell.empty, cell.points
-            )
+            cell = stack.pop()
+            bits, prefix, empty = cell.bits, cell.prefix, cell.empty
             i = len(bits[-1])
-            row, shift = prefix.matrix[i], prefix.offset[i]
-            settled = None if w is None else _settled(float(row @ w + shift))
             for bit in (0, 1):
                 if (i, bit) in empty:
                     continue
-                child, grown = bits[:-1] + (bits[-1] + (bit,),), _with_row(rows, prefix, i, bit)
-                mine = tuple(point for point in points if point[1][i] == bit)
-                if bit == settled:
-                    keep, witness = True, w
-                elif split is not None:
-                    keep, witness = split
-                elif mine:
-                    keep, witness = True, mine[0][0]
-                else:
-                    keep, witness = search.interior(grown, w)
-                if not keep:
-                    continue
-                cell = _Cell(child, prefix, grown, witness, empty, mine)
+                grown = _with_row(cell.rows, prefix, i, bit)
+                mine = tuple(point for point in cell.points if point[1][i] == bit)
+                if not mine:
+                    keep, witness = search.interior(grown, cell.witness)
+                    if not keep:
+                        continue
+                    mine = () if witness is None else ((witness, _sides(prefix, [witness])[0]),)
+                child = _Cell(bits[:-1] + (bits[-1] + (bit,),), prefix, grown, empty, mine)
                 if i + 1 < width:
-                    stack.append((cell, None))
+                    stack.append(child)
                 else:
                     search.layer_cells[layer - 1] += 1
-                    done.append(cell)
+                    done.append(child)
         if layer < L:
             stack = search.open_layers(done, net.hidden[layer])
     return search.result()

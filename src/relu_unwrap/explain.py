@@ -73,7 +73,8 @@ def _inside(d: Decomposition, r: int, X: np.ndarray) -> np.ndarray:
     """Whether each row of X lies in region ``r`` through owned faces, as in ``_hosts``."""
     ids, owned, starts = d.region_rows
     run = slice(starts[r], starts[r + 1])
-    margins = X @ d.halfspace_normals[ids[run]].T - d.halfspace_offsets[ids[run]]
+    with np.errstate(over="ignore"):  # an infinite margin keeps its sign
+        margins = X @ d.halfspace_normals[ids[run]].T - d.halfspace_offsets[ids[run]]
     return ~((margins < -_EPS_FACE) | (margins <= _EPS_FACE) & ~owned[run]).any(axis=1)
 
 
@@ -91,7 +92,8 @@ def _hosts(d: Decomposition, X: np.ndarray):
     lost = None
     for first in range(0, X.shape[0], _HOST_BLOCK):
         rows = slice(first, first + _HOST_BLOCK)
-        margins = X[rows] @ d.halfspace_normals.T - d.halfspace_offsets
+        with np.errstate(over="ignore"):  # an infinite margin keeps its sign
+            margins = X[rows] @ d.halfspace_normals.T - d.halfspace_offsets
         sources = np.concatenate([(margins <= _EPS_FACE).T, (margins < -_EPS_FACE).T])
         found = hosts[rows] = region[_any_read(sources, *d._host_reads).argmin(axis=0)]
         if lost is None and found.min() < 0:

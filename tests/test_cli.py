@@ -859,6 +859,22 @@ class TestComposition:
         assert json.loads(stdout)["pass"] is True
 
 
+    def test_readme_example_payloads(self, capsys, tmp_path):
+        """README's command-line example, whose ``model.json`` is
+        ``random_init([2, 3, 3], 1, 0)`` saved with ``save_model``: decompose
+        and shallowize print exactly the payloads of its ``# {...}`` lines."""
+        lines = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8").splitlines()
+        model = tmp_path / "model.json"
+        save_model(random_init([2, 3, 3], 1, seed=0), model)
+        for command in ("decompose", "shallowize"):
+            at = next(i for i, line in enumerate(lines) if line.startswith(f"relu-unwrap {command} "))
+            words = lines[at].split()
+            assert words[2:] == ["--model", "model.json", "--out", words[-1]], lines[at]
+            code, stdout, _ = run(capsys, command, "--model", str(model), "--out", str(tmp_path / words[-1]))
+            assert code == 0
+            assert "# " + stdout.strip() == lines[at + 1]
+
+
 class TestColdStart:
     def test_no_command_imports_numpy_ma(self, tmp_path):
         """numpy.ma costs about 15 ms to import (np.unique is one way in);

@@ -88,6 +88,24 @@ def region_by_pattern(d, bits):
     raise AssertionError(f"pattern {bits} missing")
 
 
+# ``candidates_checked`` of ``enumerate_feasible(net)`` under the search's
+# earlier settle rule, per hidden shape: Xavier nets (``random_init``) for
+# seeds 0-3, then biased ones (``biased_net``); the output width plays no part
+PRIOR_CANDIDATES = {
+    (2, 8, 8, 8): ([472, 509, 469, 503], [1832, 1902, 2524, 1688]),
+    (3, 5, 5, 3): ([487, 367, 443, 494], [810, 739, 753, 802]),
+    (3, 6, 6, 3): ([829, 694, 817, 712], [1658, 1277, 1497, 1172]),
+    (2, 8, 8, 4): ([342, 366, 332, 360], [1183, 1216, 1501, 1076]),
+    (2, 4, 4, 3): ([108, 101, 111, 99], [246, 159, 259, 179]),
+    (2, 4, 4): ([56, 54, 56, 53], [90, 70, 94, 76]),
+    (3, 4, 3): ([72, 59, 71, 64], [92, 80, 94, 71]),
+    (4, 5, 5): ([357, 314, 363, 404], [468, 555, 459, 490]),
+    (2, 3, 3): ([29, 29, 30, 34], [32, 36, 43, 39]),
+    (2, 6, 6, 6): ([292, 307, 246, 275], [899, 879, 822, 830]),
+    (3, 4, 4, 4): ([288, 185, 294, 213], [517, 516, 583, 276]),
+}
+
+
 def route_stacked(monkeypatch, *, search=None, witness=None):
     """Patch ``decomposition.check_feasible_many``: the stacked solves of
     ``_witnesses`` go to ``witness(real, lps)``, the others (the search's
@@ -322,10 +340,10 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("kept", [1, 0], ids=["first-solved", "all-out-of-pivots"])
     def test_pretest_out_of_pivots_settles_nothing(self, monkeypatch, kept):
-        """A pre-test program that runs out of pivots settles no neuron; for
-        the layer's first neuron it keeps the cell unwitnessed, as a failed
-        split does, and counts as a fallback.  Patterns and witnesses are
-        the reference's either way."""
+        """A pre-test program that runs out of pivots settles no neuron, the
+        layer's first neuron included: the child it would have settled
+        solves its own split LP, and nothing counts as a fallback.  Patterns
+        and witnesses are the reference's either way."""
         net = biased_net([2, 4, 4, 3], 2, seed=0)
         reference = enumerate_feasible(net)
         stacks = []
@@ -341,39 +359,40 @@ class TestEnumeration:
         assert stacks == [cells * width for cells, width in zip(opening, net.hidden_widths[1:])]
         assert res.candidates_checked > reference.candidates_checked
         assert res.layer_feasible == reference.layer_feasible
-        assert res.solver_fallbacks == sum(opening) - kept * len(stacks)
+        assert res.solver_fallbacks == reference.solver_fallbacks == 0
         assert [rec.pattern for rec in res.records] == [rec.pattern for rec in reference.records]
         for rec, ref in zip(res.records, reference.records):
             np.testing.assert_array_equal(rec.witness, ref.witness)
 
     def test_pretest_points_are_interior(self, monkeypatch):
-        """Every point a cell opening a layer keeps clears the cell's strict
-        rows by more than ``TOL_SLACK`` and meets its closed rows, up to the
-        rounding of a point on one (``TOL_SLACK``, as every system check
-        here), as the cell's witness does; so it can stand in for a split LP."""
+        """Every point a cell opening a layer keeps, its witness first, clears
+        the cell's strict rows by more than ``TOL_SLACK`` and meets its closed
+        rows, up to the rounding of a point on one (``TOL_SLACK``, as every
+        system check here); so a pre-test point can stand in for a split LP."""
         real, opened = decomposition._Search.open_layers, []
 
         def spy(search, cells, layer):
             out = real(search, cells, layer)
-            opened.extend(cell for cell, _ in out)
+            opened.extend(out)
             return out
 
         monkeypatch.setattr(decomposition._Search, "open_layers", spy)
         enumerate_feasible(biased_net([2, 4, 4, 3], 2, seed=0))
         points = [(cell.rows, point) for cell in opened for point, _ in cell.points]
-        assert len(points) > len(opened)
-        for (A, b, strict), point in points + [(cell.rows, cell.witness) for cell in opened]:
+        assert len(points) > 2 * len(opened)  # more pre-test points than cells, besides the witnesses
+        for (A, b, strict), point in points:
             margin = b - A @ point
             assert (margin[strict] > TOL_SLACK).all() and (margin[~strict] >= -TOL_SLACK).all()
 
     def test_pretest_points_only_save_lps(self, monkeypatch):
-        """Withholding the pre-test points costs split LPs and changes
-        nothing else: patterns, witnesses and layer counts are the same."""
+        """Withholding the pre-test points (every point but the witness)
+        costs split LPs and changes nothing else: patterns, witnesses and
+        layer counts are the same."""
         net = biased_net([2, 4, 4, 3], 2, seed=0)
         reference, real = enumerate_feasible(net), decomposition._Search.open_layers
 
         def bare(search, cells, layer):
-            return [(dataclasses.replace(cell, points=()), split) for cell, split in real(search, cells, layer)]
+            return [dataclasses.replace(cell, points=cell.points[:1]) for cell in real(search, cells, layer)]
 
         monkeypatch.setattr(decomposition._Search, "open_layers", bare)
         res = enumerate_feasible(net)
@@ -382,6 +401,53 @@ class TestEnumeration:
         assert [rec.pattern for rec in res.records] == [rec.pattern for rec in reference.records]
         for rec, ref in zip(res.records, reference.records):
             np.testing.assert_array_equal(rec.witness, ref.witness)
+
+    @pytest.mark.parametrize(
+        "net",
+        [
+            biased_net([2, 4, 4, 3], 2, seed=0),
+            random_init([2, 4, 4, 4], 1, seed=0),
+            biased_net([3, 5, 5, 3], 1, seed=1),
+        ],
+        ids=["biased[2,4,4,3]", "[2,4,4,4]", "biased[3,5,5,3]"],
+    )
+    def test_pretest_points_read_their_proved_side(self, monkeypatch, net):
+        """A cell opening a layer holds its parent's witness as ``points[0]``,
+        then the point of every pre-tested side found to have an interior,
+        in neuron order.  Each reads, for its own neuron, the side its
+        program proved, also where its value there lies in the gray zone
+        ``(0, TOL_SLACK]``, so it settles that neuron's child without an LP."""
+        real, opened = decomposition._Search.open_layers, []
+
+        def spy(search, cells, layer):
+            out = real(search, cells, layer)
+            opened.extend(zip(cells, out))
+            return out
+
+        monkeypatch.setattr(decomposition._Search, "open_layers", spy)
+        enumerate_feasible(net)
+        gray = 0
+        for parent, cell in opened:
+            (witness, settled), *found = cell.points
+            assert witness is parent.witness is cell.witness
+            tested = [j for j, side in enumerate(settled) if side is not None and (j, 1 - side) not in cell.empty]
+            assert len(found) == len(tested)
+            for (point, sides), j in zip(found, tested):
+                z = float(cell.prefix.matrix[j] @ point + cell.prefix.offset[j])
+                assert sides[j] == 1 - settled[j]
+                assert z > TOL_SLACK if sides[j] else z <= TOL_SLACK
+                gray += 0.0 < z <= TOL_SLACK
+        assert gray > 0
+
+    @pytest.mark.parametrize("dims", list(PRIOR_CANDIDATES), ids=str)
+    def test_settle_rule_never_costs_more_lps(self, dims):
+        """On Xavier and biased nets of each shape, seeds 0-3, the search
+        solves no more LPs than it did when neuron 0's pre-test verdict rode
+        beside the cell and a pre-test point in its own neuron's gray zone
+        settled nothing (the pinned counts)."""
+        for make, prior in zip((random_init, biased_net), PRIOR_CANDIDATES[dims]):
+            counts = [enumerate_feasible(make(list(dims), 1, seed)).candidates_checked for seed in range(4)]
+            assert all(map(int.__le__, counts, prior)), (make.__name__, counts, prior)
 
     def test_negative_budget_is_refused(self):
         """A budget below 0 is a ``ValueError``; 0 is valid and cuts the

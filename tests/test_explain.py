@@ -130,6 +130,17 @@ class TestLocateRegion:
         with pytest.raises(DimensionMismatchError):
             locate_region(d, [1.0, 2.0, 3.0])
 
+    def test_overflowing_margins_keep_their_sign(self):
+        """A finite point whose margins overflow to infinity locates, with no
+        overflow warning, as its direction does at a large finite scale: an
+        infinite margin keeps its sign."""
+        d = decompose(biased_net([2, 4, 4], 2, seed=0))
+        x = [1.7e308, -1.7e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert locate_many(d, [x]).tolist() == [32] == locate_many(d, [[1e12, -1e12]]).tolist()
+            assert [r for r in range(d.num_regions) if region_contains(d, r, x)] == [32]
+
 
 class TestRegionContains:
     def test_strict_interior_and_owned_face(self, demo_net_m2):

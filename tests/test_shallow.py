@@ -254,7 +254,7 @@ class TestConstruction:
             build_shallow(Decomposition.of(2, 1, (), ()))
 
     def test_partial_decomposition_rejected(self):
-        """A budget cut in the last layer's splits (LPs 59 to 90) leaves 15
+        """A budget cut in the last layer's splits (LPs 59 to 88) leaves 18
         regions of 41; the decomposition built from that partial result is
         partial by itself, and a net built from it would read 0 everywhere
         else, so it is refused."""
@@ -262,7 +262,7 @@ class TestConstruction:
         with pytest.raises(BudgetExceededError) as info:
             decompose(net, budget=70)
         d = build_decomposition(net, info.value.partial)
-        assert d.partial and d.num_regions == 15
+        assert d.partial and d.num_regions == 18
         with pytest.raises(ValueError, match="partial"):
             build_shallow(d)
 
