@@ -84,11 +84,11 @@ def _diag(message: str):
 
 
 def _note_fallbacks(enum):
-    """One stderr line when solver failures kept cells unpruned."""
+    """One stderr line when search or witness solves ran out of pivots."""
     if enum.solver_fallbacks:
         _diag(
             f"warning: {enum.solver_fallbacks} feasibility solve(s) hit the simplex "
-            "pivot limit; the cells they tested were kept"
+            "pivot limit; none of them pruned a cell"
         )
     return enum
 

@@ -238,7 +238,8 @@ class Decomposition:
     Region ``r`` has pattern ``patterns[r]``, a row of the (p, N) uint8
     bit matrix :func:`~relu_unwrap.network.pattern_matrix` returns, whose
     columns split into layers of ``hidden_widths``; model ``x -> alphas[r]
-    @ x + betas[r]`` and interior point ``witnesses[r]``; in ``region_rows
+    @ x + betas[r]`` and witness ``witnesses[r]`` (interior unless the cell
+    is a single point, see :func:`enumerate_feasible`); in ``region_rows
     = (ids, owned, starts)`` its conditions are ``ids[starts[r]:starts[r +
     1]]``, and ``owned[t]`` tells whether it owns the face of ``ids[t]``.
     The arrays are read-only and checked once, here.  :attr:`halfspaces`
@@ -364,7 +365,8 @@ class PatternRecord:
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """Found patterns and the search's counters (see :func:`enumerate_feasible`);
+    """Found patterns and the search's counters (see :func:`enumerate_feasible`:
+    ``solver_fallbacks`` counts every solve that ran out of pivots);
     ``partial`` when a budget cut left the patterns incomplete."""
 
     records: tuple[PatternRecord, ...]
@@ -580,18 +582,18 @@ class _Search:
                 return LinearProgram(A, moved, strict), start
         return LinearProgram(A, b, strict), None
 
-    @staticmethod
-    def _verdict(res, start) -> tuple[bool, np.ndarray | None]:
-        """(keep, witness) of a program from its result, solved shifted to
-        ``start``; a solver failure (None) keeps it unwitnessed."""
+    def _verdict(self, res, start) -> tuple[bool, np.ndarray | None]:
+        """(keep, witness) of a program solved shifted to ``start``; a solver
+        failure (None) keeps it unwitnessed, counted in ``fallbacks``."""
         if res is None:
+            self.fallbacks += 1
             return True, None
         if res.status is Feasibility.INTERIOR:
             return True, res.witness if start is None else start + res.witness
         return False, None
 
     def interior(self, rows, start) -> tuple[bool, np.ndarray | None]:
-        """(keep, witness) of a system's rows; a solver failure keeps it unwitnessed.
+        """(keep, witness) of a system's rows (see :meth:`_verdict`).
 
         ``start``, the parent cell's witness, meets every row but the new
         one.  The program is solved shifted to it (see :meth:`_shift`), so
@@ -604,7 +606,6 @@ class _Search:
             res = check_feasible(lp)
         except IterationLimitError:
             res = None
-            self.fallbacks += 1
         return self._verdict(res, start)
 
     def open_layers(self, cells: Sequence[_Cell], layer: Layer) -> list[_Cell]:
@@ -619,10 +620,10 @@ class _Search:
         in any sub-cell) goes into the opened cell's ``empty``; the witness
         of a program found to have one follows ``w`` in its ``points``, in
         neuron order, marked with the side its program proved for its own
-        neuron.  A program that runs out of pivots settles nothing.  The
-        whole layer is charged first: when the budget runs out, only the
-        programs left under it are built and solved, then
-        :class:`BudgetExceededError` is raised.
+        neuron.  A program that runs out of pivots settles nothing and
+        counts a fallback.  The whole layer is charged first: when the
+        budget runs out, only the programs left under it are built and
+        solved, then :class:`BudgetExceededError` is raised.
         """
         plans = []  # (cell, prefix of ``layer``, sides of the witness, tested neurons)
         for cell in cells:
@@ -637,8 +638,6 @@ class _Search:
                 self._shift(*_with_row(cell.rows, nxt, j, 1 - settled[j]), cell.witness) for j in tested
             ]
         verdicts = zip(programs, check_feasible_many([lp for lp, _ in programs]))
-        if room < total:
-            raise self._exceeded()
         opened = []
         for cell, nxt, settled, tested in plans:
             empty, found, proved = set(), [], []
@@ -655,6 +654,8 @@ class _Search:
                 side[j] = 1 - settled[j]
             points = () if cell.witness is None else tuple(zip([cell.witness, *found], [settled, *sides]))
             opened.append(_Cell(cell.bits + ((),), nxt, cell.rows, frozenset(empty), points))
+        if room < total:
+            raise self._exceeded()
         return opened
 
     def result(self, *, partial: bool = False) -> EnumerationResult:
@@ -682,7 +683,12 @@ class _Search:
 
 
 def enumerate_feasible(net: MLPNetwork, *, budget: int | None = None) -> EnumerationResult:
-    """Find every activation pattern realised on a set with interior.
+    """Find every activation pattern that passes the strict-interior test.
+
+    A pattern passes when a point clears its strict rows by more than
+    ``TOL_SLACK`` and meets its closed rows, so one with no strict row may
+    be a single point: ``random_init([2, 3, 3], 1, 0)`` keeps the all-zero
+    pattern, whose cone is the origin alone, with witness ``[0, 0]``.
 
     Live cells are split one neuron at a time, layer by layer.  Neuron ``i``
     of layer ``l`` cuts a cell along ``M[i] . x + o[i] = 0``, which is affine
@@ -692,8 +698,8 @@ def enumerate_feasible(net: MLPNetwork, *, budget: int | None = None) -> Enumera
     ``w`` is on side 1 if ``M[i] . w + o[i] > TOL_SLACK`` and on side 0 if
     it is ``<= 0``), or, with none there, costs one feasibility LP and is
     dropped when its rows have no strict interior.  Rows only shrink a
-    cell, so a dropped child has no realisable extension.  A solver failure
-    keeps the child without a witness and is counted in
+    cell, so a dropped child has no realisable extension.  A split or
+    pre-test that runs out of pivots prunes nothing and counts in
     ``solver_fallbacks``.  Records carry rows, model and witness
     (:class:`PatternRecord`); a kept pattern that no point certifies
     raises :class:`UnwrapError`.

@@ -28,10 +28,11 @@ them, in order of row count so padding stays short, pads shorter programs
 with rows ``0 . x <= 1`` that no pivot touches, and puts at most
 ``STACK_SIZE`` programs in a stack.  Every program has its own pivot budget
 of ``ITERATION_FACTOR * (rows + dim)``, counted on its unpadded rows, a
-guard against numerical pathology.  A call on one program raises
-:class:`IterationLimitError` when a budget runs out; a call on a sequence
-gives None for that program's system alone, and callers in the pattern
-search must then keep the candidate rather than prune it.
+guard against numerical pathology.  A program whose budget runs out gives
+None, in a call on a sequence for that program alone; a call on one program
+is the call on a list of one, and ``_alone`` turns that None into
+:class:`IterationLimitError`.  Callers in the pattern search keep the
+candidate rather than prune it, and count the failure.
 """
 
 from __future__ import annotations
@@ -301,13 +302,7 @@ def check_feasible(lp: LinearProgram) -> FeasibilityResult:
     clears the strict rows by more than ``TOL_SLACK``.  INFEASIBLE: even the
     closed system is empty.
     """
-    res = _feasibility([lp])[0]
-    if res is None:
-        raise IterationLimitError(
-            f"slack program of a {lp.num_rows}x{lp.dim} system exceeded "
-            f"{iteration_limit(lp.num_rows + 1, lp.dim + 1)} pivots"
-        )
-    return res
+    return _alone(check_feasible_many([lp])[0], lp)
 
 
 def check_feasible_many(lps: Sequence[LinearProgram]) -> list[FeasibilityResult | None]:
@@ -317,11 +312,6 @@ def check_feasible_many(lps: Sequence[LinearProgram]) -> list[FeasibilityResult 
     :func:`check_feasible` returns alone; None marks a program
     :func:`check_feasible` would raise :class:`IterationLimitError` on.
     """
-    return _feasibility(lps)
-
-
-def _feasibility(lps: Sequence[LinearProgram]) -> list[FeasibilityResult | None]:
-    """The slack programs of ``lps`` (see the module docstring), maximised."""
     systems, objectives = [], []
     for lp in lps:
         m, d = lp.A.shape
@@ -450,7 +440,7 @@ def extremize(direction, lp):
     call would raise :class:`IterationLimitError`.  Every program of a call
     goes to stacked solves.
     """
-    # the public names never call each other, so a traced call is one span
+    # the one-program entries never call each other, so a traced call is one span
     if isinstance(lp, LinearProgram):
         return _alone(_extrema([direction], [lp])[0], lp)
     return _extrema(direction, lp)

@@ -145,6 +145,35 @@ class TestDecompose:
         for key in ("p", "k", "layer_feasible"):
             assert payload[key] == reference[key]
 
+    def test_pretest_fallbacks_reported_on_stderr(self, capsys, tmp_path, monkeypatch):
+        """Layer pre-tests that run out of pivots count as fallbacks too: one
+        warning line, and the payload the unforced run gives."""
+        model, out = tmp_path / "deep.json", str(tmp_path / "d.json")
+        save_model(biased_net([2, 4, 4, 3], 2, seed=0), model)
+        _, clean, clean_err = run(capsys, "decompose", "--model", str(model), "--out", out)
+        assert clean_err == ""
+        real_open, real_many, inside = decomposition._Search.open_layers, decomposition.check_feasible_many, []
+
+        def opening(search, cells, layer):
+            inside.append(True)
+            try:
+                return real_open(search, cells, layer)
+            finally:
+                inside.pop()
+
+        def many(lps):
+            return [None] * len(lps) if inside else real_many(lps)
+
+        monkeypatch.setattr(decomposition._Search, "open_layers", opening)
+        monkeypatch.setattr(decomposition, "check_feasible_many", many)
+        code, stdout, stderr = run(capsys, "decompose", "--model", str(model), "--out", out)
+        assert code == 0
+        assert len(stderr.splitlines()) == 1 and stderr.startswith("warning: 167 feasibility solve(s)")
+        payload, reference = json.loads(stdout), json.loads(clean)
+        assert payload.keys() == reference.keys()
+        for key in ("p", "k", "layer_feasible"):
+            assert payload[key] == reference[key]
+
     def test_env_thread_override(self, capsys, tmp_path, demo_m2_file, monkeypatch):
         monkeypatch.setenv("RELU_UNWRAP_THREADS", "2")
         out = str(tmp_path / "d.json")

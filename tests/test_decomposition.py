@@ -338,12 +338,16 @@ class TestEnumeration:
             exact = enumerate_feasible(net, budget=full.candidates_checked)
             assert [rec.pattern for rec in exact.records] == [rec.pattern for rec in full.records]
 
-    @pytest.mark.parametrize("kept", [1, 0], ids=["first-solved", "all-out-of-pivots"])
-    def test_pretest_out_of_pivots_settles_nothing(self, monkeypatch, kept):
+    @pytest.mark.parametrize(
+        "kept, fallbacks", [(1, 165), (0, 167)], ids=["first-solved", "all-out-of-pivots"]
+    )
+    def test_pretest_out_of_pivots_settles_nothing(self, monkeypatch, kept, fallbacks):
         """A pre-test program that runs out of pivots settles no neuron, the
         layer's first neuron included: the child it would have settled
-        solves its own split LP, and nothing counts as a fallback.  Patterns
-        and witnesses are the reference's either way."""
+        solves its own split LP.  Each such program counts one fallback:
+        11 cells times 4 neurons plus 41 times 3, less each stack's first
+        program where it is solved.  Patterns and witnesses are the
+        reference's either way."""
         net = biased_net([2, 4, 4, 3], 2, seed=0)
         reference = enumerate_feasible(net)
         stacks = []
@@ -359,7 +363,8 @@ class TestEnumeration:
         assert stacks == [cells * width for cells, width in zip(opening, net.hidden_widths[1:])]
         assert res.candidates_checked > reference.candidates_checked
         assert res.layer_feasible == reference.layer_feasible
-        assert res.solver_fallbacks == reference.solver_fallbacks == 0
+        assert reference.solver_fallbacks == 0
+        assert res.solver_fallbacks == sum(stacks) - kept * len(stacks) == fallbacks
         assert [rec.pattern for rec in res.records] == [rec.pattern for rec in reference.records]
         for rec, ref in zip(res.records, reference.records):
             np.testing.assert_array_equal(rec.witness, ref.witness)
@@ -1424,7 +1429,10 @@ class TestProgramsBuiltOnce:
     @pytest.fixture
     def ledger(self, monkeypatch):
         """``(built, solved)``: every program built, and every program passed
-        to the solver's three entry points, kept as objects."""
+        to the solver's three entry points, kept as objects.  The feasibility
+        driver, ``check_feasible_many``, is spied where the library looks it
+        up: in ``lp`` (for ``check_feasible``) and in ``decomposition`` (for
+        the search and ``_witnesses``, which ``shallow`` calls)."""
         built, solved, real_init = [], [], LinearProgram.__post_init__
 
         def counted(self):
@@ -1432,14 +1440,19 @@ class TestProgramsBuiltOnce:
             built.append(self)
 
         monkeypatch.setattr(LinearProgram, "__post_init__", counted)
-        for name in ("_feasibility", "_extrema", "_redundant"):
+        for module, name in (
+            (lp_module, "check_feasible_many"),
+            (decomposition, "check_feasible_many"),
+            (lp_module, "_extrema"),
+            (lp_module, "_redundant"),
+        ):
 
-            def spy(*args, _real=getattr(lp_module, name)):
+            def spy(*args, _real=getattr(module, name)):
                 lps = list(args[-1])
                 solved.extend(lps)
                 return _real(*args[:-1], lps)
 
-            monkeypatch.setattr(lp_module, name, spy)
+            monkeypatch.setattr(module, name, spy)
         return built, solved
 
     def test_every_program_built_is_solved(self, ledger):
