@@ -19,18 +19,27 @@ The simplex takes a stack of same-shaped programs and pivots them in
 lockstep; each program follows exactly the pivots it would follow alone, so
 a stacked solve returns bitwise what one-at-a-time solves return, and a
 scalar call is a stack of one.  One routine, ``_maximise``, answers all
-three questions, each a maximisation over plain ``(A, b)`` systems:
-feasibility maximises ``t`` over the slack system
+three questions, each a maximisation over the rows of the caller's
+programs: feasibility maximises ``t`` over the slack system
 ``[A | strict; 0 | 1] (x, t) <= [b; 1]``, :func:`extremize` each direction
-and :func:`is_redundant` each tested row over the closed rows; the callers
-read their answers off the optima.  It takes one system or a sequence of
-them, in order of row count so padding stays short, pads shorter programs
-with rows ``0 . x <= 1`` that no pivot touches, and puts at most
-``STACK_SIZE`` programs in a stack.  Every program has its own pivot budget
-of ``ITERATION_FACTOR * (rows + dim)``, counted on its unpadded rows, a
-guard against numerical pathology.  A program whose budget runs out gives
-None, in a call on a sequence for that program alone; a call on one program
-is the call on a list of one, and ``_alone`` turns that None into
+and :func:`is_redundant` each tested row over the closed rows.  It takes
+the programs in order of row count, so padding stays short, pads shorter
+programs with rows ``0 . x <= 1`` that no pivot touches, and puts at most
+``STACK_SIZE`` programs in a stack.  The programs of one row count are
+stacked once per call (``_groups``), and a stack is filled with one copy
+per row count it holds, the slack column and row written in the same
+copies, so the fill runs no Python per program.  Every program has its
+own pivot budget of ``ITERATION_FACTOR * (rows + dim)``, counted on its
+unpadded rows, a guard against numerical pathology.
+
+The answers are read off whole arrays before any result object is built.
+Statuses, witnesses and optima are copied from the tableau.  Strict
+margins ``b[i] - A[i] . x`` and objective values ``c . y`` are recomputed
+by ``_dot``, the products added left to right, so a number has the same
+bits alone or stacked; the value of a unit direction ``+-e_i`` is exactly
+``+-y[i]``.  A program whose budget runs out gives None, in a call on a
+sequence for that program alone; a call on one program is the call on a
+list of one, and ``_alone`` turns that None into
 :class:`IterationLimitError`.  Callers in the pattern search keep the
 candidate rather than prune it, and count the failure.
 """
@@ -38,6 +47,7 @@ candidate rather than prune it, and count the failure.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -312,114 +322,114 @@ def check_feasible_many(lps: Sequence[LinearProgram]) -> list[FeasibilityResult 
     :func:`check_feasible` returns alone; None marks a program
     :func:`check_feasible` would raise :class:`IterationLimitError` on.
     """
-    systems, objectives = [], []
-    for lp in lps:
-        m, d = lp.A.shape
-        # column d is the slack t, on the strict rows and in the last row t <= 1
-        A = np.zeros((m + 1, d + 1))
-        A[:m, :d] = lp.A
-        A[:m, d] = lp.strict
-        A[m, d] = 1.0
-        systems.append((A, np.concatenate((lp.b, [1.0]))))
-        objectives.append(A[m:])  # maximise t
-    return list(map(_feasible, lps, _maximise(systems, objectives)))
+    lps = list(lps)
+    d = _dim(lps)
+    order, groups = _groups(lps, strict=True)
+    c = np.zeros((len(lps), d + 1))
+    c[:, d] = 1.0  # maximise t
+    status, y = _maximise(groups, c, slack=True)
+    x, t = y[:, :d], y[:, d]
+    # per program: whether a row is strict, and the smallest strict margin of its witness
+    strict_rows, smallest, lo = [], [], 0
+    for A, b, strict in groups:
+        hi = lo + len(b)
+        margins = b - _dot(A, x[lo:hi, None])
+        strict_rows += np.logical_or.reduce(strict, axis=1).tolist()
+        smallest += np.minimum.reduce(margins, axis=1, initial=np.inf, where=strict).tolist()
+        lo = hi
+    results: list[FeasibilityResult | None] = [None] * len(lps)
+    for j, st, top, has, s, w in zip(order, status.tolist(), t.tolist(), strict_rows, smallest, x):
+        # an unbounded slack program is impossible (t <= 1): pathology
+        if st == _LIMIT or st == _UNBOUNDED:
+            continue
+        s = s if has else top
+        if st == _OPTIMAL and s > TOL_SLACK:
+            results[j] = FeasibilityResult(Feasibility.INTERIOR, w, s)
+        elif st == _OPTIMAL and top >= -TOL_SLACK:
+            results[j] = FeasibilityResult(Feasibility.BOUNDARY_ONLY, w, max(s, 0.0))
+        else:
+            results[j] = FeasibilityResult(Feasibility.INFEASIBLE)
+    return results
 
 
-def _feasible(lp: LinearProgram, top) -> FeasibilityResult | None:
-    """Classify ``lp`` by its slack program's ``[(status, (x, t))]``; None
-    where that program ran out of pivots."""
-    # an unbounded slack program is impossible (t <= 1): pathology
-    if top is None or top[0][0] == _UNBOUNDED:
-        return None
-    status, y = top[0]
-    if status == _INFEASIBLE:
-        return FeasibilityResult(Feasibility.INFEASIBLE)
-    x, t = y[:-1], float(y[-1])
-    if lp.strict.any():
-        slack = float((lp.b[lp.strict] - lp.A[lp.strict] @ x).min())
-    else:
-        slack = t
-    if slack > TOL_SLACK:
-        return FeasibilityResult(Feasibility.INTERIOR, x, slack)
-    if t >= -TOL_SLACK:
-        return FeasibilityResult(Feasibility.BOUNDARY_ONLY, x, max(slack, 0.0))
-    return FeasibilityResult(Feasibility.INFEASIBLE)
-
-
-def _extremum(direction: np.ndarray, top) -> ExtremizeResult:
-    """The maximum of ``direction . x`` from its program's ``(status, y)``."""
-    status, y = top
-    if status == _INFEASIBLE:
-        return ExtremizeResult(Extremum.INFEASIBLE)
-    if status == _UNBOUNDED:
-        return ExtremizeResult(Extremum.UNBOUNDED)
-    return ExtremizeResult(Extremum.BOUNDED, float(direction @ y), y)
-
-
-def _stacks(sizes: Sequence[int], order: Sequence[int]):
-    """Stacks of at most ``STACK_SIZE`` programs, as ``(system, lo, hi)``
-    slices: programs ``lo`` to ``hi`` of each system, systems in ``order``."""
-    stack, room = [], STACK_SIZE
-    for j in order:
-        lo = 0
-        while lo < sizes[j]:
-            hi = min(sizes[j], lo + room)
-            stack.append((j, lo, hi))
-            room -= hi - lo
-            lo = hi
-            if not room:
-                yield stack
-                stack, room = [], STACK_SIZE
-    if stack:
-        yield stack
-
-
-def _maximise(systems, objectives, dropped=None) -> list[list | None]:
-    """Maximise every row of ``objectives[j]`` over ``A x <= b``, the pair
-    ``systems[j]``, for every system ``j``, in stacked solves.
-
-    Systems are taken in order of row count, so padding stays short, and
-    their programs cut into stacks of at most ``STACK_SIZE``.  A program's
-    rows past its system's are ``0 . x <= 1``, which no pivot touches, so
-    it pivots as it would alone, on the budget of its unpadded system.
-    With ``dropped``, the program of ``objectives[j][t]`` has row
-    ``dropped[j][t]`` replaced by ``0 . x <= 1``, and the budget of a
-    system one row shorter.  Returns per system its programs' ``(status,
-    y)`` (see :func:`_simplex`), or None where one of them ran out of
-    pivots.
-    """
-    dims = {A.shape[1] for A, _ in systems}
+def _dim(lps: Sequence[LinearProgram]) -> int:
+    """The one dimension of programs solved together."""
+    dims = {lp.dim for lp in lps}
     if len(dims) > 1:
         raise DimensionMismatchError("stacked programs must share one dimension")
-    d = dims.pop() if dims else 0
-    spare = 0 if dropped is None else 1
-    results: list[list] = [[] for _ in systems]
-    failed = [False] * len(systems)
-    rows = [len(b) for _, b in systems]
-    order = sorted(range(len(systems)), key=rows.__getitem__)
-    for stack in _stacks([len(c) for c in objectives], order):
-        c = np.concatenate([objectives[j][lo:hi] for j, lo, hi in stack])
-        G = np.zeros((len(c), max(rows[j] for j, _, _ in stack), d))
-        h = np.ones(G.shape[:2])
-        spans, limits = [], []
-        for j, lo, hi in stack:
-            A, b = systems[j]
-            span = slice(len(limits), len(limits) + hi - lo)
-            G[span, : rows[j]] = A
-            h[span, : rows[j]] = b
-            spans.append(span)
-            limits += [iteration_limit(rows[j] - spare, d)] * (hi - lo)
-        if dropped is not None:
-            k = np.arange(len(c))
-            cut = np.concatenate([dropped[j][lo:hi] for j, lo, hi in stack])
-            G[k, cut] = 0.0
-            h[k, cut] = 1.0
-        status, y = _simplex(G, h, c, limits)
-        status = status.tolist()
-        for (j, _, _), span in zip(stack, spans):
-            failed[j] |= _LIMIT in status[span]
-            results[j].extend(zip(status[span], y[span]))
-    return [None if fail else res for fail, res in zip(failed, results)]
+    return dims.pop() if dims else 0
+
+
+def _groups(lps: Sequence[LinearProgram], strict=False):
+    """The programs in order of row count, ties in their own order, as
+    ``(order, groups)``: their indices in that order, and per row count
+    ``m`` the ``(A, b, strict)`` of its programs stacked, (n, m, d), (n, m)
+    and (n, m), each in one copy; ``strict`` is None unless asked for."""
+    rows = [len(lp.b) for lp in lps]
+    order = sorted(range(len(lps)), key=rows.__getitem__)
+    groups = []
+    for _, run in itertools.groupby(order, rows.__getitem__):
+        run = [lps[j] for j in run]
+        flags = np.array([lp.strict for lp in run]) if strict else None
+        groups.append((np.array([lp.A for lp in run]), np.array([lp.b for lp in run]), flags))
+    return order, groups
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a . b`` over the last axis, ``b`` broadcast to ``a``: the products
+    summed left to right, so a number has the same bits whichever programs
+    share its call."""
+    if not a.shape[-1]:
+        return np.zeros(a.shape[:-1])
+    return np.add.accumulate(a * b, axis=-1)[..., -1]
+
+
+def _maximise(groups, c: np.ndarray, counts=None, cut=None, slack=False):
+    """Maximise each objective ``c[p]`` over the system of its program, in
+    stacked solves; returns each program's ``(status, y)`` (see
+    :func:`_simplex`), in the order of ``c``.
+
+    ``groups`` holds systems ``A x <= b`` by row count, ascending, as
+    :func:`_groups` stacks them.  Taken in that order, system ``s`` owns
+    the next ``counts[s]`` rows of ``c``, or one without ``counts``.  With
+    ``slack``, a program's system is the slack system ``[A | strict; 0 |
+    1] (x, t) <= [b; 1]``.  With ``cut``, program ``p`` has row ``cut[p]``
+    replaced by ``0 . x <= 1``.  The programs are cut, in order, into
+    stacks of at most ``STACK_SIZE``, padded with rows ``0 . x <= 1``,
+    which no pivot touches; a stack is filled with one copy of each array
+    per group it draws on.  Every program has the pivot budget of its
+    unpadded system, one row shorter with ``cut``.
+    """
+    P, width = c.shape
+    spans, lo, s = [], 0, 0  # per group: its programs lo:hi, the system of each, its arrays, their budget
+    for A, b, strict in groups:
+        n, m = b.shape
+        owner = None if counts is None else np.arange(n).repeat(counts[s : s + n])
+        hi = lo + (n if owner is None else len(owner))
+        spans.append((lo, hi, owner, A, b, strict, iteration_limit(m + slack - (cut is not None), width)))
+        lo, s = hi, s + n
+    status, y = np.empty(P, dtype=np.intp), np.empty((P, width))
+    for p0 in range(0, P, STACK_SIZE):
+        p1 = min(P, p0 + STACK_SIZE)
+        runs = [span for span in spans if max(span[0], p0) < min(span[1], p1)]
+        rows = runs[-1][4].shape[1] + slack  # the last group has the most rows
+        G, h, limit = np.zeros((p1 - p0, rows, width)), np.ones((p1 - p0, rows)), np.empty(p1 - p0, dtype=np.intp)
+        for start, stop, owner, A, b, strict, budget in runs:
+            a, z = max(start, p0), min(stop, p1)
+            at = slice(a - start, z - start) if owner is None else owner[a - start : z - start]
+            to, (m, d) = slice(a - p0, z - p0), A.shape[1:]
+            G[to, :m, :d] = A[at]
+            h[to, :m] = b[at]
+            limit[to] = budget
+            if slack:
+                G[to, :m, d] = strict[at]
+                G[to, m, d] = 1.0
+        if cut is not None:
+            k = np.arange(p1 - p0)
+            G[k, cut[p0:p1]] = 0.0
+            h[k, cut[p0:p1]] = 1.0
+        status[p0:p1], y[p0:p1] = _simplex(G, h, c[p0:p1], limit)
+    return status, y
 
 
 def _alone(result, lp: LinearProgram):
@@ -458,15 +468,38 @@ def _extrema(directions, lps) -> list:
                 f"direction has length {D.shape[-1] if D.ndim else 1}, "
                 f"program dim is {lp.dim}"
             )
-    # contiguous rows, so each value is one dot product whatever the caller's strides
-    objectives = [np.ascontiguousarray(np.atleast_2d(D)) for D in stacks]
-    tops = _maximise([(lp.A, lp.b) for lp in lps], objectives)
-    results = []
-    for D, c, top in zip(stacks, objectives, tops):
-        if top is not None:
-            top = tuple(map(_extremum, c, top)) if D.ndim == 2 else _extremum(c[0], top[0])
-        results.append(top)
+    d = _dim(lps)
+    order, groups = _groups(lps)
+    objectives = [stacks[j] if stacks[j].ndim == 2 else stacks[j][None] for j in order]
+    c = np.concatenate(objectives or [np.zeros((0, d))])
+    counts = [len(D) for D in objectives]
+    status, y = _maximise(groups, c, counts)
+    statuses, values = status.tolist(), _dot(c, y).tolist()
+    results: list = [None] * len(lps)
+    for j, lo, hi in _solved(order, counts, statuses):
+        tops = tuple(map(_extremum, statuses[lo:hi], values[lo:hi], y[lo:hi]))
+        results[j] = tops if stacks[j].ndim == 2 else tops[0]
     return results
+
+
+def _solved(order, counts, statuses):
+    """``(j, lo, hi)`` for each caller's program ``j = order[s]`` none of
+    whose stacked programs, entries ``lo:hi`` of ``statuses`` (the next
+    ``counts[s]``), ran out of pivots."""
+    lo = 0
+    for j, n in zip(order, counts):
+        if _LIMIT not in statuses[lo : lo + n]:
+            yield j, lo, lo + n
+        lo += n
+
+
+def _extremum(status: int, value: float, y: np.ndarray) -> ExtremizeResult:
+    """The maximum of a direction from its program's status, value and optimum."""
+    if status == _INFEASIBLE:
+        return ExtremizeResult(Extremum.INFEASIBLE)
+    if status == _UNBOUNDED:
+        return ExtremizeResult(Extremum.UNBOUNDED)
+    return ExtremizeResult(Extremum.BOUNDED, value, y)
 
 
 def dominated(res: ExtremizeResult, bound: float) -> bool:
@@ -508,17 +541,25 @@ def _redundant(rows, lps) -> list:
     indices = [np.asarray(r) for r in rows]
     if len(indices) != len(lps):
         raise DimensionMismatchError(f"{len(indices)} row sets for {len(lps)} programs")
-    flat = [r.reshape(-1) for r in indices]
-    for f, lp in zip(flat, lps):
-        bad = (f < 0) | (f >= lp.num_rows)
-        if bad.any():
-            raise IndexError(f"row {f[bad][0]} out of range")
-    objectives = [lp.A[f] for f, lp in zip(flat, lps)]
-    tops = _maximise([(lp.A, lp.b) for lp in lps], objectives, flat)
-    verdicts = []
-    for r, f, c, lp, top in zip(indices, flat, objectives, lps, tops):
-        if top is not None:
-            top = list(map(dominated, map(_extremum, c, top), lp.b[f].tolist()))
-            top = top[0] if r.ndim == 0 else np.array(top, dtype=bool)
-        verdicts.append(top)
+    for r in indices:
+        if r.size and r.dtype.kind not in "iu":
+            raise IndexError(f"row indices must be integers, not {r.dtype}")
+    flat = [r.reshape(-1).astype(np.intp, copy=False) for r in indices]
+    tested = np.concatenate(flat or [np.zeros(0, dtype=np.intp)])
+    bad = (tested < 0) | (tested >= np.repeat([lp.num_rows for lp in lps], [len(f) for f in flat]))
+    if bad.any():
+        raise IndexError(f"row {tested[bad][0]} out of range")
+    d = _dim(lps)
+    order, groups = _groups(lps)
+    counts = [len(flat[j]) for j in order]
+    cut = np.concatenate([flat[j] for j in order] or [np.zeros(0, dtype=np.intp)])
+    # each program maximises its tested row, against that row's bound
+    c = np.concatenate([lps[j].A[flat[j]] for j in order] or [np.zeros((0, d))])
+    bound = np.concatenate([lps[j].b[flat[j]] for j in order] or [np.zeros(0)])
+    status, y = _maximise(groups, c, counts, cut)
+    # the rule of :func:`dominated`, on every program at once
+    implied = (status == _INFEASIBLE) | ((status == _OPTIMAL) & (_dot(c, y) <= bound + TOL_REDUNDANT))
+    verdicts: list = [None] * len(lps)
+    for j, lo, hi in _solved(order, counts, status.tolist()):
+        verdicts[j] = bool(implied[lo]) if indices[j].ndim == 0 else implied[lo:hi]
     return verdicts

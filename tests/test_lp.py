@@ -258,22 +258,54 @@ class TestRedundancy:
 # Stacked solves and the shifted start
 
 
+def _bits(x):
+    """The bytes of a float or None, so -0.0 and 0.0 differ."""
+    return None if x is None else np.float64(x).tobytes()
+
+
 def _same_extremum(a, b):
-    if a.status is not b.status:
+    if a.status is not b.status or _bits(a.value) != _bits(b.value):
         return False
     if a.argpoint is None or b.argpoint is None:
-        return a.argpoint is None and b.argpoint is None and a.value == b.value
-    return a.value == b.value and a.argpoint.tobytes() == b.argpoint.tobytes()
+        return a.argpoint is None and b.argpoint is None
+    return a.argpoint.tobytes() == b.argpoint.tobytes()
 
 
 def _same_feasibility(a, b):
     if a is None or b is None:
         return a is None and b is None
-    if a.status is not b.status or a.slack != b.slack:
+    if a.status is not b.status or _bits(a.slack) != _bits(b.slack):
         return False
     if a.witness is None or b.witness is None:
         return a.witness is None and b.witness is None
     return a.witness.tobytes() == b.witness.tobytes()
+
+
+def _ordered_dot(a, x):
+    """``a . x`` as the library computes it: the products added left to right."""
+    terms = [float(p) * float(q) for p, q in zip(a, x)]
+    total = terms[0] if terms else 0.0
+    for term in terms[1:]:
+        total += term
+    return total
+
+
+def _mixed_programs(rng, d, count):
+    """Programs of dimension ``d`` with 0 to 12 rows, shuffled: +-1 rows
+    with random strict flags, real rows with some right-hand sides
+    negative, and empty programs."""
+    out = []
+    for i in range(count):
+        r = int(rng.integers(1, 13))
+        if i % 3 == 0:
+            out.append(random_pm1_system(rng, d, r))
+        elif i % 3 == 1:
+            strict = rng.integers(0, 2, size=r).astype(bool)
+            out.append(LinearProgram(rng.normal(size=(r, d)), rng.normal(size=r) + 0.5, strict))
+        else:
+            r = int(rng.integers(0, 3))
+            out.append(LinearProgram(rng.normal(size=(r, d)), np.abs(rng.normal(size=r)), np.ones(r, dtype=bool)))
+    return [out[i] for i in rng.permutation(count)]
 
 
 def _programs(rng, count):
@@ -326,7 +358,9 @@ class TestStackedSolves:
             assert is_redundant(perm, lp).tolist() == [bool(many[i]) for i in perm]
 
     def test_check_feasible_many_matches_single_calls(self):
-        """Programs of different lengths are padded without changing a bit."""
+        """Programs of different lengths are padded without changing a bit,
+        also over several stacks of programs of many row counts in shuffled
+        order."""
         rng = np.random.default_rng(602)
         for _ in range(20):
             d = int(rng.integers(1, 4))
@@ -334,6 +368,66 @@ class TestStackedSolves:
             lps.append(LinearProgram(np.zeros((0, d)), np.zeros(0), np.zeros(0, dtype=bool)))
             for single, stacked in zip(lps, check_feasible_many(lps)):
                 assert _same_feasibility(check_feasible(single), stacked)
+        for d in (2, 3):
+            lps = _mixed_programs(rng, d, 320)
+            assert len(lps) > lp_module.STACK_SIZE and len({lp.num_rows for lp in lps}) >= 10
+            results = check_feasible_many(lps)
+            assert len(results) == len(lps)
+            assert {res.status for res in results} == set(Feasibility)
+            for single, stacked in zip(lps, results):
+                assert _same_feasibility(check_feasible(single), stacked)
+
+    def test_long_sequences_match_single_calls(self):
+        """``extremize`` and ``is_redundant`` over 300 programs of many row
+        counts, in shuffled order, fill several stacks and return every
+        field bitwise as one-program calls."""
+        rng = np.random.default_rng(609)
+        lps = [lp for lp in _mixed_programs(rng, 2, 360) if lp.num_rows]
+        assert len(lps) >= 300
+        directions = [rng.normal(size=(int(rng.integers(0, 4)), 2)) for _ in lps]
+        directions[0] = rng.normal(size=2)  # one direction, as in a call on one program
+        tops = extremize(directions, lps)
+        assert sum(len(np.atleast_2d(D)) for D in directions) > lp_module.STACK_SIZE
+        assert _same_extremum(tops[0], extremize(directions[0], lps[0]))
+        for D, lp, got in zip(directions[1:], lps[1:], tops[1:]):
+            assert isinstance(got, tuple) and len(got) == len(D)
+            assert all(_same_extremum(extremize(c, lp), res) for c, res in zip(D, got))
+        rows = [rng.permutation(lp.num_rows) for lp in lps]
+        rows[0] = 0  # an index, as in a call on one program
+        assert sum(np.size(r) for r in rows) > 2 * lp_module.STACK_SIZE
+        verdicts = is_redundant(rows, lps)
+        assert verdicts[0] is is_redundant(0, lps[0])
+        for r, lp, got in zip(rows[1:], lps[1:], verdicts[1:]):
+            assert got.dtype == bool and got.tolist() == [is_redundant(int(i), lp) for i in r]
+
+    def test_slack_and_value_are_recomputed_in_one_order(self):
+        """``slack`` is the smallest strict margin ``b[i] - A[i] . w`` of the
+        witness, capped below at 0 for BOUNDARY_ONLY, and ``value`` is
+        ``direction . argpoint``, each with its products added left to right,
+        alone or stacked; the value of a unit direction ``+-e_i`` is exactly
+        ``+-argpoint[i]``."""
+        rng = np.random.default_rng(610)
+        for d in (1, 2, 3, 4):
+            lps = [lp for lp in _mixed_programs(rng, d, 120) if lp.strict.any()]
+            for lp, res in zip(lps, check_feasible_many(lps)):
+                if res.status is Feasibility.INFEASIBLE:
+                    continue
+                rows = np.flatnonzero(lp.strict)
+                smallest = min(float(lp.b[i]) - _ordered_dot(lp.A[i], res.witness) for i in rows)
+                want = smallest if res.status is Feasibility.INTERIOR else max(smallest, 0.0)
+                assert _bits(res.slack) == _bits(want)
+            units = np.vstack([np.eye(d), -np.eye(d)])
+            D = np.vstack([units, rng.normal(size=(4, d)) * 10.0 ** rng.uniform(-3, 3, size=(4, 1))])
+            for lp, tops in zip(lps, extremize([D] * len(lps), lps)):
+                for c, res in zip(D, tops):
+                    if res.status is Extremum.BOUNDED:
+                        assert _bits(res.value) == _bits(_ordered_dot(c, res.argpoint))
+                for i in range(d):
+                    hi, lo = tops[i], tops[d + i]
+                    if hi.status is Extremum.BOUNDED:
+                        assert hi.value == hi.argpoint[i]
+                    if lo.status is Extremum.BOUNDED:
+                        assert lo.value == -lo.argpoint[i]
 
     def test_one_program_past_its_pivot_budget(self):
         """Only the program that runs out of pivots is marked; the others
@@ -478,6 +572,29 @@ class TestStackedSolves:
         assert res.status is Extremum.BOUNDED and res.argpoint.tolist() == [0.0]
         assert not np.signbit(res.argpoint).any()
         assert not np.signbit(extremize(np.array([[1.0], [2.0]]), lp)[1].argpoint).any()
+
+    def test_row_indices_must_be_integers(self):
+        """A bool or float row index is refused with one IndexError naming
+        its dtype, in the scalar, array and sequence forms."""
+        lp = LinearProgram(np.eye(2), np.ones(2), np.zeros(2, dtype=bool))
+        one = LinearProgram(np.eye(1), np.ones(1), np.zeros(1, dtype=bool))
+        cases = [
+            (True, lp, "bool"),
+            (False, one, "bool"),
+            (np.True_, lp, "bool"),
+            (1.0, lp, "float64"),
+            (np.array([True, False]), lp, "bool"),
+            (np.array([0.0, 1.0]), lp, "float64"),
+            ([0, True], [lp, lp], "bool"),
+            ([np.array([0, 1]), np.array([0.5])], [lp, lp], "float64"),
+        ]
+        for row, target, dtype in cases:
+            with pytest.raises(IndexError, match=f"^row indices must be integers, not {dtype}$"):
+                is_redundant(row, target)
+        # integers of any width are indices, and an empty list is no rows
+        assert is_redundant(np.uint8(1), lp) is is_redundant(1, lp)
+        assert is_redundant(np.array([1, 0], dtype=np.int32), lp).tolist() == [is_redundant(1, lp), is_redundant(0, lp)]
+        assert is_redundant([], lp).shape == (0,)
 
     def test_bad_rows_and_directions_rejected(self):
         lp = LinearProgram(np.eye(2), np.ones(2), np.zeros(2, dtype=bool))
