@@ -33,10 +33,13 @@ model, read off its last prefix, and a witness (:func:`_witnesses`).
 Each record yields a region: that model and witness, and the minimal set
 of oriented half-spaces ``h . x > c`` its rows give, each unit-normalised
 and oriented (both sides of one hyperplane are separate table entries).
-A region's duplicate rows are merged within ``TOL_CANON``; its facets are
-found by LP, first among the rows whose one-flip pattern is another found
-region (:func:`_facet_hints`); the regions' conditions share one table
-entry when their floats are equal.  A :class:`Decomposition` holds the
+The records share their row count, so their candidates are read off one
+stacked array (:func:`_candidates`).  A region's duplicate rows are merged
+within ``TOL_CANON``; its facets are found first among the rows whose
+one-flip pattern is another found region (:func:`_facet_hints`), with no
+LP for a row that a ray from the witness proves kept (:func:`_ray_facets`)
+and by LP for the others; the regions' conditions share one table entry
+when their floats are equal.  A :class:`Decomposition` holds the
 table and the regions as arrays, the patterns as one bit matrix in
 :func:`~relu_unwrap.network.pattern_matrix`'s form; its :class:`Region` and
 :class:`OrientedHalfspace` items are views.  Its canonical form
@@ -65,6 +68,7 @@ from .errors import (
     UnwrapError,
 )
 from .lp import (
+    TOL_REDUNDANT,
     TOL_SLACK,
     Feasibility,
     LinearProgram,
@@ -90,6 +94,8 @@ DECOMP_FORMAT = "relu-decomp-v1"
 TOL_CANON = 1e-8        # merge tolerance on (normal, offset) within a region
 TOL_DEGENERATE = 1e-12  # rows with a smaller normal are constant constraints
 _SORT_DECIMALS = 9      # rounding for order keys, keeps runs comparable
+_PAIR_BLOCK = 1 << 18   # row pairs in one block of the pairwise merge test
+_RAY_ROUNDING = 1e-10   # a ray's lift must clear this share of its program's largest |b|
 _FLOAT_FIELDS = ("halfspace_normals", "halfspace_offsets", "alphas", "betas", "witnesses")
 
 
@@ -790,48 +796,78 @@ def local_linear_model(pattern: ActivationPattern, net: MLPNetwork):
     return _model(_prefix_chain(layers, net)[0], layers[-1], net.output)
 
 
-def _candidates(rec: PatternRecord) -> tuple[np.ndarray, list[float], list[bool], np.ndarray | None]:
-    """A region's candidate conditions ``(normals, offsets, any_strict, neurons)``.
+def _close_pairs(normals: np.ndarray, offsets: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """(..., N, N) bool: whether live rows ``i`` and ``j`` of a region are
+    within ``TOL_CANON`` of each other, in offset and in every normal entry."""
+    near = live[..., :, None] & live[..., None, :]
+    near &= np.abs(offsets[..., :, None] - offsets[..., None, :]) <= TOL_CANON
+    for column in np.moveaxis(normals, -1, 0):
+        near &= np.abs(column[..., :, None] - column[..., None, :]) <= TOL_CANON
+    return near
 
-    Each row ``A[i] . x <= b[i]`` of the record's rows gives the
-    condition ``-A[i] . x > -b[i]``, unit-normalised.  Rows within
-    ``TOL_CANON`` of an earlier candidate merge into it, in row order;
+
+def _candidates(records: Sequence[PatternRecord], net: MLPNetwork):
+    """The regions' candidate conditions as flat arrays ``(normals, offsets,
+    any_strict, neurons, starts)``: region ``r``'s are entries
+    ``starts[r]:starts[r + 1]``.
+
+    Each row ``A[i] . x <= b[i]`` of a record's rows gives the condition
+    ``-A[i] . x > -b[i]``, unit-normalised.  Rows within ``TOL_CANON`` of
+    an earlier candidate of their region merge into it, in row order;
     ``any_strict`` tells whether a strict (bit 1) row produced the
     candidate.  ``neurons`` gives each candidate's row, which is its
-    neuron's column in the pattern bits; it is None when rows merged or a
-    zero row's offset is within ``TOL_CANON`` of 0, as then a neuron may
-    vanish on a facet (see :func:`_facet_hints`).
+    neuron's column in the pattern bits; it is -1 throughout a region
+    where rows merged or a zero row's offset is within ``TOL_CANON`` of 0,
+    as then a neuron may vanish on a facet (see :func:`_facet_hints`).
+
+    Every record has one row per neuron, so the rows stack as (p, N, n) and
+    all of the above is computed on the stack at once, the pairwise merge
+    test in blocks of regions; only a region that has a close pair runs
+    the in-order merge.
     """
-    A, b, strict = rec.rows
-    lengths = _row_lengths(A)
+    p, N, n = len(records), sum(net.hidden_widths), net.input_dim
+    A = np.array([rec.rows[0] for rec in records], dtype=np.float64).reshape(p, N, n)
+    b = np.array([rec.rows[1] for rec in records], dtype=np.float64).reshape(p, N)
+    strict = np.array([rec.rows[2] for rec in records], dtype=bool).reshape(p, N)
+    lengths = _row_lengths(A.reshape(p * N, n)).reshape(p, N)
     live = lengths > TOL_DEGENERATE
-    vanishing = bool((np.abs(b[~live]) <= TOL_CANON).any())
-    for i in np.flatnonzero(~live):
-        bit = int(strict[i])
-        shift = float(b[i] if bit else -b[i])
-        if not (shift > -TOL_CANON if bit else shift <= TOL_CANON):
-            names = [(l, j) for l, g in enumerate(rec.pattern.layers, 1) for j in range(len(g))]
-            raise InconsistentConstantRowError(
-                f"layer {names[i][0]} neuron {names[i][1]}: zero row with "
-                f"offset {shift} contradicts bit {bit}"
-            )
-    normals = -A[live] / lengths[live, None]
-    offsets = -b[live] / lengths[live]
-    strict = strict[live].tolist()
-    close = (np.abs(offsets[:, None] - offsets) <= TOL_CANON) & (
-        np.abs(normals[:, None] - normals).max(axis=2, initial=0.0) <= TOL_CANON
-    )
-    if not np.triu(close, 1).any():
-        return normals, offsets.tolist(), strict, None if vanishing else np.flatnonzero(live)
-    keep, any_strict = [], []
-    for i in range(len(offsets)):
-        hit = next((t for t, j in enumerate(keep) if close[i, j]), None)
-        if hit is None:
-            keep.append(i)
-            any_strict.append(strict[i])
-        else:
-            any_strict[hit] = any_strict[hit] or strict[i]
-    return normals[keep], offsets[keep].tolist(), any_strict, None
+    shift = np.where(strict, b, -b)
+    bad = ~live & ~np.where(strict, shift > -TOL_CANON, shift <= TOL_CANON)
+    if bad.any():
+        r, i = np.argwhere(bad)[0]
+        names = [(l, j) for l, g in enumerate(records[r].pattern.layers, 1) for j in range(len(g))]
+        raise InconsistentConstantRowError(
+            f"layer {names[i][0]} neuron {names[i][1]}: zero row with "
+            f"offset {float(shift[r, i])} contradicts bit {int(strict[r, i])}"
+        )
+    # a dead row is divided by 1, so no zero divides; its entries are never read
+    lengths = np.where(live, lengths, 1.0)
+    unit, offset = -A / lengths[..., None], -b / lengths
+    merging = np.zeros(p, dtype=bool)
+    upper = np.triu(np.ones((N, N), dtype=bool), 1)
+    step = max(1, _PAIR_BLOCK // max(1, N * N))
+    for lo in range(0, p, step):
+        block = slice(lo, lo + step)
+        merging[block] = (_close_pairs(unit[block], offset[block], live[block]) & upper).any(axis=(1, 2))
+    sizes = np.count_nonzero(live, axis=1)
+    region, neurons = np.nonzero(live)
+    normals, offsets, any_strict = unit[live], offset[live], strict[live]
+    vanishing = (~live & (np.abs(b) <= TOL_CANON)).any(axis=1)
+    neurons[(merging | vanishing)[region]] = -1
+    keep = np.ones(region.size, dtype=bool)
+    for r in np.flatnonzero(merging).tolist():
+        first = int(sizes[:r].sum())
+        close = _close_pairs(unit[r], offset[r], live[r])[live[r]][:, live[r]]
+        kept: list[int] = []
+        for i in range(sizes[r]):
+            hit = next((j for j in kept if close[i, j]), None)
+            if hit is None:
+                kept.append(i)
+            else:
+                keep[first + i] = False
+                any_strict[first + hit] |= any_strict[first + i]
+    starts = np.concatenate([[0], np.cumsum(np.bincount(region[keep], minlength=p))]).astype(np.intp)
+    return normals[keep], offsets[keep], any_strict[keep], neurons[keep], starts
 
 
 def _pattern_index(patterns: np.ndarray) -> dict[bytes, int]:
@@ -840,24 +876,33 @@ def _pattern_index(patterns: np.ndarray) -> dict[bytes, int]:
     return {row.tobytes(): r for r, row in enumerate(patterns)}
 
 
-def _facet_hints(patterns: np.ndarray, neurons) -> list[np.ndarray | None]:
+def _facet_hints(patterns: np.ndarray, neurons: np.ndarray, starts: np.ndarray) -> list[np.ndarray | None]:
     """Per region, the candidates whose one-flip pattern is a region of
-    ``patterns``, the ``(p, N)`` bit matrix; ``neurons[r]`` is region ``r``'s
-    from :func:`_candidates`, and a region where it is None gets None.
+    ``patterns``, the ``(p, N)`` bit matrix; ``neurons`` and ``starts`` are
+    :func:`_candidates`', and a region whose neurons are -1 gets None.
 
     Across a facet from neuron ``j`` the pattern differs in bit ``j`` alone,
     unless another neuron vanishes on the facet, so other rows are in
     general not facets; :func:`_facets` tests the rows these hints miss.
+    The flipped patterns are looked up at once, packed into bytes, by a
+    binary search of the sorted packed patterns.
     """
-    index, width = _pattern_index(patterns), patterns.shape[1]
-    flips, hints = np.eye(width, dtype=np.uint8), []
-    for bits, rows in zip(patterns, neurons):
-        if rows is None:
-            hints.append(None)
-            continue
-        raw = (bits ^ flips[rows]).tobytes()  # one flipped pattern per candidate
-        hints.append(np.flatnonzero([raw[t * width : (t + 1) * width] in index for t in range(len(rows))]))
-    return hints
+    region = np.repeat(np.arange(len(patterns)), np.diff(starts))
+    hinted = neurons >= 0
+    found = np.zeros(neurons.size, dtype=bool)
+    if hinted.any():
+        packed = np.packbits(patterns, axis=1)
+        flips = np.packbits(np.eye(patterns.shape[1], dtype=np.uint8), axis=1)
+        wanted = packed[region[hinted]] ^ flips[neurons[hinted]]  # one flipped pattern per candidate
+        key = np.dtype((np.void, packed.shape[1]))
+        table = packed[np.argsort(packed.view(key).reshape(-1))]
+        at = np.searchsorted(table.view(key).reshape(-1), wanted.view(key).reshape(-1))
+        found[hinted] = (table[np.minimum(at, len(table) - 1)] == wanted).all(axis=1)
+    unhinted = np.zeros(len(patterns), dtype=bool)
+    unhinted[region[~hinted]] = True
+    rows = np.arange(neurons.size) - starts[region]
+    runs = np.split(rows[found], np.cumsum(np.bincount(region[found], minlength=len(patterns)))[:-1])
+    return [None if none else run for run, none in zip(runs, unhinted.tolist())]
 
 
 def _prune_sequential(lp: LinearProgram) -> list[int]:
@@ -874,6 +919,49 @@ def _prune_sequential(lp: LinearProgram) -> list[int]:
     return active
 
 
+def _ray_facets(lps: Sequence[LinearProgram]) -> list[np.ndarray]:
+    """Per program, a bool mask of the rows one ray proves that
+    :func:`is_redundant` keeps, found with no LP.
+
+    The ray for row ``i`` leaves the origin along the row's normal ``a_i``
+    and meets row ``k`` at ``s_k = b[k] / (a_k . a_i)`` where that rate is
+    positive.  Row ``i`` is proven when it is hit strictly first and the
+    point ``x`` halfway between its hit and the next (at ``2 s_i + 1``
+    with none ahead) meets every other row in floats and lifts row ``i``
+    above ``b[i] + TOL_REDUNDANT`` by more than ``_RAY_ROUNDING`` times the
+    program's largest ``|b|`` (at least 1).  Such an ``x`` is a point of
+    the program without row ``i``, so ``a_i . x`` bounds from below the
+    maximum that :func:`is_redundant` compares with ``b[i] +
+    TOL_REDUNDANT``, and the margin covers the rounding of both.  Programs
+    are taken by row count, each count in whole-array passes.
+    """
+    proven: list = [None] * len(lps)
+    by_rows: dict[int, list[int]] = {}
+    for j, lp in enumerate(lps):
+        by_rows.setdefault(lp.num_rows, []).append(j)
+    for m, group in by_rows.items():
+        A, b = np.array([lps[j].A for j in group]), np.array([lps[j].b for j in group])
+        diagonal = (slice(None), np.arange(m), np.arange(m))
+        rates = A @ A.transpose(0, 2, 1)  # rates[g, i, k]: row k's growth along ray i
+        hits = np.full(rates.shape, np.inf)
+        np.divide(b[:, None, :], rates, out=hits, where=rates > 0.0)
+        own = hits[diagonal]
+        hits[diagonal] = np.inf
+        ahead = hits.min(axis=2, initial=np.inf)
+        first = own < ahead
+        # far programs may overflow; an infinite or NaN value proves nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = np.where(first, np.where(ahead < np.inf, own + (ahead - own) / 2.0, 2.0 * own + 1.0), 0.0)
+            values = (s[..., None] * A) @ A.transpose(0, 2, 1)  # values[g, i, k] = a_k . x_i
+            met = values <= b[:, None, :]
+            met[diagonal] = True
+            margin = _RAY_ROUNDING * np.maximum(1.0, np.abs(b).max(axis=1, initial=0.0))
+            lifted = values[diagonal] - (b + TOL_REDUNDANT) > margin[:, None]
+        for j, mask in zip(group, first & met.all(axis=2) & lifted):
+            proven[j] = mask
+    return proven
+
+
 def _facets(lps: Sequence[LinearProgram], hints=None) -> list[list[int]]:
     """Rows of each closed region program that bound it, as the sequential
     loop finds them.
@@ -886,22 +974,33 @@ def _facets(lps: Sequence[LinearProgram], hints=None) -> list[list[int]]:
     against any subset of the rows, and every other row is implied by the
     facets it keeps, so a facet left out of the hints would fail that test).
     ``hints[j]`` lists the rows pass 1 tests in program ``j``, ascending
-    (:func:`_facet_hints`); all of them where it, or ``hints``, is None.  A
-    region runs the loop instead when it has fewer than two rows, its point
-    sits on a row, F is empty, a row is not implied by F, or one of its own
-    programs ran out of pivots.
+    (:func:`_facet_hints`); all of them where it, or ``hints``, is None.
+    Pass 1 solves no LP for a tested row that a ray from the region's point
+    proves kept (:func:`_ray_facets`): the ray's point is a lower bound on
+    the row's maximum, clear of its redundancy bound, so the LP would keep
+    it too; every region's program goes to the pass-1 call with the rows
+    left to test.  A region runs the loop instead when it has fewer than
+    two rows, its point sits on a row, F is empty, a row is not implied by
+    F, or one of its own programs ran out of pivots.
     """
     hints = hints or [None] * len(lps)
     quick = [j for j, lp in enumerate(lps) if lp.num_rows >= 2 and (lp.b > 0.0).all()]
-    tested = [np.arange(lps[j].num_rows) if hints[j] is None else hints[j] for j in quick]
-    first = is_redundant(tested, [lps[j] for j in quick])
+    tested = [
+        np.arange(lps[j].num_rows) if hints[j] is None else np.asarray(hints[j], dtype=np.intp) for j in quick
+    ]
+    proven = [mask[rows] for mask, rows in zip(_ray_facets([lps[j] for j in quick]), tested)]
+    first = is_redundant([rows[~ray] for rows, ray in zip(tested, proven)], [lps[j] for j in quick])
     facets: list[list[int] | None] = [None] * len(lps)
     checks = []  # (region, facets F, rows to test against F)
-    for j, rows, redundant in zip(quick, tested, first):
-        if redundant is None or redundant.all():
+    for j, rows, ray, redundant in zip(quick, tested, proven, first):
+        if redundant is None:
+            continue
+        facet = ray.copy()
+        facet[~ray] = ~redundant
+        if not facet.any():
             continue
         other = np.ones(lps[j].num_rows, dtype=bool)
-        other[rows[~redundant]] = False
+        other[rows[facet]] = False
         kept, rest = np.flatnonzero(~other), np.flatnonzero(other)
         if rest.size:
             checks.append((j, kept, rest))
@@ -932,6 +1031,22 @@ def closed_lp(normals, offsets) -> LinearProgram:
     return LinearProgram(*_closed_rows(normals, offsets))
 
 
+def _first_occurrences(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(firsts, ids) of a float matrix's rows, two rows being one entry when
+    their floats are equal (0.0 equals -0.0): the index of each entry's
+    first row, ascending, and each row's entry, numbered in that order."""
+    order = np.lexsort(rows.T[::-1])  # stable, so each run of equal rows starts at its first row
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    firsts = order[new]
+    rank = np.empty_like(firsts)
+    rank[np.argsort(firsts)] = np.arange(firsts.size)
+    ids = np.empty_like(order)
+    ids[order] = rank[np.cumsum(new) - 1]
+    return np.sort(firsts), ids
+
+
 def extract_halfspaces(records: Sequence[PatternRecord], net: MLPNetwork):
     """Minimal oriented half-space set of every region.
 
@@ -939,36 +1054,35 @@ def extract_halfspaces(records: Sequence[PatternRecord], net: MLPNetwork):
     condition that holds strictly on the region's interior: bit 1 rows give
     ``(M[i], -o[i])``, bit 0 rows the opposite orientation.  Zero-normal rows
     are constant constraints: they are checked for consistency and dropped.
-    Duplicates are merged per region, and redundant conditions are removed
-    by LP in two stacked passes over all regions (:func:`_facets`, each
-    region's program shifted to its witness); the first pass tests only the
-    rows whose one-flip pattern is in the index of the records' patterns
-    (:func:`_facet_hints`), the second every other row.  Survivors are
+    Duplicates are merged per region (:func:`_candidates`, on all records
+    at once), and redundant conditions are removed by LP in two stacked
+    passes over all regions (:func:`_facets`, each region's program shifted
+    to its witness); the first pass tests only the rows whose one-flip
+    pattern is among the records' patterns (:func:`_facet_hints`), less
+    those a ray from the witness proves facets with no LP
+    (:func:`_ray_facets`), and the second every other row.  Survivors are
     pooled into one table, where conditions with equal floats share an
-    entry, sorted by (normal, offset).  Returns ``(normals, offsets,
-    region_rows)``: the table as (k, n) and (k,) arrays, and its
-    :attr:`Decomposition.region_rows`.
+    entry, numbered by first occurrence, then sorted by (normal, offset).
+    Returns ``(normals, offsets, region_rows)``: the table as (k, n) and
+    (k,) arrays, and its :attr:`Decomposition.region_rows`.
     """
-    n = net.input_dim
-    # each entry's id and the floats of its first occurrence, by exact floats
-    index: dict[tuple[bytes, float], tuple[int, np.ndarray, float]] = {}
-    ids, owned, starts = [], [], [0]
-    candidates = [_candidates(rec) for rec in records]
-    lps = [LinearProgram(*_closed_rows(c[0], c[1], rec.witness)) for c, rec in zip(candidates, records)]
+    p, n = len(records), net.input_dim
+    normals, offsets, any_strict, neurons, starts = _candidates(records, net)
     patterns = np.array([rec.pattern.bits() for rec in records], dtype=np.uint8)
-    patterns = patterns.reshape(len(records), sum(net.hidden_widths))
-    hints = _facet_hints(patterns, [c[3] for c in candidates])
-    for (normals, offsets, any_strict, _), active in zip(candidates, _facets(lps, hints)):
-        for j in active:
-            key = ((normals[j] + 0.0).tobytes(), offsets[j] + 0.0)  # + 0.0 folds -0.0 into 0.0
-            ids.append(index.setdefault(key, (len(index), normals[j], offsets[j]))[0])
-            owned.append(not any_strict[j])
-        starts.append(len(ids))
-    normals = np.array([normal for _, normal, _ in index.values()]).reshape(-1, n)
-    offsets = np.array([offset for _, _, offset in index.values()])
-    order = _sort_order(_sort_keys(normals, offsets))
-    rows = (np.array(ids, dtype=np.intp), np.array(owned, dtype=bool), np.array(starts, dtype=np.intp))
-    return normals[order], offsets[order], _renumber(rows, order, np.arange(len(records)))
+    patterns = patterns.reshape(p, sum(net.hidden_widths))
+    cuts = starts.tolist()
+    lps = [
+        LinearProgram(*_closed_rows(normals[a:b], offsets[a:b], rec.witness))
+        for a, b, rec in zip(cuts, cuts[1:], records)
+    ]
+    active = _facets(lps, _facet_hints(patterns, neurons, starts))
+    sizes = [len(rows) for rows in active]
+    kept = np.array(list(chain.from_iterable(active)), dtype=np.intp) + np.repeat(starts[:-1], sizes)
+    firsts, ids = _first_occurrences(np.column_stack([normals[kept], offsets[kept]]))
+    table_normals, table_offsets = normals[kept][firsts].reshape(-1, n), offsets[kept][firsts]
+    order = _sort_order(_sort_keys(table_normals, table_offsets))
+    rows = (ids, ~any_strict[kept], np.array([0, *accumulate(sizes)], dtype=np.intp))
+    return table_normals[order], table_offsets[order], _renumber(rows, order, np.arange(p))
 
 
 def build_decomposition(net: MLPNetwork, enumeration: EnumerationResult) -> Decomposition:

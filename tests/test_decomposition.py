@@ -1028,18 +1028,39 @@ PRUNING_NETS = [
 ]
 
 
+RAY_NETS = PRUNING_NETS + [
+    ("biased[3,5,5,3]", lambda: biased_net([3, 5, 5, 3], 2, seed=0)),
+    *(
+        (f"xavier[2,6,6,6]#{seed}", lambda seed=seed: random_init([2, 6, 6, 6], 1, seed=seed))
+        for seed in range(3)
+    ),
+    ("xavier[4,5,5]#2", lambda: random_init([4, 5, 5], 2, seed=2)),
+]
+
+
+def candidate_runs(net):
+    """Each record of ``net`` with its region's candidate normals and offsets."""
+    records = enumerate_feasible(net).records
+    normals, offsets, _, _, starts = decomposition._candidates(records, net)
+    return [(rec, normals[a:b], offsets[a:b]) for rec, a, b in zip(records, starts, starts[1:])]
+
+
+def hinted_programs(net):
+    """Each region's closed program shifted to its witness, its candidate
+    normals and offsets, and the rows the pattern set hints at."""
+    records = enumerate_feasible(net).records
+    normals, offsets, _, neurons, starts = decomposition._candidates(records, net)
+    runs = [(normals[a:b], offsets[a:b]) for a, b in zip(starts, starts[1:])]
+    lps = [closed_lp(*run).shifted(rec.witness) for run, rec in zip(runs, records)]
+    patterns = np.array([rec.pattern.bits() for rec in records], dtype=np.uint8).reshape(len(records), -1)
+    return lps, runs, decomposition._facet_hints(patterns, neurons, starts)
+
+
 def region_programs(net):
     """Each region's closed program shifted to its witness, the rows the
     sequential loop keeps, and the rows the pattern set hints at."""
-    records = enumerate_feasible(net).records
-    lps, wants, neurons = [], [], []
-    for rec in records:
-        normals, offsets, _, rows = decomposition._candidates(rec)
-        lps.append(closed_lp(normals, offsets).shifted(rec.witness))
-        wants.append(sequential_facets(normals, offsets))
-        neurons.append(rows)
-    patterns = np.array([rec.pattern.bits() for rec in records], dtype=np.uint8)
-    return lps, wants, decomposition._facet_hints(patterns, neurons)
+    lps, runs, hints = hinted_programs(net)
+    return lps, [sequential_facets(*run) for run in runs], hints
 
 
 def counting_loop(monkeypatch):
@@ -1088,11 +1109,10 @@ class TestFacetPruning:
     def test_fallbacks_give_the_same_rows(self, monkeypatch):
         """A witness on a row, a failed pass and a pass-2 disagreement all run
         the sequential loop, which keeps the same rows."""
-        net = biased_net([2, 4, 4], 2, seed=0)
-        cases = []
-        for rec in enumerate_feasible(net).records:
-            normals, offsets = decomposition._candidates(rec)[:2]
-            cases.append((closed_lp(normals, offsets), rec.witness, sequential_facets(normals, offsets)))
+        cases = [
+            (closed_lp(normals, offsets), rec.witness, sequential_facets(normals, offsets))
+            for rec, normals, offsets in candidate_runs(biased_net([2, 4, 4], 2, seed=0))
+        ]
         wants = [want for _, _, want in cases]
         calls = counting_loop(monkeypatch)
         mirrored = []
@@ -1146,6 +1166,45 @@ class TestFacetPruning:
         assert decomposition._facets(lps) == wants
         assert len(calls) == 1 and calls[0] is target
 
+    @pytest.mark.parametrize("label,make", RAY_NETS, ids=[n for n, _ in RAY_NETS])
+    def test_ray_facets_are_kept_by_is_redundant(self, label, make):
+        """Every row a ray proves kept, in the programs ``_facets`` shoots rays
+        in, is kept by ``is_redundant`` on the same shifted program, on nets
+        with merged rows and with witnesses near 1e13 among them."""
+        lps = [lp for lp in hinted_programs(make())[0] if lp.num_rows >= 2 and (lp.b > 0.0).all()]
+        rows = [np.flatnonzero(mask) for mask in decomposition._ray_facets(lps)]
+        assert sum(map(len, rows)) > 0
+        for verdict in is_redundant(rows, lps):
+            assert verdict is not None and not verdict.any()
+
+    def test_rays_spare_pass_one_programs(self, monkeypatch):
+        """Of the 1,586 rows pass 1 tests on biased [3,5,5,3] seed 0 (all of
+        them by LP without rays), rays prove 885 kept; only the other 701 go
+        to ``is_redundant``, and the table is the one the LPs alone give."""
+        net = biased_net([3, 5, 5, 3], 2, seed=0)
+        records = enumerate_feasible(net).records
+        handed, real = [], decomposition.is_redundant
+
+        def spy(rows, lps):
+            if not isinstance(lps, LinearProgram):
+                handed.append(sum(np.size(r) for r in rows))
+            return real(rows, lps)
+
+        monkeypatch.setattr(decomposition, "is_redundant", spy)
+        got = decomposition.extract_halfspaces(records, net)
+        assert handed == [701]
+        assert sum(map(len, hinted_programs(net)[2])) == 1586
+
+        def no_rays(lps):
+            return [np.zeros(lp.num_rows, dtype=bool) for lp in lps]
+
+        monkeypatch.setattr(decomposition, "_ray_facets", no_rays)
+        handed.clear()
+        want = decomposition.extract_halfspaces(records, net)
+        assert handed == [1586]
+        for x, y in zip((got[0], got[1], *got[2]), (want[0], want[1], *want[2])):
+            assert x.tobytes() == y.tobytes()
+
     def test_stacks_hold_at_most_stack_size_programs(self, monkeypatch):
         """Pruning builds one stack at a time, so no solve is given more than
         ``STACK_SIZE`` programs however many regions there are."""
@@ -1160,8 +1219,8 @@ class TestFacetPruning:
         net = biased_net([3, 4, 3], 2, seed=1)
         records = enumerate_feasible(net).records
         sizes.clear()
-        # pass 1 on this net has 234 programs: a smaller stack size is filled
-        monkeypatch.setattr(lp_module, "STACK_SIZE", 128)
+        # passes 1 and 2 on this net have 103 and 117 programs: a smaller stack size is filled
+        monkeypatch.setattr(lp_module, "STACK_SIZE", 64)
         decomposition.extract_halfspaces(records, net)
         assert max(sizes) == lp_module.STACK_SIZE  # the passes filled a stack
 
@@ -1339,6 +1398,76 @@ def test_extract_halfspaces_returns_region_rows(make):
         assert got.tobytes() == want.tobytes()
 
 
+def per_region_candidates(rec):
+    """One region's candidates ``(normals, offsets, any_strict, neurons)`` as
+    the per-region loop gave them, kept as the reference for the
+    whole-array form: ``neurons`` is None where rows merged or a zero row
+    vanishes, and rows merge into the first earlier candidate within
+    ``TOL_CANON``, in row order."""
+    A, b, strict = rec.rows
+    lengths = decomposition._row_lengths(A)
+    live = lengths > decomposition.TOL_DEGENERATE
+    vanishing = bool((np.abs(b[~live]) <= decomposition.TOL_CANON).any())
+    normals = -A[live] / lengths[live, None]
+    offsets = -b[live] / lengths[live]
+    strict = strict[live].tolist()
+    close = (np.abs(offsets[:, None] - offsets) <= decomposition.TOL_CANON) & (
+        np.abs(normals[:, None] - normals).max(axis=2, initial=0.0) <= decomposition.TOL_CANON
+    )
+    if not np.triu(close, 1).any():
+        return normals, offsets.tolist(), strict, None if vanishing else np.flatnonzero(live)
+    keep, any_strict = [], []
+    for i in range(len(offsets)):
+        hit = next((t for t, j in enumerate(keep) if close[i, j]), None)
+        if hit is None:
+            keep.append(i)
+            any_strict.append(strict[i])
+        else:
+            any_strict[hit] = any_strict[hit] or strict[i]
+    return normals[keep], offsets[keep].tolist(), any_strict, None
+
+
+@pytest.mark.parametrize(
+    "make,records,merged",
+    [
+        (lambda: random_init([2, 6, 6, 6], 1, seed=0), slice(None), 30),
+        (lambda: random_init([2, 6, 6, 6], 1, seed=1), slice(None), 6),
+        (lambda: random_init([2, 6, 6, 6], 1, seed=2), slice(None), 12),
+        (lambda: biased_net([2, 4, 4, 3], 2, seed=0), slice(None), 0),
+        (lambda: biased_net([2, 4, 4, 3], 2, seed=0), slice(1), 0),
+        (lambda: biased_net([2, 4, 4, 3], 2, seed=0), slice(0), 0),
+    ],
+    ids=[*(f"xavier[2,6,6,6]#{seed}" for seed in range(3)), "biased[2,4,4,3]", "one record", "no records"],
+)
+def test_candidates_of_all_records_are_the_per_region_ones(make, records, merged):
+    """The whole-array candidates are bitwise the per-region loop's, region by
+    region: normals, offsets, ``any_strict``, and neurons, -1 throughout a
+    region where the loop gives None.  The Xavier nets merge rows (30, 6
+    and 12 in all), the biased net has gated-off zero rows."""
+    net = make()
+    records = enumerate_feasible(net).records[records]
+    normals, offsets, any_strict, neurons, starts = decomposition._candidates(records, net)
+    assert starts.tolist()[:1] == [0] and starts.size == len(records) + 1 and starts[-1] == offsets.size
+    assert normals.shape == (offsets.size, 2)
+    assert (any_strict.dtype, neurons.dtype) == (np.dtype(bool), np.dtype(np.intp))
+    rows = zero = 0
+    for rec, a, b in zip(records, starts, starts[1:]):
+        want = per_region_candidates(rec)
+        assert normals[a:b].tobytes() == want[0].tobytes()
+        assert offsets[a:b].tobytes() == np.array(want[1]).tobytes()
+        assert any_strict[a:b].tolist() == want[2]
+        if want[3] is None:
+            assert (neurons[a:b] == -1).all()
+        else:
+            assert neurons[a:b].tobytes() == want[3].tobytes()
+        lengths = decomposition._row_lengths(rec.rows[0])
+        rows += int(np.count_nonzero(lengths > decomposition.TOL_DEGENERATE))
+        zero += int(np.count_nonzero(lengths <= decomposition.TOL_DEGENERATE))
+    assert rows - offsets.size == merged
+    if len(records) > 1 and merged == 0:
+        assert zero > 0
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -1407,8 +1536,7 @@ def test_closed_rows_are_the_shifted_closed_program(name, make):
     net = make()
     d = decompose(net)
     ids, _, starts = d.region_rows
-    cases = [(*decomposition._candidates(rec)[:2], rec.witness)
-             for rec in enumerate_feasible(net).records]
+    cases = [(normals, offsets, rec.witness) for rec, normals, offsets in candidate_runs(net)]
     cases += [(d.halfspace_normals[ids[a:b]], d.halfspace_offsets[ids[a:b]], w)
               for a, b, w in zip(starts, starts[1:], d.witnesses)]
     negative_zeros = 0

@@ -12,8 +12,12 @@ checkout's ``src/`` as ``SRC`` and diff the two printouts.
 
 The sweep is the benchmark's networks (both workloads), the nets of the
 golden files in ``tests/data/``, every shape ``tests/conftest.biased_net``
-is called with in the tests, with seeds 0-2, and biased [4,8,8,2] with
-one output, seed 0 (p=3,186).  Pytest does not collect this file.
+is called with in the tests, with seeds 0-2, Xavier [2,6,6,6] with one
+output, seeds 0-2 (regions whose rows merge within ``TOL_CANON``),
+Xavier [4,5,5] with two outputs, seed 2 (witnesses near 1e13), and
+biased [4,8,8,2] with one output, seed 0 (p=3,186).  Pytest does not
+collect this file; ``tests/test_output_digest.py`` checks the lines of
+``tests/data/output_digest.txt`` against it.
 """
 
 import hashlib
@@ -21,8 +25,10 @@ import sys
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parents[1]
-SRC = Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else TESTS.parent / "src"
-sys.path[:0] = [str(SRC), str(TESTS)]
+
+if __name__ == "__main__":
+    SRC = Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else TESTS.parent / "src"
+    sys.path[:0] = [str(SRC), str(TESTS)]
 
 import numpy as np  # noqa: E402
 
@@ -56,6 +62,9 @@ def sweep():
     for dims, outputs in BIASED_SHAPES:
         for seed in range(3):
             nets[f"biased{dims}x{outputs}#{seed}"] = lambda d=dims, m=outputs, s=seed: biased_net(d, m, s)
+    for seed in range(3):
+        nets[f"xavier[2,6,6,6]x1#{seed}"] = lambda s=seed: ru.random_init([2, 6, 6, 6], 1, s)
+    nets["xavier[4,5,5]x2#2"] = lambda: ru.random_init([4, 5, 5], 2, 2)
     nets["biased[4,8,8,2]x1#0"] = lambda: biased_net([4, 8, 8, 2], 1, 0)
     return nets.items()
 
@@ -64,24 +73,22 @@ def sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
+def digest(label: str, net) -> str:
+    """The printout's line for ``net``, labelled ``label``."""
+    found = ru.enumerate_feasible(net)
+    d = ru.build_decomposition(net, found)
+    try:
+        shallow = sha(ru.dumps_shallow(ru.build_shallow(d)))
+    except ru.UnwrapError as exc:
+        shallow = f"{type(exc).__name__}"
+    fields = [label, sha(ru.dumps_decomposition(d)), shallow, list(found.layer_feasible)]
+    return " ".join(map(str, fields + [found.candidates_checked, found.solver_fallbacks]))
+
+
 def main():
     print(f"relu_unwrap from {Path(ru.__file__).resolve().parent}", file=sys.stderr)
     for label, build in sweep():
-        net = build()
-        found = ru.enumerate_feasible(net)
-        d = ru.build_decomposition(net, found)
-        try:
-            shallow = sha(ru.dumps_shallow(ru.build_shallow(d)))
-        except ru.UnwrapError as exc:
-            shallow = f"{type(exc).__name__}"
-        print(
-            label,
-            sha(ru.dumps_decomposition(d)),
-            shallow,
-            list(found.layer_feasible),
-            found.candidates_checked,
-            found.solver_fallbacks,
-        )
+        print(digest(label, build()))
 
 
 if __name__ == "__main__":
