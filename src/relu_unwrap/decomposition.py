@@ -36,10 +36,10 @@ and oriented (both sides of one hyperplane are separate table entries).
 The records share their row count, so their candidates are read off one
 stacked array (:func:`_candidates`).  A region's duplicate rows are merged
 within ``TOL_CANON``; its facets are found first among the rows whose
-one-flip pattern is another found region (:func:`_facet_hints`), with no
-LP for a row that a ray from the witness proves kept (:func:`_ray_facets`)
-and by LP for the others; the regions' conditions share one table entry
-when their floats are equal.  A :class:`Decomposition` holds the
+one-flip pattern is another found region (:func:`_facet_hints`), by
+:func:`~relu_unwrap.lp.is_redundant`, whose rays from the witness prove
+many of them kept with no LP; the regions' conditions share one table
+entry when their floats are equal.  A :class:`Decomposition` holds the
 table and the regions as arrays, the patterns as one bit matrix in
 :func:`~relu_unwrap.network.pattern_matrix`'s form; its :class:`Region` and
 :class:`OrientedHalfspace` items are views.  Its canonical form
@@ -68,7 +68,6 @@ from .errors import (
     UnwrapError,
 )
 from .lp import (
-    TOL_REDUNDANT,
     TOL_SLACK,
     Feasibility,
     LinearProgram,
@@ -95,7 +94,6 @@ TOL_CANON = 1e-8        # merge tolerance on (normal, offset) within a region
 TOL_DEGENERATE = 1e-12  # rows with a smaller normal are constant constraints
 _SORT_DECIMALS = 9      # rounding for order keys, keeps runs comparable
 _PAIR_BLOCK = 1 << 18   # row pairs in one block of the pairwise merge test
-_RAY_ROUNDING = 1e-10   # a ray's lift must clear this share of its program's largest |b|
 _FLOAT_FIELDS = ("halfspace_normals", "halfspace_offsets", "alphas", "betas", "witnesses")
 
 
@@ -919,49 +917,6 @@ def _prune_sequential(lp: LinearProgram) -> list[int]:
     return active
 
 
-def _ray_facets(lps: Sequence[LinearProgram]) -> list[np.ndarray]:
-    """Per program, a bool mask of the rows one ray proves that
-    :func:`is_redundant` keeps, found with no LP.
-
-    The ray for row ``i`` leaves the origin along the row's normal ``a_i``
-    and meets row ``k`` at ``s_k = b[k] / (a_k . a_i)`` where that rate is
-    positive.  Row ``i`` is proven when it is hit strictly first and the
-    point ``x`` halfway between its hit and the next (at ``2 s_i + 1``
-    with none ahead) meets every other row in floats and lifts row ``i``
-    above ``b[i] + TOL_REDUNDANT`` by more than ``_RAY_ROUNDING`` times the
-    program's largest ``|b|`` (at least 1).  Such an ``x`` is a point of
-    the program without row ``i``, so ``a_i . x`` bounds from below the
-    maximum that :func:`is_redundant` compares with ``b[i] +
-    TOL_REDUNDANT``, and the margin covers the rounding of both.  Programs
-    are taken by row count, each count in whole-array passes.
-    """
-    proven: list = [None] * len(lps)
-    by_rows: dict[int, list[int]] = {}
-    for j, lp in enumerate(lps):
-        by_rows.setdefault(lp.num_rows, []).append(j)
-    for m, group in by_rows.items():
-        A, b = np.array([lps[j].A for j in group]), np.array([lps[j].b for j in group])
-        diagonal = (slice(None), np.arange(m), np.arange(m))
-        rates = A @ A.transpose(0, 2, 1)  # rates[g, i, k]: row k's growth along ray i
-        hits = np.full(rates.shape, np.inf)
-        np.divide(b[:, None, :], rates, out=hits, where=rates > 0.0)
-        own = hits[diagonal]
-        hits[diagonal] = np.inf
-        ahead = hits.min(axis=2, initial=np.inf)
-        first = own < ahead
-        # far programs may overflow; an infinite or NaN value proves nothing
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = np.where(first, np.where(ahead < np.inf, own + (ahead - own) / 2.0, 2.0 * own + 1.0), 0.0)
-            values = (s[..., None] * A) @ A.transpose(0, 2, 1)  # values[g, i, k] = a_k . x_i
-            met = values <= b[:, None, :]
-            met[diagonal] = True
-            margin = _RAY_ROUNDING * np.maximum(1.0, np.abs(b).max(axis=1, initial=0.0))
-            lifted = values[diagonal] - (b + TOL_REDUNDANT) > margin[:, None]
-        for j, mask in zip(group, first & met.all(axis=2) & lifted):
-            proven[j] = mask
-    return proven
-
-
 def _facets(lps: Sequence[LinearProgram], hints=None) -> list[list[int]]:
     """Rows of each closed region program that bound it, as the sequential
     loop finds them.
@@ -975,33 +930,25 @@ def _facets(lps: Sequence[LinearProgram], hints=None) -> list[list[int]]:
     facets it keeps, so a facet left out of the hints would fail that test).
     ``hints[j]`` lists the rows pass 1 tests in program ``j``, ascending
     (:func:`_facet_hints`); all of them where it, or ``hints``, is None.
-    Pass 1 solves no LP for a tested row that a ray from the region's point
-    proves kept (:func:`_ray_facets`): the ray's point is a lower bound on
-    the row's maximum, clear of its redundancy bound, so the LP would keep
-    it too; every region's program goes to the pass-1 call with the rows
-    left to test.  A region runs the loop instead when it has fewer than
-    two rows, its point sits on a row, F is empty, a row is not implied by
-    F, or one of its own programs ran out of pivots.
+    Pass 1's rays leave the region's point, the origin of its program, so
+    :func:`is_redundant` proves many facets kept with no LP.  A region runs
+    the loop instead when it has fewer than two rows, its point sits on a
+    row, F is empty, a row is not implied by F, or one of its own programs
+    ran out of pivots.
     """
     hints = hints or [None] * len(lps)
     quick = [j for j, lp in enumerate(lps) if lp.num_rows >= 2 and (lp.b > 0.0).all()]
     tested = [
         np.arange(lps[j].num_rows) if hints[j] is None else np.asarray(hints[j], dtype=np.intp) for j in quick
     ]
-    proven = [mask[rows] for mask, rows in zip(_ray_facets([lps[j] for j in quick]), tested)]
-    first = is_redundant([rows[~ray] for rows, ray in zip(tested, proven)], [lps[j] for j in quick])
+    first = is_redundant(tested, [lps[j] for j in quick])
     facets: list[list[int] | None] = [None] * len(lps)
     checks = []  # (region, facets F, rows to test against F)
-    for j, rows, ray, redundant in zip(quick, tested, proven, first):
-        if redundant is None:
+    for j, rows, redundant in zip(quick, tested, first):
+        if redundant is None or redundant.all():
             continue
-        facet = ray.copy()
-        facet[~ray] = ~redundant
-        if not facet.any():
-            continue
-        other = np.ones(lps[j].num_rows, dtype=bool)
-        other[rows[facet]] = False
-        kept, rest = np.flatnonzero(~other), np.flatnonzero(other)
+        kept = rows[~redundant]
+        rest = np.delete(np.arange(lps[j].num_rows), kept)
         if rest.size:
             checks.append((j, kept, rest))
         else:
@@ -1058,11 +1005,11 @@ def extract_halfspaces(records: Sequence[PatternRecord], net: MLPNetwork):
     at once), and redundant conditions are removed by LP in two stacked
     passes over all regions (:func:`_facets`, each region's program shifted
     to its witness); the first pass tests only the rows whose one-flip
-    pattern is among the records' patterns (:func:`_facet_hints`), less
-    those a ray from the witness proves facets with no LP
-    (:func:`_ray_facets`), and the second every other row.  Survivors are
-    pooled into one table, where conditions with equal floats share an
-    entry, numbered by first occurrence, then sorted by (normal, offset).
+    pattern is among the records' patterns (:func:`_facet_hints`), many of
+    them proven facets by a ray from the witness with no LP, and the second
+    every other row.  Survivors are pooled into one table, where conditions
+    with equal floats share an entry, numbered by first occurrence, then
+    sorted by (normal, offset).
     Returns ``(normals, offsets, region_rows)``: the table as (k, n) and
     (k,) arrays, and its :attr:`Decomposition.region_rows`.
     """

@@ -62,7 +62,10 @@ class HypercubeSummary:
 
 
 def _region(d: Decomposition, region: int) -> int:
-    """``region`` as an index of d's regions, counting from the end if negative."""
+    """``region`` as an index of d's regions, counting from the end if
+    negative; a bool or any other non-integer raises IndexError."""
+    if isinstance(region, bool) or not isinstance(region, (int, np.integer)):
+        raise IndexError(f"region must be an integer, not {type(region).__name__}")
     try:
         return range(d.num_regions)[region]
     except IndexError:

@@ -22,12 +22,13 @@ scalar call is a stack of one.  One routine, ``_maximise``, answers all
 three questions, each a maximisation over the rows of the caller's
 programs: feasibility maximises ``t`` over the slack system
 ``[A | strict; 0 | 1] (x, t) <= [b; 1]``, :func:`extremize` each direction
-and :func:`is_redundant` each tested row over the closed rows.  It takes
-the programs in order of row count, so padding stays short, pads shorter
-programs with rows ``0 . x <= 1`` that no pivot touches, and puts at most
-``STACK_SIZE`` programs in a stack.  The programs of one row count are
-stacked once per call (``_groups``), and a stack is filled with one copy
-per row count it holds, the slack column and row written in the same
+and :func:`is_redundant` each tested row over the closed rows, less the
+rows one ray proves kept on the same call's stacks (:func:`_ray_proofs`).
+It takes the programs in order of row count, so padding stays short, pads
+shorter programs with rows ``0 . x <= 1`` that no pivot touches, and puts
+at most ``STACK_SIZE`` programs in a stack.  The programs of one row count
+are stacked once per call (``_groups``), and a stack is filled with one
+copy per row count it holds, the slack column and row written in the same
 copies, so the fill runs no Python per program.  Every program has its
 own pivot budget of ``ITERATION_FACTOR * (rows + dim)``, counted on its
 unpadded rows, a guard against numerical pathology.
@@ -59,6 +60,7 @@ TOL_SLACK = 1e-9        # minimum margin for interior feasibility
 TOL_REDUNDANT = 1e-7    # slack under which a row is declared redundant
 ITERATION_FACTOR = 50   # pivot budget multiplier
 STACK_SIZE = 256        # programs per stacked solve
+_RAY_ROUNDING = 1e-10   # a ray's lift must clear this share of its program's largest |b|
 
 _PIVOT_EPS = 1e-10
 _RATIO_TIE = 1e-12
@@ -76,15 +78,18 @@ class LinearProgram:
 
     def __post_init__(self):
         a = np.array(self.A, dtype=np.float64)
+        if a.ndim > 2:
+            raise DimensionMismatchError(f"A must have at most 2 dimensions, not {a.ndim}")
         if a.ndim != 2:
             a = a.reshape(len(a), -1) if a.size else a.reshape(0, 0)
         b = np.array(self.b, dtype=np.float64).reshape(-1)
-        s = np.array(self.strict, dtype=bool).reshape(-1)
+        s = np.array(self.strict).reshape(-1)
+        if s.dtype != bool and not ((s == 0) | (s == 1)).all():
+            raise ValueError("strict flags must be booleans, 0 or 1")
+        s = s.astype(bool, copy=False)
         if a.shape[0] != b.shape[0] or a.shape[0] != s.shape[0]:
-            raise DimensionMismatchError(
-                f"rows disagree: A has {a.shape[0]}, b has {b.shape[0]}, "
-                f"strict has {s.shape[0]}"
-            )
+            rows = f"A has {a.shape[0]}, b has {b.shape[0]}, strict has {s.shape[0]}"
+            raise DimensionMismatchError(f"rows disagree: {rows}")
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise NonFiniteError("linear program entries must be finite")
         for name, arr in (("A", a), ("b", b), ("strict", s)):
@@ -464,14 +469,14 @@ def _extrema(directions, lps) -> list:
         raise DimensionMismatchError(f"{len(stacks)} directions for {len(lps)} programs")
     for D, lp in zip(stacks, lps):
         if D.ndim not in (1, 2) or D.shape[-1] != lp.dim:
-            raise DimensionMismatchError(
-                f"direction has length {D.shape[-1] if D.ndim else 1}, "
-                f"program dim is {lp.dim}"
-            )
+            length = D.shape[-1] if D.ndim else 1
+            raise DimensionMismatchError(f"direction has length {length}, program dim is {lp.dim}")
     d = _dim(lps)
     order, groups = _groups(lps)
     objectives = [stacks[j] if stacks[j].ndim == 2 else stacks[j][None] for j in order]
     c = np.concatenate(objectives or [np.zeros((0, d))])
+    if not np.isfinite(c).all():
+        raise NonFiniteError("directions must be finite")
     counts = [len(D) for D in objectives]
     status, y = _maximise(groups, c, counts)
     statuses, values = status.tolist(), _dot(c, y).tolist()
@@ -521,18 +526,53 @@ def is_redundant(row, lp):
     """True iff dropping ``row`` cannot enlarge the closed feasible set.
 
     Decided by maximising the row over the remaining closed rows (see
-    :func:`dominated`).  ``row`` is one index, giving a bool, or an array of
-    indices, giving a bool array.  Each program keeps the system's shape:
-    the tested row is replaced by ``0 . x <= 1``, which every point meets.
-    ``lp`` may also be a sequence of programs sharing one dimension, with
-    ``row`` a matching sequence: the result is then a list holding, per
-    program, what the call on that program alone returns, or None where
-    that call would raise :class:`IterationLimitError`.  Every program of a
-    call goes to stacked solves.
+    :func:`dominated`); a row one ray proves kept is answered with no LP
+    (:func:`_ray_proofs`).  ``row`` is one index, giving a bool, or an
+    array of indices, giving a bool array.  Each program keeps the
+    system's shape: the tested row is replaced by ``0 . x <= 1``.  ``lp``
+    may also be a sequence of programs sharing one dimension, with ``row``
+    a matching sequence: the result is then a list holding, per program,
+    what the call on that program alone returns, or None where that call
+    would raise :class:`IterationLimitError`.  Rows no ray proves kept go
+    to stacked solves.
     """
     if isinstance(lp, LinearProgram):
         return _alone(_redundant([row], [lp])[0], lp)
     return _redundant(row, lp)
+
+
+def _ray_proofs(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per program of a stack, (n, m, d) rows and (n, m) right-hand sides,
+    the (n, m) mask of rows one ray proves that :func:`is_redundant` keeps.
+
+    The ray for row ``i`` leaves the origin along the row's normal ``a_i``
+    and meets row ``k`` at ``s_k = b[k] / (a_k . a_i)`` where that rate is
+    positive.  Row ``i`` is proven when it is hit strictly first and the
+    point ``x`` halfway between its hit and the next (at ``2 s_i + 1``
+    with none ahead) meets every other row in floats and lifts row ``i``
+    above ``b[i] + TOL_REDUNDANT`` by more than ``_RAY_ROUNDING`` times the
+    program's largest ``|b|`` (at least 1).  Such an ``x`` is a point of
+    the program without row ``i``, so ``a_i . x`` bounds from below the
+    maximum compared with ``b[i] + TOL_REDUNDANT``, and the margin covers
+    the rounding of both.
+    """
+    diagonal = (slice(None), *np.diag_indices(b.shape[1]))
+    # far programs may overflow; an infinite or NaN value proves nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = A @ A.transpose(0, 2, 1)  # rates[g, i, k]: row k's growth along ray i
+        hits = np.full(rates.shape, np.inf)
+        np.divide(b[:, None, :], rates, out=hits, where=rates > 0.0)
+        own = hits[diagonal]
+        hits[diagonal] = np.inf
+        ahead = hits.min(axis=2, initial=np.inf)
+        first = own < ahead
+        s = np.where(first, np.where(ahead < np.inf, own + (ahead - own) / 2.0, 2.0 * own + 1.0), 0.0)
+        values = (s[..., None] * A) @ A.transpose(0, 2, 1)  # values[g, i, k] = a_k . x_i
+        met = values <= b[:, None, :]
+        met[diagonal] = True
+        margin = _RAY_ROUNDING * np.maximum(1.0, np.abs(b).max(axis=1, initial=0.0))
+        lifted = values[diagonal] - (b + TOL_REDUNDANT) > margin[:, None]
+    return first & met.all(axis=2) & lifted
 
 
 def _redundant(rows, lps) -> list:
@@ -553,12 +593,22 @@ def _redundant(rows, lps) -> list:
     order, groups = _groups(lps)
     counts = [len(flat[j]) for j in order]
     cut = np.concatenate([flat[j] for j in order] or [np.zeros(0, dtype=np.intp)])
-    # each program maximises its tested row, against that row's bound
-    c = np.concatenate([lps[j].A[flat[j]] for j in order] or [np.zeros((0, d))])
-    bound = np.concatenate([lps[j].b[flat[j]] for j in order] or [np.zeros(0)])
-    status, y = _maximise(groups, c, counts, cut)
+    # each program maximises its tested row, against that row's bound, read
+    # off the stacks with the rays' proofs; a row a ray proves kept takes no LP
+    owner = np.repeat(np.arange(len(order)), counts)
+    picked, lo, s = [(np.zeros((0, d)), np.zeros(0), np.zeros(0, dtype=bool))], 0, 0
+    for A, b, _ in groups:
+        hi = lo + sum(counts[s : s + len(b)])
+        at = (owner[lo:hi] - s, cut[lo:hi])
+        picked.append((A[at], b[at], ~_ray_proofs(A, b)[at]))
+        lo, s = hi, s + len(b)
+    c, bound, ask = map(np.concatenate, zip(*picked))
+    c, bound = c[ask], bound[ask]
+    solved, y = _maximise(groups, c, np.bincount(owner[ask], minlength=len(order)), cut[ask])
+    status, implied = np.full(len(cut), _OPTIMAL), np.zeros(len(cut), dtype=bool)
+    status[ask] = solved
     # the rule of :func:`dominated`, on every program at once
-    implied = (status == _INFEASIBLE) | ((status == _OPTIMAL) & (_dot(c, y) <= bound + TOL_REDUNDANT))
+    implied[ask] = (solved == _INFEASIBLE) | ((solved == _OPTIMAL) & (_dot(c, y) <= bound + TOL_REDUNDANT))
     verdicts: list = [None] * len(lps)
     for j, lo, hi in _solved(order, counts, status.tolist()):
         verdicts[j] = bool(implied[lo]) if indices[j].ndim == 0 else implied[lo:hi]

@@ -1038,6 +1038,11 @@ RAY_NETS = PRUNING_NETS + [
 ]
 
 
+def no_rays(A, b):
+    """``lp._ray_proofs`` proving nothing: every tested row goes to the simplex."""
+    return np.zeros(b.shape, dtype=bool)
+
+
 def candidate_runs(net):
     """Each record of ``net`` with its region's candidate normals and offsets."""
     records = enumerate_feasible(net).records
@@ -1167,41 +1172,62 @@ class TestFacetPruning:
         assert len(calls) == 1 and calls[0] is target
 
     @pytest.mark.parametrize("label,make", RAY_NETS, ids=[n for n, _ in RAY_NETS])
-    def test_ray_facets_are_kept_by_is_redundant(self, label, make):
-        """Every row a ray proves kept, in the programs ``_facets`` shoots rays
-        in, is kept by ``is_redundant`` on the same shifted program, on nets
-        with merged rows and with witnesses near 1e13 among them."""
+    def test_ray_facets_are_kept_by_is_redundant(self, label, make, monkeypatch):
+        """Every row a ray proves kept, in the programs pass 1 hands to
+        ``is_redundant``, is kept by the LP alone on the same shifted
+        program, on nets with merged rows and with witnesses near 1e13 among
+        them."""
         lps = [lp for lp in hinted_programs(make())[0] if lp.num_rows >= 2 and (lp.b > 0.0).all()]
-        rows = [np.flatnonzero(mask) for mask in decomposition._ray_facets(lps)]
+        rows = [np.flatnonzero(lp_module._ray_proofs(lp.A[None], lp.b[None])[0]) for lp in lps]
         assert sum(map(len, rows)) > 0
+        monkeypatch.setattr(lp_module, "_ray_proofs", no_rays)
         for verdict in is_redundant(rows, lps):
             assert verdict is not None and not verdict.any()
 
+    @pytest.mark.parametrize("label,make", RAY_NETS, ids=[n for n, _ in RAY_NETS])
+    def test_rays_leave_every_verdict_as_the_lps_give_it(self, label, make, monkeypatch):
+        """``is_redundant`` of every row of every region's shifted program,
+        its point on a row or not, is bitwise the same with rays proving
+        nothing."""
+        lps = hinted_programs(make())[0]
+        rows = [np.arange(lp.num_rows) for lp in lps]
+        got = is_redundant(rows, lps)
+        monkeypatch.setattr(lp_module, "_ray_proofs", no_rays)
+        want = is_redundant(rows, lps)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
     def test_rays_spare_pass_one_programs(self, monkeypatch):
-        """Of the 1,586 rows pass 1 tests on biased [3,5,5,3] seed 0 (all of
-        them by LP without rays), rays prove 885 kept; only the other 701 go
-        to ``is_redundant``, and the table is the one the LPs alone give."""
+        """Of the 1,586 rows pass 1 hands to ``is_redundant`` on biased
+        [3,5,5,3] seed 0 (all of them solved by LP without rays), rays prove
+        885 kept; only the other 701 reach the simplex, and the table is the
+        one the LPs alone give."""
         net = biased_net([3, 5, 5, 3], 2, seed=0)
         records = enumerate_feasible(net).records
-        handed, real = [], decomposition.is_redundant
+        handed, solved = [], []
+        real, real_maximise = decomposition.is_redundant, lp_module._maximise
 
         def spy(rows, lps):
-            if not isinstance(lps, LinearProgram):
-                handed.append(sum(np.size(r) for r in rows))
-            return real(rows, lps)
+            if isinstance(lps, LinearProgram):
+                return real(rows, lps)
+            before = len(solved)
+            verdicts = real(rows, lps)
+            handed.append((sum(np.size(r) for r in rows), sum(solved[before:])))
+            return verdicts
+
+        def maximise(groups, c, *args, **kwargs):
+            solved.append(len(c))
+            return real_maximise(groups, c, *args, **kwargs)
 
         monkeypatch.setattr(decomposition, "is_redundant", spy)
+        monkeypatch.setattr(lp_module, "_maximise", maximise)
         got = decomposition.extract_halfspaces(records, net)
-        assert handed == [701]
+        assert handed == [(1586, 701)]
         assert sum(map(len, hinted_programs(net)[2])) == 1586
 
-        def no_rays(lps):
-            return [np.zeros(lp.num_rows, dtype=bool) for lp in lps]
-
-        monkeypatch.setattr(decomposition, "_ray_facets", no_rays)
+        monkeypatch.setattr(lp_module, "_ray_proofs", no_rays)
         handed.clear()
         want = decomposition.extract_halfspaces(records, net)
-        assert handed == [1586]
+        assert handed == [(1586, 1586)]
         for x, y in zip((got[0], got[1], *got[2]), (want[0], want[1], *want[2])):
             assert x.tobytes() == y.tobytes()
 

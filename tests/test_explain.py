@@ -466,6 +466,21 @@ class TestHypercube:
             with pytest.raises(IndexError, match=f"^region {r} out of range$"):
                 region_contains(d, r, x)
 
+    def test_region_index_must_be_an_integer(self):
+        """A bool or a float is no region index: both queries raise one
+        IndexError naming its type, as ``is_redundant`` does for rows;
+        integers of any width are indices."""
+        d = decompose(biased_net([2, 4, 4], 2, seed=0))
+        x = d.witnesses[1]
+        cases = [(True, "bool"), (False, "bool"), (np.True_, "bool"), (1.0, "float"), (np.float64(1), "float64")]
+        for region, name in cases:
+            with pytest.raises(IndexError, match=f"^region must be an integer, not {name}$"):
+                hypercube(d, region)
+            with pytest.raises(IndexError, match=f"^region must be an integer, not {name}$"):
+                region_contains(d, region, x)
+        assert hypercube(d, np.int32(1)).side == hypercube(d, 1).side
+        assert region_contains(d, np.uint8(1), x) and region_contains(d, 1, x)
+
 
 class TestPlot:
     def test_svg_structure(self, tmp_path, demo_net_m2):

@@ -225,6 +225,16 @@ class TestRedundancy:
         for i in range(3):
             assert not is_redundant(i, lp)
 
+    def test_no_ray_proves_a_row_within_the_redundancy_bound(self):
+        """x <= 1 is redundant against x <= 1 + 1e-8, within TOL_REDUNDANT:
+        the ray along x hits it first, but its point lifts the row by less
+        than the bound, so the LP decides, alone or with the rows stacked."""
+        A = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        lp = LinearProgram(A, np.array([1.0, 1.0 + 1e-8, 1.0, 1.0, 1.0]), np.zeros(5, dtype=bool))
+        assert lp_module._ray_proofs(lp.A[None], lp.b[None])[0].tolist() == [False, False, True, True, True]
+        assert is_redundant(0, lp) and is_redundant(1, lp)
+        assert is_redundant(np.arange(5), lp).tolist() == [True, True, False, False, False]
+
     def test_sequential_elimination_preserves_feasible_set(self):
         """Dropping redundant rows one at a time keeps sampled membership."""
         rng = np.random.default_rng(500)
@@ -629,6 +639,41 @@ def test_program_entries_must_be_finite(where, bad):
         LinearProgram(A, b, np.zeros(2, dtype=bool))
 
 
+def test_program_matrix_must_have_at_most_two_dimensions():
+    with pytest.raises(DimensionMismatchError, match="^A must have at most 2 dimensions, not 3$"):
+        LinearProgram(np.ones((2, 2, 2)), [1.0, 1.0], [False, False])
+    # a vector is one column, and an empty A no rows
+    assert LinearProgram(np.ones(2), [1.0, 1.0], [False, False]).A.shape == (2, 1)
+    assert LinearProgram([], [], []).A.shape == (0, 0)
+
+
+@pytest.mark.parametrize("strict", [[0.5, 2], [np.nan, 0.0], [1, -1], ["yes", "no"], [None, None]])
+def test_program_strict_flags_must_be_bits(strict):
+    with pytest.raises(ValueError, match="^strict flags must be booleans, 0 or 1$"):
+        LinearProgram(np.eye(2), np.ones(2), strict)
+
+
+def test_program_strict_flags_of_zeros_and_ones_are_bools():
+    for strict in ([1, 0], [1.0, 0.0], np.array([True, False]), [np.True_, False]):
+        lp = LinearProgram(np.eye(2), np.ones(2), strict)
+        assert lp.strict.dtype == bool and lp.strict.tolist() == [True, False]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_directions_must_be_finite(bad):
+    """A NaN or infinite direction is refused before any solve, in the
+    one-program form (one direction or a stack) and the sequence form."""
+    lp = LinearProgram(np.eye(2), np.ones(2), np.zeros(2, dtype=bool))
+    for call in (
+        lambda: extremize([bad, 0.0], lp),
+        lambda: extremize([[1.0, 0.0], [0.0, bad]], lp),
+        lambda: extremize([[1.0, 0.0], [bad, 0.0]], [lp, lp]),
+        lambda: extremize([np.ones(2), np.array([[0.0, 1.0], [bad, 1.0]])], [lp, lp]),
+    ):
+        with pytest.raises(NonFiniteError, match="^directions must be finite$"):
+            call()
+
+
 def test_program_holds_copies_of_the_callers_arrays():
     """The caller's arrays stay writeable, and writing to them leaves the
     program as it was built."""
@@ -669,9 +714,11 @@ class TestHighsOracle:
     def _linprog(self):
         self.linprog = pytest.importorskip("scipy.optimize").linprog
 
-    def _max(self, c, A, b):
+    def _max(self, c, A, b, presolve=True):
         """HiGHS maximum of c . x over A x <= b: (status, value)."""
-        res = self.linprog(-c, A_ub=A, b_ub=b, bounds=[(None, None)] * len(c), method="highs")
+        res = self.linprog(
+            -c, A_ub=A, b_ub=b, bounds=[(None, None)] * len(c), method="highs", options={"presolve": presolve}
+        )
         if res.status == 2:
             return Extremum.INFEASIBLE, None
         if res.status == 3:
@@ -724,6 +771,26 @@ class TestHighsOracle:
     def test_is_redundant(self):
         rng = np.random.default_rng(702)
         self._check_is_redundant(self._random(rng))
+
+    def test_rows_a_ray_proves_are_kept(self):
+        """Every row one ray proves kept is one HiGHS keeps: a point of the
+        other rows lifts it above its redundancy bound.  The programs are
+        random ones, whose origin violates rows, and programs around their
+        origin, as a shifted region's program is."""
+        rng = np.random.default_rng(706)
+        systems = list(self._random(rng, 300))
+        systems += [(A, np.abs(b)) for A, b in systems]
+        proven = {True: 0, False: 0}
+        for A, b in systems:
+            for i in np.flatnonzero(lp_module._ray_proofs(A[None], b[None])[0]):
+                proven[bool((b >= 0.0).all())] += 1
+                keep = np.arange(len(b)) != i
+                # HiGHS's presolve can call an unbounded program infeasible
+                status, value = self._max(A[i], A[keep], b[keep], presolve=False)
+                assert status is not Extremum.INFEASIBLE
+                if status is Extremum.BOUNDED:
+                    assert value - b[i] > TOL_REDUNDANT - 1e-6 * max(1.0, abs(value), abs(b[i]))
+        assert proven[True] > 100 and proven[False] > 100
 
     def test_sequence_form(self):
         """One call over the programs of each dimension agrees with HiGHS."""
