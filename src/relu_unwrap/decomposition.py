@@ -68,13 +68,15 @@ from .errors import (
     UnwrapError,
 )
 from .lp import (
+    _INTERIOR,
+    _LIMIT,
     TOL_SLACK,
     Feasibility,
     LinearProgram,
+    _groups,
+    _implied,
+    _solve,
     check_feasible,
-    check_feasible_many,
-    dominated,
-    extremize,
     is_redundant,
 )
 from .network import (
@@ -412,13 +414,16 @@ def _bits_of(prefix) -> tuple[tuple[int, ...], ...]:
 
 
 def _next_prefix(prev: GlobalAffinePrefix, gate_bits, layer: Layer) -> GlobalAffinePrefix:
-    """Affine map to the pre-activations of ``layer``, which follows ``prev``."""
+    """Affine map to the pre-activations of ``layer``, which follows ``prev``;
+    one that overflows raises :class:`NonFiniteError` naming the layer, so
+    every row made from a prefix is finite."""
     gate = np.asarray(gate_bits, dtype=np.float64)
-    return GlobalAffinePrefix(
-        layer.weights @ (gate[:, None] * prev.matrix),
-        layer.weights @ (gate * prev.offset) + layer.bias,
-        prev.layer + 1,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = layer.weights @ (gate[:, None] * prev.matrix)
+        offset = layer.weights @ (gate * prev.offset) + layer.bias
+    if not (np.isfinite(matrix).all() and np.isfinite(offset).all()):
+        raise NonFiniteError(f"the affine map to layer {prev.layer + 1} overflows")
+    return GlobalAffinePrefix(matrix, offset, prev.layer + 1)
 
 
 def _with_row(rows, prefix: GlobalAffinePrefix, i: int, bit: int) -> tuple:
@@ -473,6 +478,14 @@ def _row_lengths(A: np.ndarray) -> np.ndarray:
     return np.sqrt((A[:, None, :] @ A[:, :, None]).reshape(-1))
 
 
+def _finite(b: np.ndarray) -> np.ndarray:
+    """``b``, the right-hand sides of programs shifted to their points,
+    refused with :class:`NonFiniteError` where a far point overflowed one."""
+    if not np.isfinite(b).all():
+        raise NonFiniteError("linear program entries must be finite")
+    return b
+
+
 def _witnesses(rows: Sequence[tuple], known=None) -> tuple[list, list[bool]]:
     """A point of each program, given as its rows ``(A, b, strict)``, in stacked solves.
 
@@ -481,8 +494,8 @@ def _witnesses(rows: Sequence[tuple], known=None) -> tuple[list, list[bool]]:
     region.  Re-solving with every non-degenerate row marked strict yields a
     point in the polytope's topological interior; zero rows (constant
     constraints from gated-off neurons) can never clear a margin and are
-    skipped.  Only where that finds nothing is the program itself built, and
-    those are solved in one stacked call: ``known[i]`` is taken if given, but
+    skipped.  Only where that finds nothing is the program itself solved,
+    all of those in one stacked call: ``known[i]`` is taken if given, but
     only if program ``i`` is found to have an interior (else
     :class:`UnwrapError`), and otherwise the program's own witness (a region
     with only closed faces may be a point).  Returns ``(points, failed)``: a
@@ -491,23 +504,28 @@ def _witnesses(rows: Sequence[tuple], known=None) -> tuple[list, list[bool]]:
     pushed = []
     for A, b, _ in rows:
         keep = _row_lengths(A) > TOL_DEGENERATE
-        pushed.append(LinearProgram(A[keep], b[keep], np.ones(int(keep.sum()), dtype=bool)))
+        pushed.append((A, b) if keep.all() else (A[keep], b[keep]))
+    strict = np.ones(max((len(b) for _, b in pushed), default=0), dtype=bool)
+    order, groups = _groups(*zip(*pushed), [strict[: len(b)] for _, b in pushed]) if pushed else ([], [])
+    status, x, _ = _solve(groups)
+    points, failed = [None] * len(rows), [False] * len(rows)
+    for i, st, w in zip(order, status.tolist(), x):
+        points[i], failed[i] = (w if st == _INTERIOR else None), st == _LIMIT
     known = known or [None] * len(rows)
-    points, failed = [], []
-    for res in check_feasible_many(pushed):
-        points.append(res.witness if res is not None and res.status is Feasibility.INTERIOR else None)
-        failed.append(res is None)
     rest = [i for i, w in enumerate(points) if w is None]
-    for i, res in zip(rest, check_feasible_many([LinearProgram(*rows[i]) for i in rest])):
-        failed[i] |= res is None
+    order, groups = _groups(*zip(*[rows[i] for i in rest])) if rest else ([], [])
+    status, x, _ = _solve(groups)
+    for k, st, w in zip(order, status.tolist(), x):
+        i = rest[k]
+        failed[i] |= st == _LIMIT
         if known[i] is not None:
-            if res is not None and res.status is not Feasibility.INTERIOR:
+            if st != _LIMIT and st != _INTERIOR:
                 raise UnwrapError(
                     f"program {i} has no interior point, yet the search kept a witness for it"
                 )
             points[i] = known[i]
-        elif res is not None and res.status is Feasibility.INTERIOR:
-            points[i] = res.witness
+        elif st == _INTERIOR:
+            points[i] = w
     return points, failed
 
 
@@ -579,22 +597,22 @@ class _Search:
         """The program of rows ``(A, b, strict)`` shifted to ``start``, the
         parent cell's witness, and the start; unshifted, with None, when
         there is none or the origin violates fewer rows (a cell of a network
-        without biases is a cone at the origin)."""
+        without biases is a cone at the origin).  The rows are the search's
+        own, finite as their prefixes are; a far start may still overflow."""
         if start is not None:
             moved = b - A @ start
             if np.count_nonzero(moved < 0) <= np.count_nonzero(b < 0):
-                return LinearProgram(A, moved, strict), start
-        return LinearProgram(A, b, strict), None
+                return LinearProgram._of(A, _finite(moved), strict), start
+        return LinearProgram._of(A, b, strict), None
 
-    def _verdict(self, res, start) -> tuple[bool, np.ndarray | None]:
-        """(keep, witness) of a program solved shifted to ``start``; a solver
-        failure (None) keeps it unwitnessed, counted in ``fallbacks``."""
-        if res is None:
+    def _verdict(self, status: int, point) -> tuple[bool, np.ndarray | None]:
+        """(keep, witness) of a program from its feasibility code (see
+        :func:`~relu_unwrap.lp._solve`) and its point; a solver failure
+        keeps it unwitnessed, counted in ``fallbacks``."""
+        if status == _LIMIT:
             self.fallbacks += 1
             return True, None
-        if res.status is Feasibility.INTERIOR:
-            return True, res.witness if start is None else start + res.witness
-        return False, None
+        return (True, point) if status == _INTERIOR else (False, None)
 
     def interior(self, rows, start) -> tuple[bool, np.ndarray | None]:
         """(keep, witness) of a system's rows (see :meth:`_verdict`).
@@ -609,8 +627,10 @@ class _Search:
         try:
             res = check_feasible(lp)
         except IterationLimitError:
-            res = None
-        return self._verdict(res, start)
+            return self._verdict(_LIMIT, None)
+        if res.status is not Feasibility.INTERIOR:
+            return False, None
+        return True, res.witness if start is None else start + res.witness
 
     def open_layers(self, cells: Sequence[_Cell], layer: Layer) -> list[_Cell]:
         """The cells opening ``layer``, one per cell that completes the layer
@@ -637,17 +657,14 @@ class _Search:
         total = sum(len(tested) for *_, tested in plans)
         room, programs = self._charge(total), []
         for cell, nxt, settled, tested in plans:
-            tested = tested[: room - len(programs)]
-            programs += [
-                self._shift(*_with_row(cell.rows, nxt, j, 1 - settled[j]), cell.witness) for j in tested
-            ]
-        verdicts = zip(programs, check_feasible_many([lp for lp, _ in programs]))
+            programs += [(cell, _with_row(cell.rows, nxt, j, 1 - settled[j])) for j in tested[: room - len(programs)]]
+        verdicts = zip(programs, *self._pretest(programs))
         opened = []
         for cell, nxt, settled, tested in plans:
             empty, found, proved = set(), [], []
             # zip draws a neuron before a verdict, so each cell takes its own
-            for j, ((_, start), res) in zip(tested, verdicts):
-                keep, point = self._verdict(res, start)
+            for j, (_, st, point) in zip(tested, verdicts):
+                keep, point = self._verdict(st, point)
                 if not keep:
                     empty.add((j, 1 - settled[j]))
                 elif point is not None:
@@ -661,6 +678,22 @@ class _Search:
         if room < total:
             raise self._exceeded()
         return opened
+
+    @staticmethod
+    def _pretest(programs) -> tuple[list[int], np.ndarray]:
+        """Feasibility codes of :func:`~relu_unwrap.lp._solve` and points of
+        ``(cell, rows)`` programs of one row count, each shifted as in
+        :meth:`_shift` to its cell's witness, solved as one stack: a point
+        is in the input coordinates."""
+        if not programs:
+            return [], np.zeros((0, 0))
+        A, b, strict = (np.array(arrays) for arrays in zip(*(rows for _, rows in programs)))
+        start = np.array([cell.witness for cell, _ in programs])
+        # one product per program, bitwise as each program's own ``A @ start``
+        moved = b - (A @ start[:, :, None])[:, :, 0]
+        shift = np.count_nonzero(moved < 0, axis=1) <= np.count_nonzero(b < 0, axis=1)
+        status, x, _ = _solve([(A, _finite(np.where(shift[:, None], moved, b)), strict)])
+        return status.tolist(), np.where(shift[:, None], start + x, x)
 
     def result(self, *, partial: bool = False) -> EnumerationResult:
         """Records of the finished cells: rows, models and :func:`_witnesses` of the rows.
@@ -715,11 +748,14 @@ def enumerate_feasible(net: MLPNetwork, *, budget: int | None = None) -> Enumera
     cell's rows plus the neuron's row on the side the cell's witness does
     not settle.  A side with no interior goes into the opened cell's
     ``empty``, and the point of a side with one joins its ``points``.  The
-    splits inside a layer stay one at a time, through
-    :func:`check_feasible`, whose calls the benchmark's tracer
-    (``perfbench/spans.py``) counts one program each; stacking them would
-    need a search over neuron-level frontiers and a tracer that reads
-    stacked calls.
+    pre-tests of a layer share one row count, so they form one stack,
+    handed to the array entry :func:`~relu_unwrap.lp._solve` with no
+    padding and no per-program object.  The splits inside a layer stay
+    one-program :func:`check_feasible` calls, each on a
+    :class:`LinearProgram` over the search's own arrays: the benchmark's
+    tracer (``perfbench/spans.py``) wraps that function and reads
+    ``num_rows`` off its one program; stacking them would need a search
+    over neuron-level frontiers and a tracer that reads stacked calls.
 
     ``layer_feasible[l]`` counts the live cells after layer ``l + 1``; the
     last entry is the number of patterns.  ``candidates_checked`` counts
@@ -911,7 +947,7 @@ def _prune_sequential(lp: LinearProgram) -> list[int]:
         if len(active) < 2:
             break
         if rest.num_rows > len(active):
-            rest = LinearProgram(lp.A[active], lp.b[active], lp.strict[active])
+            rest = LinearProgram._of(lp.A[active], lp.b[active], lp.strict[active])
         if is_redundant(active.index(j), rest):
             active.remove(j)
     return active
@@ -953,13 +989,17 @@ def _facets(lps: Sequence[LinearProgram], hints=None) -> list[list[int]]:
             checks.append((j, kept, rest))
         else:
             facets[j] = kept.tolist()
-    tops = extremize(
-        [lps[j].A[rest] for j, _, rest in checks],
-        [LinearProgram(lps[j].A[kept], lps[j].b[kept], lps[j].strict[kept]) for j, kept, _ in checks],
-    )
-    for (j, kept, rest), top in zip(checks, tops):
-        if top is not None and all(map(dominated, top, lps[j].b[rest].tolist())):
-            facets[j] = kept.tolist()
+    # pass 2: each other row maximised over F, its verdicts read off arrays
+    order, groups = _groups(*zip(*[(lps[j].A[kept], lps[j].b[kept]) for j, kept, _ in checks])) if checks else ([], [])
+    checks = [checks[k] for k in order]
+    if checks:
+        c = np.concatenate([lps[j].A[rest] for j, _, rest in checks])
+        status, _, value = _solve(groups, c, [rest.size for *_, rest in checks])
+        implied = _implied(status, value, np.concatenate([lps[j].b[rest] for j, _, rest in checks]))
+        starts = np.cumsum([0] + [rest.size for *_, rest in checks[:-1]])
+        for (j, kept, _), ok in zip(checks, np.logical_and.reduceat(implied, starts).tolist()):
+            if ok:
+                facets[j] = kept.tolist()
     return [_prune_sequential(lp) if f is None else f for lp, f in zip(lps, facets)]
 
 
@@ -1018,10 +1058,9 @@ def extract_halfspaces(records: Sequence[PatternRecord], net: MLPNetwork):
     patterns = np.array([rec.pattern.bits() for rec in records], dtype=np.uint8)
     patterns = patterns.reshape(p, sum(net.hidden_widths))
     cuts = starts.tolist()
-    lps = [
-        LinearProgram(*_closed_rows(normals[a:b], offsets[a:b], rec.witness))
-        for a, b, rec in zip(cuts, cuts[1:], records)
-    ]
+    rows = [_closed_rows(normals[a:b], offsets[a:b], rec.witness) for a, b, rec in zip(cuts, cuts[1:], records)]
+    _finite(np.concatenate([b for _, b, _ in rows] or [np.zeros(0)]))
+    lps = [LinearProgram._of(*r) for r in rows]
     active = _facets(lps, _facet_hints(patterns, neurons, starts))
     sizes = [len(rows) for rows in active]
     kept = np.array(list(chain.from_iterable(active)), dtype=np.intp) + np.repeat(starts[:-1], sizes)

@@ -18,20 +18,28 @@ feasible start and phase 1 is skipped.
 The simplex takes a stack of same-shaped programs and pivots them in
 lockstep; each program follows exactly the pivots it would follow alone, so
 a stacked solve returns bitwise what one-at-a-time solves return, and a
-scalar call is a stack of one.  One routine, ``_maximise``, answers all
+scalar call is a stack of one.  One array entry, ``_solve``, answers all
 three questions, each a maximisation over the rows of the caller's
-programs: feasibility maximises ``t`` over the slack system
-``[A | strict; 0 | 1] (x, t) <= [b; 1]``, :func:`extremize` each direction
-and :func:`is_redundant` each tested row over the closed rows, less the
-rows one ray proves kept on the same call's stacks (:func:`_ray_proofs`).
-It takes the programs in order of row count, so padding stays short, pads
-shorter programs with rows ``0 . x <= 1`` that no pivot touches, and puts
-at most ``STACK_SIZE`` programs in a stack.  The programs of one row count
-are stacked once per call (``_groups``), and a stack is filled with one
-copy per row count it holds, the slack column and row written in the same
-copies, so the fill runs no Python per program.  Every program has its
-own pivot budget of ``ITERATION_FACTOR * (rows + dim)``, counted on its
-unpadded rows, a guard against numerical pathology.
+programs, given as stacks of one row count, (G, r, n), (G, r) and (G, r),
+with per-program objectives and cuts, and returns status, optimum and
+value arrays: feasibility maximises ``t`` over the slack system
+``[A | strict; 0 | 1] (x, t) <= [b; 1]`` and reads the verdict, witness
+and slack of each program, :func:`extremize` each direction and
+:func:`is_redundant` each tested row over the closed rows, less the rows
+one ray proves kept on the same call's stacks (:func:`_ray_proofs`).
+:func:`check_feasible`, :func:`check_feasible_many`, :func:`extremize`
+and :func:`is_redundant` are thin wrappers over it: they stack their
+programs once per row count (``_groups``) and build result objects; the
+pattern search and the half-space pruning hand it stacks they build
+themselves.  It takes the programs in order of row count, so padding
+stays short, pads shorter programs with rows ``0 . x <= 1`` that no pivot
+touches, and puts at most ``STACK_SIZE`` programs in a stack, filled with
+one copy per row count it holds, the slack column and row written in the
+same copies, so the fill runs no Python per program.  Every program has
+its own pivot budget of ``ITERATION_FACTOR * (rows + dim)``, counted on
+its unpadded rows, a guard against numerical pathology.  A
+:class:`LinearProgram` the library builds over arrays it made and checked
+(``LinearProgram._of``) holds them with no copy.
 
 The answers are read off whole arrays before any result object is built.
 Statuses, witnesses and optima are copied from the tableau.  Strict
@@ -96,6 +104,16 @@ class LinearProgram:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
+    @classmethod
+    def _of(cls, A: np.ndarray, b: np.ndarray, strict: np.ndarray) -> "LinearProgram":
+        """A program over arrays the library made and checked: float64 ``A``
+        (m, n), finite ``b`` (m,) and bool ``strict`` (m,), held with no copy."""
+        lp = object.__new__(cls)
+        for name, arr in (("A", A), ("b", b), ("strict", strict)):
+            arr.flags.writeable = False
+            object.__setattr__(lp, name, arr)
+        return lp
+
     @property
     def num_rows(self) -> int:
         return self.A.shape[0]
@@ -148,6 +166,9 @@ def iteration_limit(rows: int, dim: int) -> int:
 
 # per-program outcome of _simplex
 _OPTIMAL, _INFEASIBLE, _UNBOUNDED, _LIMIT = range(4)
+# per-program feasibility verdict of _solve, in the order of Feasibility (or _LIMIT)
+_INTERIOR, _BOUNDARY, _EMPTY = range(3)
+_FEASIBILITY = tuple(Feasibility)
 _NO_ROW = np.iinfo(np.intp).max  # basis index that never wins a ratio tie
 
 
@@ -328,32 +349,15 @@ def check_feasible_many(lps: Sequence[LinearProgram]) -> list[FeasibilityResult 
     :func:`check_feasible` would raise :class:`IterationLimitError` on.
     """
     lps = list(lps)
-    d = _dim(lps)
-    order, groups = _groups(lps, strict=True)
-    c = np.zeros((len(lps), d + 1))
-    c[:, d] = 1.0  # maximise t
-    status, y = _maximise(groups, c, slack=True)
-    x, t = y[:, :d], y[:, d]
-    # per program: whether a row is strict, and the smallest strict margin of its witness
-    strict_rows, smallest, lo = [], [], 0
-    for A, b, strict in groups:
-        hi = lo + len(b)
-        margins = b - _dot(A, x[lo:hi, None])
-        strict_rows += np.logical_or.reduce(strict, axis=1).tolist()
-        smallest += np.minimum.reduce(margins, axis=1, initial=np.inf, where=strict).tolist()
-        lo = hi
+    _dim(lps)
+    order, groups = _groups([lp.A for lp in lps], [lp.b for lp in lps], [lp.strict for lp in lps])
+    status, x, slack = _solve(groups)
     results: list[FeasibilityResult | None] = [None] * len(lps)
-    for j, st, top, has, s, w in zip(order, status.tolist(), t.tolist(), strict_rows, smallest, x):
-        # an unbounded slack program is impossible (t <= 1): pathology
-        if st == _LIMIT or st == _UNBOUNDED:
-            continue
-        s = s if has else top
-        if st == _OPTIMAL and s > TOL_SLACK:
-            results[j] = FeasibilityResult(Feasibility.INTERIOR, w, s)
-        elif st == _OPTIMAL and top >= -TOL_SLACK:
-            results[j] = FeasibilityResult(Feasibility.BOUNDARY_ONLY, w, max(s, 0.0))
-        else:
+    for j, st, w, s in zip(order, status.tolist(), x, slack.tolist()):
+        if st == _EMPTY:
             results[j] = FeasibilityResult(Feasibility.INFEASIBLE)
+        elif st != _LIMIT:
+            results[j] = FeasibilityResult(_FEASIBILITY[st], w, s)
     return results
 
 
@@ -365,18 +369,19 @@ def _dim(lps: Sequence[LinearProgram]) -> int:
     return dims.pop() if dims else 0
 
 
-def _groups(lps: Sequence[LinearProgram], strict=False):
-    """The programs in order of row count, ties in their own order, as
-    ``(order, groups)``: their indices in that order, and per row count
-    ``m`` the ``(A, b, strict)`` of its programs stacked, (n, m, d), (n, m)
-    and (n, m), each in one copy; ``strict`` is None unless asked for."""
-    rows = [len(lp.b) for lp in lps]
-    order = sorted(range(len(lps)), key=rows.__getitem__)
+def _groups(A: Sequence[np.ndarray], b: Sequence[np.ndarray], strict=None):
+    """Programs given by their arrays ``A[j]``, ``b[j]`` (and ``strict[j]``)
+    in order of row count, ties in their own order, as ``(order, groups)``:
+    their indices in that order, and per row count ``m`` the ``(A, b,
+    strict)`` of its programs stacked, (n, m, d), (n, m) and (n, m), each in
+    one copy; ``strict`` is None unless given."""
+    rows = [len(v) for v in b]
+    order = sorted(range(len(rows)), key=rows.__getitem__)
     groups = []
     for _, run in itertools.groupby(order, rows.__getitem__):
-        run = [lps[j] for j in run]
-        flags = np.array([lp.strict for lp in run]) if strict else None
-        groups.append((np.array([lp.A for lp in run]), np.array([lp.b for lp in run]), flags))
+        run = list(run)
+        flags = None if strict is None else np.array([strict[j] for j in run])
+        groups.append((np.array([A[j] for j in run]), np.array([b[j] for j in run]), flags))
     return order, groups
 
 
@@ -389,22 +394,37 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.add.accumulate(a * b, axis=-1)[..., -1]
 
 
-def _maximise(groups, c: np.ndarray, counts=None, cut=None, slack=False):
-    """Maximise each objective ``c[p]`` over the system of its program, in
-    stacked solves; returns each program's ``(status, y)`` (see
-    :func:`_simplex`), in the order of ``c``.
+def _solve(groups, c=None, counts=None, cut=None):
+    """The array entry of every solve: maximise each objective ``c[p]`` over
+    the system of its program, in stacked solves; returns ``(status, y,
+    value)``, one entry per program in the order of ``c``.
 
-    ``groups`` holds systems ``A x <= b`` by row count, ascending, as
+    ``groups`` holds systems ``A x <= b`` by row count, ascending, each a
+    stack of one row count, shapes (n, m, d), (n, m) and (n, m), as
     :func:`_groups` stacks them.  Taken in that order, system ``s`` owns
     the next ``counts[s]`` rows of ``c``, or one without ``counts``.  With
-    ``slack``, a program's system is the slack system ``[A | strict; 0 |
-    1] (x, t) <= [b; 1]``.  With ``cut``, program ``p`` has row ``cut[p]``
-    replaced by ``0 . x <= 1``.  The programs are cut, in order, into
-    stacks of at most ``STACK_SIZE``, padded with rows ``0 . x <= 1``,
-    which no pivot touches; a stack is filled with one copy of each array
-    per group it draws on.  Every program has the pivot budget of its
-    unpadded system, one row shorter with ``cut``.
+    ``cut``, program ``p`` has row ``cut[p]`` replaced by ``0 . x <= 1``.
+    ``status`` and ``y`` are :func:`_simplex`'s and ``value`` is ``c[p]
+    . y[p]`` (:func:`_dot`).
+
+    Without ``c``, each system's feasibility is decided: its program is
+    the slack system ``[A | strict; 0 | 1] (x, t) <= [b; 1]`` maximising
+    ``t``; ``status`` is ``_INTERIOR``, ``_BOUNDARY``, ``_EMPTY`` or
+    ``_LIMIT`` (an unbounded slack program, impossible as ``t <= 1``, is
+    pathology too), ``y`` the witness ``x`` and ``value`` the slack of
+    :class:`FeasibilityResult` (NaN when empty).
+
+    The programs are cut, in order, into stacks of at most ``STACK_SIZE``,
+    padded with rows ``0 . x <= 1``, which no pivot touches; a stack is
+    filled with one copy of each array per group it draws on.  Every
+    program has the pivot budget of its unpadded system, one row shorter
+    with ``cut``.
     """
+    slack = c is None
+    if slack:
+        P, d = sum(len(b) for _, b, _ in groups), groups[0][0].shape[2] if groups else 0
+        c = np.zeros((P, d + 1))
+        c[:, d] = 1.0  # maximise t
     P, width = c.shape
     spans, lo, s = [], 0, 0  # per group: its programs lo:hi, the system of each, its arrays, their budget
     for A, b, strict in groups:
@@ -434,7 +454,25 @@ def _maximise(groups, c: np.ndarray, counts=None, cut=None, slack=False):
             G[k, cut[p0:p1]] = 0.0
             h[k, cut[p0:p1]] = 1.0
         status[p0:p1], y[p0:p1] = _simplex(G, h, c[p0:p1], limit)
-    return status, y
+    if not slack:
+        return status, y, _dot(c, y)
+    x, top = y[:, :-1], y[:, -1]
+    # per program: whether a row is strict, and the smallest strict margin of its witness
+    strict_rows, smallest, lo = [], [], 0
+    for A, b, strict in groups:
+        hi = lo + len(b)
+        strict_rows.append(np.logical_or.reduce(strict, axis=1))
+        margins = b - _dot(A, x[lo:hi, None])
+        smallest.append(np.minimum.reduce(margins, axis=1, initial=np.inf, where=strict))
+        lo = hi
+    s = np.where(np.concatenate(strict_rows or [[]]), np.concatenate(smallest or [[]]), top)
+    found = status == _OPTIMAL
+    interior = found & (s > TOL_SLACK)
+    boundary = found & ~interior & (top >= -TOL_SLACK)
+    code = np.where(interior, _INTERIOR, np.where(boundary, _BOUNDARY, _EMPTY))
+    code[(status == _LIMIT) | (status == _UNBOUNDED)] = _LIMIT
+    value = np.where(interior, s, np.where(boundary, np.where(0.0 > s, 0.0, s), np.nan))
+    return code, x, value
 
 
 def _alone(result, lp: LinearProgram):
@@ -472,14 +510,14 @@ def _extrema(directions, lps) -> list:
             length = D.shape[-1] if D.ndim else 1
             raise DimensionMismatchError(f"direction has length {length}, program dim is {lp.dim}")
     d = _dim(lps)
-    order, groups = _groups(lps)
+    order, groups = _groups([lp.A for lp in lps], [lp.b for lp in lps])
     objectives = [stacks[j] if stacks[j].ndim == 2 else stacks[j][None] for j in order]
     c = np.concatenate(objectives or [np.zeros((0, d))])
     if not np.isfinite(c).all():
         raise NonFiniteError("directions must be finite")
     counts = [len(D) for D in objectives]
-    status, y = _maximise(groups, c, counts)
-    statuses, values = status.tolist(), _dot(c, y).tolist()
+    status, y, value = _solve(groups, c, counts)
+    statuses, values = status.tolist(), value.tolist()
     results: list = [None] * len(lps)
     for j, lo, hi in _solved(order, counts, statuses):
         tops = tuple(map(_extremum, statuses[lo:hi], values[lo:hi], y[lo:hi]))
@@ -507,26 +545,22 @@ def _extremum(status: int, value: float, y: np.ndarray) -> ExtremizeResult:
     return ExtremizeResult(Extremum.BOUNDED, value, y)
 
 
-def dominated(res: ExtremizeResult, bound: float) -> bool:
-    """Whether a row ``a . x <= bound`` is implied by a system, given the
-    maximum ``res`` of ``a . x`` over it.
+def _implied(status: np.ndarray, value: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Whether rows ``a . x <= bound`` are implied by their systems, given
+    the maxima of ``a . x`` over them as :func:`_solve` returns them.
 
-    A bounded maximum at most ``bound + TOL_REDUNDANT`` implies it; an
+    A bounded maximum at most ``bound + TOL_REDUNDANT`` implies a row; an
     unbounded one means the row genuinely cuts; an empty system implies
-    every row.
+    every row; a solve out of pivots implies nothing.
     """
-    if res.status is Extremum.INFEASIBLE:
-        return True
-    if res.status is Extremum.UNBOUNDED:
-        return False
-    return res.value <= bound + TOL_REDUNDANT
+    return (status == _INFEASIBLE) | ((status == _OPTIMAL) & (value <= bound + TOL_REDUNDANT))
 
 
 def is_redundant(row, lp):
     """True iff dropping ``row`` cannot enlarge the closed feasible set.
 
     Decided by maximising the row over the remaining closed rows (see
-    :func:`dominated`); a row one ray proves kept is answered with no LP
+    :func:`_implied`); a row one ray proves kept is answered with no LP
     (:func:`_ray_proofs`).  ``row`` is one index, giving a bool, or an
     array of indices, giving a bool array.  Each program keeps the
     system's shape: the tested row is replaced by ``0 . x <= 1``.  ``lp``
@@ -590,7 +624,7 @@ def _redundant(rows, lps) -> list:
     if bad.any():
         raise IndexError(f"row {tested[bad][0]} out of range")
     d = _dim(lps)
-    order, groups = _groups(lps)
+    order, groups = _groups([lp.A for lp in lps], [lp.b for lp in lps])
     counts = [len(flat[j]) for j in order]
     cut = np.concatenate([flat[j] for j in order] or [np.zeros(0, dtype=np.intp)])
     # each program maximises its tested row, against that row's bound, read
@@ -604,11 +638,10 @@ def _redundant(rows, lps) -> list:
         lo, s = hi, s + len(b)
     c, bound, ask = map(np.concatenate, zip(*picked))
     c, bound = c[ask], bound[ask]
-    solved, y = _maximise(groups, c, np.bincount(owner[ask], minlength=len(order)), cut[ask])
+    solved, _, value = _solve(groups, c, np.bincount(owner[ask], minlength=len(order)), cut[ask])
     status, implied = np.full(len(cut), _OPTIMAL), np.zeros(len(cut), dtype=bool)
     status[ask] = solved
-    # the rule of :func:`dominated`, on every program at once
-    implied[ask] = (solved == _INFEASIBLE) | ((solved == _OPTIMAL) & (_dot(c, y) <= bound + TOL_REDUNDANT))
+    implied[ask] = _implied(solved, value, bound)
     verdicts: list = [None] * len(lps)
     for j, lo, hi in _solved(order, counts, status.tolist()):
         verdicts[j] = bool(implied[lo]) if indices[j].ndim == 0 else implied[lo:hi]

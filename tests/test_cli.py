@@ -32,6 +32,7 @@ from relu_unwrap import (
 )
 import relu_unwrap.cli as cli
 import relu_unwrap.decomposition as decomposition
+import relu_unwrap.lp as lp_module
 from relu_unwrap.cli import main
 
 from conftest import biased_net
@@ -152,7 +153,7 @@ class TestDecompose:
         save_model(biased_net([2, 4, 4, 3], 2, seed=0), model)
         _, clean, clean_err = run(capsys, "decompose", "--model", str(model), "--out", out)
         assert clean_err == ""
-        real_open, real_many, inside = decomposition._Search.open_layers, decomposition.check_feasible_many, []
+        real_open, real_solve, inside = decomposition._Search.open_layers, decomposition._solve, []
 
         def opening(search, cells, layer):
             inside.append(True)
@@ -161,11 +162,12 @@ class TestDecompose:
             finally:
                 inside.pop()
 
-        def many(lps):
-            return [None] * len(lps) if inside else real_many(lps)
+        def solve(groups, c=None, *args):
+            status, x, slack = real_solve(groups, c, *args)
+            return (np.full_like(status, lp_module._LIMIT) if inside else status), x, slack
 
         monkeypatch.setattr(decomposition._Search, "open_layers", opening)
-        monkeypatch.setattr(decomposition, "check_feasible_many", many)
+        monkeypatch.setattr(decomposition, "_solve", solve)
         code, stdout, stderr = run(capsys, "decompose", "--model", str(model), "--out", out)
         assert code == 0
         assert len(stderr.splitlines()) == 1 and stderr.startswith("warning: 167 feasibility solve(s)")

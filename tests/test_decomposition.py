@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from relu_unwrap import (
     canonical_equal,
     canonicalize,
     check_feasible,
+    check_feasible_many,
     closed_lp,
     decompose,
     dumps_decomposition,
@@ -107,11 +109,13 @@ PRIOR_CANDIDATES = {
 
 
 def route_stacked(monkeypatch, *, search=None, witness=None):
-    """Patch ``decomposition.check_feasible_many``: the stacked solves of
-    ``_witnesses`` go to ``witness(real, lps)``, the others (the search's
-    layer pre-tests, one call per layer) to ``search(real, lps)``; either
-    defaults to the real solve."""
-    real, real_witnesses, inside = decomposition.check_feasible_many, decomposition._witnesses, []
+    """Route the feasibility stacks ``decomposition`` hands to the array
+    entry ``_solve`` through :func:`check_feasible_many`: those of
+    ``_witnesses`` go to ``witness(many, lps)``, the others (the search's
+    layer pre-tests, one call per layer) to ``search(many, lps)``, given the
+    stacks' programs as :class:`LinearProgram` s and answering as
+    ``check_feasible_many`` does; either defaults to the real solve."""
+    real, real_witnesses, inside = decomposition._solve, decomposition._witnesses, []
 
     def witnesses(rows, known=None):
         inside.append(True)
@@ -120,12 +124,39 @@ def route_stacked(monkeypatch, *, search=None, witness=None):
         finally:
             inside.pop()
 
-    def many(lps):
+    def solve(groups, c=None, *args):
         hook = witness if inside else search
-        return real(lps) if hook is None else hook(real, lps)
+        if c is not None or hook is None:
+            return real(groups, c, *args)
+        lps = [LinearProgram(*program) for stack in groups for program in zip(*stack)]
+        return as_codes(hook(check_feasible_many, lps), groups)
 
     monkeypatch.setattr(decomposition, "_witnesses", witnesses)
-    monkeypatch.setattr(decomposition, "check_feasible_many", many)
+    monkeypatch.setattr(decomposition, "_solve", solve)
+
+
+def as_codes(results, groups):
+    """``check_feasible_many``'s results for the programs of ``groups`` as the
+    ``(status, x, slack)`` arrays ``lp._solve`` returns for them."""
+    d = groups[0][0].shape[2] if groups else 0
+    status = [lp_module._LIMIT if res is None else lp_module._FEASIBILITY.index(res.status) for res in results]
+    x = [np.full(d, np.nan) if res is None or res.witness is None else res.witness for res in results]
+    slack = [np.nan if res is None or res.slack is None else res.slack for res in results]
+    return np.array(status, dtype=np.intp), np.array(x).reshape(len(results), d), np.array(slack)
+
+
+def test_overflowing_prefix_names_its_layer():
+    """Hidden weights scaled by 1e160 overflow the affine map to layer 2 of
+    biased [2,4,4] seed 0: the search refuses it there, naming the layer,
+    with no overflow warning and before any program is built."""
+    net = biased_net([2, 4, 4], 2, seed=0)
+    big = MLPNetwork(tuple(Layer(layer.weights * 1e160, layer.bias) for layer in net.hidden), net.output)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="affine map to layer 2 overflows"):
+            decompose(big)
+        with pytest.raises(NonFiniteError, match="affine map to layer 2 overflows"):
+            global_lp(((1, 1, 1, 1), (0, 0, 0, 0)), big)
 
 
 class TestDemoNetGroundTruth:
@@ -1129,13 +1160,20 @@ class TestFacetPruning:
         assert len(calls) == len(cases)
 
         shifted = [closed.shifted(witness) for closed, witness, _ in cases]
-        monkeypatch.setattr(decomposition, "dominated", lambda res, bound: False)
+        monkeypatch.setattr(decomposition, "_implied", lambda status, value, bound: np.zeros(len(status), dtype=bool))
         calls.clear()
         assert decomposition._facets(shifted) == wants
         assert calls  # every region with a non-facet row fell back
 
-        monkeypatch.setattr(decomposition, "extremize", lambda directions, lps: [None] * len(lps))
-        calls.clear()
+        monkeypatch.undo()
+        calls = counting_loop(monkeypatch)
+        real = decomposition._solve
+
+        def out_of_pivots(groups, c=None, *args):
+            status, y, value = real(groups, c, *args)
+            return np.full_like(status, lp_module._LIMIT), y, value
+
+        monkeypatch.setattr(decomposition, "_solve", out_of_pivots)
         assert decomposition._facets(shifted) == wants
         assert calls
 
@@ -1204,7 +1242,7 @@ class TestFacetPruning:
         net = biased_net([3, 5, 5, 3], 2, seed=0)
         records = enumerate_feasible(net).records
         handed, solved = [], []
-        real, real_maximise = decomposition.is_redundant, lp_module._maximise
+        real, real_solve = decomposition.is_redundant, lp_module._solve
 
         def spy(rows, lps):
             if isinstance(lps, LinearProgram):
@@ -1214,12 +1252,12 @@ class TestFacetPruning:
             handed.append((sum(np.size(r) for r in rows), sum(solved[before:])))
             return verdicts
 
-        def maximise(groups, c, *args, **kwargs):
-            solved.append(len(c))
-            return real_maximise(groups, c, *args, **kwargs)
+        def solve(groups, c=None, *args, **kwargs):
+            solved.append(0 if c is None else len(c))
+            return real_solve(groups, c, *args, **kwargs)
 
         monkeypatch.setattr(decomposition, "is_redundant", spy)
-        monkeypatch.setattr(lp_module, "_maximise", maximise)
+        monkeypatch.setattr(lp_module, "_solve", solve)
         got = decomposition.extract_halfspaces(records, net)
         assert handed == [(1586, 701)]
         assert sum(map(len, hinted_programs(net)[2])) == 1586
@@ -1527,16 +1565,17 @@ def test_sort_keys_round_rows_by_numpy_and_offsets_by_python():
 
 
 def test_shift_builds_one_program(monkeypatch):
-    """A split program is built once, shifted to the parent witness as
-    :meth:`LinearProgram.shifted` shifts it, or left unshifted when the
-    start violates more rows than the origin."""
-    built, real_init = [], LinearProgram.__post_init__
+    """A split program is built once, over the search's own arrays with no
+    copy, shifted to the parent witness as :meth:`LinearProgram.shifted`
+    shifts it, or left unshifted when the start violates more rows than the
+    origin."""
+    built, real_of = [], LinearProgram._of
 
-    def counted(self):
-        built.append(self)
-        real_init(self)
+    def counted(A, b, strict):
+        built.append(real_of(A, b, strict))
+        return built[-1]
 
-    monkeypatch.setattr(LinearProgram, "__post_init__", counted)
+    monkeypatch.setattr(LinearProgram, "_of", staticmethod(counted))
     rng = np.random.default_rng(0)
     A, b, strict = rng.normal(size=(6, 3)), rng.uniform(1.0, 2.0, 6), rng.random(6) < 0.5
     lp = LinearProgram(A, b, strict)
@@ -1544,6 +1583,7 @@ def test_shift_builds_one_program(monkeypatch):
         built.clear()
         got, used = decomposition._Search._shift(A, b, strict, start)
         assert len(built) == 1 and (used is start if shifted else used is None)
+        assert got.A is A and got.strict is strict and (got.b is b) is not shifted
         want = lp.shifted(start) if shifted else lp
         assert all(getattr(got, f).tobytes() == getattr(want, f).tobytes() for f in ("A", "b", "strict"))
 
@@ -1578,39 +1618,46 @@ def test_closed_rows_are_the_shifted_closed_program(name, make):
 
 class TestProgramsBuiltOnce:
     """Every :class:`LinearProgram` the library builds is solved as built,
-    and each stage builds only the programs it solves."""
+    and each stage builds only the programs it solves; the stacks the
+    library builds as arrays go straight to the array entry ``lp._solve``."""
 
     @pytest.fixture
     def ledger(self, monkeypatch):
-        """``(built, solved)``: every program built, and every program passed
-        to the solver's three entry points, kept as objects.  The feasibility
-        driver, ``check_feasible_many``, is spied where the library looks it
-        up: in ``lp`` (for ``check_feasible``) and in ``decomposition`` (for
-        the search and ``_witnesses``, which ``shallow`` calls)."""
-        built, solved, real_init = [], [], LinearProgram.__post_init__
+        """``(built, solved, stacked)``: every program built, by its
+        constructor or over the library's own arrays (``_of``), every program
+        passed to the solver's public drivers, kept as objects, and the
+        program count of every stack ``decomposition`` hands to ``_solve``
+        (``shallow`` reaches it through ``_witnesses``)."""
+        built, solved, stacked = [], [], []
+        real_init, real_of, real_solve = LinearProgram.__post_init__, LinearProgram._of, decomposition._solve
 
         def counted(self):
             real_init(self)
             built.append(self)
 
-        monkeypatch.setattr(LinearProgram, "__post_init__", counted)
-        for module, name in (
-            (lp_module, "check_feasible_many"),
-            (decomposition, "check_feasible_many"),
-            (lp_module, "_extrema"),
-            (lp_module, "_redundant"),
-        ):
+        def owned(A, b, strict):
+            built.append(real_of(A, b, strict))
+            return built[-1]
 
-            def spy(*args, _real=getattr(module, name)):
+        def solve(groups, c=None, *args):
+            stacked.append(sum(len(b) for _, b, _ in groups) if c is None else len(c))
+            return real_solve(groups, c, *args)
+
+        monkeypatch.setattr(LinearProgram, "__post_init__", counted)
+        monkeypatch.setattr(LinearProgram, "_of", staticmethod(owned))
+        monkeypatch.setattr(decomposition, "_solve", solve)
+        for name in ("check_feasible_many", "_extrema", "_redundant"):
+
+            def spy(*args, _real=getattr(lp_module, name)):
                 lps = list(args[-1])
                 solved.extend(lps)
                 return _real(*args[:-1], lps)
 
-            monkeypatch.setattr(module, name, spy)
-        return built, solved
+            monkeypatch.setattr(lp_module, name, spy)
+        return built, solved, stacked
 
     def test_every_program_built_is_solved(self, ledger):
-        built, solved = ledger
+        built, solved, stacked = ledger
         X = np.random.default_rng(3).uniform(-3.0, 3.0, size=(40, 2))
         for net in (random_init([2, 8, 8, 8], 1, seed=0), biased_net([3, 4, 3], 2, seed=1)):
             d = decompose(net)
@@ -1625,7 +1672,9 @@ class TestProgramsBuiltOnce:
             with pytest.raises(BudgetExceededError):
                 enumerate_feasible(net, budget=budget)
         once = {id(lp) for lp in solved}
-        assert len(built) > 1000 and [lp for lp in built if id(lp) not in once] == []
+        # the search's pre-tests and witnesses and pass 2 are stacks, not objects
+        assert len(built) > 500 and [lp for lp in built if id(lp) not in once] == []
+        assert sum(stacked) > 1000
 
     @pytest.mark.parametrize(
         "make",
@@ -1633,25 +1682,23 @@ class TestProgramsBuiltOnce:
         ids=["xavier[2,8,8,8]", "biased[3,4,3]"],
     )
     def test_stage_counts(self, ledger, monkeypatch, make):
-        """The search builds one program per LP it counts and per leaf, and
-        one more per leaf whose pushed solve fails; the pruning builds one
-        per region, per second-pass check and per row its loop drops before
-        another test; ``hypercube`` one; ``shallow_to_decomposition`` one per
+        """Per stage, the programs built as objects and as stacks.  The
+        search builds one object per split LP and stacks one program per
+        pre-test, which together are every LP it counts, then the witness
+        stage stacks one program per leaf and one more per leaf whose pushed
+        solve fails.  The pruning builds one object per region and per row
+        its loop drops before another test, and stacks one program per
+        second-pass check; ``hypercube`` builds one object;
+        ``shallow_to_decomposition`` builds none and stacks one program per
         region, and one per region whose pushed solve fails."""
-        built, _ = ledger
+        built, _, stacked = ledger
         net = make()
-        stacks, checks, loops = [], [], []
-        real_many, real_extremize, real_loop = (
-            decomposition.check_feasible_many, decomposition.extremize, decomposition._prune_sequential
-        )
+        splits, loops = [0], []
+        real_split, real_loop, real_open = decomposition.check_feasible, decomposition._prune_sequential, decomposition._Search.open_layers
 
-        def many(lps):
-            stacks.append(len(lps))
-            return real_many(lps)
-
-        def extremize(directions, lps):
-            checks.append(len(lps))
-            return real_extremize(directions, lps)
+        def split(lp):
+            splits[0] += 1
+            return real_split(lp)
 
         def loop(lp):
             before = len(built)
@@ -1659,26 +1706,28 @@ class TestProgramsBuiltOnce:
             loops.append((len(built) - before, lp.num_rows - len(kept)))
             return kept
 
-        monkeypatch.setattr(decomposition, "check_feasible_many", many)
-        monkeypatch.setattr(decomposition, "extremize", extremize)
+        monkeypatch.setattr(decomposition, "check_feasible", split)
         monkeypatch.setattr(decomposition, "_prune_sequential", loop)
         res = enumerate_feasible(net)
         p = len(res.records)
         # the witness stage's two stacked calls come last: every leaf, then the fallbacks
-        assert stacks[-2] == p and len(built) == res.candidates_checked + p + stacks[-1]
+        pretests, (leaves, fallbacks) = stacked[:-2], stacked[-2:]
+        assert leaves == p and len(pretests) <= net.depth - 1
+        assert len(built) == splits[0] and res.candidates_checked == splits[0] + sum(pretests)
         built.clear()
+        stacked.clear()
         d = decomposition.build_decomposition(net, res)
-        assert len(built) == p + sum(checks) + sum(n for n, _ in loops)
+        assert len(built) == p + sum(n for n, _ in loops) and len(stacked) <= 1
         assert all(n <= dropped for n, dropped in loops)
         built.clear()
         for r in range(p):
             hypercube(d, r)
         assert len(built) == p
-        stacks.clear()
         s = build_shallow(d)
         built.clear()
+        stacked.clear()
         shallow_to_decomposition(s)
-        assert stacks[0] == p and len(built) == p + stacks[1]
+        assert built == [] and stacked[0] == p and len(stacked) == 2
 
 
 def test_contradicting_constant_row_is_reported():

@@ -387,6 +387,40 @@ class TestStackedSolves:
             for single, stacked in zip(lps, results):
                 assert _same_feasibility(check_feasible(single), stacked)
 
+    def test_array_entry_matches_public_calls(self):
+        """``lp._solve``, the array entry every solve goes through, given
+        stacks of shuffled programs of mixed row counts, strict rows,
+        shifted and unshifted, returns per program bitwise what the public
+        one-program calls return: feasibility codes, witnesses and slacks,
+        and statuses, argpoints and values of directions."""
+        rng = np.random.default_rng(611)
+        lps = _mixed_programs(rng, 2, 300)
+        lps = [lp.shifted(rng.normal(size=2)) if k % 2 else lp for k, lp in enumerate(lps)]
+        order, groups = lp_module._groups([lp.A for lp in lps], [lp.b for lp in lps], [lp.strict for lp in lps])
+        assert len(groups) >= 10 and len(lps) > lp_module.STACK_SIZE
+        status, x, slack = lp_module._solve(groups)
+        for j, st, w, s in zip(order, status.tolist(), x, slack.tolist()):
+            res = check_feasible_many([lps[j]])[0]
+            if res is None:
+                assert st == lp_module._LIMIT
+                continue
+            assert lp_module._FEASIBILITY[st] is res.status
+            if res.status is not Feasibility.INFEASIBLE:
+                assert w.tobytes() == res.witness.tobytes() and _bits(s) == _bits(res.slack)
+        assert set(status.tolist()) == {lp_module._INTERIOR, lp_module._BOUNDARY, lp_module._EMPTY}
+        directions = [rng.normal(size=(int(rng.integers(1, 4)), 2)) for _ in lps]
+        c = np.concatenate([directions[j] for j in order])
+        status, y, value = lp_module._solve(groups, c, [len(directions[j]) for j in order])
+        at = 0
+        for j in order:
+            for direction in directions[j]:
+                res = extremize(direction, lps[j])
+                assert res.status is (Extremum.BOUNDED, Extremum.INFEASIBLE, Extremum.UNBOUNDED)[status[at]]
+                if res.status is Extremum.BOUNDED:
+                    assert y[at].tobytes() == res.argpoint.tobytes() and _bits(value[at]) == _bits(res.value)
+                at += 1
+        assert set(status.tolist()) == {lp_module._OPTIMAL, lp_module._INFEASIBLE, lp_module._UNBOUNDED}
+
     def test_long_sequences_match_single_calls(self):
         """``extremize`` and ``is_redundant`` over 300 programs of many row
         counts, in shuffled order, fill several stacks and return every
@@ -715,10 +749,14 @@ class TestHighsOracle:
         self.linprog = pytest.importorskip("scipy.optimize").linprog
 
     def _max(self, c, A, b, presolve=True):
-        """HiGHS maximum of c . x over A x <= b: (status, value)."""
+        """HiGHS maximum of c . x over A x <= b: (status, value).  Presolve
+        can call an unbounded program infeasible, so an infeasible answer
+        counts only once a solve without presolve confirms it."""
         res = self.linprog(
             -c, A_ub=A, b_ub=b, bounds=[(None, None)] * len(c), method="highs", options={"presolve": presolve}
         )
+        if res.status == 2 and presolve:
+            return self._max(c, A, b, presolve=False)
         if res.status == 2:
             return Extremum.INFEASIBLE, None
         if res.status == 3:
@@ -791,6 +829,19 @@ class TestHighsOracle:
                 if status is Extremum.BOUNDED:
                     assert value - b[i] > TOL_REDUNDANT - 1e-6 * max(1.0, abs(value), abs(b[i]))
         assert proven[True] > 100 and proven[False] > 100
+
+    def test_presolve_infeasible_is_confirmed(self):
+        """Seed 706's 6x3 program with b > 0, so a feasible origin: without
+        row 3, HiGHS's presolve calls the maximum of that row infeasible.
+        ``_max`` confirms the answer with presolve off, which finds the row
+        unbounded, as ``is_redundant`` keeps it."""
+        A, b = list(self._random(np.random.default_rng(706), 300))[10]
+        A, b, keep = A, np.abs(b), np.arange(6) != 3
+        assert A.shape == (6, 3)
+        bounds = [(None, None)] * 3
+        assert self.linprog(-A[3], A_ub=A[keep], b_ub=b[keep], bounds=bounds, method="highs").status == 2
+        assert self._max(A[3], A[keep], b[keep]) == (Extremum.UNBOUNDED, None)
+        assert not is_redundant(3, LinearProgram(A, b, np.zeros(6, dtype=bool)))
 
     def test_sequence_form(self):
         """One call over the programs of each dimension agrees with HiGHS."""

@@ -50,6 +50,7 @@ from relu_unwrap import (
 )
 
 import relu_unwrap.decomposition as decomposition_module
+import relu_unwrap.lp as lp_module
 import relu_unwrap.shallow as shallow_module
 from conftest import (
     biased_net,
@@ -515,9 +516,13 @@ class TestShallowRoundTrip:
 
     def test_refinement_out_of_pivots(self, monkeypatch, demo_net_m1):
         s = build_shallow(decompose(demo_net_m1))
-        monkeypatch.setattr(
-            decomposition_module, "check_feasible_many", lambda lps: [None] * len(lps)
-        )
+        real = decomposition_module._solve
+
+        def out_of_pivots(groups, c=None, *args):
+            status, x, slack = real(groups, c, *args)
+            return np.full_like(status, lp_module._LIMIT), x, slack
+
+        monkeypatch.setattr(decomposition_module, "_solve", out_of_pivots)
         with pytest.raises(IterationLimitError, match="ran out of pivots"):
             shallow_to_decomposition(s)
 
