@@ -657,7 +657,8 @@ class _Search:
         total = sum(len(tested) for *_, tested in plans)
         room, programs = self._charge(total), []
         for cell, nxt, settled, tested in plans:
-            programs += [(cell, _with_row(cell.rows, nxt, j, 1 - settled[j])) for j in tested[: room - len(programs)]]
+            tested = tested[: room - len(programs)]
+            programs += [(cell, _with_row(cell.rows, nxt, j, 1 - settled[j])) for j in tested]
         verdicts = zip(programs, *self._pretest(programs))
         opened = []
         for cell, nxt, settled, tested in plans:
@@ -989,10 +990,9 @@ def _facets(lps: Sequence[LinearProgram], hints=None) -> list[list[int]]:
             checks.append((j, kept, rest))
         else:
             facets[j] = kept.tolist()
-    # pass 2: each other row maximised over F, its verdicts read off arrays
-    order, groups = _groups(*zip(*[(lps[j].A[kept], lps[j].b[kept]) for j, kept, _ in checks])) if checks else ([], [])
-    checks = [checks[k] for k in order]
-    if checks:
+    if checks:  # pass 2: each other row maximised over F, its verdicts read off arrays
+        order, groups = _groups(*zip(*[(lps[j].A[kept], lps[j].b[kept]) for j, kept, _ in checks]))
+        checks = [checks[k] for k in order]
         c = np.concatenate([lps[j].A[rest] for j, _, rest in checks])
         status, _, value = _solve(groups, c, [rest.size for *_, rest in checks])
         implied = _implied(status, value, np.concatenate([lps[j].b[rest] for j, _, rest in checks]))

@@ -165,7 +165,7 @@ def iteration_limit(rows: int, dim: int) -> int:
 
 
 # per-program outcome of _simplex
-_OPTIMAL, _INFEASIBLE, _UNBOUNDED, _LIMIT = range(4)
+_OPTIMAL, _INFEASIBLE, _UNBOUNDED, _LIMIT = range(4)  # in this order: see _solve
 # per-program feasibility verdict of _solve, in the order of Feasibility (or _LIMIT)
 _INTERIOR, _BOUNDARY, _EMPTY = range(3)
 _FEASIBILITY = tuple(Feasibility)
@@ -457,22 +457,21 @@ def _solve(groups, c=None, counts=None, cut=None):
     if not slack:
         return status, y, _dot(c, y)
     x, top = y[:, :-1], y[:, -1]
-    # per program: whether a row is strict, and the smallest strict margin of its witness
-    strict_rows, smallest, lo = [], [], 0
+    s, lo = top.copy(), 0  # per program: its witness's smallest strict margin, or t with no strict row
     for A, b, strict in groups:
         hi = lo + len(b)
-        strict_rows.append(np.logical_or.reduce(strict, axis=1))
-        margins = b - _dot(A, x[lo:hi, None])
-        smallest.append(np.minimum.reduce(margins, axis=1, initial=np.inf, where=strict))
+        smallest = np.minimum.reduce(b - _dot(A, x[lo:hi, None]), axis=1, initial=np.inf, where=strict)
+        s[lo:hi] = np.where(np.logical_or.reduce(strict, axis=1), smallest, s[lo:hi])
         lo = hi
-    s = np.where(np.concatenate(strict_rows or [[]]), np.concatenate(smallest or [[]]), top)
-    found = status == _OPTIMAL
-    interior = found & (s > TOL_SLACK)
-    boundary = found & ~interior & (top >= -TOL_SLACK)
-    code = np.where(interior, _INTERIOR, np.where(boundary, _BOUNDARY, _EMPTY))
-    code[(status == _LIMIT) | (status == _UNBOUNDED)] = _LIMIT
-    value = np.where(interior, s, np.where(boundary, np.where(0.0 > s, 0.0, s), np.nan))
-    return code, x, value
+    code, value = [], []
+    for st, slack, t in zip(status.tolist(), s.tolist(), top.tolist()):
+        if st == _OPTIMAL and slack > TOL_SLACK:
+            code.append(_INTERIOR), value.append(slack)
+        elif st == _OPTIMAL and t >= -TOL_SLACK:
+            code.append(_BOUNDARY), value.append(max(slack, 0.0))
+        else:
+            code.append(_LIMIT if st >= _UNBOUNDED else _EMPTY), value.append(np.nan)
+    return np.array(code, dtype=np.intp), x, np.array(value)
 
 
 def _alone(result, lp: LinearProgram):

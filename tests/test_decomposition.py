@@ -1694,7 +1694,7 @@ class TestProgramsBuiltOnce:
         built, _, stacked = ledger
         net = make()
         splits, loops = [0], []
-        real_split, real_loop, real_open = decomposition.check_feasible, decomposition._prune_sequential, decomposition._Search.open_layers
+        real_split, real_loop = decomposition.check_feasible, decomposition._prune_sequential
 
         def split(lp):
             splits[0] += 1
