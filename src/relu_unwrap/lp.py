@@ -464,11 +464,11 @@ def _solve(groups, c=None, counts=None, cut=None):
         s[lo:hi] = np.where(np.logical_or.reduce(strict, axis=1), smallest, s[lo:hi])
         lo = hi
     code, value = [], []
-    for st, slack, t in zip(status.tolist(), s.tolist(), top.tolist()):
-        if st == _OPTIMAL and slack > TOL_SLACK:
-            code.append(_INTERIOR), value.append(slack)
+    for st, margin, t in zip(status.tolist(), s.tolist(), top.tolist()):
+        if st == _OPTIMAL and margin > TOL_SLACK:
+            code.append(_INTERIOR), value.append(margin)
         elif st == _OPTIMAL and t >= -TOL_SLACK:
-            code.append(_BOUNDARY), value.append(max(slack, 0.0))
+            code.append(_BOUNDARY), value.append(max(margin, 0.0))
         else:
             code.append(_LIMIT if st >= _UNBOUNDED else _EMPTY), value.append(np.nan)
     return np.array(code, dtype=np.intp), x, np.array(value)
