@@ -5,188 +5,22 @@ affine, rebuilds it as a functionally identical three-hidden-layer network
 with extended-real weights, verifies the equivalence, and derives exact
 explanations (SHAP values, region hypercubes, 2-D plots) from the
 decomposition.
+
+Each module's ``__all__`` is its public surface: the public names it
+defines.  The package re-exports them, and its ``__all__`` is their sorted
+union.
 """
 
-from .decomposition import (
-    DECOMP_FORMAT,
-    Decomposition,
-    EnumerationResult,
-    EquivalenceReport,
-    GlobalAffinePrefix,
-    OrientedHalfspace,
-    PatternRecord,
-    Region,
-    TOL_CANON,
-    build_decomposition,
-    canonical_equal,
-    canonicalize,
-    closed_lp,
-    decompose,
-    dumps_decomposition,
-    enumerate_feasible,
-    equivalence_report,
-    extract_halfspaces,
-    global_lp,
-    global_prefix,
-    load_decomposition,
-    loads_decomposition,
-    local_linear_model,
-    local_lp,
-    save_decomposition,
-)
-from .errors import (
-    AmbiguousSelectionError,
-    ArithmeticFault,
-    BudgetExceededError,
-    DimensionMismatchError,
-    InconsistentConstantRowError,
-    IterationLimitError,
-    ModelFormatError,
-    NonFiniteError,
-    PointNotLocatedError,
-    UnwrapError,
-)
-from .explain import (
-    HypercubeSummary,
-    ShapResult,
-    brute_force_shap,
-    exact_shap,
-    hypercube,
-    locate_many,
-    locate_region,
-    plot_regions_2d,
-    region_contains,
-)
-from .lp import (
-    Extremum,
-    ExtremizeResult,
-    Feasibility,
-    FeasibilityResult,
-    LinearProgram,
-    TOL_REDUNDANT,
-    TOL_SLACK,
-    check_feasible,
-    check_feasible_many,
-    extremize,
-    is_redundant,
-)
-from .network import (
-    ActivationPattern,
-    Layer,
-    MLPNetwork,
-    MODEL_FORMAT,
-    Trace,
-    activation_pattern,
-    dumps_model,
-    forward,
-    forward_many,
-    load_model,
-    loads_model,
-    pattern_matrix,
-    random_init,
-    save_model,
-)
-from .shallow import (
-    SHALLOW_FORMAT,
-    ShallowNetwork,
-    build_shallow,
-    dumps_shallow,
-    eval_shallow,
-    eval_shallow_many,
-    load_shallow,
-    loads_shallow,
-    save_shallow,
-    shallow_to_decomposition,
-    xr_add,
-    xr_matvec,
-    xr_mul,
-    xr_relu,
-)
+from . import decomposition, errors, explain, lp, network, shallow
+from .decomposition import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .explain import *  # noqa: F401,F403
+from .lp import *  # noqa: F401,F403
+from .network import *  # noqa: F401,F403
+from .shallow import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActivationPattern",
-    "AmbiguousSelectionError",
-    "ArithmeticFault",
-    "BudgetExceededError",
-    "DECOMP_FORMAT",
-    "Decomposition",
-    "DimensionMismatchError",
-    "EnumerationResult",
-    "EquivalenceReport",
-    "Extremum",
-    "ExtremizeResult",
-    "Feasibility",
-    "FeasibilityResult",
-    "GlobalAffinePrefix",
-    "HypercubeSummary",
-    "InconsistentConstantRowError",
-    "IterationLimitError",
-    "Layer",
-    "LinearProgram",
-    "MLPNetwork",
-    "MODEL_FORMAT",
-    "ModelFormatError",
-    "NonFiniteError",
-    "OrientedHalfspace",
-    "PatternRecord",
-    "PointNotLocatedError",
-    "Region",
-    "SHALLOW_FORMAT",
-    "ShallowNetwork",
-    "ShapResult",
-    "TOL_CANON",
-    "TOL_REDUNDANT",
-    "TOL_SLACK",
-    "Trace",
-    "UnwrapError",
-    "activation_pattern",
-    "brute_force_shap",
-    "build_decomposition",
-    "build_shallow",
-    "canonical_equal",
-    "canonicalize",
-    "check_feasible",
-    "check_feasible_many",
-    "closed_lp",
-    "decompose",
-    "dumps_decomposition",
-    "dumps_model",
-    "dumps_shallow",
-    "enumerate_feasible",
-    "equivalence_report",
-    "eval_shallow",
-    "eval_shallow_many",
-    "exact_shap",
-    "extract_halfspaces",
-    "extremize",
-    "forward",
-    "forward_many",
-    "global_lp",
-    "global_prefix",
-    "hypercube",
-    "is_redundant",
-    "load_decomposition",
-    "load_model",
-    "load_shallow",
-    "loads_decomposition",
-    "loads_model",
-    "loads_shallow",
-    "local_linear_model",
-    "local_lp",
-    "locate_many",
-    "locate_region",
-    "pattern_matrix",
-    "plot_regions_2d",
-    "random_init",
-    "region_contains",
-    "save_decomposition",
-    "save_model",
-    "save_shallow",
-    "shallow_to_decomposition",
-    "xr_add",
-    "xr_matvec",
-    "xr_mul",
-    "xr_relu",
-]
+__all__ = sorted(
+    name for module in (decomposition, errors, explain, lp, network, shallow) for name in module.__all__
+)

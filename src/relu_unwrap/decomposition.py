@@ -90,6 +90,34 @@ from .network import (
     forward_many,
 )
 
+__all__ = [
+    "DECOMP_FORMAT",
+    "Decomposition",
+    "EnumerationResult",
+    "EquivalenceReport",
+    "GlobalAffinePrefix",
+    "OrientedHalfspace",
+    "PatternRecord",
+    "Region",
+    "TOL_CANON",
+    "build_decomposition",
+    "canonical_equal",
+    "canonicalize",
+    "closed_lp",
+    "decompose",
+    "dumps_decomposition",
+    "enumerate_feasible",
+    "equivalence_report",
+    "extract_halfspaces",
+    "global_lp",
+    "global_prefix",
+    "load_decomposition",
+    "loads_decomposition",
+    "local_linear_model",
+    "local_lp",
+    "save_decomposition",
+]
+
 DECOMP_FORMAT = "relu-decomp-v1"
 
 TOL_CANON = 1e-8        # merge tolerance on (normal, offset) within a region

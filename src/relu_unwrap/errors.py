@@ -1,5 +1,18 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "AmbiguousSelectionError",
+    "ArithmeticFault",
+    "BudgetExceededError",
+    "DimensionMismatchError",
+    "InconsistentConstantRowError",
+    "IterationLimitError",
+    "ModelFormatError",
+    "NonFiniteError",
+    "PointNotLocatedError",
+    "UnwrapError",
+]
+
 
 class UnwrapError(Exception):
     """Base class for all library-specific errors."""

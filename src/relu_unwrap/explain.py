@@ -16,10 +16,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import Decomposition, _any_read, _closed_rows, _sort_keys
+from .decomposition import Decomposition, _any_read, _closed_rows, _finite, _sort_keys
 from .errors import DimensionMismatchError, NonFiniteError, PointNotLocatedError, UnwrapError
 from .lp import Extremum, LinearProgram, _alone, extremize
 from .network import _points
+
+__all__ = [
+    "HypercubeSummary",
+    "ShapResult",
+    "brute_force_shap",
+    "exact_shap",
+    "hypercube",
+    "locate_many",
+    "locate_region",
+    "plot_regions_2d",
+    "region_contains",
+]
 
 _EPS_FACE = 1e-12  # margin below which a point counts as on a face
 _HOST_BLOCK = 1024  # points per block of _hosts, which bounds its margins
@@ -230,8 +242,8 @@ def _boxes(d: Decomposition, regions) -> list[HypercubeSummary]:
     lps = []
     for r in regions:
         run = ids[starts[r] : starts[r + 1]]
-        rows = _closed_rows(d.halfspace_normals[run], d.halfspace_offsets[run], d.witnesses[r])
-        lps.append(LinearProgram(*rows))
+        A, b, strict = _closed_rows(d.halfspace_normals[run], d.halfspace_offsets[run], d.witnesses[r])
+        lps.append(LinearProgram._of(A, _finite(b), strict))
     directions = np.vstack([np.eye(n), -np.eye(n)])
     cubes = []
     for region, lp, extremes in zip(regions, lps, extremize([directions] * len(lps), lps)):

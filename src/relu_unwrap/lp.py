@@ -64,6 +64,20 @@ import numpy as np
 
 from .errors import DimensionMismatchError, IterationLimitError, NonFiniteError
 
+__all__ = [
+    "ExtremizeResult",
+    "Extremum",
+    "Feasibility",
+    "FeasibilityResult",
+    "LinearProgram",
+    "TOL_REDUNDANT",
+    "TOL_SLACK",
+    "check_feasible",
+    "check_feasible_many",
+    "extremize",
+    "is_redundant",
+]
+
 TOL_SLACK = 1e-9        # minimum margin for interior feasibility
 TOL_REDUNDANT = 1e-7    # slack under which a row is declared redundant
 ITERATION_FACTOR = 50   # pivot budget multiplier
@@ -348,8 +362,7 @@ def check_feasible_many(lps: Sequence[LinearProgram]) -> list[FeasibilityResult 
     :func:`check_feasible` returns alone; None marks a program
     :func:`check_feasible` would raise :class:`IterationLimitError` on.
     """
-    lps = list(lps)
-    _dim(lps)
+    lps, _ = _programs(lps)
     order, groups = _groups([lp.A for lp in lps], [lp.b for lp in lps], [lp.strict for lp in lps])
     status, x, slack = _solve(groups)
     results: list[FeasibilityResult | None] = [None] * len(lps)
@@ -361,12 +374,28 @@ def check_feasible_many(lps: Sequence[LinearProgram]) -> list[FeasibilityResult 
     return results
 
 
-def _dim(lps: Sequence[LinearProgram]) -> int:
-    """The one dimension of programs solved together."""
+def _programs(lps) -> tuple[list[LinearProgram], int]:
+    """The programs of a call on a sequence, and the one dimension they share."""
+    if isinstance(lps, LinearProgram):
+        raise DimensionMismatchError("a sequence of programs is needed, not one program")
+    lps = list(lps)
     dims = {lp.dim for lp in lps}
     if len(dims) > 1:
         raise DimensionMismatchError("stacked programs must share one dimension")
-    return dims.pop() if dims else 0
+    return lps, dims.pop() if dims else 0
+
+
+def _entries(items, what: str, least: int = 0) -> list:
+    """The entries of the per-program argument of a call on a sequence of
+    programs, one ``what`` each, of at least ``least`` axes; a lone value
+    is refused."""
+    try:
+        entries = list(items)
+    except TypeError:
+        entries = None
+    if entries is None or least and any(np.ndim(e) < least for e in entries):
+        raise DimensionMismatchError(f"a sequence of programs needs one {what} per program")
+    return entries
 
 
 def _groups(A: Sequence[np.ndarray], b: Sequence[np.ndarray], strict=None):
@@ -495,12 +524,12 @@ def extremize(direction, lp):
     # the one-program entries never call each other, so a traced call is one span
     if isinstance(lp, LinearProgram):
         return _alone(_extrema([direction], [lp])[0], lp)
-    return _extrema(direction, lp)
+    return _extrema(_entries(direction, "direction or direction stack", 1), lp)
 
 
 def _extrema(directions, lps) -> list:
     """:func:`extremize` on a sequence of programs."""
-    lps = list(lps)
+    lps, d = _programs(lps)
     stacks = [np.asarray(D, dtype=np.float64) for D in directions]
     if len(stacks) != len(lps):
         raise DimensionMismatchError(f"{len(stacks)} directions for {len(lps)} programs")
@@ -508,7 +537,6 @@ def _extrema(directions, lps) -> list:
         if D.ndim not in (1, 2) or D.shape[-1] != lp.dim:
             length = D.shape[-1] if D.ndim else 1
             raise DimensionMismatchError(f"direction has length {length}, program dim is {lp.dim}")
-    d = _dim(lps)
     order, groups = _groups([lp.A for lp in lps], [lp.b for lp in lps])
     objectives = [stacks[j] if stacks[j].ndim == 2 else stacks[j][None] for j in order]
     c = np.concatenate(objectives or [np.zeros((0, d))])
@@ -571,7 +599,7 @@ def is_redundant(row, lp):
     """
     if isinstance(lp, LinearProgram):
         return _alone(_redundant([row], [lp])[0], lp)
-    return _redundant(row, lp)
+    return _redundant(_entries(row, "row set"), lp)
 
 
 def _ray_proofs(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -610,7 +638,7 @@ def _ray_proofs(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _redundant(rows, lps) -> list:
     """:func:`is_redundant` on a sequence of programs."""
-    lps = list(lps)
+    lps, d = _programs(lps)
     indices = [np.asarray(r) for r in rows]
     if len(indices) != len(lps):
         raise DimensionMismatchError(f"{len(indices)} row sets for {len(lps)} programs")
@@ -622,7 +650,6 @@ def _redundant(rows, lps) -> list:
     bad = (tested < 0) | (tested >= np.repeat([lp.num_rows for lp in lps], [len(f) for f in flat]))
     if bad.any():
         raise IndexError(f"row {tested[bad][0]} out of range")
-    d = _dim(lps)
     order, groups = _groups([lp.A for lp in lps], [lp.b for lp in lps])
     counts = [len(flat[j]) for j in order]
     cut = np.concatenate([flat[j] for j in order] or [np.zeros(0, dtype=np.intp)])

@@ -33,6 +33,23 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ModelFormatError, NonFiniteError
 
+__all__ = [
+    "ActivationPattern",
+    "Layer",
+    "MLPNetwork",
+    "MODEL_FORMAT",
+    "Trace",
+    "activation_pattern",
+    "dumps_model",
+    "forward",
+    "forward_many",
+    "load_model",
+    "loads_model",
+    "pattern_matrix",
+    "random_init",
+    "save_model",
+]
+
 MODEL_FORMAT = "relu-mlp-v1"
 
 

@@ -70,6 +70,23 @@ from .network import (
     _points,
 )
 
+__all__ = [
+    "SHALLOW_FORMAT",
+    "ShallowNetwork",
+    "build_shallow",
+    "dumps_shallow",
+    "eval_shallow",
+    "eval_shallow_many",
+    "load_shallow",
+    "loads_shallow",
+    "save_shallow",
+    "shallow_to_decomposition",
+    "xr_add",
+    "xr_matvec",
+    "xr_mul",
+    "xr_relu",
+]
+
 SHALLOW_FORMAT = "relu-shallow-v2"
 EVAL_BLOCK = 1024  # points per block of eval_shallow_many
 

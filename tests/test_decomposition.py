@@ -1588,6 +1588,45 @@ def test_shift_builds_one_program(monkeypatch):
         assert all(getattr(got, f).tobytes() == getattr(want, f).tobytes() for f in ("A", "b", "strict"))
 
 
+class TestShiftOverflow:
+    """A program shifted to a far point whose right-hand sides overflow is
+    refused by ``decomposition._finite`` with the message the validating
+    :class:`LinearProgram` constructor gives.  The overflow itself is
+    numpy's, so its warning is silenced here."""
+
+    message = "^linear program entries must be finite$"
+
+    def test_split_shift_overflowing_to_infinity(self):
+        """``A @ start`` overflows to -inf on row 0, so the moved right-hand
+        side is +inf there: no row is violated and the shift is chosen."""
+        A, b, strict = np.array([[-2.0, 0.0], [0.0, 1.0]]), np.array([0.0, 1.0]), np.array([True, False])
+        start = np.array([1e308, 0.0])
+        with np.errstate(over="ignore"):
+            assert np.isposinf(b - A @ start).tolist() == [True, False]
+            with pytest.raises(NonFiniteError, match=self.message):
+                decomposition._Search._shift(A, b, strict, start)
+            # overflowing to -inf violates the row, so the program stays unshifted
+            lp, used = decomposition._Search._shift(-A, b, strict, start)
+        assert used is None and lp.b is b
+
+    def test_region_witness_near_the_float_limit(self):
+        """A record whose witness is about 1e308 overflows its region's
+        shifted closed program in ``extract_halfspaces``."""
+        net = biased_net([2, 4, 4], 2, seed=0)
+        records = list(enumerate_feasible(net).records)
+        records[3] = dataclasses.replace(records[3], witness=np.full(2, 1.7e308))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match=self.message):
+            decomposition.extract_halfspaces(records, net)
+
+    def test_hypercube_of_a_far_witness(self):
+        """``hypercube`` shifts the region's rows to its stored witness."""
+        hs = (OrientedHalfspace(np.array([0.6, 0.8]), 1.0),)
+        region = Region(ActivationPattern(((1,),)), np.ones((1, 2)), np.zeros(1), (0,), np.full(2, 1.7e308))
+        d = Decomposition.of(2, 1, hs, (region,))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match=self.message):
+            hypercube(d, 0)
+
+
 @pytest.mark.parametrize(
     "name,make",
     GOLDEN + [("xavier[2,8,8,8]", lambda: random_init([2, 8, 8, 8], 1, seed=0))],

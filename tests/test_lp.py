@@ -587,6 +587,22 @@ class TestStackedSolves:
         with pytest.raises(DimensionMismatchError):
             extremize([np.ones(2), np.ones(2)], [lp, other])
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda lp: is_redundant(3, [lp, lp]), "needs one row set per program"),
+            (lambda lp: extremize(np.ones(2), [lp, lp]), "needs one direction or direction stack per program"),
+            (lambda lp: check_feasible_many(lp), "is needed, not one program"),
+        ],
+        ids=["is_redundant", "extremize", "check_feasible_many"],
+    )
+    def test_sequences_reject_a_lone_argument(self, call, message):
+        """A sequence of programs takes a sequence of per-program arguments,
+        and a sequence call takes a sequence of programs."""
+        lp = LinearProgram(np.eye(2), np.ones(2), np.zeros(2, dtype=bool))
+        with pytest.raises(DimensionMismatchError, match=f"^a sequence of programs {message}$"):
+            call(lp)
+
     def test_shifted_program_has_the_same_answers(self):
         """Solving in coordinates centred on a point of the system and moving
         back gives the same optimum value, and the same verdicts."""
